@@ -221,17 +221,6 @@ def fx_q1_costs(n: int, m: int) -> dict:
     return {"setting": "Q1", "n": n, "m": m, "data_log2": d, "time_log2": t}
 
 
-def em_q1_costs(n: int) -> dict:
-    """Classical-query Even-Mansour: the m = 0 corner of the FX split."""
-    u = math.ceil(n / 3.0)
-    return {
-        "setting": "Q1",
-        "n": n,
-        "data_log2": u,
-        "time_log2": math.ceil((n - u) / 2.0),
-    }
-
-
 def chaskey_costs(n: int = 128, data_cap_log2: int = 48, circuit_log2: int = 19) -> dict:
     """Chaskey under its 2^48 data cap; time counts permutation-circuit gates."""
     return {
@@ -329,20 +318,6 @@ def family_epsilon(family, g, n: int, i0: int | None = None) -> EpsilonReport:
         if t and probs[t] >= eps:
             eps, worst_i, worst_t = float(probs[t]), i, t
     return EpsilonReport(eps, worst_i, worst_t, periodic_index, period)
-
-
-def condition_epsilon(family, g, n: int) -> float:
-    """Variant that keeps every branch but drops each branch's own periods
-    from the maximization (the max over t outside {0, s})."""
-    family = np.asarray(family, dtype=np.int64)
-    g = np.asarray(g, dtype=np.int64)
-    eps = 0.0
-    for i in range(family.shape[0]):
-        probs = collision_probabilities(family[i] ^ g, n)
-        off = probs[1:][probs[1:] < 1.0]
-        if len(off):
-            eps = max(eps, float(off.max()))
-    return eps
 
 
 def collect_codebook(oracle, inputs) -> np.ndarray:

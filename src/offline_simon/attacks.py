@@ -1,10 +1,9 @@
 """Key-recovery attacks on the toy targets, built on the offline search.
 
-Every attack follows the same arc: carve the target into a Problem-3 shape
-(an online function over a small data window plus an offline guess family),
-run the period search, reassemble the keys from the measured index and the
-recovered period, and verify by re-encryption. Verification never trusts the
-planted keys alone; equivalent keys pass, wrong keys fail.
+Each target is one `Target` record (its CLI sizing, instance draw, carve into
+Problem-3 shape, key assembly, checks and cost ledger) and every attack runs
+through one function, `run_attack`, which documents the shared arc. The
+public `attack_<kind>` functions are thin entry points into it.
 
 Counter conventions: D counts online data (classical queries, or quantum
 ones for the Q2 attack), T counts offline F/P evaluations, Q is the qubit
@@ -16,12 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import analysis, search, simon
-from .gf2 import Gf2Basis, solve_period
+from . import analysis, primitives, search, simon
+from .gf2 import solve_period
 from .primitives import (
     BeetleToyInstance,
     ChaskeyToyInstance,
@@ -55,13 +55,8 @@ class AttackReport:
     t_offline: int
     q_qubits: int
     m_memory: int
-    adaptive: bool = False
     tradeoff: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def condition_violated(self) -> bool:
-        return bool(self.search_report and self.search_report.condition_violated)
 
     def as_dict(self) -> dict:
         base = self.search_report.as_dict() if self.search_report else {}
@@ -77,7 +72,8 @@ class AttackReport:
             "T": self.t_offline,
             "Q": self.q_qubits,
             "M": self.m_memory,
-            "adaptive": self.adaptive,
+            # every attack here fixes its queries in advance
+            "adaptive": False,
             "tradeoff": self.tradeoff,
             "notes": list(self.notes),
         })
@@ -97,8 +93,9 @@ def _screen_or_raise(instance: search.SearchInstance, target: str,
     """Degeneracy screen: exactly one periodic branch, sitting at the planted
     index, with exactly the planted period. Targets whose planted period can
     legitimately vanish (the periodic branch collapses to a constant) pass
-    that case through when allow_constant_branch is set."""
-    scr = search.screen(instance)
+    that case through when allow_constant_branch is set. The screen is kept
+    on the instance, so the search that follows does not redo it."""
+    scr = instance.screened
     i0 = instance.planted_index
     if scr.periodic_indices != (i0,):
         raise DegenerateInstanceError(
@@ -129,10 +126,6 @@ def _period_candidates(table, dim: int, copies: int,
     return list(sol.candidates) + [0], copies
 
 
-def _qubit_footprint(m: int, copies: int, dim: int, l: int) -> int:
-    return m + copies * (dim + l) + 1
-
-
 def _tradeoff_identity(d_log2: int, grover_bits: int, target_log2: int) -> dict:
     """Exact and floor-rounded forms of the data/time tradeoff product."""
     r = analysis.grover_iterations(grover_bits)
@@ -147,6 +140,174 @@ def _tradeoff_identity(d_log2: int, grover_bits: int, target_log2: int) -> dict:
         "identity_exact": exact == target_log2,
         "identity_floor_consistent": lo <= (1 << target_log2) <= hi or r == 0,
     }
+
+
+def _agrees(inst, keys: dict | None, oracle, inputs) -> bool:
+    """The target re-keyed with `keys` answers like the real one on every
+    input (the keys' names are the instance's key fields)."""
+    if keys is None:
+        return False
+    rekeyed = replace(inst, **keys)
+    return all(oracle(rekeyed, x) == oracle(inst, x) for x in inputs)
+
+
+# ---------------------------------------------------------------------------
+# Targets and the shared attack arc
+# ---------------------------------------------------------------------------
+
+
+class Shape(NamedTuple):
+    """Search dimensions of an attack at given CLI sizes: the branch domain
+    width n, the guess-index width m, the branch output width l, and the
+    primitive widths the sizes imply."""
+
+    n: int
+    m: int
+    l: int
+    widths: tuple[int, ...]
+
+
+def _window_shape(n: int, u: int, m_extra: int, widths: tuple[int, ...]) -> Shape:
+    """Shape of a search over a 2^u window of an n-bit input whose remaining
+    n - u bits (plus m_extra cipher-key bits) are guessed."""
+    if not 1 <= u <= n:
+        raise ValueError("need 1 <= u <= n")
+    return Shape(u, m_extra + n - u, n, widths)
+
+
+@dataclass(frozen=True)
+class Cut:
+    """One target instance carved into Problem-3 shape. `window` indexes the
+    data window the screen accepted (the first message block of the Chaskey
+    walk; 0 for single-window targets)."""
+
+    inst: Any
+    s_inst: search.SearchInstance
+    window: int
+
+
+def _window_reproduced(cut: Cut, keys: dict, oracle, shift: int) -> bool:
+    """The target re-keyed with `keys` reproduces the collected window:
+    oracle(x << shift) == g[x] for every window input x."""
+    rekeyed = replace(cut.inst, **keys)
+    return all(oracle(rekeyed, x << shift) == y for x, y in enumerate(cut.s_inst.g.tolist()))
+
+
+def _window_ledger(cut: Cut, rep: search.Report) -> dict:
+    """Ledger of an attack on one collected window of 2^n inputs: D is the
+    window, M holds the branch family plus the window."""
+    s = cut.s_inst
+    return {
+        "d_online": 1 << s.n,
+        "m_memory": (1 << (s.m + s.n)) + (1 << s.n),
+        "tradeoff": _tradeoff_identity(s.n, s.m, s.m + s.n),
+        "notes": [],
+    }
+
+
+@dataclass(frozen=True)
+class Target:
+    """Everything that differs between attack kinds.
+
+    CLI side: `defaults` fills the toy sizes into the size flags, `shape`
+    validates them and gives the capacity dimensions, `draw` builds a seeded
+    instance and returns the positional arguments of `attack_<kind>`.
+
+    Attack side (key dicts name the instance's key fields, so a proposal
+    re-keys a copy of the instance): `carve(inst, u, window)` is the target's
+    `*_search_instance` (it raises DegenerateInstanceError when the screen
+    rejects the instance); per period candidate, `assemble` lists the key
+    proposals, `consistent` checks one against the collected data and
+    `check_cost(cut)` is its T charge; `verify(inst, keys, rng)` is the final
+    re-encryption check; `ledger` gives the D/M/tradeoff/notes terms.
+    """
+
+    kind: str
+    name: str
+    defaults: Callable[[Any], dict]
+    shape: Callable[[dict], Shape]
+    draw: Callable[[dict, np.random.Generator], tuple]
+    carve: Callable[[Any, int | None, int], search.SearchInstance]
+    assemble: Callable[[Cut, int, int], list[dict]]
+    consistent: Callable[[Cut, dict], bool]
+    check_cost: Callable[[Cut], int]
+    verify: Callable[[Any, dict | None, np.random.Generator], bool]
+    ledger: Callable[[Cut, search.Report], dict] = _window_ledger
+    quantum_queries: bool = False     # Q2 search, else Q1
+    windows: int = 1                  # data windows tried before giving up
+    c_times_block: bool = False       # c multiplies the block width l, not n
+    f_calls_per_query: int = 1        # primitive calls behind one f query
+    online_counts: Callable[[Cut], tuple[int, int] | None] = lambda cut: None
+
+    @property
+    def entry(self) -> str:
+        """Name of this kind's public attack function in this module."""
+        return "attack_" + self.kind.replace("-", "_")
+
+    def copies(self, c: int | None, n: int, m: int, l: int) -> int:
+        """Sample copies per database: c times the copy width, or the
+        default constant for an m-bit index over n-bit branches."""
+        if not c:
+            return analysis.default_copies(m, n)
+        return c * (l if self.c_times_block else n)
+
+    def footprint(self, p: dict) -> int:
+        """Qubits an exact run needs at CLI parameters p."""
+        n, m, l, _ = self.shape(p)
+        return search.qubit_footprint(m, self.copies(p["c"], n, m, l), n, l)
+
+
+def run_attack(target: Target, inst, u: int | None, c: int | None,
+               backend: str, rng: np.random.Generator | None) -> AttackReport:
+    """Problem 3 of Leander-May, "Grover meets Simon" (ASIACRYPT 2017), on
+    one target instance:
+
+    1. carve: cut the target into an online function over a small data
+       window plus an offline guess family whose one periodic branch sits at
+       the key's index part (walking data windows until the screen accepts);
+    2. search: amplify over the family index with the Q1 (codebook) or Q2
+       (superposition) database; only the counters differ;
+    3. candidates: sample the measured branch for its consistent periods;
+    4. assemble and check: turn each (index, period) pair into key
+       proposals and keep the first that reproduces the collected data;
+    5. verify by re-encryption (planted keys are never trusted alone:
+       equivalent keys pass, wrong keys fail) and report the D/T/Q/M ledger.
+
+    u is the data-window width (None where the target fixes it); the trial
+    rng is consumed by the search, the candidate sampling and, for some
+    targets, the verification, in that order.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    for window in range(target.windows):
+        try:
+            s_inst = target.carve(inst, u, window)
+            break
+        except DegenerateInstanceError:
+            if window + 1 == target.windows:
+                raise
+    cut = Cut(inst, s_inst, window)
+    n, m, l = s_inst.n, s_inst.m, s_inst.l
+    copies = target.copies(c, n, m, l)
+    find = search.alg_poly_q2 if target.quantum_queries else search.alg_exp_q1
+    i_hat, rep = find(s_inst, copies, backend, rng, online_counts=target.online_counts(cut))
+    candidates, t_extra = _period_candidates(s_inst.branch(i_hat), n, copies, rng)
+    keys = None
+    for proposal in (k for period in candidates for k in target.assemble(cut, i_hat, period)):
+        t_extra += target.check_cost(cut)
+        if target.consistent(cut, proposal):
+            keys = proposal
+            break
+    return AttackReport(
+        target=target.name,
+        keys=keys,
+        verified=target.verify(inst, keys, rng),
+        planted_match=bool(keys) and all(getattr(inst, k) == v for k, v in keys.items()),
+        search_report=rep,
+        t_offline=target.f_calls_per_query * rep.counters.f_queries + t_extra,
+        q_qubits=search.qubit_footprint(m, copies, n, l),
+        **target.ledger(cut, rep),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,49 +337,35 @@ def em_search_instance(inst: EvenMansourInstance, u: int) -> search.SearchInstan
     return instance
 
 
+def _em_assemble(cut: Cut, i: int, period: int) -> list[dict]:
+    k1 = (period << cut.s_inst.m) | i
+    return [{"k1": k1, "k2": int(cut.s_inst.g[0]) ^ cut.inst.perm(k1)}]
+
+
+EM_Q1 = Target(
+    kind="em-q1",
+    name="em-q1",
+    defaults=lambda a: {"n": a.n or 9, "u": a.u or 3},
+    shape=lambda p: _window_shape(p["n"], p["u"], 0, (p["n"],)),
+    draw=lambda p, rng: (
+        EvenMansourInstance(p["n"], primitives.random_permutation(p["n"], rng),
+                            int(rng.integers(1 << p["n"])), int(rng.integers(1 << p["n"]))),
+        p["u"]),
+    carve=lambda inst, u, _: em_search_instance(inst, u),
+    assemble=_em_assemble,
+    consistent=lambda cut, keys: _window_reproduced(cut, keys, em_encrypt, cut.s_inst.m),
+    check_cost=lambda cut: 1 + (1 << cut.s_inst.n),
+    verify=lambda inst, keys, rng: _agrees(inst, keys, em_encrypt, range(1 << inst.n)),
+)
+
+
 def attack_em_q1(inst: EvenMansourInstance, u: int, c: int | None = None,
                  backend: str = "sampled",
                  rng: np.random.Generator | None = None) -> AttackReport:
     """Whitening-key recovery from 2^u chosen plaintexts: Grover over the
     low k1 bits against the collected window, then period recovery for the
     high bits, then k2 = E(0) ^ P(k1)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n, w = inst.n, inst.n - u
-    s_inst = em_search_instance(inst, u)
-    copies = c * u if c else analysis.default_copies(w, u)
-    i_hat, rep = search.alg_exp_q1(s_inst, copies, backend, rng)
-    candidates, rec = _period_candidates(s_inst.branch(i_hat), u, copies, rng)
-    keys = None
-    t_extra = rec
-    for s_cand in candidates:
-        k1 = (s_cand << w) | i_hat
-        k2 = int(s_inst.g[0]) ^ inst.perm(k1)
-        t_extra += 1
-        consistent = all(
-            int(s_inst.g[x]) == inst.perm((x << w) ^ k1) ^ k2
-            for x in range(1 << u)
-        )
-        t_extra += 1 << u
-        if consistent:
-            keys = {"k1": k1, "k2": k2}
-            break
-    verified = keys is not None and all(
-        em_encrypt(inst, x) == inst.perm(x ^ keys["k1"]) ^ keys["k2"]
-        for x in range(1 << n)
-    )
-    return AttackReport(
-        target="em-q1",
-        keys=keys,
-        verified=verified,
-        planted_match=bool(keys and keys == {"k1": inst.k1, "k2": inst.k2}),
-        search_report=rep,
-        d_online=1 << u,
-        t_offline=rep.counters.f_queries + t_extra,
-        q_qubits=_qubit_footprint(w, copies, u, n),
-        m_memory=(1 << (w + u)) + (1 << u),
-        tradeoff=_tradeoff_identity(u, w, n),
-    )
+    return run_attack(EM_Q1, inst, u, c, backend, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -254,65 +401,61 @@ def fx_q2_search_instance(inst: FxInstance) -> search.SearchInstance:
     return instance
 
 
+FX_Q2_PROBES = (1, 2, 3)
+
+
+def _fx_q2_assemble(cut: Cut, i: int, period: int) -> list[dict]:
+    """The quotient period fixes k_in up to its low bit; try both."""
+    fx0 = fx_encrypt(cut.inst, 0)
+    return [{"k": i, "k_in": k_in, "k_out": fx0 ^ cut.inst.family.encrypt(i, k_in)}
+            for k_in in (period << 1, (period << 1) | 1) if k_in]
+
+
+def _fx_q2_ledger(cut: Cut, rep: search.Report) -> dict:
+    online_extra = 1 + len(FX_Q2_PROBES)
+    return {
+        **_window_ledger(cut, rep),
+        "d_online": online_extra,
+        "tradeoff": {
+            "quantum_online": rep.counters.quantum_online,
+            "fx_queries_online": 2 * rep.counters.quantum_online + online_extra,
+            "time_log2": analysis.fx_q2_costs(cut.inst.n, cut.inst.m)["time_log2"],
+        },
+        "notes": ["each paired query costs two FX calls"],
+    }
+
+
+def _fx_verify(inst: FxInstance, keys: dict | None, rng) -> bool:
+    return _agrees(inst, keys, fx_encrypt, range(1 << inst.n))
+
+
+FX_Q2 = Target(
+    kind="fx-q2",
+    name="fx-q2",
+    defaults=lambda a: {"n": a.n or 4, "m": a.m or 3},
+    shape=lambda p: Shape(p["n"] - 1, p["m"], p["n"], (p["n"], p["m"])),
+    draw=lambda p, rng: (
+        FxInstance(p["n"], p["m"], primitives.random_cipher_family(p["m"], p["n"], rng),
+                   int(rng.integers(1 << p["m"])), int(rng.integers(2, 1 << p["n"])),
+                   int(rng.integers(1 << p["n"]))),),
+    carve=lambda inst, _, __: fx_q2_search_instance(inst),
+    assemble=_fx_q2_assemble,
+    consistent=lambda cut, keys: _agrees(cut.inst, keys, fx_encrypt, FX_Q2_PROBES),
+    check_cost=lambda cut: 1 + len(FX_Q2_PROBES),
+    verify=_fx_verify,
+    ledger=_fx_q2_ledger,
+    quantum_queries=True,
+    c_times_block=True,
+    f_calls_per_query=2,
+)
+
+
 def attack_fx_q2(inst: FxInstance, c: int | None = None, backend: str = "sampled",
                  rng: np.random.Generator | None = None) -> AttackReport:
     """Full (k, k_in, k_out) recovery with superposition queries: Grover over
     the cipher key against the paired online function, then the quotient
     period plus a low-bit probe for k_in, then k_out = FX(0) ^ E_k(k_in)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n, m = inst.n, inst.m
-    s_inst = fx_q2_search_instance(inst)
-    dim = n - 1
-    copies = c * n if c else analysis.default_copies(m, dim)
-    i_hat, rep = search.alg_poly_q2(s_inst, copies, backend, rng)
-    candidates, rec = _period_candidates(s_inst.branch(i_hat), dim, copies, rng)
-    fx0 = fx_encrypt(inst, 0)
-    probes = [1, 2, 3]
-    online_extra = 1 + len(probes)
-    probe_vals = {p: fx_encrypt(inst, p) for p in probes}
-    keys = None
-    t_extra = rec
-    for s_cand in candidates:
-        for low in (0, 1):
-            k_in = (s_cand << 1) | low
-            if k_in == 0:
-                continue
-            k_out = fx0 ^ inst.family.encrypt(i_hat, k_in)
-            t_extra += 1
-            good = all(
-                probe_vals[p] == inst.family.encrypt(i_hat, p ^ k_in) ^ k_out
-                for p in probes
-            )
-            t_extra += len(probes)
-            if good:
-                keys = {"k": i_hat, "k_in": k_in, "k_out": k_out}
-                break
-        if keys:
-            break
-    verified = keys is not None and all(
-        fx_encrypt(inst, x)
-        == inst.family.encrypt(keys["k"], x ^ keys["k_in"]) ^ keys["k_out"]
-        for x in range(1 << n)
-    )
-    return AttackReport(
-        target="fx-q2",
-        keys=keys,
-        verified=verified,
-        planted_match=bool(
-            keys and keys == {"k": inst.k, "k_in": inst.k_in, "k_out": inst.k_out}),
-        search_report=rep,
-        d_online=online_extra,
-        t_offline=2 * rep.counters.f_queries + t_extra,
-        q_qubits=_qubit_footprint(m, copies, dim, n),
-        m_memory=(1 << (m + dim)) + (1 << dim),
-        tradeoff={
-            "quantum_online": rep.counters.quantum_online,
-            "fx_queries_online": 2 * rep.counters.quantum_online + online_extra,
-            "time_log2": analysis.fx_q2_costs(n, m)["time_log2"],
-        },
-        notes=["each paired query costs two FX calls"],
-    )
+    return run_attack(FX_Q2, inst, None, c, backend, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -346,54 +489,41 @@ def fx_q1_search_instance(inst: FxInstance, u: int) -> search.SearchInstance:
     return instance
 
 
+def _fx_q1_assemble(cut: Cut, i: int, period: int) -> list[dict]:
+    if period == 0:
+        return []
+    w = cut.inst.n - cut.s_inst.n
+    k, k_in = i >> w, (period << w) | (i & ((1 << w) - 1))
+    return [{"k": k, "k_in": k_in,
+             "k_out": int(cut.s_inst.g[0]) ^ cut.inst.family.encrypt(k, k_in)}]
+
+
+FX_Q1 = Target(
+    kind="fx-q1",
+    name="fx-q1",
+    defaults=lambda a: {"n": a.n or 6, "m": a.m or 3, "u": a.u or 3},
+    shape=lambda p: _window_shape(p["n"], p["u"], p["m"], (p["n"], p["m"])),
+    draw=lambda p, rng: (
+        FxInstance(p["n"], p["m"], primitives.random_cipher_family(p["m"], p["n"], rng),
+                   int(rng.integers(1 << p["m"])),
+                   int(rng.integers(1 << (p["n"] - p["u"]), 1 << p["n"])),
+                   int(rng.integers(1 << p["n"]))),
+        p["u"]),
+    carve=lambda inst, u, _: fx_q1_search_instance(inst, u),
+    assemble=_fx_q1_assemble,
+    consistent=lambda cut, keys: _window_reproduced(
+        cut, keys, fx_encrypt, cut.inst.n - cut.s_inst.n),
+    check_cost=lambda cut: 1 + (1 << cut.s_inst.n),
+    verify=_fx_verify,
+)
+
+
 def attack_fx_q1(inst: FxInstance, u: int, c: int | None = None,
                  backend: str = "sampled",
                  rng: np.random.Generator | None = None) -> AttackReport:
     """Classical-query FX attack: collect the 2^u window, Grover jointly over
     (k, low k_in bits), recover the high k_in bits as the branch period."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n, m = inst.n, inst.m
-    w = n - u
-    s_inst = fx_q1_search_instance(inst, u)
-    copies = c * u if c else analysis.default_copies(m + w, u)
-    i_hat, rep = search.alg_exp_q1(s_inst, copies, backend, rng)
-    k_hat, j_hat = i_hat >> w, i_hat & ((1 << w) - 1)
-    candidates, rec = _period_candidates(s_inst.branch(i_hat), u, copies, rng)
-    keys = None
-    t_extra = rec
-    for s_cand in candidates:
-        if s_cand == 0:
-            continue
-        k_in = (s_cand << w) | j_hat
-        k_out = int(s_inst.g[0]) ^ inst.family.encrypt(k_hat, k_in)
-        t_extra += 1
-        consistent = all(
-            int(s_inst.g[x]) == inst.family.encrypt(k_hat, (x << w) ^ k_in) ^ k_out
-            for x in range(1 << u)
-        )
-        t_extra += 1 << u
-        if consistent:
-            keys = {"k": k_hat, "k_in": k_in, "k_out": k_out}
-            break
-    verified = keys is not None and all(
-        fx_encrypt(inst, x)
-        == inst.family.encrypt(keys["k"], x ^ keys["k_in"]) ^ keys["k_out"]
-        for x in range(1 << n)
-    )
-    return AttackReport(
-        target="fx-q1",
-        keys=keys,
-        verified=verified,
-        planted_match=bool(
-            keys and keys == {"k": inst.k, "k_in": inst.k_in, "k_out": inst.k_out}),
-        search_report=rep,
-        d_online=1 << u,
-        t_offline=rep.counters.f_queries + t_extra,
-        q_qubits=_qubit_footprint(m + w, copies, u, n),
-        m_memory=(1 << (m + w + u)) + (1 << u),
-        tradeoff=_tradeoff_identity(u, m + w, n + m),
-    )
+    return run_attack(FX_Q1, inst, u, c, backend, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -423,67 +553,56 @@ def chaskey_em_instance(inst: ChaskeyToyInstance, u: int, m1: int) -> search.Sea
     return instance
 
 
+def _chaskey_assemble(cut: Cut, i: int, period: int) -> list[dict]:
+    """The search recovers the Even-Mansour keys (kappa1, kappa2) of the
+    fixed first block; peel the last permutation call for K."""
+    perm = cut.inst.perm
+    kappa1 = (period << cut.s_inst.m) | i
+    kappa2 = int(cut.s_inst.g[0]) ^ perm(kappa1)
+    return [{"k": perm.inverse(kappa1 ^ kappa2) ^ cut.window, "k1": kappa2}]
+
+
+def _chaskey_verify(inst: ChaskeyToyInstance, keys: dict | None, rng) -> bool:
+    # the fresh pairs are drawn whatever the outcome, after the search
+    fresh = [(int(a), int(b)) for a, b in rng.integers(0, 1 << inst.n, size=(10, 2))]
+    return _agrees(inst, keys, lambda i, ab: chaskey_tag(i, *ab), fresh)
+
+
+def _chaskey_ledger(cut: Cut, rep: search.Report) -> dict:
+    return {
+        **_window_ledger(cut, rep),
+        "d_online": (cut.window + 1) << cut.s_inst.n,
+        "notes": [f"first block {m1} screened out" for m1 in range(cut.window)],
+    }
+
+
+CHASKEY = Target(
+    kind="chaskey",
+    name="chaskey-toy",
+    defaults=lambda a: {"n": a.n or 8, "u": a.u or 3},
+    shape=lambda p: _window_shape(p["n"], p["u"], 0, (p["n"],)),
+    draw=lambda p, rng: (
+        ChaskeyToyInstance(p["n"], primitives.random_permutation(p["n"], rng),
+                           int(rng.integers(1 << p["n"])), int(rng.integers(1 << p["n"]))),
+        p["u"]),
+    carve=chaskey_em_instance,
+    assemble=_chaskey_assemble,
+    consistent=lambda cut, keys: _window_reproduced(
+        cut, keys, lambda i, x: chaskey_tag(i, cut.window, x), cut.s_inst.m),
+    check_cost=lambda cut: 1 + (1 << cut.s_inst.n),
+    verify=_chaskey_verify,
+    ledger=_chaskey_ledger,
+    windows=8,
+)
+
+
 def attack_chaskey(inst: ChaskeyToyInstance, u: int, c: int | None = None,
-                   backend: str = "sampled", rng: np.random.Generator | None = None,
-                   max_m1_tries: int = 8) -> AttackReport:
+                   backend: str = "sampled",
+                   rng: np.random.Generator | None = None) -> AttackReport:
     """Recover K1 and then K by peeling the last permutation call: run the
     Even-Mansour attack on tag(m1, .) for a fixed m1, walking m1 = 0, 1, ...
     past any first block whose derived instance fails the screen."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n, w = inst.n, inst.n - u
-    d_online = 0
-    s_inst = None
-    m1 = 0
-    notes = []
-    for m1 in range(max_m1_tries):
-        try:
-            s_inst = chaskey_em_instance(inst, u, m1)
-        except DegenerateInstanceError:
-            d_online += 1 << u
-            notes.append(f"first block {m1} screened out")
-            continue
-        d_online += 1 << u
-        break
-    if s_inst is None:
-        raise DegenerateInstanceError("chaskey: no usable first block found")
-    copies = c * u if c else analysis.default_copies(w, u)
-    i_hat, rep = search.alg_exp_q1(s_inst, copies, backend, rng)
-    candidates, rec = _period_candidates(s_inst.branch(i_hat), u, copies, rng)
-    keys = None
-    t_extra = rec
-    for s_cand in candidates:
-        kappa1 = (s_cand << w) | i_hat
-        kappa2 = int(s_inst.g[0]) ^ inst.perm(kappa1)
-        t_extra += 1 + (1 << u)
-        if not all(
-            int(s_inst.g[x]) == inst.perm((x << w) ^ kappa1) ^ kappa2
-            for x in range(1 << u)
-        ):
-            continue
-        k1 = kappa2
-        k = inst.perm.inverse(kappa1 ^ k1) ^ m1
-        keys = {"k": k, "k1": k1}
-        break
-    fresh = [(int(a), int(b)) for a, b in rng.integers(0, 1 << n, size=(10, 2))]
-    verified = keys is not None and all(
-        chaskey_tag(inst, a, b)
-        == inst.perm(inst.perm(keys["k"] ^ a) ^ b ^ keys["k1"]) ^ keys["k1"]
-        for a, b in fresh
-    )
-    return AttackReport(
-        target="chaskey-toy",
-        keys=keys,
-        verified=verified,
-        planted_match=bool(keys and keys == {"k": inst.k, "k1": inst.k1}),
-        search_report=rep,
-        d_online=d_online,
-        t_offline=rep.counters.f_queries + t_extra,
-        q_qubits=_qubit_footprint(w, copies, u, n),
-        m_memory=(1 << n) + (1 << u),
-        tradeoff=_tradeoff_identity(u, w, n),
-        notes=notes,
-    )
+    return run_attack(CHASKEY, inst, u, c, backend, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -516,49 +635,48 @@ def beetle_search_instance(inst: BeetleToyInstance, k: int) -> search.SearchInst
     return instance
 
 
+def _beetle_state(inst: BeetleToyInstance, nonce: int) -> int:
+    return beetle_init(inst, nonce).value
+
+
+def _beetle_shape(p: dict) -> Shape:
+    rate, cpty, k = p["rate"], p["capacity"], p["u"]
+    if not 1 <= k <= rate:
+        raise ValueError("need 1 <= nonce window <= rate")
+    return Shape(k, rate - k + cpty, rate + cpty, (rate, cpty, rate + cpty))
+
+
+def _beetle_assemble(cut: Cut, i: int, period: int) -> list[dict]:
+    cpty = cut.inst.capacity
+    return [{"k1": ((i >> cpty) << cut.s_inst.n) | period, "k2": i & ((1 << cpty) - 1)}]
+
+
+BEETLE = Target(
+    kind="beetle",
+    name="beetle-toy",
+    defaults=lambda a: {"rate": a.rate or 6, "capacity": a.capacity or 4, "u": a.u or 3},
+    shape=_beetle_shape,
+    draw=lambda p, rng: (
+        BeetleToyInstance(p["rate"], p["capacity"],
+                          primitives.random_permutation(p["rate"] + p["capacity"], rng),
+                          int(rng.integers(1 << p["rate"])),
+                          int(rng.integers(1 << p["capacity"]))),
+        p["u"]),
+    carve=lambda inst, k, _: beetle_search_instance(inst, k),
+    assemble=_beetle_assemble,
+    consistent=lambda cut, keys: _window_reproduced(cut, keys, _beetle_state, 0),
+    check_cost=lambda cut: 1 << cut.s_inst.n,
+    verify=lambda inst, keys, rng: _agrees(inst, keys, _beetle_state, range(1 << inst.rate)),
+)
+
+
 def attack_beetle(inst: BeetleToyInstance, k: int, c: int | None = None,
                   backend: str = "sampled",
                   rng: np.random.Generator | None = None) -> AttackReport:
     """Recover K1 || K2 from the initialization leakage of 2^k consecutive
     nonces: Grover over (high K1 bits, K2), period recovery for K1's low
     bits."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    rate, cpty = inst.rate, inst.capacity
-    hi = rate - k
-    s_inst = beetle_search_instance(inst, k)
-    copies = c * k if c else analysis.default_copies(hi + cpty, k)
-    i_hat, rep = search.alg_exp_q1(s_inst, copies, backend, rng)
-    a_hat, b_hat = i_hat >> cpty, i_hat & ((1 << cpty) - 1)
-    candidates, rec = _period_candidates(s_inst.branch(i_hat), k, copies, rng)
-    keys = None
-    t_extra = rec
-    for s_cand in candidates:
-        k1 = (a_hat << k) | s_cand
-        t_extra += 1 << k
-        if all(
-            int(s_inst.g[x]) == inst.perm((((k1 ^ x) << cpty)) | b_hat)
-            for x in range(1 << k)
-        ):
-            keys = {"k1": k1, "k2": b_hat}
-            break
-    verified = keys is not None and all(
-        beetle_init(inst, nonce).value
-        == inst.perm(((keys["k1"] ^ nonce) << cpty) | keys["k2"])
-        for nonce in range(1 << rate)
-    )
-    return AttackReport(
-        target="beetle-toy",
-        keys=keys,
-        verified=verified,
-        planted_match=bool(keys and keys == {"k1": inst.k1, "k2": inst.k2}),
-        search_report=rep,
-        d_online=1 << k,
-        t_offline=rep.counters.f_queries + t_extra,
-        q_qubits=_qubit_footprint(hi + cpty, copies, k, rate + cpty),
-        m_memory=(1 << (hi + cpty + k)) + (1 << k),
-        tradeoff=_tradeoff_identity(k, hi + cpty, rate + cpty),
-    )
+    return run_attack(BEETLE, inst, k, c, backend, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -594,51 +712,39 @@ def related_key_search_instance(oracle: RelatedKeyOracle,
     return instance
 
 
+def _related_key_shape(p: dict) -> Shape:
+    n, u = p["n"], p["u"]
+    if not 1 <= u < n:
+        raise ValueError("need 1 <= u < key width")
+    return Shape(u, n - u, n, (n,))
+
+
+RELATED_KEY = Target(
+    kind="related-key",
+    name="related-key",
+    defaults=lambda a: {"n": a.n or 9, "u": a.u or round((a.n or 9) / 3)},
+    shape=_related_key_shape,
+    draw=lambda p, rng: (
+        RelatedKeyOracle(primitives.random_cipher_family(p["n"], p["n"], rng),
+                         int(rng.integers(1 << (p["n"] - p["u"]), 1 << p["n"])),
+                         int(rng.integers(1 << p["n"]))),
+        p["u"]),
+    carve=lambda oracle, u, _: related_key_search_instance(oracle, u),
+    assemble=lambda cut, j, period: [{"k": (period << cut.s_inst.m) | j}] if period else [],
+    consistent=lambda cut, keys: _window_reproduced(
+        cut, keys, related_key_query, cut.s_inst.m),
+    check_cost=lambda cut: 1 << cut.s_inst.n,
+    verify=lambda oracle, keys, rng: _agrees(
+        oracle, keys, related_key_query, range(1 << oracle.family.m)),
+)
+
+
 def attack_related_key(oracle: RelatedKeyOracle, u: int | None = None,
                        c: int | None = None, backend: str = "sampled",
                        rng: np.random.Generator | None = None) -> AttackReport:
     """Full-key recovery from 2^(key/3) related-key queries: Grover over the
     low two thirds of the key, period recovery for the high third."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    kw = oracle.family.m
-    if u is None:
-        u = round(kw / 3)
-    m = kw - u
-    s_inst = related_key_search_instance(oracle, u)
-    copies = c * u if c else analysis.default_copies(m, u)
-    j_hat, rep = search.alg_exp_q1(s_inst, copies, backend, rng)
-    candidates, rec = _period_candidates(s_inst.branch(j_hat), u, copies, rng)
-    keys = None
-    t_extra = rec
-    for s_cand in candidates:
-        if s_cand == 0:
-            continue
-        key = (s_cand << m) | j_hat
-        t_extra += 1 << u
-        if all(
-            int(s_inst.g[x]) == oracle.family.encrypt(key ^ (x << m), oracle.msg)
-            for x in range(1 << u)
-        ):
-            keys = {"k": key}
-            break
-    verified = keys is not None and all(
-        related_key_query(oracle, d)
-        == oracle.family.encrypt(keys["k"] ^ d, oracle.msg)
-        for d in range(1 << kw)
-    )
-    return AttackReport(
-        target="related-key",
-        keys=keys,
-        verified=verified,
-        planted_match=bool(keys and keys == {"k": oracle.k}),
-        search_report=rep,
-        d_online=1 << u,
-        t_offline=rep.counters.f_queries + t_extra,
-        q_qubits=_qubit_footprint(m, copies, u, oracle.family.n),
-        m_memory=(1 << (m + u)) + (1 << u),
-        tradeoff=_tradeoff_identity(u, m, kw),
-    )
+    return run_attack(RELATED_KEY, oracle, u, c, backend, rng)
 
 
 def exhaustive_related_key_search(oracle: RelatedKeyOracle,
@@ -689,53 +795,49 @@ def slide_search_instance(inst: IterFxInstance) -> search.SearchInstance:
     return instance
 
 
+def _slide_assemble(cut: Cut, j: int, period: int) -> list[dict]:
+    """Only periods of the form (1, k1) pair the two sandwich orders."""
+    n = cut.inst.n
+    return [{"k1": period & ((1 << n) - 1), "k2": j}] if period >> n == 1 else []
+
+
+def _slide_ledger(cut: Cut, rep: search.Report) -> dict:
+    n, s = cut.inst.n, cut.s_inst
+    return {
+        "d_online": 1 << n,
+        "m_memory": (1 << (s.m + s.n)) + (1 << n),
+        "tradeoff": {"d_log2": n, "codebook": True},
+        "notes": ["verification re-encrypts the full codebook with the recovered keys"],
+    }
+
+
+SLIDE_IFX = Target(
+    kind="slide-ifx",
+    name="slide-ifx",
+    defaults=lambda a: {"n": a.n or 6, "m": a.m or 3, "rounds": a.rounds},
+    shape=lambda p: Shape(p["n"] + 1, p["m"], p["n"], (p["n"], p["m"])),
+    draw=lambda p, rng: (
+        IterFxInstance(p["n"], p["m"], primitives.random_cipher_family(p["m"], p["n"], rng),
+                       int(rng.integers(1 << p["n"])), int(rng.integers(1 << p["m"])),
+                       p["rounds"]),),
+    carve=lambda inst, _, __: slide_search_instance(inst),
+    assemble=_slide_assemble,
+    # the consistency check already covers the full codebook
+    consistent=lambda cut, keys: _agrees(cut.inst, keys, ifx_encrypt, range(1 << cut.inst.n)),
+    check_cost=lambda cut: (1 << cut.inst.n) * cut.inst.rounds,
+    verify=lambda inst, keys, rng: keys is not None,
+    ledger=_slide_ledger,
+    # the online object is the n-bit codebook, not the (n+1)-bit search domain
+    online_counts=lambda cut: (1 << cut.inst.n, 0),
+)
+
+
 def attack_slide_ifx(inst: IterFxInstance, c: int | None = None,
                      backend: str = "sampled",
                      rng: np.random.Generator | None = None) -> AttackReport:
     """Recover (k1, k2) of the iterated-FX cipher from its full codebook:
     Grover over the round-key guess, slide period (1, k1) from the winner."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n, m = inst.n, inst.m
-    s_inst = slide_search_instance(inst)
-    dim = n + 1
-    copies = c * dim if c else analysis.default_copies(m, dim)
-    j_hat, rep = search.alg_exp_q1(
-        s_inst, copies, backend, rng, online_counts=(1 << n, 0))
-    candidates, rec = _period_candidates(s_inst.branch(j_hat), dim, copies, rng)
-    keys = None
-    t_extra = rec
-    codebook = {x: ifx_encrypt(inst, x) for x in range(1 << n)}
-    for s_cand in candidates:
-        if s_cand >> n != 1:
-            continue
-        k1 = s_cand & ((1 << n) - 1)
-        t_extra += (1 << n) * inst.rounds
-        ok = True
-        for x in range(1 << n):
-            y = x
-            for _ in range(inst.rounds):
-                y = inst.family.encrypt(j_hat, y ^ k1)
-            if y ^ k1 != codebook[x]:
-                ok = False
-                break
-        if ok:
-            keys = {"k1": k1, "k2": j_hat}
-            break
-    verified = keys is not None
-    return AttackReport(
-        target="slide-ifx",
-        keys=keys,
-        verified=verified,
-        planted_match=bool(keys and keys == {"k1": inst.k1, "k2": inst.k2}),
-        search_report=rep,
-        d_online=1 << n,
-        t_offline=rep.counters.f_queries + t_extra,
-        q_qubits=_qubit_footprint(m, copies, dim, n),
-        m_memory=(1 << (m + dim)) + (1 << n),
-        tradeoff={"d_log2": n, "codebook": True},
-        notes=["verification re-encrypts the full codebook with the recovered keys"],
-    )
+    return run_attack(SLIDE_IFX, inst, None, c, backend, rng)
 
 
 def exhaustive_ifx_search(inst: IterFxInstance) -> list[tuple[int, int]]:
@@ -755,6 +857,9 @@ def exhaustive_ifx_search(inst: IterFxInstance) -> list[tuple[int, int]]:
             if ok:
                 hits.append((k1, k2))
     return hits
+
+
+TARGETS = {t.kind: t for t in (EM_Q1, FX_Q2, FX_Q1, CHASKEY, BEETLE, RELATED_KEY, SLIDE_IFX)}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, attacks, qaa, qsim, simon
+from . import analysis, attacks, qaa, qsim, search, simon
 from .gf2 import MAX_WIDTH
 from .primitives import (
     BeetleToyInstance,
@@ -35,8 +35,7 @@ from .primitives import (
     save_permutation,
 )
 
-ATTACK_KINDS = ("em-q1", "fx-q2", "fx-q1", "chaskey", "beetle", "related-key",
-                "slide-ifx")
+ATTACK_KINDS = tuple(attacks.TARGETS)
 GEN_KINDS = ("permutation", "function-table", "em", "fx", "ifx", "chaskey",
              "beetle", "related-key")
 
@@ -73,101 +72,42 @@ class RunConfig:
     fmt: str = "json"
 
 
-def _defaults_for(kind: str, cfg: RunConfig) -> dict:
-    """Attack parameters with the per-target toy defaults filled in."""
-    p = {"seed": cfg.seed, "backend": cfg.backend, "c": cfg.c}
-    if kind == "em-q1":
-        p.update(n=cfg.n or 9, u=cfg.u or 3)
-    elif kind == "fx-q2":
-        p.update(n=cfg.n or 4, m=cfg.m or 3)
-    elif kind == "fx-q1":
-        p.update(n=cfg.n or 6, m=cfg.m or 3, u=cfg.u or 3)
-    elif kind == "chaskey":
-        p.update(n=cfg.n or 8, u=cfg.u or 3)
-    elif kind == "beetle":
-        p.update(rate=cfg.rate or 6, capacity=cfg.capacity or 4, u=cfg.u or 3)
-    elif kind == "related-key":
-        n = cfg.n or 9
-        p.update(n=n, u=cfg.u or round(n / 3))
-    elif kind == "slide-ifx":
-        p.update(n=cfg.n or 6, m=cfg.m or 3, rounds=cfg.rounds)
-    else:
-        raise CliError(f"unknown attack kind {kind!r}")
+def _attack_parameters(cfg: RunConfig) -> dict:
+    """Attack parameters with the target's toy defaults filled in. Rejects
+    parameter sets whose tables or simulations cannot fit, before any
+    instance is drawn."""
+    target = attacks.TARGETS.get(cfg.kind)
+    if target is None:
+        raise CliError(f"unknown attack kind {cfg.kind!r}")
+    p = {"seed": cfg.seed, "backend": cfg.backend, "c": cfg.c, **target.defaults(cfg)}
+    dim, m_search, l, widths = target.shape(p)
+    p["l"] = l
+    for w in widths:
+        if not 1 <= w <= MAX_WIDTH:
+            raise CliError(f"width {w} outside [1, {MAX_WIDTH}]")
+    if dim > search.MAX_SIM_N:
+        raise CliError(f"search dimension {dim} exceeds the simulable {search.MAX_SIM_N}")
+    if m_search + dim > TABLE_ENTRY_CAP_LOG2:
+        raise CliError(
+            f"family table needs 2^{m_search + dim} entries, cap is 2^{TABLE_ENTRY_CAP_LOG2}")
+    if p["backend"] == "exact-circuit":
+        footprint = target.footprint(p)
+        if footprint > qsim.qubit_cap():
+            raise CliError(f"exact backend needs {footprint} qubits, cap is {qsim.qubit_cap()}")
     return p
-
-
-def _capacity_check(kind: str, p: dict) -> None:
-    """Reject parameter sets whose tables or simulations cannot fit, before
-    any instance is built."""
-    def need(dim: int, m_search: int, widths: tuple[int, ...]) -> None:
-        for w in widths:
-            if not 1 <= w <= MAX_WIDTH:
-                raise CliError(f"width {w} outside [1, {MAX_WIDTH}]")
-        if dim > search_max_n():
-            raise CliError(f"search dimension {dim} exceeds the simulable {search_max_n()}")
-        if m_search + dim > TABLE_ENTRY_CAP_LOG2:
-            raise CliError(
-                f"family table needs 2^{m_search + dim} entries, cap is 2^{TABLE_ENTRY_CAP_LOG2}")
-        if p["backend"] == "exact-circuit":
-            copies = p["c"] * dim if p["c"] else analysis.default_copies(m_search, dim)
-            footprint = m_search + copies * (dim + p.get("l", dim)) + 1
-            if footprint > qsim.qubit_cap():
-                raise CliError(
-                    f"exact backend needs {footprint} qubits, cap is {qsim.qubit_cap()}")
-
-    if kind == "em-q1":
-        n, u = p["n"], p["u"]
-        if not 1 <= u <= n:
-            raise CliError("need 1 <= u <= n")
-        p["l"] = n
-        need(u, n - u, (n,))
-    elif kind == "fx-q2":
-        n, m = p["n"], p["m"]
-        p["l"] = n
-        need(n - 1, m, (n, m))
-    elif kind == "fx-q1":
-        n, m, u = p["n"], p["m"], p["u"]
-        if not 1 <= u <= n:
-            raise CliError("need 1 <= u <= n")
-        p["l"] = n
-        need(u, m + n - u, (n, m))
-    elif kind == "chaskey":
-        n, u = p["n"], p["u"]
-        if not 1 <= u <= n:
-            raise CliError("need 1 <= u <= n")
-        p["l"] = n
-        need(u, n - u, (n,))
-    elif kind == "beetle":
-        rate, cpty, k = p["rate"], p["capacity"], p["u"]
-        if not 1 <= k <= rate:
-            raise CliError("need 1 <= nonce window <= rate")
-        p["l"] = rate + cpty
-        need(k, rate - k + cpty, (rate, cpty, rate + cpty))
-    elif kind == "related-key":
-        n, u = p["n"], p["u"]
-        if not 1 <= u < n:
-            raise CliError("need 1 <= u < key width")
-        p["l"] = n
-        need(u, n - u, (n,))
-    elif kind == "slide-ifx":
-        n, m = p["n"], p["m"]
-        p["l"] = n
-        need(n + 1, m, (n, m))
-
-
-def search_max_n() -> int:
-    from . import search
-    return search.MAX_SIM_N
 
 
 def _attack_trial(kind: str, p: dict, trial: int) -> dict:
     """Build a fresh seeded instance and run the attack once. Instances that
     fail the degeneracy screen are redrawn from the same stream."""
+    target = attacks.TARGETS[kind]
+    # looked up at call time, so wrappers installed on attacks.attack_<kind> see it
+    attack = getattr(attacks, target.entry)
     rng = np.random.default_rng([p["seed"], trial])
     screened = 0
     for _ in range(50):
         try:
-            report = _build_and_attack(kind, p, rng)
+            report = attack(*target.draw(p, rng), p["c"], p["backend"], rng)
             break
         except attacks.DegenerateInstanceError:
             screened += 1
@@ -179,56 +119,10 @@ def _attack_trial(kind: str, p: dict, trial: int) -> dict:
     return row
 
 
-def _build_and_attack(kind: str, p: dict, rng: np.random.Generator) -> attacks.AttackReport:
-    c, backend = p["c"], p["backend"]
-    if kind == "em-q1":
-        n = p["n"]
-        inst = EvenMansourInstance(n, random_permutation(n, rng),
-                                   int(rng.integers(1 << n)), int(rng.integers(1 << n)))
-        return attacks.attack_em_q1(inst, p["u"], c, backend, rng)
-    if kind == "fx-q2":
-        n, m = p["n"], p["m"]
-        fam = random_cipher_family(m, n, rng)
-        inst = FxInstance(n, m, fam, int(rng.integers(1 << m)),
-                          int(rng.integers(2, 1 << n)), int(rng.integers(1 << n)))
-        return attacks.attack_fx_q2(inst, c, backend, rng)
-    if kind == "fx-q1":
-        n, m, u = p["n"], p["m"], p["u"]
-        fam = random_cipher_family(m, n, rng)
-        inst = FxInstance(n, m, fam, int(rng.integers(1 << m)),
-                          int(rng.integers(1 << (n - u), 1 << n)),
-                          int(rng.integers(1 << n)))
-        return attacks.attack_fx_q1(inst, u, c, backend, rng)
-    if kind == "chaskey":
-        n = p["n"]
-        inst = ChaskeyToyInstance(n, random_permutation(n, rng),
-                                  int(rng.integers(1 << n)), int(rng.integers(1 << n)))
-        return attacks.attack_chaskey(inst, p["u"], c, backend, rng)
-    if kind == "beetle":
-        rate, cpty = p["rate"], p["capacity"]
-        inst = BeetleToyInstance(rate, cpty, random_permutation(rate + cpty, rng),
-                                 int(rng.integers(1 << rate)), int(rng.integers(1 << cpty)))
-        return attacks.attack_beetle(inst, p["u"], c, backend, rng)
-    if kind == "related-key":
-        n, u = p["n"], p["u"]
-        fam = random_cipher_family(n, n, rng)
-        oracle = RelatedKeyOracle(fam, int(rng.integers(1 << (n - u), 1 << n)),
-                                  int(rng.integers(1 << n)))
-        return attacks.attack_related_key(oracle, u, c, backend, rng)
-    if kind == "slide-ifx":
-        n, m = p["n"], p["m"]
-        fam = random_cipher_family(m, n, rng)
-        inst = IterFxInstance(n, m, fam, int(rng.integers(1 << n)),
-                              int(rng.integers(1 << m)), p["rounds"])
-        return attacks.attack_slide_ifx(inst, c, backend, rng)
-    raise CliError(f"unknown attack kind {kind!r}")
-
-
 def cmd_attack(cfg: RunConfig) -> int:
     if cfg.trials < 1:
         raise CliError("trials must be at least 1")
-    p = _defaults_for(cfg.kind, cfg)
-    _capacity_check(cfg.kind, p)
+    p = _attack_parameters(cfg)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_attack_trial, [cfg.kind] * cfg.trials,

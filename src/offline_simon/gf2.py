@@ -39,12 +39,6 @@ class BitWord:
             raise ValueError("width mismatch")
         return BitWord(self.value ^ other.value, self.width)
 
-    def dot(self, other: "BitWord") -> int:
-        """Inner product mod 2."""
-        if other.width != self.width:
-            raise ValueError("width mismatch")
-        return parity(self.value & other.value)
-
     def bit(self, i: int) -> int:
         return (self.value >> i) & 1
 
@@ -58,11 +52,6 @@ class BitWord:
 def parity(x: int) -> int:
     """Parity of the popcount of x."""
     return x.bit_count() & 1
-
-
-def dot(a: int, b: int) -> int:
-    """GF(2) inner product of two words."""
-    return (a & b).bit_count() & 1
 
 
 class Gf2Basis:

@@ -12,7 +12,6 @@ most significant bits of the basis index.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -77,14 +76,6 @@ class QState:
         """Multiply all amplitudes by a unit scalar (global phase tracking)."""
         self.psi *= phase
         return self
-
-    def dump_json(self, threshold: float = 1e-15) -> str:
-        entries = [
-            [int(i), float(a.real), float(a.imag)]
-            for i, a in enumerate(self.psi)
-            if abs(a) > threshold
-        ]
-        return json.dumps(entries)
 
 
 def init_zero(layout: RegisterLayout) -> QState:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,12 @@ class SearchInstance:
 
     def branch(self, i: int) -> np.ndarray:
         return self.family[i] ^ self.g
+
+    @cached_property
+    def screened(self) -> "ScreenResult":
+        """The instance's screen, computed on first use and kept: the
+        attacks' degeneracy check and the search itself share one."""
+        return screen(self)
 
 
 @dataclass(frozen=True)
@@ -149,47 +156,6 @@ def error_budget(n: int, m: int, copies: int, eps: float) -> ErrorBudget:
     ideal = analysis.grover_ideal_success(m, r)
     lower = max(0.0, min(1.0, max(1.0 - a, a) - 4.0 * r * delta))
     return ErrorBudget(n, m, copies, eps, r, a, delta, ideal, lower)
-
-
-# ---------------------------------------------------------------------------
-# Database acquisition
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GDatabase:
-    """The compressed encoding of the online function.
-
-    Both acquisition routes produce the same offline object (the codebook
-    fixes the superposition state exactly), so offline phases are identical
-    by construction; only the counters differ.
-    """
-
-    g: np.ndarray
-    n: int
-    l: int
-    copies: int
-    acquisition: str
-    classical_online: int
-    quantum_online: int
-
-
-def acquire(g, n: int, l: int, copies: int, acquisition: str) -> GDatabase:
-    if acquisition not in (Q2_ACQUISITION, Q1_ACQUISITION):
-        raise ValueError(f"unknown acquisition {acquisition!r}")
-    table = np.asarray(g, dtype=np.int64)
-    if table.shape != (1 << n,):
-        raise ValueError(f"g must have 2^{n} entries")
-    q1 = acquisition == Q1_ACQUISITION
-    return GDatabase(
-        g=table,
-        n=n,
-        l=l,
-        copies=copies,
-        acquisition=acquisition,
-        classical_online=(1 << n) if q1 else 0,
-        quantum_online=0 if q1 else copies,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +271,12 @@ def _exact_layout(n: int, l: int, copies: int, m: int = 0) -> qsim.RegisterLayou
     return qsim.RegisterLayout(*regs)
 
 
+def qubit_footprint(m: int, copies: int, n: int, l: int) -> int:
+    """Qubits of a full exact run: the m-qubit index, `copies` (x, y)
+    register pairs of n + l qubits, and the output bit."""
+    return m + copies * (n + l) + 1
+
+
 def _prepare_database(state: qsim.QState, table, copies: int) -> None:
     for k in range(copies):
         qsim.apply_h(state, f"x{k}")
@@ -379,6 +351,17 @@ def restoration_distance(table, n: int, l: int, copies: int) -> float:
     return qsim.distance(state, before)
 
 
+def _flags(m: int, copies: int, scr: ScreenResult) -> list[str]:
+    """Run warnings: too few copies for the index width, or more than one
+    periodic branch."""
+    flags = []
+    if m > 0 and copies < math.ceil(m / analysis.LOG2_4_3):
+        flags.append("c-too-small")
+    if scr.multi_marked:
+        flags.append("multi-marked")
+    return flags
+
+
 # ---------------------------------------------------------------------------
 # Structured prediction
 # ---------------------------------------------------------------------------
@@ -419,7 +402,7 @@ def structured_predict(instance: SearchInstance, copies: int,
     amplification error budget."""
     if rng is None:
         rng = np.random.default_rng(0)
-    scr = screen(instance)
+    scr = instance.screened
     budget = error_budget(instance.n, instance.m, copies, scr.eps)
     stats = []
     for i in range(1 << instance.m):
@@ -437,15 +420,10 @@ def structured_predict(instance: SearchInstance, copies: int,
             if basis.extend(int(u) for u in row) < instance.n:
                 bad += 1
         stats.append(BranchStat(i, False, float(scr.branch_eps[i]), bad / trials, union))
-    flags = []
-    if instance.m > 0 and copies < math.ceil(instance.m / analysis.LOG2_4_3):
-        flags.append("c-too-small")
-    if scr.multi_marked:
-        flags.append("multi-marked")
     return StructuredPrediction(
         budget=budget,
         branches=tuple(stats),
-        flags=tuple(flags),
+        flags=tuple(_flags(instance.m, copies, scr)),
         condition_violated=scr.condition_violated,
     )
 
@@ -520,24 +498,20 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
         raise ValueError(f"n must be at most {MAX_SIM_N}")
     if copies is None:
         copies = analysis.default_copies(instance.m, instance.n)
-    scr = screen(instance)
+    scr = instance.screened
     budget = error_budget(instance.n, instance.m, copies, scr.eps)
-    db = acquire(instance.g, instance.n, instance.l, copies, acquisition)
-    classical_online, quantum_online = (
-        online_counts if online_counts is not None
-        else (db.classical_online, db.quantum_online)
-    )
+    # Both acquisitions yield the same offline database (the codebook fixes
+    # the superposition state exactly); only the online counters differ.
+    if online_counts is None:
+        online_counts = (1 << instance.n, 0) if acquisition == Q1_ACQUISITION else (0, copies)
+    classical_online, quantum_online = online_counts
     counters = Counters(
         classical_online=classical_online,
         quantum_online=quantum_online,
         f_queries=2 * copies * budget.r,
         grover_iterations=budget.r,
     )
-    flags = []
-    if instance.m > 0 and copies < math.ceil(instance.m / analysis.LOG2_4_3):
-        flags.append("c-too-small")
-    if scr.multi_marked:
-        flags.append("multi-marked")
+    flags = _flags(instance.m, copies, scr)
 
     if backend == "structured":
         report = Report(
@@ -551,7 +525,7 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
         return good, report
 
     if backend == "exact-circuit":
-        needed = (instance.m if instance.m else 0) + copies * (instance.n + instance.l) + 1
+        needed = qubit_footprint(instance.m, copies, instance.n, instance.l)
         cap = qsim.qubit_cap()
         if needed > cap:
             raise ValueError(f"exact backend needs {needed} qubits, cap is {cap}")
@@ -673,7 +647,7 @@ def random_instance(n: int, m: int, l: int, rng: np.random.Generator,
             n=n, m=m, l=l, family=family, g=g,
             planted_index=planted_index, planted_period=period,
         )
-        scr = screen(instance)
+        scr = instance.screened
         if scr.periodic_indices == (planted_index,) and not scr.condition_violated:
             return instance
     raise RuntimeError("could not build a clean instance; try a larger l")

@@ -81,7 +81,7 @@ def expect_majority(reports, threshold):
     assert verified >= threshold, f"only {verified}/{len(reports)} verified"
     winner = next(r for r in reports if r.verified)
     assert winner.planted_match
-    assert not winner.condition_violated
+    assert not winner.search_report.condition_violated
     return winner
 
 

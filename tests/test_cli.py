@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from offline_simon import cli
+from offline_simon import attacks, cli, primitives, search
 from offline_simon.primitives import (
     EvenMansourInstance,
     instance_from_json,
@@ -173,3 +174,92 @@ def test_console_script_is_installed():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "q2.online_queries = 135" in proc.stdout
+
+
+# SHA-256 of `attack <kind> --trials 3 --seed 11 [extra]` output, recorded
+# before the attacks were folded into `attacks.run_attack`. The digests
+# depend on numpy's Generator streams (PCG64 and its integers/choice
+# algorithms): a numpy release that changes those streams changes every
+# digest.
+GOLDEN_ATTACK_DIGESTS = {
+    ("defaults", "em-q1"): "d33068bee5197ee130ef60d304cfd130793dc9dea21a11b2a997ce127e30e656",
+    ("defaults", "fx-q2"): "59c6ef0da51d8b70f920eac6a2ea5a9db3eb4586ab2b861eb1a98086fb8e7ddc",
+    ("defaults", "fx-q1"): "522dc4a730403930f4a2457ebd1e27d5a4a298a24c1d65fc2fc8ac4c84f64b82",
+    ("defaults", "chaskey"): "b6ec9bec743ed452f522e04e12498700f7834e1bf88524a19e917b60fef4c971",
+    ("defaults", "beetle"): "d93fff40a67181dc96599d26f2727f254bd5e26e53657c47af6b8e6ec9d29721",
+    ("defaults", "related-key"): "8904efc0b47485a297a0a9c340948b82cf2e6e8257acde61da86e81b66cb1b1c",
+    ("defaults", "slide-ifx"): "fc878ea9d9c4c98aaaf160c750dce6ac3ea432715da28e98f0dece2db6ba82fb",
+    ("structured", "em-q1"): "73f4fd69b14f7005c7f1261b655bcdbdce307a456673c7d80630fd3ed811ee03",
+    ("structured", "fx-q2"): "2a51b3d358050c991f126842e87933bf7756c7f20cc104326b47c13adb599490",
+    ("structured", "fx-q1"): "a0a45ab9ff430441d334b0d345671d78d0485247562ed7ffeb96bc7580ee5ff4",
+    ("structured", "chaskey"): "fe45d50392d7249f081385dd70800c163881531357e43ab3890e3fe6225367eb",
+    ("structured", "beetle"): "c76a986017b97a54332c9ca484f78c21c832b70add2e562e122c48022090458a",
+    ("structured", "related-key"): "cb66456351149be02aff17dd0e78b3dd429e72296af3ba038c2b34ad4986169d",
+    ("structured", "slide-ifx"): "e98a04d71a8e2f03912e7d5f5b1e89c7e9401bdd512a5d8774e3871da44b6e32",
+    ("c2", "em-q1"): "a3842bed2124bca7085aed7bd171076990e64610965bdb0ae45e62bdd4e9a9b2",
+    ("c2", "fx-q2"): "868a4f64b004337fc90ca4848ef2d8f235e54e565788b3e71fddb1c18d686ed6",
+    ("c2", "fx-q1"): "aaf2af476c23708670da095d232159d7cff68d6640c4a26f2bebfcc42402276d",
+    ("c2", "chaskey"): "2aaaf57f27f21ab4c6328bf69f739a87255e3e43bfd47b81f15d50e07497f55e",
+    ("c2", "beetle"): "3c0e5ddc32ed97b3c55643930563f373f7d8a3570e4c6f42ce6923ea071cc5a9",
+    ("c2", "related-key"): "7b247d0192d17139fbc6920e451670d18a8a2de08baf8f5c9439957fdd5e18bf",
+    ("c2", "slide-ifx"): "f3781631d49fe42b6ecd00c2590c54a7d55105d977b488d5ee6338b08bf3cf68",
+}
+GOLDEN_CONFIGS = {"defaults": [], "structured": ["--backend", "structured"],
+                  "c2": ["--c", "2"]}
+
+
+@pytest.mark.parametrize("config,kind", sorted(GOLDEN_ATTACK_DIGESTS))
+def test_attack_golden_report(tmp_path, config, kind):
+    out = tmp_path / "run.json"
+    assert run_cli(["attack", kind, "--trials", "3", "--seed", "11", "--out", str(out)]
+                   + GOLDEN_CONFIGS[config]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ATTACK_DIGESTS[config, kind]
+
+
+@pytest.mark.parametrize("kind", cli.ATTACK_KINDS)
+def test_capacity_footprint_matches_reported_q(tmp_path, kind):
+    out = tmp_path / "run.json"
+    assert run_cli(["attack", kind, "--c", "1", "--backend", "structured",
+                    "--trials", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    footprint = attacks.TARGETS[kind].footprint(doc["parameters"])
+    assert footprint == doc["trials"][0]["Q"]
+
+
+def test_exact_capacity_counts_fx_q2_copies_per_block_bit(capsys, monkeypatch):
+    # fx-q2 --c C takes C * n copies (the block width, not the n-1 bit
+    # search width): 3 + 4 * (3 + 4) + 1 = 32 qubits at the defaults.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.delenv("OFFLINE_SIMON_QUBIT_CAP", raising=False)
+    for owner in (primitives, cli):
+        monkeypatch.setattr(owner, "random_cipher_family", no_draw)
+    assert run_cli(["attack", "fx-q2", "--backend", "exact-circuit", "--c", "1"]) == 2
+    assert "needs 32 qubits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", cli.ATTACK_KINDS)
+def test_attack_screens_each_carve_once(monkeypatch, tmp_path, kind):
+    screened, searched = [], []
+    screen, alg_q1, alg_q2 = search.screen, search.alg_exp_q1, search.alg_poly_q2
+
+    def count_screen(instance):
+        screened.append(instance)
+        return screen(instance)
+
+    def spy(alg):
+        def run(instance, *args, **kwargs):
+            searched.append(instance)
+            return alg(instance, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(search, "screen", count_screen)
+    monkeypatch.setattr(search, "alg_exp_q1", spy(alg_q1))
+    monkeypatch.setattr(search, "alg_poly_q2", spy(alg_q2))
+    assert run_cli(["attack", kind, "--trials", "2", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(searched) == 2
+    # the lists keep every instance alive, so ids are not reused
+    screened_ids = [id(inst) for inst in screened]
+    assert len(set(screened_ids)) == len(screened_ids)
+    assert {id(inst) for inst in searched} <= set(screened_ids)

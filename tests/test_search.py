@@ -225,16 +225,6 @@ def test_restoration_distance_zero_for_periodic_branch():
     assert dist == pytest.approx(0.0, abs=1e-9)
 
 
-def test_acquire_counters():
-    g = np.zeros(16, dtype=np.int64)
-    db = search.acquire(g, 4, 4, 10, search.Q2_ACQUISITION)
-    assert (db.classical_online, db.quantum_online) == (0, 10)
-    db = search.acquire(g, 4, 4, 10, search.Q1_ACQUISITION)
-    assert (db.classical_online, db.quantum_online) == (16, 0)
-    with pytest.raises(ValueError):
-        search.acquire(g, 4, 4, 10, "psychic")
-
-
 def test_sim_q1_recovers_period():
     rng = np.random.default_rng(8)
     n = 6
