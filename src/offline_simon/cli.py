@@ -122,6 +122,8 @@ def _attack_trial(kind: str, p: dict, trial: int) -> dict:
 def cmd_attack(cfg: RunConfig) -> int:
     if cfg.trials < 1:
         raise CliError("trials must be at least 1")
+    if cfg.workers < 1:
+        raise CliError("workers must be at least 1")
     p = _attack_parameters(cfg)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

@@ -1,10 +1,15 @@
-"""GF(2) words, incremental row echelon bases, period solving, and the
-Walsh-Hadamard transform.
+"""GF(2) words, incremental row echelon bases, period solving, batched rank
+tests, and the Walsh-Hadamard transform.
 
 Words are plain python ints carrying their width explicitly (``BitWord``)
 or implicitly (most internal call sites). Widths are capped at 24 bits:
 everything here is meant for desk-scale experiments where 2^n tables are
 materialized.
+
+``Gf2Basis`` keeps a basis and is what period solving needs; a caller that
+only asks for ranks hands all its rows to ``batch_rank`` at once, which
+eliminates one pivot bit at a time across every row with numpy bit ops (the
+plain bit-sliced form of M4RI-style elimination).
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_WIDTH = 24
+# Words per block of batch_rank: bounds its working arrays to a few hundred
+# KiB whatever the number of rows.
+_RANK_BLOCK_CELLS = 1 << 16
 
 
 def _check_width(width: int) -> None:
@@ -166,10 +174,52 @@ def solve_period(samples: Sequence[int], n: int) -> PeriodSolution:
     return PeriodSolution("ambiguous", None, r, tuple(null))
 
 
+def _word_dtype(n: int) -> type:
+    """Narrowest unsigned dtype that holds n bits."""
+    if n <= 8:
+        return np.uint8
+    return np.uint16 if n <= 16 else np.uint32
+
+
+def batch_rank(words, n: int) -> np.ndarray:
+    """GF(2) rank of each row of a (rows, k) array of n-bit words.
+
+    For each pivot bit from n-1 down to 0, the first word of a row with
+    that bit set is XORed into every word of the row that has it, and the
+    row's rank counts one pivot. Rows are processed in blocks of bounded
+    size in the narrowest unsigned dtype that holds n bits.
+    """
+    _check_width(n)
+    a = np.asarray(words)
+    if a.ndim != 2:
+        raise ValueError(f"words must be a (rows, k) array, got shape {a.shape}")
+    rows, k = a.shape
+    ranks = np.zeros(rows, dtype=np.int64)
+    if a.size == 0:
+        return ranks
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"words must be integers, got dtype {a.dtype}")
+    if a.min() < 0 or a.max() >= (1 << n):
+        raise ValueError(f"vector out of range for n={n}")
+    dtype = _word_dtype(n)
+    block = max(1, _RANK_BLOCK_CELLS // k)
+    for start in range(0, rows, block):
+        m = a[start:start + block].astype(dtype)
+        lanes = np.arange(len(m))
+        rank = ranks[start:start + block]
+        for bit in range(n - 1, -1, -1):
+            mask = dtype(1 << bit)
+            has = (m & mask) != 0
+            pivot = m[lanes, has.argmax(axis=1)]
+            # a row with no word holding the bit gets a pivot without it
+            rank += (pivot & mask) != 0
+            m ^= has * pivot[:, None]
+    return ranks
+
+
 def rank_of(vectors: Iterable[int], n: int) -> int:
     """Rank of a set of words in F_2^n."""
-    basis = Gf2Basis(n)
-    return basis.extend(vectors)
+    return int(batch_rank(np.asarray(list(vectors)).reshape(1, -1), n)[0])
 
 
 def fwht(vec: np.ndarray) -> np.ndarray:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import analysis, qsim, simon
-from .gf2 import Gf2Basis, solve_period
+from . import analysis, gf2, qsim, simon
+from .gf2 import batch_rank, rank_of, solve_period
 
 BACKENDS = ("exact-circuit", "structured", "sampled")
 MAX_SIM_N = 20
@@ -237,19 +237,22 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _rank_predicate(n: int, copies: int):
-    """Packed-input predicate: 1 when the concatenated sample words do not
-    span F_2^n (the branch looks periodic)."""
-
+@lru_cache(maxsize=8)
+def _rank_predicate(n: int, copies: int) -> np.ndarray:
+    """Truth table over the 2^(n*copies) packed inputs: 1 when the
+    concatenated sample words do not span F_2^n (the branch looks
+    periodic). Built once per (n, copies) and read-only."""
+    size = 1 << (n * copies)
+    shifts = np.arange(copies, dtype=np.int64) * n
     mask = (1 << n) - 1
-
-    def predicate(packed: int) -> int:
-        basis = Gf2Basis(n)
-        for k in range(copies):
-            basis.insert((packed >> (k * n)) & mask)
-        return 1 if basis.rank < n else 0
-
-    return predicate
+    table = np.empty(size, dtype=np.int64)
+    block = max(1, gf2._RANK_BLOCK_CELLS // copies)
+    for start in range(0, size, block):
+        packed = np.arange(start, min(size, start + block), dtype=np.int64)
+        words = (packed[:, None] >> shifts) & mask
+        table[start:start + block] = batch_rank(words, n) < n
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -315,8 +318,7 @@ def test(instance: SearchInstance, i: int, copies: int, backend: str = "sampled"
         if rng is None:
             raise ValueError("sampled backend needs an rng")
         draws = simon.sample(table, copies, rng, n)
-        basis = Gf2Basis(n)
-        fired = basis.extend(w.value for w in draws) < n
+        fired = rank_of([w.value for w in draws], n) < n
         return TestResult(outcome=b ^ (1 if fired else 0), periodic=None, p_bad=None, restoration_distance=None)
     if backend != "exact-circuit":
         raise ValueError(f"unknown backend {backend!r}")
@@ -400,6 +402,10 @@ def structured_predict(instance: SearchInstance, copies: int,
     """Analytic run prediction: exact branch classification, Monte Carlo
     p_bad per aperiodic branch with the union-bound cross-check, and the
     amplification error budget."""
+    if copies < 1:
+        raise ValueError("copies must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
     scr = instance.screened
@@ -414,11 +420,7 @@ def structured_predict(instance: SearchInstance, copies: int,
         union = analysis.p_bad_union_bound(probs, copies)
         dist = simon.distribution(table, instance.n)
         draws = rng.choice(1 << instance.n, size=(trials, copies), p=dist.weights)
-        bad = 0
-        for row in draws:
-            basis = Gf2Basis(instance.n)
-            if basis.extend(int(u) for u in row) < instance.n:
-                bad += 1
+        bad = int((batch_rank(draws, instance.n) < instance.n).sum())
         stats.append(BranchStat(i, False, float(scr.branch_eps[i]), bad / trials, union))
     return StructuredPrediction(
         budget=budget,
@@ -458,20 +460,24 @@ def _exact_index_distribution(instance: SearchInstance, copies: int, r: int) -> 
 def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
                         dists: list, rng: np.random.Generator) -> int:
     """One sampled-backend shot: evolve the index amplitudes with fresh rank
-    draws for every aperiodic branch at every iteration."""
+    draws for every aperiodic branch at every iteration.
+
+    All draws come first, iteration by iteration in branch order, and one
+    batched rank test decides every sign."""
+    n = instance.n
     size = 1 << instance.m
+    periodic = np.array([p for p, _ in dists], dtype=bool)
+    aperiodic = np.nonzero(~periodic)[0]
+    draws = np.empty((r, len(aperiodic), copies), dtype=np.int64)
+    for j in range(r):
+        for slot, i in enumerate(aperiodic):
+            draws[j, slot] = rng.choice(1 << n, size=copies, p=dists[i][1])
+    fired = batch_rank(draws.reshape(r * len(aperiodic), copies), n) < n
+    fired = fired.reshape(r, len(aperiodic))
     amp = np.full(size, 1.0 / math.sqrt(size))
-    for _ in range(r):
-        signs = np.ones(size)
-        for i in range(size):
-            periodic, dist = dists[i]
-            if periodic:
-                signs[i] = -1.0
-                continue
-            draws = rng.choice(1 << instance.n, size=copies, p=dist)
-            basis = Gf2Basis(instance.n)
-            if basis.extend(int(u) for u in draws) < instance.n:
-                signs[i] = -1.0
+    for j in range(r):
+        signs = np.where(periodic, -1.0, 1.0)
+        signs[aperiodic[fired[j]]] = -1.0
         amp = amp * signs
         amp = 2.0 * amp.mean() - amp
     probs = amp * amp

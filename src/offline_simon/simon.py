@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .gf2 import BitWord, Gf2Basis, PeriodSolution, fwht, parity, solve_period
+from .gf2 import BitWord, PeriodSolution, batch_rank, fwht, parity, solve_period
 
 MAX_N = 20
 _CHUNK_CELLS = 1 << 22
@@ -126,16 +126,16 @@ class PBadEstimate:
 def p_bad_estimate(h, c: int, trials: int, rng: np.random.Generator, n: int | None = None) -> PBadEstimate:
     """Rate at which c*n samples from an aperiodic h miss full rank."""
     table, n = _as_table(h, n)
+    if c < 1:
+        raise ValueError("c must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if analysis.find_periods(table, n):
         raise ValueError("h is periodic; p_bad is defined for aperiodic h")
     dist = distribution(table, n)
     count = c * n
     draws = rng.choice(1 << n, size=(trials, count), p=dist.weights)
-    bad = 0
-    for row in draws:
-        basis = Gf2Basis(n)
-        if basis.extend(int(u) for u in row) < n:
-            bad += 1
+    bad = int((batch_rank(draws, n) < n).sum())
     est = bad / trials
     half = 1.96 * math.sqrt(max(est * (1.0 - est), 1e-12) / trials)
     probs = analysis.collision_probabilities(table, n)

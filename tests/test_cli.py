@@ -80,6 +80,16 @@ def test_attack_rejects_zero_trials(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_attack_rejects_nonpositive_workers(capsys, monkeypatch, workers):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_attack_trial", no_trial)
+    assert run_cli(["attack", "fx-q2", "--trials", "2", "--workers", workers]) == 2
+    assert "error: workers must be at least 1" in capsys.readouterr().err
+
+
 def test_exact_backend_capacity_gate(capsys, monkeypatch):
     monkeypatch.setenv("OFFLINE_SIMON_QUBIT_CAP", "12")
     assert run_cli(["attack", "em-q1", "--n", "7", "--u", "3",

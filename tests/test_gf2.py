@@ -7,6 +7,7 @@ from offline_simon.gf2 import (
     MAX_WIDTH,
     BitWord,
     Gf2Basis,
+    batch_rank,
     fwht,
     rank_of,
     solve_period,
@@ -62,6 +63,74 @@ def test_nullspace_is_orthogonal_complement(data, n):
         for v in vecs:
             assert bin(v & s).count("1") % 2 == 0
     assert rank_of(null, n) == len(null)
+
+
+# the dtype boundaries of batch_rank (uint8/16/32) plus any width
+st_width = st.one_of(st.sampled_from([1, 8, 9, 16, 17, 24]),
+                     st.integers(min_value=1, max_value=MAX_WIDTH))
+
+
+@given(st.data(), st_width)
+@settings(max_examples=200, deadline=None)
+def test_batch_rank_matches_basis(data, n):
+    word = st.integers(min_value=0, max_value=(1 << n) - 1)
+    rows = data.draw(st.integers(min_value=0, max_value=6))
+    k = data.draw(st.integers(min_value=0, max_value=min(2 * n + 2, 30)))
+    words = []
+    for _ in range(rows):
+        kind = data.draw(st.sampled_from(["free", "span", "repeat"]))
+        if kind == "free":
+            words.append([data.draw(word) for _ in range(k)])
+        elif kind == "span":
+            # rank-deficient: every word lies in the span of <= 3 generators
+            gens = [data.draw(word) for _ in range(data.draw(st.integers(0, 3)))]
+            row = []
+            for _ in range(k):
+                mask = data.draw(st.integers(min_value=0, max_value=(1 << len(gens)) - 1))
+                v = 0
+                for j, g in enumerate(gens):
+                    if (mask >> j) & 1:
+                        v ^= g
+                row.append(v)
+            words.append(row)
+        else:
+            pool = st.sampled_from([0, data.draw(word)])
+            words.append([data.draw(pool) for _ in range(k)])
+    arr = np.array(words, dtype=np.int64).reshape(rows, k)
+    got = batch_rank(arr, n)
+    assert got.shape == (rows,)
+    assert got.tolist() == [Gf2Basis(n).extend(int(u) for u in row) for row in arr]
+
+
+def test_batch_rank_empty_shapes():
+    assert batch_rank(np.zeros((0, 5), dtype=np.int64), 4).shape == (0,)
+    assert batch_rank(np.zeros((3, 0), dtype=np.int64), 4).tolist() == [0, 0, 0]
+    assert rank_of([], 4) == 0
+
+
+def test_batch_rank_spans_blocks():
+    # more rows than one block holds, at each dtype width
+    rng = np.random.default_rng(8)
+    for n in (6, 12, 20):
+        words = rng.integers(0, 1 << n, size=(20_000, 5))
+        words[1::2, 4] = words[1::2, 0] ^ words[1::2, 1]
+        want = [Gf2Basis(n).extend(int(u) for u in row) for row in words]
+        assert batch_rank(words, n).tolist() == want
+
+
+def test_batch_rank_rejects_bad_input():
+    for bad in ([[1, 16]], [[-1, 2]], [[3, 1 << 40]]):
+        with pytest.raises(ValueError):
+            batch_rank(np.array(bad), 4)
+    with pytest.raises(ValueError):
+        rank_of([1, 16], 4)
+    with pytest.raises(ValueError):
+        batch_rank(np.array([1, 2]), 4)  # not (rows, k)
+    with pytest.raises(ValueError):
+        batch_rank(np.array([[0.5, 1.0]]), 4)
+    for width in (0, MAX_WIDTH + 1):
+        with pytest.raises(ValueError):
+            batch_rank(np.zeros((1, 1), dtype=np.int64), width)
 
 
 def test_basis_insert_and_contains():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from offline_simon import analysis, search, simon
+from offline_simon.gf2 import Gf2Basis
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
@@ -189,6 +190,13 @@ def test_structured_predict_bounds_branches():
     assert 0.0 <= lo <= hi <= 1.0
 
 
+@pytest.mark.parametrize("copies, trials", [(0, 64), (-2, 64), (3, 0), (3, -1)])
+def test_structured_predict_rejects_bad_counts(copies, trials):
+    with pytest.raises(ValueError):
+        search.structured_predict(tiny_instance(), copies=copies, trials=trials,
+                                  rng=np.random.default_rng(0))
+
+
 def test_branch_test_structured_and_sampled():
     inst = medium_instance()
     rng = np.random.default_rng(6)
@@ -258,3 +266,38 @@ def test_flags_c_too_small():
     inst = medium_instance()
     _, rep = search.alg_poly_q2(inst, copies=2, backend="structured")
     assert "c-too-small" in rep.flags
+
+
+def test_structured_predict_pinned():
+    # recorded with the per-row Gf2Basis loop; the batched rank must agree
+    pred = search.structured_predict(medium_instance(), copies=7, trials=512,
+                                     rng=np.random.default_rng(4))
+    assert [b.p_bad_mc for b in pred.branches] == [
+        0.484375, 0.451171875, 0.46875, 0.462890625, 0.431640625, 0.494140625,
+        0.423828125, 0.427734375, 0.42578125, 0.4140625, 0.419921875, 0.42578125,
+        None, 0.455078125, 0.46875, 0.435546875]
+
+
+@pytest.mark.parametrize("n, copies", [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4), (4, 3)])
+def test_rank_predicate_table_matches_basis_rule(n, copies):
+    table = search._rank_predicate(n, copies)
+    assert table.shape == (1 << (n * copies),)
+    assert not table.flags.writeable
+    mask = (1 << n) - 1
+    for packed in range(1 << (n * copies)):
+        basis = Gf2Basis(n)
+        for k in range(copies):
+            basis.insert((packed >> (k * n)) & mask)
+        assert table[packed] == (1 if basis.rank < n else 0)
+
+
+def test_exact_index_distribution_pinned():
+    # the committed 11-qubit acceptance instance, recorded with the
+    # callable rank predicate; the tabulated one must give the same bits
+    inst = tiny_instance()
+    r = search.error_budget(inst.n, inst.m, 2, inst.screened.eps).r
+    got = search._exact_index_distribution(inst, 2, r)
+    want = np.array([float.fromhex(h) for h in (
+        "0x1.efffffffffffep-3", "0x1.3000000000000p-2",
+        "0x1.7000000000000p-3", "0x1.2000000000000p-2")])
+    assert np.array_equal(got, want)

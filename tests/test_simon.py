@@ -143,6 +143,31 @@ def test_p_bad_estimate_rejects_periodic():
         simon.p_bad_estimate(table, 3, 10, rng, 4)
 
 
+@pytest.mark.parametrize("c, trials", [(0, 100), (-1, 100), (3, 0), (3, -5)])
+def test_p_bad_estimate_rejects_bad_counts(c, trials):
+    table = np.array([0, 1, 2, 3, 4, 5, 6, 6], dtype=np.int64)
+    with pytest.raises(ValueError):
+        simon.p_bad_estimate(table, c, trials, np.random.default_rng(0), 3)
+
+
 def test_width_cap():
     with pytest.raises(ValueError):
         simon.distribution(np.zeros(1 << 21, dtype=np.int64), 21)
+
+
+def test_p_bad_estimate_pinned():
+    # recorded with the per-row Gf2Basis loop; the batched rank must agree
+    rng = np.random.default_rng(2024)
+    n = 6
+    table = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
+    while analysis.find_periods(table, n):
+        table = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
+    est = simon.p_bad_estimate(table, 3, 10_000, rng, n)
+    assert est == simon.PBadEstimate(
+        estimate=0.0004,
+        half_width_95=0.0003919215921584316,
+        analytic_bound=0.0020341616208428242,
+        union_bound=0.00038817550629756506,
+        eps=0.125,
+        trials=10_000,
+    )
