@@ -1,10 +1,16 @@
 """Error budgets and cost estimates for the offline period-finding family.
 
-Collision spectra are computed exactly (per-output-class autocorrelation via
-the Walsh-Hadamard transform), and the bounds here are the analytic ones the
-simulators are tested against: the linear-algebra failure bound for plain
-period recovery, the database-restoration bound for the checking oracle, and
-the amplitude-amplification error propagation bound.
+Collision spectra come from the Simon sample law (``simon.distribution``):
+by the orthogonality lemma Pr[u . t = 0] = (1 + Pr_x[h(x ^ t) = h(x)]) / 2
+(Kaplan et al., CRYPTO 2016), so the spectrum t -> Pr_x[h(x ^ t) = h(x)] is
+the law's unnormalized Walsh-Hadamard transform, and 2^n times it counts the
+colliding x. Every value is an integer over 4^n with a numerator of at most
+2^40 (n <= 20), so the transform is exact in float64.
+
+The bounds here are the analytic ones the simulators are tested against:
+the linear-algebra failure bound for plain period recovery, the
+database-restoration bound for the checking oracle, and the
+amplitude-amplification error propagation bound.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import fwht
+from . import simon
 
 LOG2_4_3 = math.log2(4.0 / 3.0)
 
@@ -24,31 +30,14 @@ LOG2_4_3 = math.log2(4.0 / 3.0)
 # ---------------------------------------------------------------------------
 
 
-def collision_counts(table, n: int) -> np.ndarray:
-    """For each shift t, the number of x with h(x ^ t) == h(x), exactly.
-
-    Sums the autocorrelation of every output class indicator, batched through
-    one FWHT. Entry 0 is always 2^n.
-    """
-    table = np.asarray(table)
-    size = 1 << n
-    if table.shape != (size,):
-        raise ValueError(f"table must have 2^{n} entries")
-    values, codes = np.unique(table, return_inverse=True)
-    indicators = np.zeros((len(values), size))
-    indicators[codes, np.arange(size)] = 1.0
-    spectra = fwht(indicators)
-    counts = fwht(spectra * spectra).sum(axis=0) / size
-    return np.rint(counts).astype(np.int64)
-
-
 def collision_probabilities(table, n: int) -> np.ndarray:
-    """Pr_x[h(x ^ t) = h(x)] for every t, as a length-2^n array."""
-    return collision_counts(table, n) / float(1 << n)
+    """Pr_x[h(x ^ t) = h(x)] for every t, as a length-2^n array: the Walsh
+    transform of the Simon law of h (exact; see the module docstring)."""
+    return simon.distribution(table, n).collisions
 
 
 def collision_prob(table, n: int, t: int) -> float:
-    """Pr_x[h(x ^ t) = h(x)] for a single shift t."""
+    """Pr_x[h(x ^ t) = h(x)] for a single shift t, by direct count."""
     table = np.asarray(table)
     xs = np.arange(1 << n)
     return float(np.count_nonzero(table[xs ^ t] == table[xs])) / (1 << n)
@@ -62,8 +51,7 @@ def epsilon_max(table, n: int) -> float:
 
 def find_periods(table, n: int) -> list[int]:
     """Nonzero t with h(x ^ t) = h(x) for all x (a subgroup minus zero)."""
-    counts = collision_counts(table, n)
-    return [int(t) for t in np.nonzero(counts == (1 << n))[0] if t != 0]
+    return list(simon.distribution(table, n).periods)
 
 
 # ---------------------------------------------------------------------------
@@ -278,46 +266,6 @@ def published_figures() -> dict:
 # ---------------------------------------------------------------------------
 # Classical reference attacks
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EpsilonReport:
-    """Worst-case collision probability over a branch family."""
-
-    eps_max: float
-    worst_i: int
-    worst_t: int
-    periodic_index: int | None
-    period: int | None
-
-
-def family_epsilon(family, g, n: int, i0: int | None = None) -> EpsilonReport:
-    """Eq.-style condition value: max over branches i != i0 and shifts t != 0
-    of Pr_x[h(x^t) = h(x)] for h = f_i ^ g. When i0 is None the periodic
-    branch found by scanning is excluded instead."""
-    family = np.asarray(family, dtype=np.int64)
-    g = np.asarray(g, dtype=np.int64)
-    periodic_index = None
-    period = None
-    if i0 is None:
-        for i in range(family.shape[0]):
-            periods = find_periods(family[i] ^ g, n)
-            if periods:
-                periodic_index, period = i, periods[0]
-                break
-    else:
-        periodic_index = i0
-        periods = find_periods(family[i0] ^ g, n)
-        period = periods[0] if periods else None
-    eps, worst_i, worst_t = 0.0, 0, 0
-    for i in range(family.shape[0]):
-        if i == periodic_index:
-            continue
-        probs = collision_probabilities(family[i] ^ g, n)
-        t = int(np.argmax(probs[1:])) + 1 if len(probs) > 1 else 0
-        if t and probs[t] >= eps:
-            eps, worst_i, worst_t = float(probs[t]), i, t
-    return EpsilonReport(eps, worst_i, worst_t, periodic_index, period)
 
 
 def collect_codebook(oracle, inputs) -> np.ndarray:

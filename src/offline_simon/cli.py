@@ -271,8 +271,9 @@ def cmd_verify_bounds(cfg: RunConfig) -> int:
     for j in range(1, 9):
         got = qaa.run_grover_noisy(3, 5, beta, j)
         dev = abs(got - qaa.ideal_success(2.0**-3, j))
-        worst = max(worst, dev - 4 * j * eps)
-        ok = ok and dev <= 4 * j * eps + 1e-12
+        bound = analysis.qaa_deviation_bound(j, eps)
+        worst = max(worst, dev - bound)
+        ok = ok and dev <= bound + 1e-12
     checks.append({
         "name": "qaa-noisy-interval",
         "measured": worst,

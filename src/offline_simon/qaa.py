@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qsim
+from . import analysis, qsim
 from .gf2 import BitWord
 
 _FLOOR_GUARD = 1e-9
@@ -39,7 +39,7 @@ def spec_for(a: float, r: int | None = None) -> QaaSpec:
     """
     if not 0.0 < a <= 1.0:
         raise ValueError("a must be in (0, 1]")
-    theta = math.asin(math.sqrt(a))
+    theta = analysis.grover_theta(a)
     if r is None:
         r = int(math.floor(math.pi / (4.0 * theta) + _FLOOR_GUARD))
     return QaaSpec(a, theta, r)
@@ -47,7 +47,7 @@ def spec_for(a: float, r: int | None = None) -> QaaSpec:
 
 def ideal_success(a: float, j: int) -> float:
     """sin^2((2j+1) theta) after j noiseless iterations."""
-    return math.sin((2 * j + 1) * spec_for(a, r=0).theta) ** 2
+    return analysis.amplified_success(a, j)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class NoisyQaaPrediction:
     lower: float
 
     def deviation_bound(self, j: int) -> float:
-        return 4.0 * j * self.epsilon
+        return analysis.qaa_deviation_bound(j, self.epsilon)
 
 
 def noisy_prediction(a: float, eps: float) -> NoisyQaaPrediction:
@@ -67,13 +67,12 @@ def noisy_prediction(a: float, eps: float) -> NoisyQaaPrediction:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     spec = spec_for(a)
-    lower = max(0.0, max(1.0 - a, a) - 4.0 * spec.r * eps)
     return NoisyQaaPrediction(
         a=a,
         r=spec.r,
         ideal=ideal_success(a, spec.r),
         epsilon=eps,
-        lower=lower,
+        lower=analysis.qaa_success_lower(a, spec.r, eps),
     )
 
 

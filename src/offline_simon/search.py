@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -78,7 +78,8 @@ class SearchInstance:
 
 @dataclass(frozen=True)
 class ScreenResult:
-    """Exact branch classification of an instance."""
+    """Exact branch classification of an instance, with each branch's Simon
+    law (and through it the collision spectrum) for the backends to reuse."""
 
     periodic_indices: tuple[int, ...]
     branch_periods: tuple[tuple[int, ...], ...]
@@ -86,23 +87,23 @@ class ScreenResult:
     eps: float
     condition_violated: bool
     multi_marked: bool
+    laws: tuple[simon.SimonSampleDistribution, ...]
 
 
 def screen(instance: SearchInstance) -> ScreenResult:
     """Classify every branch: periods, per-branch collision maxima, and the
     condition value (the largest off-branch collision probability)."""
+    laws = tuple(simon.distribution(instance.branch(i), instance.n)
+                 for i in range(1 << instance.m))
     periodic = []
     periods = []
     eps_branch = np.zeros(1 << instance.m)
-    for i in range(1 << instance.m):
-        table = instance.branch(i)
-        probs = analysis.collision_probabilities(table, instance.n)
-        nonzero = probs[1:]
-        branch_periods = tuple(int(t) for t in np.nonzero(probs == 1.0)[0] if t != 0)
+    for i, law in enumerate(laws):
+        nonzero = law.collisions[1:]
         eps_branch[i] = float(nonzero[nonzero < 1.0].max()) if (nonzero < 1.0).any() else 0.0
-        if branch_periods:
+        if law.periods:
             periodic.append(i)
-        periods.append(branch_periods)
+        periods.append(law.periods)
     aperiodic = [i for i in range(1 << instance.m) if i not in periodic]
     eps = float(max((eps_branch[i] for i in aperiodic), default=0.0))
     return ScreenResult(
@@ -112,6 +113,7 @@ def screen(instance: SearchInstance) -> ScreenResult:
         eps=eps,
         condition_violated=(eps > 0.5) or len(periodic) != 1,
         multi_marked=len(periodic) > 1,
+        laws=laws,
     )
 
 
@@ -141,7 +143,7 @@ class ErrorBudget:
 
     def accumulated(self, j: int) -> float:
         """Output-probability deviation bound after j iterations."""
-        return 4.0 * j * self.delta_bound
+        return analysis.qaa_deviation_bound(j, self.delta_bound)
 
     def interval(self) -> tuple[float, float]:
         """Two-sided band around the ideal success."""
@@ -154,7 +156,7 @@ def error_budget(n: int, m: int, copies: int, eps: float) -> ErrorBudget:
     a = 1.0 if m == 0 else 2.0**-m
     delta = analysis.restoration_bound(n, copies, eps)
     ideal = analysis.grover_ideal_success(m, r)
-    lower = max(0.0, min(1.0, max(1.0 - a, a) - 4.0 * r * delta))
+    lower = analysis.qaa_success_lower(a, r, delta)
     return ErrorBudget(n, m, copies, eps, r, a, delta, ideal, lower)
 
 
@@ -171,12 +173,7 @@ class Counters:
     grover_iterations: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "classical_online": self.classical_online,
-            "quantum_online": self.quantum_online,
-            "f_queries": self.f_queries,
-            "grover_iterations": self.grover_iterations,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -205,28 +202,7 @@ class Report:
     success_rate: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "n": self.n,
-            "m": self.m,
-            "l": self.l,
-            "c": self.c,
-            "u": self.u,
-            "counters": self.counters.as_dict(),
-            "eps": self.eps,
-            "delta_bound": self.delta_bound,
-            "ideal_success": self.ideal_success,
-            "success_lower": self.success_lower,
-            "recovered": self.recovered,
-            "correct": self.correct,
-            "condition_violated": self.condition_violated,
-            "flags": list(self.flags),
-            "acquisition": self.acquisition,
-            "measured_index": self.measured_index,
-            "recovery_queries": self.recovery_queries,
-            "shots": self.shots,
-            "success_rate": self.success_rate,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
@@ -303,16 +279,16 @@ def test(instance: SearchInstance, i: int, copies: int, backend: str = "sampled"
     measures the output bit; also reports the Euclidean distance between the
     database registers before and after (the restoration damage).
     sampled: draws `copies` fresh samples and applies the rank test.
-    structured: returns the exact classification and the branch's p_bad.
+    structured: returns the exact classification and the branch's p_bad,
+    read from the instance's screen.
     """
     table = instance.branch(i)
     n, l = instance.n, instance.l
     if backend == "structured":
-        periods = analysis.find_periods(table, n)
-        if periods:
+        law = instance.screened.laws[i]
+        if law.periods:
             return TestResult(outcome=b ^ 1, periodic=True, p_bad=None, restoration_distance=None)
-        probs = analysis.collision_probabilities(table, n)
-        p_bad = analysis.p_bad_union_bound(probs, copies)
+        p_bad = analysis.p_bad_union_bound(law.collisions, copies)
         return TestResult(outcome=None, periodic=False, p_bad=p_bad, restoration_distance=None)
     if backend == "sampled":
         if rng is None:
@@ -324,33 +300,29 @@ def test(instance: SearchInstance, i: int, copies: int, backend: str = "sampled"
         raise ValueError(f"unknown backend {backend!r}")
     if rng is None:
         raise ValueError("exact backend needs an rng")
-    layout = _exact_layout(n, l, copies)
-    state = qsim.init_zero(layout)
-    _prepare_database(state, table, copies)
-    if b:
-        qsim.apply_x(state, "b")
-    before = state.copy()
-    _apply_rank_xor(state, n, copies)
-    ideal_bit = b ^ (1 if analysis.find_periods(table, n) else 0)
-    ideal = before.copy()
-    if ideal_bit != b:
-        qsim.apply_x(ideal, "b")
-    restoration = qsim.distance(state, ideal)
+    state, restoration = _exact_check(table, n, l, copies, b)
     outcome, _ = qsim.measure(state, "b", rng)
     return TestResult(outcome=outcome.value, periodic=None, p_bad=None, restoration_distance=restoration)
 
 
+def _exact_check(table, n: int, l: int, copies: int, b: int = 0) -> tuple[qsim.QState, float]:
+    """One check on a freshly prepared branch database with output bit b:
+    the state after it, and its distance from the ideal outcome (the
+    database untouched, b flipped exactly when the branch is periodic)."""
+    state = qsim.init_zero(_exact_layout(n, l, copies))
+    _prepare_database(state, table, copies)
+    if b:
+        qsim.apply_x(state, "b")
+    ideal = state.copy()
+    _apply_rank_xor(state, n, copies)
+    if analysis.find_periods(table, n):
+        qsim.apply_x(ideal, "b")
+    return state, qsim.distance(state, ideal)
+
+
 def restoration_distance(table, n: int, l: int, copies: int) -> float:
     """Exact database damage of one check on the given branch table."""
-    layout = _exact_layout(n, l, copies)
-    state = qsim.init_zero(layout)
-    _prepare_database(state, table, copies)
-    before = state.copy()
-    _apply_rank_xor(state, n, copies)
-    ideal_bit = 1 if analysis.find_periods(table, n) else 0
-    if ideal_bit:
-        qsim.apply_x(before, "b")
-    return qsim.distance(state, before)
+    return _exact_check(table, n, l, copies)[1]
 
 
 def _flags(m: int, copies: int, scr: ScreenResult) -> list[str]:
@@ -411,15 +383,12 @@ def structured_predict(instance: SearchInstance, copies: int,
     scr = instance.screened
     budget = error_budget(instance.n, instance.m, copies, scr.eps)
     stats = []
-    for i in range(1 << instance.m):
-        table = instance.branch(i)
-        if scr.branch_periods[i]:
+    for i, law in enumerate(scr.laws):
+        if law.periods:
             stats.append(BranchStat(i, True, float(scr.branch_eps[i]), None, None))
             continue
-        probs = analysis.collision_probabilities(table, instance.n)
-        union = analysis.p_bad_union_bound(probs, copies)
-        dist = simon.distribution(table, instance.n)
-        draws = rng.choice(1 << instance.n, size=(trials, copies), p=dist.weights)
+        union = analysis.p_bad_union_bound(law.collisions, copies)
+        draws = rng.choice(1 << instance.n, size=(trials, copies), p=law.weights)
         bad = int((batch_rank(draws, instance.n) < instance.n).sum())
         stats.append(BranchStat(i, False, float(scr.branch_eps[i]), bad / trials, union))
     return StructuredPrediction(
@@ -458,20 +427,22 @@ def _exact_index_distribution(instance: SearchInstance, copies: int, r: int) -> 
 
 
 def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
-                        dists: list, rng: np.random.Generator) -> int:
+                        rng: np.random.Generator) -> int:
     """One sampled-backend shot: evolve the index amplitudes with fresh rank
-    draws for every aperiodic branch at every iteration.
+    draws, from the screen's laws, for every aperiodic branch at every
+    iteration.
 
     All draws come first, iteration by iteration in branch order, and one
     batched rank test decides every sign."""
     n = instance.n
     size = 1 << instance.m
-    periodic = np.array([p for p, _ in dists], dtype=bool)
+    scr = instance.screened
+    periodic = np.array([bool(p) for p in scr.branch_periods], dtype=bool)
     aperiodic = np.nonzero(~periodic)[0]
     draws = np.empty((r, len(aperiodic), copies), dtype=np.int64)
     for j in range(r):
         for slot, i in enumerate(aperiodic):
-            draws[j, slot] = rng.choice(1 << n, size=copies, p=dists[i][1])
+            draws[j, slot] = rng.choice(1 << n, size=copies, p=scr.laws[i].weights)
     fired = batch_rank(draws.reshape(r * len(aperiodic), copies), n) < n
     fired = fired.reshape(r, len(aperiodic))
     amp = np.full(size, 1.0 / math.sqrt(size))
@@ -541,15 +512,8 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
             index_probs = _exact_index_distribution(instance, copies, budget.r)
         outcomes = rng.choice(len(index_probs), size=shots, p=index_probs / index_probs.sum())
     else:
-        dists = []
-        for i in range(1 << instance.m):
-            table = instance.branch(i)
-            if scr.branch_periods[i]:
-                dists.append((True, None))
-            else:
-                dists.append((False, simon.distribution(table, instance.n).weights))
         outcomes = np.array([
-            _sampled_index_shot(instance, copies, budget.r, dists, rng) for _ in range(shots)
+            _sampled_index_shot(instance, copies, budget.r, rng) for _ in range(shots)
         ])
 
     recovery_total = 0

@@ -5,12 +5,19 @@ on the output value a, then the u distribution inside that class is the
 squared Walsh spectrum of the preimage indicator. Sampling, full period
 recovery, and the false-positive (p_bad) estimator all build on that law, so
 no state vectors are needed at widths up to 20 bits.
+
+The law and the collision spectrum are one Fourier pair: the Walsh transform
+of the law is t -> Pr_x[h(x ^ t) = h(x)] (the orthogonality lemma
+Pr[u . t = 0] = (1 + Pr_x[h(x ^ t) = h(x)]) / 2 of Kaplan et al., CRYPTO
+2016), so one class-indicator transform per table, in ``distribution``,
+gives the periods, the condition value eps and the union bound as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +25,9 @@ from . import analysis
 from .gf2 import BitWord, PeriodSolution, batch_rank, fwht, parity, solve_period
 
 MAX_N = 20
+# Cells of one block of class indicators in `distribution`: 32 MiB of float64
+# whatever the number of output classes (the transform's temporaries take a
+# few times that).
 _CHUNK_CELLS = 1 << 22
 
 
@@ -44,6 +54,16 @@ class SimonSampleDistribution:
         us = np.arange(1 << self.n)
         ortho = np.array([parity(int(u) & t) == 0 for u in us])
         return float(self.weights[ortho].sum())
+
+    @cached_property
+    def collisions(self) -> np.ndarray:
+        """Pr_x[h(x ^ t) = h(x)] for every t: the law's Walsh transform."""
+        return fwht(self.weights)
+
+    @cached_property
+    def periods(self) -> tuple[int, ...]:
+        """Nonzero t with h(x ^ t) = h(x) for all x."""
+        return tuple(int(t) for t in np.nonzero(self.collisions == 1.0)[0] if t != 0)
 
 
 def distribution(h, n: int | None = None) -> SimonSampleDistribution:
@@ -130,15 +150,15 @@ def p_bad_estimate(h, c: int, trials: int, rng: np.random.Generator, n: int | No
         raise ValueError("c must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if analysis.find_periods(table, n):
-        raise ValueError("h is periodic; p_bad is defined for aperiodic h")
     dist = distribution(table, n)
+    if dist.periods:
+        raise ValueError("h is periodic; p_bad is defined for aperiodic h")
     count = c * n
     draws = rng.choice(1 << n, size=(trials, count), p=dist.weights)
     bad = int((batch_rank(draws, n) < n).sum())
     est = bad / trials
     half = 1.96 * math.sqrt(max(est * (1.0 - est), 1e-12) / trials)
-    probs = analysis.collision_probabilities(table, n)
+    probs = dist.collisions
     eps = float(probs[1:].max()) if len(probs) > 1 else 0.0
     return PBadEstimate(
         estimate=est,
@@ -176,6 +196,6 @@ def random_periodic_function(n: int, l: int, period: int, rng: np.random.Generat
     for _ in range(1000):
         values = rng.integers(0, 1 << l, size=len(reps))
         table = values[slot].astype(np.int64)
-        if analysis.find_periods(table, n) == [period]:
+        if distribution(table, n).periods == (period,):
             return table
     raise RuntimeError("could not hit the exact period set; widen l")

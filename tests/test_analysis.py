@@ -163,22 +163,6 @@ def test_target_cost_anchors():
 # classical reference attack
 
 
-def test_family_epsilon_reports_periodic_branch():
-    rng = np.random.default_rng(21)
-    n = 4
-    g = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
-    family = rng.integers(0, 1 << n, size=(4, 1 << n), dtype=np.int64)
-    s = 0b1010
-    periodic = np.array([g[x] ^ (min(x, x ^ s) * 3 % (1 << n)) for x in range(1 << n)],
-                        dtype=np.int64)
-    family[2] = periodic
-    rep = analysis.family_epsilon(family, g, n)
-    assert rep.periodic_index == 2
-    assert rep.period == s
-    assert 0.0 <= rep.eps_max <= 1.0
-    assert rep.eps_max == analysis.family_epsilon(family, g, n, i0=2).eps_max
-
-
 def test_collect_codebook():
     table = analysis.collect_codebook(lambda x: x ^ 5, range(8))
     assert list(table) == [x ^ 5 for x in range(8)]

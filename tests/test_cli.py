@@ -4,12 +4,13 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from offline_simon import attacks, cli, primitives, search
+from offline_simon import attacks, cli, primitives, search, simon
 from offline_simon.primitives import (
     EvenMansourInstance,
     instance_from_json,
@@ -293,3 +294,42 @@ def test_attack_screens_each_carve_once(monkeypatch, tmp_path, kind):
     screened_ids = [id(inst) for inst in screened]
     assert len(set(screened_ids)) == len(screened_ids)
     assert {id(inst) for inst in searched} <= set(screened_ids)
+
+
+@pytest.mark.parametrize("backend", ["sampled", "structured"])
+@pytest.mark.parametrize("kind", cli.ATTACK_KINDS)
+def test_attack_transforms_each_branch_once(monkeypatch, tmp_path, kind, backend):
+    """Every branch of a searched instance goes through the class-indicator
+    transform (simon.distribution) exactly once: the screen's laws serve the
+    backend too."""
+    made, searched = {}, []
+    keep = []  # keeps instances and branch tables alive, so ids are not reused
+    calls = Counter()
+    branch, distribution = search.SearchInstance.branch, simon.distribution
+    alg_q1, alg_q2 = search.alg_exp_q1, search.alg_poly_q2
+
+    def spy_branch(instance, i):
+        table = branch(instance, i)
+        keep.extend([instance, table])
+        made[id(table)] = (id(instance), i)
+        return table
+
+    def spy_distribution(h, n=None):
+        calls[made.get(id(h))] += 1
+        return distribution(h, n)
+
+    def spy(alg):
+        def run(instance, *args, **kwargs):
+            searched.append(instance)
+            return alg(instance, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(search.SearchInstance, "branch", spy_branch)
+    monkeypatch.setattr(simon, "distribution", spy_distribution)
+    monkeypatch.setattr(search, "alg_exp_q1", spy(alg_q1))
+    monkeypatch.setattr(search, "alg_poly_q2", spy(alg_q2))
+    assert run_cli(["attack", kind, "--trials", "2", "--backend", backend,
+                    "--out", str(tmp_path / "r.json")]) == 0
+    assert len(searched) == 2
+    for inst in searched:
+        assert [calls[id(inst), i] for i in range(1 << inst.m)] == [1] * (1 << inst.m)

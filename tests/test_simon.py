@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from offline_simon import analysis, qsim, simon
+from offline_simon import analysis, gf2, qsim, search, simon
 
 
 def circuit_u_distribution(table, n, l):
@@ -171,3 +171,64 @@ def test_p_bad_estimate_pinned():
         eps=0.125,
         trials=10_000,
     )
+
+
+def brute_law(table, n):
+    """weights(u) = 4^-n * sum_a (sum_{x: h(x)=a} (-1)^(u.x))^2, in integers."""
+    xs = np.arange(1 << n)
+    signs = np.array([[1 - 2 * (bin(u & x).count("1") & 1) for x in xs] for u in xs])
+    total = np.zeros(1 << n, dtype=np.int64)
+    for a in np.unique(table):
+        total += (signs[:, table == a].sum(axis=1)) ** 2
+    return total / float(1 << (2 * n))
+
+
+def test_law_and_collisions_exact_across_ragged_chunks(monkeypatch):
+    rng = np.random.default_rng(77)
+    tables = []
+    for n in range(2, 7):
+        for l in range(1, n + 1):
+            tables.append((n, rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)))
+        period = int(rng.integers(1, 1 << n))
+        tables.append((n, simon.random_periodic_function(n, n, period, rng)))
+    spanned = 0
+    for n, table in tables:
+        classes = len(np.unique(table))
+        # the first chunk size that leaves a short last chunk
+        chunk = next((c for c in range(2, classes) if classes % c), None)
+        if chunk is None:
+            continue
+        spanned += 1
+        monkeypatch.setattr(simon, "_CHUNK_CELLS", chunk << n)
+        dist = simon.distribution(table, n)
+        assert np.array_equal(dist.weights, brute_law(table, n))
+        counts = [analysis.collision_prob(table, n, t) for t in range(1 << n)]
+        assert np.array_equal(dist.collisions, counts)
+        assert np.array_equal(analysis.collision_probabilities(table, n), counts)
+        expect = [t for t in range(1, 1 << n) if counts[t] == 1.0]
+        assert analysis.find_periods(table, n) == expect
+    assert spanned >= 15
+
+
+def test_p_bad_estimate_transforms_its_table_once(monkeypatch):
+    """One block of class indicators and one Walsh transform of the law:
+    the periodicity check, the Monte Carlo law, eps and the union bound
+    all come from the same law."""
+    rng = np.random.default_rng(2024)
+    n = 6
+    table = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
+    while analysis.find_periods(table, n):
+        table = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
+    shapes = []
+    fwht = gf2.fwht
+
+    def spy(vec):
+        shapes.append(np.shape(vec))
+        return fwht(vec)
+
+    # every module that binds fwht by name
+    for module in (gf2, simon, analysis, search, qsim):
+        if hasattr(module, "fwht"):
+            monkeypatch.setattr(module, "fwht", spy)
+    simon.p_bad_estimate(table, 3, 100, rng, n)
+    assert shapes == [(len(np.unique(table)), 1 << n), (1 << n,)]
