@@ -60,7 +60,9 @@ def find_periods(table, n: int) -> list[int]:
 
 
 def simon_failure_bound(n: int, samples: int, eps: float = 0.5) -> float:
-    """Pr[sampled vectors miss full rank in the period's orthogonal space].
+    """Pr[sampled vectors miss full rank in the period's orthogonal space];
+    on an aperiodic branch, the worst-case probability that it passes the
+    rank test (p_bad).
 
     2^n * ((1+eps)/2)^samples, capped at 1. Meaningful only for eps <= 1/2.
     """
@@ -74,11 +76,6 @@ def simon_success_lower(n: int, samples: int, eps: float = 0.5) -> float:
 def restoration_bound(n: int, copies: int, eps: float) -> float:
     """Norm bound on the database damage after one test-and-uncompute pass."""
     return (2.0 ** ((n + 1) / 2.0)) * ((1.0 + eps) / 2.0) ** (copies / 2.0)
-
-
-def p_bad_bound(n: int, copies: int, eps: float) -> float:
-    """Worst-case probability that an aperiodic branch passes the rank test."""
-    return min(1.0, (2.0**n) * ((1.0 + eps) / 2.0) ** copies)
 
 
 def p_bad_union_bound(probabilities, copies: int) -> float:

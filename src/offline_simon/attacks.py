@@ -117,8 +117,7 @@ def _period_candidates(table, dim: int, copies: int,
     """Sample the measured branch and list the consistent periods (zero
     included, for targets where the honest answer can be the constant
     branch). Returns (candidates, samples spent)."""
-    draws = simon.sample(table, copies, rng, dim)
-    sol = solve_period([w.value for w in draws], dim)
+    sol = solve_period(simon.sample(table, copies, rng, dim).tolist(), dim)
     if sol.kind == "unique":
         return [sol.period, 0], copies
     if sol.kind == "full-rank":
@@ -211,7 +210,9 @@ class Target:
 
     CLI side: `defaults` fills the toy sizes into the size flags, `shape`
     validates them and gives the capacity dimensions, `draw` builds a seeded
-    instance and returns the positional arguments of `attack_<kind>`.
+    instance and returns the positional arguments of `attack_<kind>`. `gen`
+    writes the first of them, the instance, as a descriptor that rebuilds
+    its permutation or family from the seed, so `draw` takes that first.
 
     Attack side (key dicts name the instance's key fields, so a proposal
     re-keys a copy of the instance): `carve(inst, u, window)` is the target's

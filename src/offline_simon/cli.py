@@ -19,25 +19,24 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, attacks, qaa, qsim, search, simon
+from . import analysis, attacks, primitives, qaa, qsim, simon
 from .gf2 import MAX_WIDTH
-from .primitives import (
-    BeetleToyInstance,
-    ChaskeyToyInstance,
-    EvenMansourInstance,
-    FxInstance,
-    IterFxInstance,
-    RelatedKeyOracle,
-    instance_to_json,
-    random_cipher_family,
-    random_permutation,
-    save_function_table,
-    save_permutation,
-)
+from .primitives import instance_to_json, save_function_table, save_permutation
 
 ATTACK_KINDS = tuple(attacks.TARGETS)
-GEN_KINDS = ("permutation", "function-table", "em", "fx", "ifx", "chaskey",
-             "beetle", "related-key")
+# gen instance kind -> (the attack record that draws it, its descriptor kind)
+GEN_TARGETS = {
+    "em": ("em-q1", "even-mansour"),
+    "fx": ("fx-q2", "fx"),
+    "ifx": ("slide-ifx", "iterated-fx"),
+    "chaskey": ("chaskey", "chaskey-toy"),
+    "beetle": ("beetle", "beetle-toy"),
+    "related-key": ("related-key", "related-key"),
+}
+GEN_KINDS = ("permutation", "function-table", *GEN_TARGETS)
+# Size flags must be at least 1 when given: the records' defaults read
+# `a.n or 9`, so a 0 would silently run the toy size.
+_SIZE_FLAGS = ("n", "m", "l", "u", "c", "rate", "capacity", "rounds")
 
 # Every branch table an attack materializes must fit comfortably in memory;
 # 2^22 words of family is the ceiling for a toy run.
@@ -85,8 +84,8 @@ def _attack_parameters(cfg: RunConfig) -> dict:
     for w in widths:
         if not 1 <= w <= MAX_WIDTH:
             raise CliError(f"width {w} outside [1, {MAX_WIDTH}]")
-    if dim > search.MAX_SIM_N:
-        raise CliError(f"search dimension {dim} exceeds the simulable {search.MAX_SIM_N}")
+    if dim > simon.MAX_N:
+        raise CliError(f"search dimension {dim} exceeds the simulable {simon.MAX_N}")
     if m_search + dim > TABLE_ENTRY_CAP_LOG2:
         raise CliError(
             f"family table needs 2^{m_search + dim} entries, cap is 2^{TABLE_ENTRY_CAP_LOG2}")
@@ -299,60 +298,21 @@ def cmd_gen(cfg: RunConfig) -> int:
     if not cfg.out:
         raise CliError("gen needs --out")
     rng = np.random.default_rng(cfg.seed)
-    kind = cfg.kind
     try:
-        if kind == "permutation":
-            save_permutation(cfg.out, random_permutation(cfg.n or 8, rng))
-        elif kind == "function-table":
+        if cfg.kind == "permutation":
+            save_permutation(cfg.out, primitives.random_permutation(cfg.n or 8, rng))
+        elif cfg.kind == "function-table":
             n, l = cfg.n or 8, cfg.l or cfg.n or 8
             table = rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)
             save_function_table(cfg.out, n, l, table)
         else:
-            text = _gen_instance_json(kind, cfg, rng)
-            Path(cfg.out).write_text(text + "\n")
+            attack_kind, descriptor = GEN_TARGETS[cfg.kind]
+            target = attacks.TARGETS[attack_kind]
+            inst = target.draw(target.defaults(cfg), rng)[0]
+            Path(cfg.out).write_text(instance_to_json(descriptor, cfg.seed, inst) + "\n")
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return 0
-
-
-def _gen_instance_json(kind: str, cfg: RunConfig, rng: np.random.Generator) -> str:
-    """Instance descriptors; tables rebuild from the stored seed, so the
-    permutation/family draw happens first, mirroring the loader."""
-    if kind == "em":
-        n = cfg.n or 9
-        inst = EvenMansourInstance(n, random_permutation(n, rng),
-                                   int(rng.integers(1 << n)), int(rng.integers(1 << n)))
-        return instance_to_json("even-mansour", cfg.seed, inst)
-    if kind == "fx":
-        n, m = cfg.n or 6, cfg.m or 3
-        fam = random_cipher_family(m, n, rng)
-        inst = FxInstance(n, m, fam, int(rng.integers(1 << m)),
-                          int(rng.integers(2, 1 << n)), int(rng.integers(1 << n)))
-        return instance_to_json("fx", cfg.seed, inst)
-    if kind == "ifx":
-        n, m = cfg.n or 6, cfg.m or 3
-        fam = random_cipher_family(m, n, rng)
-        inst = IterFxInstance(n, m, fam, int(rng.integers(1 << n)),
-                              int(rng.integers(1 << m)), cfg.rounds)
-        return instance_to_json("iterated-fx", cfg.seed, inst)
-    if kind == "chaskey":
-        n = cfg.n or 8
-        inst = ChaskeyToyInstance(n, random_permutation(n, rng),
-                                  int(rng.integers(1 << n)), int(rng.integers(1 << n)))
-        return instance_to_json("chaskey-toy", cfg.seed, inst)
-    if kind == "beetle":
-        rate, cpty = cfg.rate or 6, cfg.capacity or 4
-        inst = BeetleToyInstance(rate, cpty, random_permutation(rate + cpty, rng),
-                                 int(rng.integers(1 << rate)), int(rng.integers(1 << cpty)))
-        return instance_to_json("beetle-toy", cfg.seed, inst)
-    if kind == "related-key":
-        n = cfg.n or 9
-        u = cfg.u or round(n / 3)
-        fam = random_cipher_family(n, n, rng)
-        key = int(rng.integers(1 << (n - u), 1 << n))
-        oracle = RelatedKeyOracle(fam, key, int(rng.integers(1 << n)))
-        return instance_to_json("related-key", cfg.seed, oracle)
-    raise CliError(f"unknown gen kind {kind!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -428,6 +388,10 @@ def main(argv: list[str] | None = None) -> int:
         "gen": cmd_gen,
     }
     try:
+        for flag in _SIZE_FLAGS:
+            value = getattr(cfg, flag)
+            if value is not None and value < 1:
+                raise CliError(f"--{flag} must be at least 1, got {value}")
         return handlers[cfg.subcommand](cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ seeded on-demand variant that derives each key's permutation lazily).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +228,8 @@ def load_permutation(path: str | Path) -> Permutation:
 
 def save_function_table(path: str | Path, n: int, l: int, table) -> None:
     """Codebook of an n-bit to l-bit function: permutation format plus 'l='."""
+    _check_width(n)
+    _check_width(l, "output width")
     table = np.asarray(table, dtype=np.int64)
     if table.shape != (1 << n,):
         raise ValueError(f"table must have 2^{n} entries")
@@ -269,13 +271,17 @@ def _load_table_file(path: str | Path, expect_l: bool) -> tuple[int, int | None,
 # JSON instance descriptors
 # ---------------------------------------------------------------------------
 
+# Descriptor kind -> (instance class, size fields, key fields). The table
+# object is not stored: it rebuilds from the seed by its field, a `perm` of
+# width n (or rate + capacity) or an (m, n) `family`. A related-key
+# oracle's sizes are its family's.
 _KINDS = {
-    "even-mansour": EvenMansourInstance,
-    "fx": FxInstance,
-    "iterated-fx": IterFxInstance,
-    "chaskey-toy": ChaskeyToyInstance,
-    "beetle-toy": BeetleToyInstance,
-    "related-key": RelatedKeyOracle,
+    "even-mansour": (EvenMansourInstance, ("n",), ("k1", "k2")),
+    "fx": (FxInstance, ("n", "m"), ("k", "k_in", "k_out")),
+    "iterated-fx": (IterFxInstance, ("n", "m", "rounds"), ("k1", "k2")),
+    "chaskey-toy": (ChaskeyToyInstance, ("n",), ("k", "k1")),
+    "beetle-toy": (BeetleToyInstance, ("rate", "capacity"), ("k1", "k2")),
+    "related-key": (RelatedKeyOracle, ("n", "m"), ("k", "msg")),
 }
 
 
@@ -283,57 +289,34 @@ def _hex(v: int) -> str:
     return f"0x{v:x}"
 
 
+def _kind(kind: str) -> tuple[type, tuple[str, ...], tuple[str, ...]]:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    return _KINDS[kind]
+
+
 def instance_to_json(kind: str, seed: int, inst) -> str:
     """Descriptor carrying kind, widths, the seed, and keys in hex.
 
     Tables regenerate from the seed, so descriptors stay small.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown instance kind {kind!r}")
-    doc: dict = {"kind": kind, "seed": seed}
-    if kind == "even-mansour":
-        doc["n"] = inst.n
-        doc["keys"] = {"k1": _hex(inst.k1), "k2": _hex(inst.k2)}
-    elif kind == "fx":
-        doc["n"], doc["m"] = inst.n, inst.m
-        doc["keys"] = {"k": _hex(inst.k), "k_in": _hex(inst.k_in), "k_out": _hex(inst.k_out)}
-    elif kind == "iterated-fx":
-        doc["n"], doc["m"], doc["rounds"] = inst.n, inst.m, inst.rounds
-        doc["keys"] = {"k1": _hex(inst.k1), "k2": _hex(inst.k2)}
-    elif kind == "chaskey-toy":
-        doc["n"] = inst.n
-        doc["keys"] = {"k": _hex(inst.k), "k1": _hex(inst.k1)}
-    elif kind == "beetle-toy":
-        doc["rate"], doc["capacity"] = inst.rate, inst.capacity
-        doc["keys"] = {"k1": _hex(inst.k1), "k2": _hex(inst.k2)}
-    elif kind == "related-key":
-        doc["n"] = inst.family.n
-        doc["m"] = inst.family.m
-        doc["keys"] = {"k": _hex(inst.k), "msg": _hex(inst.msg)}
+    _, sizes, keys = _kind(kind)
+    doc = {f: getattr(inst if hasattr(inst, f) else inst.family, f) for f in sizes}
+    doc.update(kind=kind, seed=seed, keys={k: _hex(getattr(inst, k)) for k in keys})
     return json.dumps(doc, sort_keys=True)
 
 
 def instance_from_json(text: str):
     """Rebuild an instance from its descriptor (deterministic in the seed)."""
     doc = json.loads(text)
-    kind = doc["kind"]
-    seed = doc["seed"]
-    keys = {name: int(v, 16) for name, v in doc.get("keys", {}).items()}
-    rng = np.random.default_rng(seed)
-    if kind == "even-mansour":
-        return EvenMansourInstance(doc["n"], random_permutation(doc["n"], rng), keys["k1"], keys["k2"])
-    if kind == "fx":
-        fam = random_cipher_family(doc["m"], doc["n"], rng)
-        return FxInstance(doc["n"], doc["m"], fam, keys["k"], keys["k_in"], keys["k_out"])
-    if kind == "iterated-fx":
-        fam = random_cipher_family(doc["m"], doc["n"], rng)
-        return IterFxInstance(doc["n"], doc["m"], fam, keys["k1"], keys["k2"], doc["rounds"])
-    if kind == "chaskey-toy":
-        return ChaskeyToyInstance(doc["n"], random_permutation(doc["n"], rng), keys["k"], keys["k1"])
-    if kind == "beetle-toy":
-        width = doc["rate"] + doc["capacity"]
-        return BeetleToyInstance(doc["rate"], doc["capacity"], random_permutation(width, rng), keys["k1"], keys["k2"])
-    if kind == "related-key":
-        fam = random_cipher_family(doc["m"], doc["n"], rng)
-        return RelatedKeyOracle(fam, keys["k"], keys["msg"])
-    raise ValueError(f"unknown instance kind {kind!r}")
+    cls, sizes, keys = _kind(doc["kind"])
+    values = {f: doc[f] for f in sizes}
+    values.update({k: int(doc["keys"][k], 16) for k in keys})
+    rng = np.random.default_rng(doc["seed"])
+    names = [f.name for f in fields(cls)]
+    if "perm" in names:
+        width = doc["n"] if "n" in doc else doc["rate"] + doc["capacity"]
+        values["perm"] = random_permutation(width, rng)
+    else:
+        values["family"] = random_cipher_family(doc["m"], doc["n"], rng)
+    return cls(**{f: values[f] for f in names})

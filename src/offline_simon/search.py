@@ -23,11 +23,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import analysis, gf2, qsim, simon
+from . import analysis, gf2, qaa, qsim, simon
 from .gf2 import batch_rank, rank_of, solve_period
 
 BACKENDS = ("exact-circuit", "structured", "sampled")
-MAX_SIM_N = 20
 Q2_ACQUISITION = "q2-superposition-queries"
 Q1_ACQUISITION = "q1-classical-codebook"
 
@@ -293,8 +292,7 @@ def test(instance: SearchInstance, i: int, copies: int, backend: str = "sampled"
     if backend == "sampled":
         if rng is None:
             raise ValueError("sampled backend needs an rng")
-        draws = simon.sample(table, copies, rng, n)
-        fired = rank_of([w.value for w in draws], n) < n
+        fired = rank_of(simon.sample(table, copies, rng, n), n) < n
         return TestResult(outcome=b ^ (1 if fired else 0), periodic=None, p_bad=None, restoration_distance=None)
     if backend != "exact-circuit":
         raise ValueError(f"unknown backend {backend!r}")
@@ -419,10 +417,7 @@ def _exact_index_distribution(instance: SearchInstance, copies: int, r: int) -> 
         _apply_rank_xor(state, n, copies)
         for k in range(copies):
             qsim.apply_indexed_oracle(state, instance.family, "idx", f"x{k}", f"y{k}")
-        qsim.apply_h(state, "idx")
-        qsim.apply_reflection_about_zero(state, "idx")
-        qsim.apply_h(state, "idx")
-        state.scale(-1.0)
+        qaa.diffusion(state)
     return qsim.marginal(state, "idx")
 
 
@@ -460,8 +455,7 @@ def _recover_period(instance: SearchInstance, i: int, copies: int,
                     rng: np.random.Generator) -> tuple[int | None, int]:
     """Fresh-sample period recovery on the measured branch."""
     table = instance.branch(i)
-    draws = simon.sample(table, copies, rng, instance.n)
-    sol = solve_period([w.value for w in draws], instance.n)
+    sol = solve_period(simon.sample(table, copies, rng, instance.n).tolist(), instance.n)
     period = sol.period if sol.kind == "unique" else None
     return period, copies
 
@@ -471,8 +465,8 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
                  online_counts: tuple[int, int] | None = None) -> tuple[int | None, Report]:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if instance.n > MAX_SIM_N:
-        raise ValueError(f"n must be at most {MAX_SIM_N}")
+    if instance.n > simon.MAX_N:
+        raise ValueError(f"n must be at most {simon.MAX_N}")
     if copies is None:
         copies = analysis.default_copies(instance.m, instance.n)
     scr = instance.screened
@@ -592,8 +586,7 @@ def sim_q1(f, g, c: int, rng: np.random.Generator, n: int | None = None) -> SimQ
     if n is None:
         n = int(f.shape[0]).bit_length() - 1
     table = f ^ g
-    draws = simon.sample(table, c * n, rng, n)
-    sol = solve_period([w.value for w in draws], n)
+    sol = solve_period(simon.sample(table, c * n, rng, n).tolist(), n)
     period = sol.period if sol.kind == "unique" else None
     return SimQ1Result(period=period, rank=sol.rank, classical_online=1 << n, samples=c * n)
 

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analysis
-from .gf2 import BitWord, PeriodSolution, batch_rank, fwht, parity, solve_period
+from .gf2 import PeriodSolution, batch_rank, fwht, parity, solve_period
 
 MAX_N = 20
 # Cells of one block of class indicators in `distribution`: 32 MiB of float64
@@ -84,8 +84,8 @@ def distribution(h, n: int | None = None) -> SimonSampleDistribution:
     return SimonSampleDistribution(n, weights / float(size * size))
 
 
-def sample(h, count: int, rng: np.random.Generator, n: int | None = None) -> list[BitWord]:
-    """count i.i.d. draws of u; conditions on the output value first.
+def sample(h, count: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """count i.i.d. draws of u, as int64; conditions on the output value first.
 
     Only the preimage classes actually hit get a Walsh transform, so widths
     up to 20 bits stay cheap for small sample counts.
@@ -103,7 +103,7 @@ def sample(h, count: int, rng: np.random.Generator, n: int | None = None) -> lis
         law = spectrum * spectrum
         law /= law.sum()
         out[where] = rng.choice(size, size=len(where), p=law)
-    return [BitWord(int(u), n) for u in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ def run(h, c: int, rng: np.random.Generator, n: int | None = None) -> RunResult:
     table, n = _as_table(h, n)
     if c < 1:
         raise ValueError("c must be at least 1")
-    draws = sample(table, c * n, rng, n)
-    sol = solve_period([w.value for w in draws], n)
+    sol = solve_period(sample(table, c * n, rng, n).tolist(), n)
     if sol.kind == "unique":
         return RunResult("period", sol.period, sol.rank, sol)
     if sol.kind == "full-rank":
@@ -163,7 +162,7 @@ def p_bad_estimate(h, c: int, trials: int, rng: np.random.Generator, n: int | No
     return PBadEstimate(
         estimate=est,
         half_width_95=half,
-        analytic_bound=analysis.p_bad_bound(n, count, eps),
+        analytic_bound=analysis.simon_failure_bound(n, count, eps),
         union_bound=analysis.p_bad_union_bound(probs, count),
         eps=eps,
         trials=trials,

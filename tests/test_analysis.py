@@ -60,12 +60,12 @@ def test_p_bad_bound_forms_agree():
     # squared restoration bound equals twice the p_bad bound
     for n, copies, eps in [(4, 8, 0.25), (6, 18, 0.5), (3, 6, 0.125)]:
         delta = analysis.restoration_bound(n, copies, eps)
-        p_bad = analysis.p_bad_bound(n, copies, eps)
+        p_bad = analysis.simon_failure_bound(n, copies, eps)
         assert delta**2 == pytest.approx(2 * p_bad, rel=1e-12)
 
 
 def test_p_bad_bound_monotone_in_copies():
-    values = [analysis.p_bad_bound(6, c, 0.25) for c in range(6, 30, 6)]
+    values = [analysis.simon_failure_bound(6, c, 0.25) for c in range(6, 30, 6)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 

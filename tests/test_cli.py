@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -8,11 +9,14 @@ from collections import Counter
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from offline_simon import attacks, cli, primitives, search, simon
 from offline_simon.primitives import (
+    BlockCipherFamily,
     EvenMansourInstance,
+    Permutation,
     instance_from_json,
     load_permutation,
 )
@@ -169,6 +173,97 @@ def test_gen_instance_roundtrip(tmp_path):
     assert sorted(inst.perm.table.tolist()) == list(range(128))
 
 
+def test_gen_rejects_function_table_its_loader_rejects(tmp_path, capsys):
+    out = tmp_path / "fn.txt"
+    assert run_cli(["gen", "function-table", "--n", "4", "--l", "30", "--out", str(out)]) == 2
+    assert "output width must be in [1, 24]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "em-q1", "--n", "0"],
+    ["attack", "em-q1", "--u", "0"],
+    ["attack", "em-q1", "--c", "0"],
+    ["attack", "em-q1", "--c", "-1"],
+    ["attack", "fx-q2", "--m", "0"],
+    ["attack", "beetle", "--rate", "0"],
+    ["attack", "beetle", "--capacity", "0"],
+    ["attack", "slide-ifx", "--rounds", "0"],
+    ["gen", "em", "--n", "0"],
+    ["gen", "function-table", "--l", "0"],
+    ["gen", "related-key", "--u", "-2"],
+    ["gen", "ifx", "--rounds", "0"],
+    ["verify-bounds", "--n", "0"],
+    ["verify-bounds", "--c", "0"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_size_flags_below_one_are_rejected(tmp_path, capsys, monkeypatch, argv):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_attack_trial", no_trial)
+    out = tmp_path / "out"
+    flag, value = argv[-2:]
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert f"error: {flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# SHA-256 of `gen <kind> --seed 5 [sizes]` output, recorded before `gen`
+# drew its instances through `attacks.TARGETS`. Only `gen fx` with no size
+# flags was re-recorded then: it takes fx-q2's default n=4 (it was n=6;
+# `gen fx --n 6` keeps the old digest).
+GOLDEN_GEN_DIGESTS = {
+    ("em",): "b4b2492e21c5ae4e84768c6c911927eda041f4c38b0a46f49d65d2adac381783",
+    ("em", "--n", "7"): "cbdff8d5fab4f047f138275d27b795ea78551d011c8abb5f3e806e4a0f453f63",
+    ("fx",): "ee8cec88c26c81fc053a00626b7d94eb0cf218ca431bc615b5dac2e49405e3b4",
+    ("fx", "--n", "6"): "b7545271f7c5dd67f630e45e815c929c3e709576c7a6390566c5d824c5a8c481",
+    ("fx", "--n", "5", "--m", "2"):
+        "4ad809ae1708f196ae46f20c3edacf3cb20182b5bc9692d6dbbbcf5c8e0574e3",
+    ("ifx",): "d8eea4f6a67fb0b0359efe96d37a9d2a16147fa77493771dd5983b1d74569d4c",
+    ("ifx", "--n", "5", "--m", "2", "--rounds", "4"):
+        "78fb4bd15e1d7639b4ded1669424adf4b4f16e6e18c9a1f080ee6701e5e425af",
+    ("chaskey",): "9a007ebc3a9584c91cdd94ad18b7e75b464244655c1eb614920b1e7e0247e7a6",
+    ("chaskey", "--n", "6"): "67e8773e34e9184382192ed2a174e3ae3181d24772e5fb6037c86070e1920894",
+    ("beetle",): "bc71c8b13adef7f4a01a0be0dde0520dff55df5811fa9cd15b65ce3a07a2e786",
+    ("beetle", "--rate", "5", "--capacity", "3"):
+        "480ad5350311391708a83379968723d5c1a9c396923887038dfdb6fceb3302b8",
+    ("related-key",): "e2739f2ce6ba7c24b8e76c515097810ef766ee380986bf807fdd5d7a6f2b12ed",
+    ("related-key", "--n", "6", "--u", "2"):
+        "9dd1a192288584ffb7c16d181c27a71adc8ed6647a96d3c651fc33b600af8f70",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_GEN_DIGESTS),
+                         ids=lambda args: "_".join(args).replace("--", ""))
+def test_gen_golden_instance(tmp_path, args):
+    out = tmp_path / "inst.json"
+    assert run_cli(["gen", *args, "--seed", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GEN_DIGESTS[args]
+
+
+def _tables(value):
+    """A permutation's or a cipher family's full table, else the value."""
+    if isinstance(value, Permutation):
+        return value.table
+    if isinstance(value, BlockCipherFamily):
+        return np.stack([value.key_table(k) for k in range(1 << value.m)])
+    return value
+
+
+@pytest.mark.parametrize("kind", sorted(cli.GEN_TARGETS))
+def test_gen_file_loads_to_the_drawn_instance(tmp_path, kind):
+    out = tmp_path / "inst.json"
+    assert run_cli(["gen", kind, "--seed", "5", "--out", str(out)]) == 0
+    target = attacks.TARGETS[cli.GEN_TARGETS[kind][0]]
+    drawn = target.draw(target.defaults(cli.RunConfig("gen", kind)),
+                        np.random.default_rng(5))[0]
+    loaded = instance_from_json(out.read_text())
+    assert type(loaded) is type(drawn)
+    for field in dataclasses.fields(drawn):
+        want, got = _tables(getattr(drawn, field.name)), _tables(getattr(loaded, field.name))
+        assert np.array_equal(got, want), field.name
+
+
 def test_gen_rejects_oversized(capsys):
     assert run_cli(["gen", "permutation", "--n", "40", "--out", "/tmp/nope.txt"]) == 2
     capsys.readouterr()
@@ -264,8 +359,7 @@ def test_exact_capacity_counts_fx_q2_copies_per_block_bit(capsys, monkeypatch):
         raise AssertionError("an instance was drawn")
 
     monkeypatch.delenv("OFFLINE_SIMON_QUBIT_CAP", raising=False)
-    for owner in (primitives, cli):
-        monkeypatch.setattr(owner, "random_cipher_family", no_draw)
+    monkeypatch.setattr(primitives, "random_cipher_family", no_draw)
     assert run_cli(["attack", "fx-q2", "--backend", "exact-circuit", "--c", "1"]) == 2
     assert "needs 32 qubits" in capsys.readouterr().err
 

@@ -140,6 +140,14 @@ def test_function_table_roundtrip(tmp_path):
         save_function_table(tmp_path / "bad.txt", 5, 2, table)
 
 
+@pytest.mark.parametrize("n,l", [(0, 3), (25, 3), (4, 0), (4, 30)])
+def test_save_function_table_checks_widths_like_its_loader(tmp_path, n, l):
+    path = tmp_path / "fn.txt"
+    with pytest.raises(ValueError, match="must be in"):
+        save_function_table(path, n, l, np.zeros(16, dtype=np.int64))
+    assert not path.exists()
+
+
 def test_function_table_rejects_truncated(tmp_path):
     path = tmp_path / "trunc.txt"
     path.write_text("n=3\nl=3\n1 2 3\n")
