@@ -91,10 +91,7 @@ def default_copies(m: int, dim: int) -> int:
     The floor keeps the per-branch union bound near 2^-7 so that toy-sized
     runs retain a comfortable success margin.
     """
-    return max(
-        math.ceil(m / LOG2_4_3) if m > 0 else 1,
-        math.ceil((dim + 7) / LOG2_4_3),
-    )
+    return max(query_count(m) if m > 0 else 1, query_count(dim + 7))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +158,7 @@ def c_rounded(m: int, n: int) -> float:
 
 def c_precise(m: int, n: int) -> float:
     """Integer-query form: ceil(m / log2(4/3)) / n."""
-    return math.ceil(m / LOG2_4_3) / n
+    return query_count(m) / n
 
 
 def c_paper(m: int, n: int) -> float:

@@ -21,7 +21,6 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import analysis, primitives, search, simon
-from .gf2 import solve_period
 from .primitives import (
     BeetleToyInstance,
     ChaskeyToyInstance,
@@ -110,19 +109,6 @@ def _screen_or_raise(instance: search.SearchInstance, target: str,
         if not (allow_constant_branch and len(periods) == full):
             raise DegenerateInstanceError(f"{target}: planted period is zero")
     return scr
-
-
-def _period_candidates(table, dim: int, copies: int,
-                       rng: np.random.Generator) -> tuple[list[int], int]:
-    """Sample the measured branch and list the consistent periods (zero
-    included, for targets where the honest answer can be the constant
-    branch). Returns (candidates, samples spent)."""
-    sol = solve_period(simon.sample(table, copies, rng, dim).tolist(), dim)
-    if sol.kind == "unique":
-        return [sol.period, 0], copies
-    if sol.kind == "full-rank":
-        return [0], copies
-    return list(sol.candidates) + [0], copies
 
 
 def _tradeoff_identity(d_log2: int, grover_bits: int, target_log2: int) -> dict:
@@ -292,7 +278,10 @@ def run_attack(target: Target, inst, u: int | None, c: int | None,
     copies = target.copies(c, n, m, l)
     find = search.alg_poly_q2 if target.quantum_queries else search.alg_exp_q1
     i_hat, rep = find(s_inst, copies, backend, rng, online_counts=target.online_counts(cut))
-    candidates, t_extra = _period_candidates(s_inst.branch(i_hat), n, copies, rng)
+    # zero is always a candidate: for some targets the honest answer is
+    # the constant branch
+    candidates = [*simon.recover(s_inst.branch(i_hat), copies, rng, n).candidates, 0]
+    t_extra = copies
     keys = None
     for proposal in (k for period in candidates for k in target.assemble(cut, i_hat, period)):
         t_extra += target.check_cost(cut)
@@ -619,7 +608,7 @@ def beetle_search_instance(inst: BeetleToyInstance, k: int) -> search.SearchInst
     if not 1 <= k <= rate:
         raise ValueError("need 1 <= k <= rate")
     hi = rate - k
-    g = np.array([beetle_init(inst, x).value for x in range(1 << k)], dtype=np.int64)
+    g = np.array([beetle_init(inst, x) for x in range(1 << k)], dtype=np.int64)
     width = rate + cpty
     family = np.empty((1 << (hi + cpty), 1 << k), dtype=np.int64)
     for a in range(1 << hi):
@@ -634,10 +623,6 @@ def beetle_search_instance(inst: BeetleToyInstance, k: int) -> search.SearchInst
     )
     _screen_or_raise(instance, "beetle", allow_constant_branch=True)
     return instance
-
-
-def _beetle_state(inst: BeetleToyInstance, nonce: int) -> int:
-    return beetle_init(inst, nonce).value
 
 
 def _beetle_shape(p: dict) -> Shape:
@@ -665,9 +650,9 @@ BEETLE = Target(
         p["u"]),
     carve=lambda inst, k, _: beetle_search_instance(inst, k),
     assemble=_beetle_assemble,
-    consistent=lambda cut, keys: _window_reproduced(cut, keys, _beetle_state, 0),
+    consistent=lambda cut, keys: _window_reproduced(cut, keys, beetle_init, 0),
     check_cost=lambda cut: 1 << cut.s_inst.n,
-    verify=lambda inst, keys, rng: _agrees(inst, keys, _beetle_state, range(1 << inst.rate)),
+    verify=lambda inst, keys, rng: _agrees(inst, keys, beetle_init, range(1 << inst.rate)),
 )
 
 

@@ -228,15 +228,14 @@ def cmd_verify_bounds(cfg: RunConfig) -> int:
     n_run, c_run = (cfg.n or 8), (cfg.c or 3)
     lower = analysis.simon_success_lower(n_run, c_run * n_run)
     flags = []
-    if c_run * n_run < math.ceil(n_run / analysis.LOG2_4_3):
+    if c_run * n_run < analysis.query_count(n_run):
         flags.append("c-too-small")
     hits = 0
     runs = max(50, min(cfg.trials, 500))
     for i in range(runs):
         period = int(rng.integers(1, 1 << n_run))
         table = simon.random_periodic_function(n_run, n_run, period, rng)
-        res = simon.run(table, c_run, rng, n_run)
-        hits += res.kind == "period" and res.period == period
+        hits += simon.recover(table, c_run * n_run, rng, n_run).period == period
     rate = hits / runs
     sigma = math.sqrt(max(lower * (1 - lower), 1e-12) / runs) if lower > 0 else 0.0
     checks.append({
@@ -303,6 +302,9 @@ def cmd_gen(cfg: RunConfig) -> int:
             save_permutation(cfg.out, primitives.random_permutation(cfg.n or 8, rng))
         elif cfg.kind == "function-table":
             n, l = cfg.n or 8, cfg.l or cfg.n or 8
+            # the loader's width rule, checked before 2^n values are drawn
+            primitives._check_width(n)
+            primitives._check_width(l, "output width")
             table = rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)
             save_function_table(cfg.out, n, l, table)
         else:
@@ -325,23 +327,23 @@ def _emit(text: str, out: str | None) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="offline-simon",
                                      description=__doc__.splitlines()[0])
+    # Subcommands take no abbreviations, so that a flag one does not read
+    # cannot resolve to one it does (`gen --c` to `--capacity`).
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, backend=False):
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--l", type=int)
-        sp.add_argument("--u", type=int)
-        sp.add_argument("--c", type=int)
+    def common(sp, sizes):
+        """The size flags the subcommand reads, plus --seed and --out."""
+        for size in sizes:
+            sp.add_argument(f"--{size}", type=int)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out")
-        if backend:
-            sp.add_argument("--backend", choices=("sampled", "exact-circuit",
-                                                  "structured"), default="sampled")
 
-    sp = sub.add_parser("attack", help="run one attack over seeded trials")
+    sp = sub.add_parser("attack", help="run one attack over seeded trials",
+                        allow_abbrev=False)
     sp.add_argument("kind", choices=ATTACK_KINDS)
-    common(sp, backend=True)
+    common(sp, ("n", "m", "u", "c"))
+    sp.add_argument("--backend", choices=("sampled", "exact-circuit", "structured"),
+                    default="sampled")
     sp.add_argument("--rate", type=int)
     sp.add_argument("--capacity", type=int)
     sp.add_argument("--rounds", type=int, default=3)
@@ -349,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
-    sp = sub.add_parser("estimate", help="cost tables for standard targets")
+    sp = sub.add_parser("estimate", help="cost tables for standard targets",
+                        allow_abbrev=False)
     sp.add_argument("--preset", choices=attacks.ESTIMATE_PRESETS)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
@@ -358,13 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
                     default="text")
     sp.add_argument("--out")
 
-    sp = sub.add_parser("verify-bounds", help="statistical bound suites")
-    common(sp)
+    sp = sub.add_parser("verify-bounds", help="statistical bound suites",
+                        allow_abbrev=False)
+    common(sp, ("n", "c"))
     sp.add_argument("--trials", type=int, default=2000)
 
-    sp = sub.add_parser("gen", help="write seeded permutation/instance files")
+    sp = sub.add_parser("gen", help="write seeded permutation/instance files",
+                        allow_abbrev=False)
     sp.add_argument("kind", choices=GEN_KINDS)
-    common(sp)
+    common(sp, ("n", "m", "l", "u"))
     sp.add_argument("--rate", type=int)
     sp.add_argument("--capacity", type=int)
     sp.add_argument("--rounds", type=int, default=3)

@@ -1,10 +1,9 @@
 """GF(2) words, incremental row echelon bases, period solving, batched rank
 tests, and the Walsh-Hadamard transform.
 
-Words are plain python ints carrying their width explicitly (``BitWord``)
-or implicitly (most internal call sites). Widths are capped at 24 bits:
-everything here is meant for desk-scale experiments where 2^n tables are
-materialized.
+Words are plain python ints (or integer arrays) whose width the caller
+passes alongside. Widths are capped at 24 bits: everything here is meant
+for desk-scale experiments where 2^n tables are materialized.
 
 ``Gf2Basis`` keeps a basis and is what period solving needs; a caller that
 only asks for ranks hands all its rows to ``batch_rank`` at once, which
@@ -28,33 +27,6 @@ _RANK_BLOCK_CELLS = 1 << 16
 def _check_width(width: int) -> None:
     if not 1 <= width <= MAX_WIDTH:
         raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {width}")
-
-
-@dataclass(frozen=True)
-class BitWord:
-    """An unsigned value of a fixed bit width."""
-
-    value: int
-    width: int
-
-    def __post_init__(self) -> None:
-        _check_width(self.width)
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} does not fit in {self.width} bits")
-
-    def __xor__(self, other: "BitWord") -> "BitWord":
-        if other.width != self.width:
-            raise ValueError("width mismatch")
-        return BitWord(self.value ^ other.value, self.width)
-
-    def bit(self, i: int) -> int:
-        return (self.value >> i) & 1
-
-    def hex(self) -> str:
-        return f"0x{self.value:0{(self.width + 3) // 4}x}"
-
-    def bits(self) -> str:
-        return format(self.value, f"0{self.width}b")
 
 
 def parity(x: int) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gf2 import MAX_WIDTH, BitWord
+from .gf2 import MAX_WIDTH
 
 FULL_TABLE_KEY_LIMIT = 12
 
@@ -189,11 +189,11 @@ class BeetleToyInstance:
     k2: int
 
 
-def beetle_init(inst: BeetleToyInstance, nonce: int) -> BitWord:
+def beetle_init(inst: BeetleToyInstance, nonce: int) -> int:
     if not 0 <= nonce < (1 << inst.rate):
         raise ValueError("nonce wider than the rate")
     state = ((inst.k1 ^ nonce) << inst.capacity) | inst.k2
-    return BitWord(inst.perm(state), inst.rate + inst.capacity)
+    return inst.perm(state)
 
 
 @dataclass

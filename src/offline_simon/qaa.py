@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, qsim
-from .gf2 import BitWord
 
 _FLOOR_GUARD = 1e-9
 
@@ -81,11 +80,9 @@ def noisy_prediction(a: float, eps: float) -> NoisyQaaPrediction:
 # ---------------------------------------------------------------------------
 
 
-def _marked_set(m: int, marked) -> set[int]:
+def _marked_set(marked) -> set[int]:
     if isinstance(marked, (int, np.integer)):
         return {int(marked)}
-    if callable(marked):
-        return {v for v in range(1 << m) if marked(v)}
     return {int(v) for v in marked}
 
 
@@ -99,7 +96,7 @@ def diffusion(state: qsim.QState, register: str = "idx") -> qsim.QState:
 
 def grover_state(m: int, marked, j: int) -> qsim.QState:
     """Exact state after j iterations on the index register alone."""
-    targets = _marked_set(m, marked)
+    targets = _marked_set(marked)
     state = qsim.init_zero(qsim.RegisterLayout(("idx", m)))
     qsim.apply_h(state, "idx")
     for _ in range(j):
@@ -110,7 +107,7 @@ def grover_state(m: int, marked, j: int) -> qsim.QState:
 
 @dataclass(frozen=True)
 class GroverRun:
-    outcome: BitWord
+    outcome: int
     success: float
     spec: QaaSpec
     unknown_count_heuristic: bool
@@ -119,12 +116,11 @@ class GroverRun:
 def build_and_run_grover(m: int, check, rng: np.random.Generator, r: int | None = None) -> GroverRun:
     """Amplify, measure the index register once, report the exact success.
 
-    check is a marked value, a collection, or a predicate callable. When the
-    marked count cannot be taken from the check (a predicate with no
-    enumerable set would hide it, and an empty set gives a = 0), r falls
-    back to the single-target default and the run is flagged.
+    check is a marked value or a collection of values. When the check
+    marks nothing (a = 0), r falls back to the single-target default and
+    the run is flagged.
     """
-    targets = _marked_set(m, check)
+    targets = _marked_set(check)
     heuristic = False
     if targets:
         spec = spec_for(len(targets) / float(1 << m), r)
@@ -159,7 +155,7 @@ def noisy_check_bit(state: qsim.QState, marked, beta: float) -> qsim.QState:
     ancilla branches, so the doubled budget is a bound the tests verify,
     not a value they can saturate.)"""
     m = state.layout.width("idx")
-    targets = _marked_set(m, marked)
+    targets = _marked_set(marked)
     indicator = np.array([1 if v in targets else 0 for v in range(1 << m)])
     qsim.apply_oracle_xor(state, indicator, "idx", "b")
     if beta != 0.0:
@@ -180,7 +176,7 @@ def phase_flip_check(state: qsim.QState, marked, beta: float) -> qsim.QState:
 def run_grover_noisy(m: int, marked, beta: float, j: int) -> float:
     """Success probability after j iterations with the noisy check inside
     the phase-flip sandwich; compare against ideal_success +- 4 j eps."""
-    targets = _marked_set(m, marked)
+    targets = _marked_set(marked)
     layout = qsim.RegisterLayout(("idx", m), ("b", 1), ("noise", 1))
     state = qsim.init_zero(layout)
     qsim.apply_h(state, "idx")

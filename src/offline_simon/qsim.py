@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitWord, fwht
+from .gf2 import fwht
 
 DEFAULT_QUBIT_CAP = 26
 CAP_ENV_VAR = "OFFLINE_SIMON_QUBIT_CAP"
@@ -127,21 +127,12 @@ def _packed_inputs(state: QState, in_regs: tuple[str, ...]) -> np.ndarray:
     return packed
 
 
-def _evaluate(f, packed: np.ndarray) -> np.ndarray:
-    if callable(f):
-        unique, inverse = np.unique(packed, return_inverse=True)
-        values = np.array([f(int(v)) for v in unique], dtype=np.int64)
-        return values[inverse]
-    table = np.asarray(f, dtype=np.int64)
-    return table[packed]
-
-
 def apply_oracle_xor(state: QState, f, in_reg, out_reg: str) -> QState:
     """Basis map |x>|y> -> |x>|y ^ f(x)>.
 
     in_reg may be one register name or a sequence of names; multi-register
-    inputs concatenate with the first name most significant. f is either the
-    full truth table (array of ints) or a callable on packed input values.
+    inputs concatenate with the first name most significant. f is the full
+    truth table (array of ints) over the packed input values.
     """
     in_regs = (in_reg,) if isinstance(in_reg, str) else tuple(in_reg)
     if out_reg in in_regs:
@@ -149,7 +140,7 @@ def apply_oracle_xor(state: QState, f, in_reg, out_reg: str) -> QState:
     out_width = state.layout.width(out_reg)
     out_shift = state.layout.shift(out_reg)
     packed = _packed_inputs(state, in_regs)
-    outs = _evaluate(f, packed)
+    outs = np.asarray(f, dtype=np.int64)[packed]
     if outs.min() < 0 or outs.max() >= (1 << out_width):
         raise ValueError(f"oracle output exceeds register width {out_width}")
     idx = np.arange(len(state.psi), dtype=np.int64)
@@ -160,27 +151,16 @@ def apply_oracle_xor(state: QState, f, in_reg, out_reg: str) -> QState:
 def apply_indexed_oracle(state: QState, family, idx_reg: str, in_reg: str, out_reg: str) -> QState:
     """Basis map |i>|x>|y> -> |i>|x>|y ^ F(i, x)>.
 
-    family is a 2D table indexed [i][x] or a callable F(i, x).
+    family is a 2D table indexed [i][x].
     """
-    if callable(family):
-        in_width = state.layout.width(in_reg)
-        mask = (1 << in_width) - 1
-        packed_f = lambda v: family(v >> in_width, v & mask)
-        return apply_oracle_xor(state, packed_f, (idx_reg, in_reg), out_reg)
-    table = np.asarray(family, dtype=np.int64)
-    flat = table.reshape(-1)
+    flat = np.asarray(family, dtype=np.int64).reshape(-1)
     return apply_oracle_xor(state, flat, (idx_reg, in_reg), out_reg)
 
 
 def _selector(width: int, predicate) -> np.ndarray:
-    size = 1 << width
     if isinstance(predicate, (int, np.integer)):
-        sel = np.zeros(size, dtype=bool)
-        sel[int(predicate)] = True
-        return sel
-    if callable(predicate):
-        return np.array([bool(predicate(v)) for v in range(size)])
-    sel = np.zeros(size, dtype=bool)
+        predicate = (predicate,)
+    sel = np.zeros(1 << width, dtype=bool)
     for v in predicate:
         sel[int(v)] = True
     return sel
@@ -189,9 +169,9 @@ def _selector(width: int, predicate) -> np.ndarray:
 def apply_phase_if(state: QState, register: str, predicate) -> QState:
     """Phase -1 on basis states whose register value matches the predicate.
 
-    The predicate is a value, a collection of values, or a callable on the
-    register value; multi-register conditions are built by computing a flag
-    into an ancilla, phasing on it, and uncomputing.
+    The predicate is a value or a collection of values; multi-register
+    conditions are built by computing a flag into an ancilla, phasing on
+    it, and uncomputing.
     """
     sel = _selector(state.layout.width(register), predicate)
     view = _axis_view(state, register)
@@ -246,7 +226,7 @@ def prob_of(state: QState, register: str, value: int) -> float:
     return float(marginal(state, register)[value])
 
 
-def measure(state: QState, register: str, rng: np.random.Generator) -> tuple[BitWord, QState]:
+def measure(state: QState, register: str, rng: np.random.Generator) -> tuple[int, QState]:
     """Sample the register, collapse, renormalize."""
     probs = marginal(state, register)
     total = probs.sum()
@@ -258,7 +238,7 @@ def measure(state: QState, register: str, rng: np.random.Generator) -> tuple[Bit
     collapsed = np.zeros_like(view)
     collapsed[:, outcome, :] = keep / math.sqrt(probs[outcome])
     state.psi = collapsed.reshape(-1)
-    return BitWord(outcome, state.layout.width(register)), state
+    return outcome, state
 
 
 def sample_register(state: QState, register: str, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import analysis, gf2, qaa, qsim, simon
-from .gf2 import batch_rank, rank_of, solve_period
+from .gf2 import batch_rank, rank_of
 
 BACKENDS = ("exact-circuit", "structured", "sampled")
 Q2_ACQUISITION = "q2-superposition-queries"
@@ -300,7 +300,7 @@ def test(instance: SearchInstance, i: int, copies: int, backend: str = "sampled"
         raise ValueError("exact backend needs an rng")
     state, restoration = _exact_check(table, n, l, copies, b)
     outcome, _ = qsim.measure(state, "b", rng)
-    return TestResult(outcome=outcome.value, periodic=None, p_bad=None, restoration_distance=restoration)
+    return TestResult(outcome=outcome, periodic=None, p_bad=None, restoration_distance=restoration)
 
 
 def _exact_check(table, n: int, l: int, copies: int, b: int = 0) -> tuple[qsim.QState, float]:
@@ -327,7 +327,7 @@ def _flags(m: int, copies: int, scr: ScreenResult) -> list[str]:
     """Run warnings: too few copies for the index width, or more than one
     periodic branch."""
     flags = []
-    if m > 0 and copies < math.ceil(m / analysis.LOG2_4_3):
+    if m > 0 and copies < analysis.query_count(m):
         flags.append("c-too-small")
     if scr.multi_marked:
         flags.append("multi-marked")
@@ -386,9 +386,8 @@ def structured_predict(instance: SearchInstance, copies: int,
             stats.append(BranchStat(i, True, float(scr.branch_eps[i]), None, None))
             continue
         union = analysis.p_bad_union_bound(law.collisions, copies)
-        draws = rng.choice(1 << instance.n, size=(trials, copies), p=law.weights)
-        bad = int((batch_rank(draws, instance.n) < instance.n).sum())
-        stats.append(BranchStat(i, False, float(scr.branch_eps[i]), bad / trials, union))
+        p_bad_mc = simon._p_bad_mc(law, copies, trials, rng)
+        stats.append(BranchStat(i, False, float(scr.branch_eps[i]), p_bad_mc, union))
     return StructuredPrediction(
         budget=budget,
         branches=tuple(stats),
@@ -451,15 +450,6 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
     return int(rng.choice(size, p=probs))
 
 
-def _recover_period(instance: SearchInstance, i: int, copies: int,
-                    rng: np.random.Generator) -> tuple[int | None, int]:
-    """Fresh-sample period recovery on the measured branch."""
-    table = instance.branch(i)
-    sol = solve_period(simon.sample(table, copies, rng, instance.n).tolist(), instance.n)
-    period = sol.period if sol.kind == "unique" else None
-    return period, copies
-
-
 def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
                  rng: np.random.Generator, acquisition: str, shots: int,
                  online_counts: tuple[int, int] | None = None) -> tuple[int | None, Report]:
@@ -469,6 +459,8 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
         raise ValueError(f"n must be at most {simon.MAX_N}")
     if copies is None:
         copies = analysis.default_copies(instance.m, instance.n)
+    if copies < 1:
+        raise ValueError("copies must be at least 1")
     scr = instance.screened
     budget = error_budget(instance.n, instance.m, copies, scr.eps)
     # Both acquisitions yield the same offline database (the codebook fixes
@@ -510,15 +502,13 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
             _sampled_index_shot(instance, copies, budget.r, rng) for _ in range(shots)
         ])
 
-    recovery_total = 0
     first_index = int(outcomes[0])
     first_recovered: dict | None = None
     first_correct: bool | None = None
     hits = 0
     for shot, i_hat in enumerate(outcomes):
         i_hat = int(i_hat)
-        period, spent = _recover_period(instance, i_hat, copies, rng)
-        recovery_total += spent
+        period = simon.recover(instance.branch(i_hat), copies, rng, instance.n).period
         if instance.planted_index is not None and i_hat == instance.planted_index:
             hits += 1
         if shot == 0:
@@ -538,7 +528,7 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
         recovered=first_recovered, correct=first_correct,
         condition_violated=scr.condition_violated, flags=flags,
         acquisition=acquisition, measured_index=first_index,
-        recovery_queries=recovery_total, shots=shots, success_rate=success_rate,
+        recovery_queries=copies * shots, shots=shots, success_rate=success_rate,
     )
     return first_index, report
 
@@ -568,27 +558,6 @@ def alg_exp_q1(instance: SearchInstance, copies: int | None = None,
     if rng is None:
         rng = np.random.default_rng(0)
     return _run_offline(instance, copies, backend, rng, Q1_ACQUISITION, shots, online_counts)
-
-
-@dataclass(frozen=True)
-class SimQ1Result:
-    period: int | None
-    rank: int
-    classical_online: int
-    samples: int
-
-
-def sim_q1(f, g, c: int, rng: np.random.Generator, n: int | None = None) -> SimQ1Result:
-    """Plain Q1 period finding on f xor g: collect the codebook, draw c*n
-    samples, and accept only a clean rank-(n-1) solution."""
-    f = np.asarray(f, dtype=np.int64)
-    g = np.asarray(g, dtype=np.int64)
-    if n is None:
-        n = int(f.shape[0]).bit_length() - 1
-    table = f ^ g
-    sol = solve_period(simon.sample(table, c * n, rng, n).tolist(), n)
-    period = sol.period if sol.kind == "unique" else None
-    return SimQ1Result(period=period, rank=sol.rank, classical_online=1 << n, samples=c * n)
 
 
 def random_instance(n: int, m: int, l: int, rng: np.random.Generator,

@@ -106,28 +106,20 @@ def sample(h, count: int, rng: np.random.Generator, n: int | None = None) -> np.
     return out
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Outcome of a full period-recovery run."""
-
-    kind: str  # "period" | "no-period" | "ambiguous"
-    period: int | None
-    rank: int
-    solution: PeriodSolution
-
-
-def run(h, c: int, rng: np.random.Generator, n: int | None = None) -> RunResult:
-    """Draw c*n samples and solve: rank n-1 gives the period, n gives
-    no-period, anything lower is surfaced as ambiguous."""
+def recover(h, count: int, rng: np.random.Generator, n: int | None = None) -> PeriodSolution:
+    """Draw count samples of u and solve u.s = 0 for the period."""
     table, n = _as_table(h, n)
-    if c < 1:
-        raise ValueError("c must be at least 1")
-    sol = solve_period(sample(table, c * n, rng, n).tolist(), n)
-    if sol.kind == "unique":
-        return RunResult("period", sol.period, sol.rank, sol)
-    if sol.kind == "full-rank":
-        return RunResult("no-period", None, sol.rank, sol)
-    return RunResult("ambiguous", None, sol.rank, sol)
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    return solve_period(sample(table, count, rng, n).tolist(), n)
+
+
+def _p_bad_mc(law: SimonSampleDistribution, count: int, trials: int,
+              rng: np.random.Generator) -> float:
+    """Share of `trials` draws of count words from the law that do not
+    span F_2^n (the rank test's false-positive rate, by Monte Carlo)."""
+    draws = rng.choice(1 << law.n, size=(trials, count), p=law.weights)
+    return int((batch_rank(draws, law.n) < law.n).sum()) / trials
 
 
 @dataclass(frozen=True)
@@ -153,9 +145,7 @@ def p_bad_estimate(h, c: int, trials: int, rng: np.random.Generator, n: int | No
     if dist.periods:
         raise ValueError("h is periodic; p_bad is defined for aperiodic h")
     count = c * n
-    draws = rng.choice(1 << n, size=(trials, count), p=dist.weights)
-    bad = int((batch_rank(draws, n) < n).sum())
-    est = bad / trials
+    est = _p_bad_mc(dist, count, trials, rng)
     half = 1.96 * math.sqrt(max(est * (1.0 - est), 1e-12) / trials)
     probs = dist.collisions
     eps = float(probs[1:].max()) if len(probs) > 1 else 0.0

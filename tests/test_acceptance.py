@@ -123,10 +123,11 @@ def test_period_recovery_rate_floor():
         probs = analysis.collision_probabilities(table, n)
         off = np.delete(probs, [0, s])
         assert float(off.max()) <= 0.5
-        res = simon.run(table, c, rng, n)
-        hits_run += res.kind == "period" and res.period == s
+        res = simon.recover(table, c * n, rng, n)
+        hits_run += res.kind == "unique" and res.period == s
         g = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
-        q1 = search.sim_q1(table ^ g, g, c, rng, n)
+        f = table ^ g
+        q1 = simon.recover(f ^ g, c * n, rng, n)
         hits_sim += q1.period == s
     sigma = math.sqrt(bound * (1 - bound) / runs)
     floor = bound - 3 * sigma

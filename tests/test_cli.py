@@ -264,6 +264,40 @@ def test_gen_file_loads_to_the_drawn_instance(tmp_path, kind):
         assert np.array_equal(got, want), field.name
 
 
+@pytest.mark.parametrize("n, l, what", [("25", "3", "width"), ("4", "25", "output width")])
+def test_gen_function_table_checks_widths_before_drawing(tmp_path, capsys, monkeypatch,
+                                                         n, l, what):
+    class NoDraw:
+        def integers(self, *args, **kwargs):
+            raise AssertionError("the table was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraw())
+    out = tmp_path / "fn.txt"
+    assert run_cli(["gen", "function-table", "--n", n, "--l", l, "--out", str(out)]) == 2
+    assert f"error: {what} must be in [1, 24], got 25" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "em-q1", "--l", "5"],
+    ["verify-bounds", "--m", "3"],
+    ["verify-bounds", "--l", "3"],
+    ["verify-bounds", "--u", "3"],
+    ["gen", "em", "--c", "3"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_flags_the_subcommand_never_reads_are_rejected(tmp_path, capsys, monkeypatch, argv):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_attack_trial", no_trial)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_rejects_oversized(capsys):
     assert run_cli(["gen", "permutation", "--n", "40", "--out", "/tmp/nope.txt"]) == 2
     capsys.readouterr()

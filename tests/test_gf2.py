@@ -5,7 +5,6 @@ import hypothesis.strategies as st
 
 from offline_simon.gf2 import (
     MAX_WIDTH,
-    BitWord,
     Gf2Basis,
     batch_rank,
     fwht,
@@ -25,15 +24,6 @@ def brute_rank(vectors, n):
         rank += 1
         rows = [r ^ pivot if (r >> bit) & 1 else r for r in rows if r != pivot]
     return rank
-
-
-def test_bitword_validates_width():
-    w = BitWord(5, 3)
-    assert w.value == 5 and w.width == 3
-    with pytest.raises(ValueError):
-        BitWord(8, 3)
-    with pytest.raises(ValueError):
-        BitWord(0, 0)
 
 
 st_dim = st.integers(min_value=1, max_value=10)
@@ -155,6 +145,7 @@ def test_solve_period_full_rank():
     sol = solve_period([0b001, 0b010, 0b100], 3)
     assert sol.kind == "full-rank"
     assert sol.period is None
+    assert sol.candidates == ()
 
 
 def test_solve_period_ambiguous_enumerates():

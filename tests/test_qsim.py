@@ -82,7 +82,9 @@ def test_oracle_xor_multi_register_inputs():
     qsim.apply_x(state, "x0", mask=0b10)
     qsim.apply_x(state, "x1", mask=0b11)
     # packed input is x0 * 4 + x1 = 0b1011
-    qsim.apply_oracle_xor(state, lambda v: 1 if v == 0b1011 else 0, ["x0", "x1"], "b")
+    table = np.zeros(16, dtype=np.int64)
+    table[0b1011] = 1
+    qsim.apply_oracle_xor(state, table, ["x0", "x1"], "b")
     idx = int(np.argmax(np.abs(state.psi)))
     assert layout.value_of(idx, "b") == 1
 
@@ -100,7 +102,7 @@ def test_indexed_oracle_selects_branch():
 
 def test_phase_and_reflection():
     state = uniform_state(("a", 2))
-    qsim.apply_phase_if(state, "a", lambda v: v == 2)
+    qsim.apply_phase_if(state, "a", {2})
     assert state.psi[2] == pytest.approx(-0.5)
     state2 = uniform_state(("a", 2))
     qsim.apply_reflection_about_zero(state2, "a")
@@ -111,7 +113,7 @@ def test_phase_and_reflection():
 def test_grover_step_by_hand():
     # one Grover iteration on 2 qubits finds the marked item exactly
     state = uniform_state(("idx", 2))
-    qsim.apply_phase_if(state, "idx", lambda v: v == 3)
+    qsim.apply_phase_if(state, "idx", {3})
     qsim.apply_h(state, "idx")
     qsim.apply_reflection_about_zero(state, "idx")
     qsim.apply_h(state, "idx")
@@ -125,10 +127,10 @@ def test_marginal_and_measure():
     marg = qsim.marginal(state, "a")
     assert np.allclose(marg, np.full(4, 0.25))
     word, collapsed = qsim.measure(state, "b", rng)
-    assert word.width == 1
+    assert word in (0, 1)
     assert collapsed.norm() == pytest.approx(1.0)
     again, _ = qsim.measure(collapsed, "b", rng)
-    assert again.value == word.value
+    assert again == word
 
 
 def test_sample_register_distribution():
@@ -145,7 +147,7 @@ def test_controlled_ry_rotates_only_marked():
     qsim.apply_h(state, "x")
     beta = 0.3
     qsim.apply_controlled_ry(state, "noise", 2 * beta,
-                             control="x", control_predicate=lambda v: v == 1)
+                             control="x", control_predicate={1})
     # |0> component untouched, |1> component rotated by Ry(2 beta)
     amp00 = state.psi[0b00]
     amp10 = state.psi[0b10]
@@ -176,5 +178,5 @@ def test_random_circuit_preserves_norm(width, seed):
         elif op == 1:
             qsim.apply_x(state, "r", mask=int(rng.integers(1 << width)))
         else:
-            qsim.apply_phase_if(state, "r", lambda v: bool(table[v]))
+            qsim.apply_phase_if(state, "r", np.flatnonzero(table))
     assert state.norm() == pytest.approx(1.0, abs=1e-12)

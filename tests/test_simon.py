@@ -105,23 +105,23 @@ def test_run_recovers_planted_period():
         local = np.random.default_rng(100 + seed)
         s = int(local.integers(1, 1 << 6))
         table = simon.random_periodic_function(6, 6, s, local)
-        res = simon.run(table, 4, local, 6)
-        hits += res.kind == "period" and res.period == s
+        res = simon.recover(table, 24, local, 6)
+        hits += res.kind == "unique" and res.period == s
     assert hits >= 28
 
 
 def test_run_no_period_on_bijection():
     rng = np.random.default_rng(4)
     table = rng.permutation(1 << 6)
-    res = simon.run(table, 4, rng, 6)
-    assert res.kind == "no-period"
+    res = simon.recover(table, 24, rng, 6)
+    assert res.kind == "full-rank"
     assert res.rank == 6
 
 
 def test_run_rejects_bad_c():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError):
-        simon.run(np.arange(8), 0, rng, 3)
+        simon.recover(np.arange(8), 0, rng, 3)
 
 
 def test_p_bad_estimate_within_bound():
