@@ -194,9 +194,10 @@ def _window_ledger(cut: Cut, rep: search.Report) -> dict:
 class Target:
     """Everything that differs between attack kinds.
 
-    CLI side: `defaults` fills the toy sizes into the size flags, `shape`
-    validates them and gives the capacity dimensions, `draw` builds a seeded
-    instance and returns the positional arguments of `attack_<kind>`. `gen`
+    CLI side: `defaults` fills the toy sizes into the size flags, and its
+    keys (with --c) are the size flags the kind reads; `shape` validates
+    them and gives the capacity dimensions, `draw` builds a seeded instance
+    and returns the positional arguments of `attack_<kind>`. `gen`
     writes the first of them, the instance, as a descriptor that rebuilds
     its permutation or family from the seed, so `draw` takes that first.
 
@@ -800,7 +801,7 @@ def _slide_ledger(cut: Cut, rep: search.Report) -> dict:
 SLIDE_IFX = Target(
     kind="slide-ifx",
     name="slide-ifx",
-    defaults=lambda a: {"n": a.n or 6, "m": a.m or 3, "rounds": a.rounds},
+    defaults=lambda a: {"n": a.n or 6, "m": a.m or 3, "rounds": a.rounds or 3},
     shape=lambda p: Shape(p["n"] + 1, p["m"], p["n"], (p["n"], p["m"])),
     draw=lambda p, rng: (
         IterFxInstance(p["n"], p["m"], primitives.random_cipher_family(p["m"], p["n"], rng),

@@ -60,7 +60,7 @@ class RunConfig:
     c: int | None = None
     rate: int | None = None
     capacity: int | None = None
-    rounds: int = 3
+    rounds: int | None = None
     backend: str = "sampled"
     seed: int = 0
     trials: int = 100
@@ -78,6 +78,10 @@ def _attack_parameters(cfg: RunConfig) -> dict:
     target = attacks.TARGETS.get(cfg.kind)
     if target is None:
         raise CliError(f"unknown attack kind {cfg.kind!r}")
+    reads = {"c", *target.defaults(cfg)}
+    for flag in _SIZE_FLAGS:
+        if getattr(cfg, flag) is not None and flag not in reads:
+            raise CliError(f"attack {cfg.kind} does not read --{flag}")
     p = {"seed": cfg.seed, "backend": cfg.backend, "c": cfg.c, **target.defaults(cfg)}
     dim, m_search, l, widths = target.shape(p)
     p["l"] = l
@@ -346,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="sampled")
     sp.add_argument("--rate", type=int)
     sp.add_argument("--capacity", type=int)
-    sp.add_argument("--rounds", type=int, default=3)
+    sp.add_argument("--rounds", type=int)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
@@ -372,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, ("n", "m", "l", "u"))
     sp.add_argument("--rate", type=int)
     sp.add_argument("--capacity", type=int)
-    sp.add_argument("--rounds", type=int, default=3)
+    sp.add_argument("--rounds", type=int)
 
     return parser
 

@@ -22,6 +22,9 @@ MAX_WIDTH = 24
 # Words per block of batch_rank: bounds its working arrays to a few hundred
 # KiB whatever the number of rows.
 _RANK_BLOCK_CELLS = 1 << 16
+# Elements per half tile of the Walsh-Hadamard butterflies: a tile of
+# complex128 and its scratch half take 768 KiB, which stays in cache.
+_WHT_TILE = 1 << 14
 
 
 def _check_width(width: int) -> None:
@@ -198,18 +201,58 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform; fwht(fwht(v)) == len(v) * v.
 
     Works along the last axis, which must be a power of two. Real input is
-    promoted to float64; complex input stays complex.
+    promoted to float64; complex input stays complex. The input is not
+    modified.
     """
     a = np.asarray(vec)
     a = a.astype(np.result_type(a.dtype, np.float64), copy=True)
     n = a.shape[-1]
     if n & (n - 1) or n == 0:
         raise ValueError(f"length must be a power of two, got {n}")
-    h = 1
-    while h < n:
-        a = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        top = a[..., 0, :] + a[..., 1, :]
-        bot = a[..., 0, :] - a[..., 1, :]
-        a = np.stack([top, bot], axis=-2).reshape(a.shape[:-3] + (n,))
-        h *= 2
+    fwht_inplace(a, n)
     return a
+
+
+def _butterfly(pairs: np.ndarray, scratch: np.ndarray) -> None:
+    """(a, b) -> (a + b, a - b) across the middle axis of a (rows, 2, h) view."""
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    if 1 < lo.shape[1] < 8:
+        # numpy would run its inner loop over the 2-4 elements of h; over
+        # the transposed views in C order it runs along the rows instead,
+        # 3-4x faster for the same elementwise arithmetic
+        lo, hi = lo.T, hi.T
+    diff = scratch[:lo.size].reshape(lo.shape)
+    np.subtract(lo, hi, out=diff, order="C")
+    np.add(lo, hi, out=lo, order="C")
+    hi[...] = diff
+
+
+def fwht_inplace(a: np.ndarray, size: int, right: int = 1) -> None:
+    """Unnormalized Walsh-Hadamard transform of a C-contiguous array in
+    place, along the axis of length `size` (a power of two) of its
+    (left, size, right) view.
+
+    One butterfly stage per bit, lowest bit first, each on a (rows, 2, h)
+    view of the array, so nothing is transposed or stacked. The work goes
+    chunk by chunk, a chunk being as many whole transforms as fit in one
+    tile of 2 * _WHT_TILE elements (at least one), and each stage runs tile
+    by tile with one scratch buffer: a chunk that fits in a tile gets every
+    stage while it is cached.
+    """
+    if not a.flags.c_contiguous:
+        raise ValueError("fwht_inplace works through views of a C-contiguous array")
+    half = max(1, min(_WHT_TILE, a.size // 2))
+    scratch = np.empty(half, dtype=a.dtype)
+    group = size * right
+    rows = a.reshape(-1, group)
+    step = max(1, 2 * half // group)
+    for r0 in range(0, len(rows), step):
+        chunk = rows[r0:r0 + step]
+        h = right
+        while h < group:
+            pairs = chunk.reshape(-1, 2, h)
+            k, m = max(1, half // h), min(h, half)
+            for p0 in range(0, len(pairs), k):
+                for c0 in range(0, h, m):
+                    _butterfly(pairs[p0:p0 + k, :, c0:c0 + m], scratch)
+            h *= 2

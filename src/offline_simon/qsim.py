@@ -6,6 +6,21 @@ classical reversible maps applied as basis permutations. The qubit budget is
 capped (default 26, override with OFFLINE_SIMON_QUBIT_CAP) so a runaway
 layout fails fast instead of allocating gigabytes.
 
+The kernels work in place on the state's one amplitude array, through
+reshaped views of it:
+
+* ``apply_h`` runs ``gf2.fwht_inplace``: one butterfly stage per qubit on a
+  (rows, 2, h) view, (a, b) -> (a + b, a - b), tile by tile with a scratch
+  buffer of 16K amplitudes (256 KiB), then one scaling pass.
+* ``apply_x``, ``apply_oracle_xor`` and ``apply_indexed_oracle`` are one
+  permutation, y -> y ^ table[x], applied tile by tile: each tile of 16K
+  amplitudes is copied aside and gathered back through an index built from
+  the small truth table, so a call allocates well under 1 MiB whatever the
+  state size and never a full-length index.
+* ``apply_controlled_ry`` and ``measure`` write through register views.
+
+``marginal`` allocates one float64 array of half the state's bytes.
+
 Register order is significant: the first register in a layout occupies the
 most significant bits of the basis index.
 """
@@ -18,10 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import fwht
+from .gf2 import fwht_inplace
 
 DEFAULT_QUBIT_CAP = 26
 CAP_ENV_VAR = "OFFLINE_SIMON_QUBIT_CAP"
+# Amplitudes per tile of the in-place permutations: a tile, its copy and
+# its int64 gather index stay under 1 MiB.
+_TILE = 1 << 14
 
 
 def qubit_cap() -> int:
@@ -88,64 +106,112 @@ def init_zero(layout: RegisterLayout) -> QState:
     return QState(layout, psi)
 
 
-def _axis_view(state: QState, name: str) -> np.ndarray:
-    """View of the amplitudes as (above, register, below)."""
-    width = state.layout.width(name)
-    shift = state.layout.shift(name)
-    size = 1 << width
-    right = 1 << shift
-    left = len(state.psi) // (size * right)
-    return state.psi.reshape(left, size, right)
+def _register_view(state: QState, *names: str) -> np.ndarray:
+    """View of the amplitudes with one axis per named register, in layout
+    order, and one axis for each run of bits between them; with one name
+    that is (above, register, below)."""
+    layout = state.layout
+    spans = sorted(((layout.shift(n), layout.width(n)) for n in names), reverse=True)
+    shape, top = [], layout.total
+    for shift, width in spans:
+        shape += [1 << (top - shift - width), 1 << width]
+        top = shift
+    shape.append(1 << top)
+    return state.psi.reshape(shape)
+
+
+def _amplitudes(state: QState) -> np.ndarray:
+    """The amplitudes as one C-contiguous, writable, floating array, which
+    the in-place kernels write through their views (a copy only if not)."""
+    psi = state.psi
+    state.psi = np.require(psi, np.result_type(psi.dtype, np.float64), ("C", "W"))
+    return state.psi
 
 
 def apply_h(state: QState, register: str) -> QState:
-    """Hadamard on every qubit of the register."""
-    view = _axis_view(state, register)
-    swapped = np.ascontiguousarray(view.transpose(0, 2, 1))
-    out = fwht(swapped) / math.sqrt(view.shape[1])
-    state.psi = np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(-1)
+    """Hadamard on every qubit of the register, in place."""
+    psi = _amplitudes(state)
+    size = 1 << state.layout.width(register)
+    fwht_inplace(psi, size, 1 << state.layout.shift(register))
+    # numpy divides a complex by a real by multiplying with its reciprocal
+    # (Smith's method), so this equals psi / sqrt(size) up to the signs of
+    # zero parts, at a sixth of the time.
+    psi *= 1.0 / math.sqrt(size)
+    return state
+
+
+def _packed(layout: RegisterLayout, in_regs: tuple[str, ...], index: np.ndarray) -> np.ndarray:
+    """Packed input value of each basis index (an int or an int array), the
+    first register most significant."""
+    packed = np.zeros_like(index)
+    for name in in_regs:
+        width = layout.width(name)
+        packed = (packed << width) | ((index >> layout.shift(name)) & ((1 << width) - 1))
+    return packed
+
+
+def _xor_table(state: QState, table, in_regs: tuple[str, ...], out_reg: str) -> QState:
+    """|x>|y> -> |x>|y ^ table[x]> in place, x the packed input registers.
+
+    The amplitudes are viewed as (above, y, below) and permuted tile by
+    tile: a tile holds every y for a block of the other bits, so it maps
+    onto itself. Each tile is copied aside and gathered back through a
+    tile-sized index: its flat position with table[x] XORed into the y bits.
+    """
+    layout = state.layout
+    in_bits = sum(layout.width(name) for name in in_regs)
+    out_width, out_shift = layout.width(out_reg), layout.shift(out_reg)
+    table = np.asarray(table, dtype=np.int64)
+    if len(table) < 1 << in_bits:
+        raise ValueError(f"oracle table has {len(table)} entries, inputs take {1 << in_bits}")
+    table = table[:1 << in_bits]
+    if table.min() < 0 or table.max() >= (1 << out_width):
+        raise ValueError(f"oracle output exceeds register width {out_width}")
+    psi = _amplitudes(state)
+    view = _register_view(state, out_reg)
+    above, ys, below = view.shape
+    nb = min(below, max(1, _TILE // ys))
+    na = min(above, max(1, _TILE // (ys * below)))
+    a_shift = out_shift + out_width
+    # Packing only moves bits, so the packed inputs of a tile are its
+    # corner's OR the packed offsets within it.
+    offsets = (_packed(layout, in_regs, np.arange(na)[:, None] << a_shift)
+               | _packed(layout, in_regs, np.arange(nb)))
+    flat = np.arange(na * ys * nb).reshape(na, ys, nb)
+    idx = np.empty_like(flat)
+    src = np.empty(flat.shape, dtype=psi.dtype)
+    for a0 in range(0, above, na):
+        for b0 in range(0, below, nb):
+            outs = table[offsets | _packed(layout, in_regs, (a0 << a_shift) | b0)]
+            np.bitwise_xor(flat, (outs * nb)[:, None, :], out=idx)
+            tile = view[a0:a0 + na, :, b0:b0 + nb]
+            np.copyto(src, tile)
+            # indices are in range by construction; mode="raise" would
+            # gather into a buffer and copy that into the tile
+            np.take(src, idx, out=tile, mode="clip")
     return state
 
 
 def apply_x(state: QState, register: str, mask: int | None = None) -> QState:
     """XOR a constant mask (default: all ones) into the register."""
-    width = state.layout.width(register)
     if mask is None:
-        mask = (1 << width) - 1
-    view = _axis_view(state, register)
-    state.psi = view[:, np.arange(1 << width) ^ mask, :].reshape(-1)
-    return state
-
-
-def _packed_inputs(state: QState, in_regs: tuple[str, ...]) -> np.ndarray:
-    idx = np.arange(len(state.psi), dtype=np.int64)
-    packed = np.zeros_like(idx)
-    for name in in_regs:
-        width = state.layout.width(name)
-        shift = state.layout.shift(name)
-        packed = (packed << width) | ((idx >> shift) & ((1 << width) - 1))
-    return packed
+        mask = (1 << state.layout.width(register)) - 1
+    return _xor_table(state, np.array([mask]), (), register)
 
 
 def apply_oracle_xor(state: QState, f, in_reg, out_reg: str) -> QState:
-    """Basis map |x>|y> -> |x>|y ^ f(x)>.
+    """Basis map |x>|y> -> |x>|y ^ f(x)>, in place.
 
     in_reg may be one register name or a sequence of names; multi-register
     inputs concatenate with the first name most significant. f is the full
-    truth table (array of ints) over the packed input values.
+    truth table (array of ints) over the packed input values; a value that
+    does not fit the output register raises ValueError before the state is
+    touched.
     """
     in_regs = (in_reg,) if isinstance(in_reg, str) else tuple(in_reg)
     if out_reg in in_regs:
         raise ValueError("output register cannot also be an input")
-    out_width = state.layout.width(out_reg)
-    out_shift = state.layout.shift(out_reg)
-    packed = _packed_inputs(state, in_regs)
-    outs = np.asarray(f, dtype=np.int64)[packed]
-    if outs.min() < 0 or outs.max() >= (1 << out_width):
-        raise ValueError(f"oracle output exceeds register width {out_width}")
-    idx = np.arange(len(state.psi), dtype=np.int64)
-    state.psi = state.psi[idx ^ (outs << out_shift)]
-    return state
+    return _xor_table(state, f, in_regs, out_reg)
 
 
 def apply_indexed_oracle(state: QState, family, idx_reg: str, in_reg: str, out_reg: str) -> QState:
@@ -174,14 +240,14 @@ def apply_phase_if(state: QState, register: str, predicate) -> QState:
     it, and uncomputing.
     """
     sel = _selector(state.layout.width(register), predicate)
-    view = _axis_view(state, register)
+    view = _register_view(state, register)
     view[:, sel, :] *= -1.0
     return state
 
 
 def apply_reflection_about_zero(state: QState, register: str) -> QState:
     """Phase -1 on the register's all-zero value (the S_0 reflection)."""
-    view = _axis_view(state, register)
+    view = _register_view(state, register)
     view[:, 0, :] *= -1.0
     return state
 
@@ -197,29 +263,34 @@ def apply_controlled_ry(
     register's value. The deliberate-noise knob for checking-error tests."""
     if state.layout.width(target) != 1:
         raise ValueError("rotation target must be a 1-qubit register")
+    names = (target,) if control is None else (target, control)
+    if len(set(names)) != len(names):
+        raise ValueError("rotation control cannot be its target")
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    t_shift = state.layout.shift(target)
-    idx = np.arange(len(state.psi), dtype=np.int64)
-    if control is None:
-        rows = np.ones(len(state.psi), dtype=bool)
-    else:
-        sel = _selector(state.layout.width(control), control_predicate)
-        c_shift = state.layout.shift(control)
-        c_mask = (1 << state.layout.width(control)) - 1
-        rows = sel[(idx >> c_shift) & c_mask]
-    zero = rows & (((idx >> t_shift) & 1) == 0)
-    one = rows & (((idx >> t_shift) & 1) == 1)
-    a0 = state.psi[zero]
-    a1 = state.psi[one]
-    state.psi[zero] = c * a0 - s * a1
-    state.psi[one] = s * a0 + c * a1
+    _amplitudes(state)
+    view = _register_view(state, *names)
+    # the view's register axes are 1 and 3, the higher register first
+    layout = state.layout
+    t_axis = 1 if control is None or layout.shift(target) > layout.shift(control) else 3
+    zero = [slice(None)] * view.ndim
+    if control is not None:
+        sel = _selector(layout.width(control), control_predicate)
+        zero[4 - t_axis] = np.flatnonzero(sel)
+    one = list(zero)
+    zero[t_axis], one[t_axis] = 0, 1
+    zero, one = tuple(zero), tuple(one)
+    a0, a1 = view[zero], view[one]
+    rotated = c * a0 - s * a1
+    view[one] = s * a0 + c * a1
+    view[zero] = rotated
     return state
 
 
 def marginal(state: QState, register: str) -> np.ndarray:
     """Born-rule distribution of the register's value."""
-    view = _axis_view(state, register)
-    return (np.abs(view) ** 2).sum(axis=(0, 2))
+    probs = np.abs(_register_view(state, register))
+    np.square(probs, out=probs)
+    return probs.sum(axis=(0, 2))
 
 
 def prob_of(state: QState, register: str, value: int) -> float:
@@ -233,11 +304,11 @@ def measure(state: QState, register: str, rng: np.random.Generator) -> tuple[int
     if total < 1e-12:
         raise ValueError("measuring a zero-norm branch")
     outcome = int(rng.choice(len(probs), p=probs / total))
-    view = _axis_view(state, register)
-    keep = view[:, outcome, :]
-    collapsed = np.zeros_like(view)
-    collapsed[:, outcome, :] = keep / math.sqrt(probs[outcome])
-    state.psi = collapsed.reshape(-1)
+    _amplitudes(state)
+    view = _register_view(state, register)
+    view[:, :outcome, :] = 0
+    view[:, outcome + 1:, :] = 0
+    view[:, outcome, :] /= math.sqrt(probs[outcome])
     return outcome, state
 
 

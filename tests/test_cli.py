@@ -298,6 +298,40 @@ def test_flags_the_subcommand_never_reads_are_rejected(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+# One size flag per attack kind that `attack` takes but the kind's record
+# never reads: the kind reads the keys of its `defaults`, plus --c.
+UNREAD_SIZE_FLAGS = {
+    "em-q1": "--m",
+    "fx-q2": "--u",
+    "fx-q1": "--rate",
+    "chaskey": "--rounds",
+    "beetle": "--n",
+    "related-key": "--capacity",
+    "slide-ifx": "--u",
+}
+
+
+def test_unread_size_flags_cover_every_kind():
+    assert sorted(UNREAD_SIZE_FLAGS) == sorted(cli.ATTACK_KINDS)
+    for kind, flag in UNREAD_SIZE_FLAGS.items():
+        reads = attacks.TARGETS[kind].defaults(cli.RunConfig("attack", kind))
+        assert flag[2:] not in {"c", *reads}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREAD_SIZE_FLAGS))
+def test_attack_rejects_size_flags_its_kind_does_not_read(tmp_path, capsys, monkeypatch,
+                                                           kind):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_attack_trial", no_trial)
+    out = tmp_path / "out"
+    flag = UNREAD_SIZE_FLAGS[kind]
+    assert run_cli(["attack", kind, flag, "3", "--trials", "1", "--out", str(out)]) == 2
+    assert f"error: attack {kind} does not read {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_rejects_oversized(capsys):
     assert run_cli(["gen", "permutation", "--n", "40", "--out", "/tmp/nope.txt"]) == 2
     capsys.readouterr()

@@ -8,6 +8,7 @@ from offline_simon.gf2 import (
     Gf2Basis,
     batch_rank,
     fwht,
+    fwht_inplace,
     rank_of,
     solve_period,
 )
@@ -197,6 +198,48 @@ def test_fwht_matches_definition():
     for u in range(1 << n):
         want = sum(v[x] * (-1) ** (bin(u & x).count("1") % 2) for x in range(1 << n))
         assert got[u] == pytest.approx(want)
+
+
+def _stacking_fwht(vec):
+    """The stage-by-stage transform fwht replaced: reshape, then np.stack."""
+    a = np.asarray(vec)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=True)
+    n = a.shape[-1]
+    h = 1
+    while h < n:
+        a = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
+        top = a[..., 0, :] + a[..., 1, :]
+        bot = a[..., 0, :] - a[..., 1, :]
+        a = np.stack([top, bot], axis=-2).reshape(a.shape[:-3] + (n,))
+        h *= 2
+    return a
+
+
+# lengths below, at and above one tile of butterflies, and batches of rows
+@pytest.mark.parametrize("shape", [(1,), (2,), (16,), (512,), (1 << 15,), (1 << 16,),
+                                   (100, 512), (3, 1 << 15), (5, 4, 8)], ids=str)
+@pytest.mark.parametrize("kind", ["real", "complex", "int"])
+def test_fwht_is_bit_identical_to_the_stacking_transform(shape, kind):
+    rng = np.random.default_rng(7)
+    if kind == "int":
+        v = rng.integers(-9, 9, size=shape)
+    else:
+        v = rng.standard_normal(shape)
+        if kind == "complex":
+            v = v + 1j * rng.standard_normal(shape)
+    before = v.copy()
+    out = fwht(v)
+    want = _stacking_fwht(v)
+    assert out.dtype == want.dtype
+    assert np.array_equal(out, want)
+    assert np.array_equal(v, before)
+
+
+def test_fwht_inplace_rejects_a_strided_view():
+    a = np.arange(16.0)
+    with pytest.raises(ValueError):
+        fwht_inplace(a[::2], 8)
+    assert np.array_equal(a, np.arange(16.0))
 
 
 def test_fwht_preserves_complex():

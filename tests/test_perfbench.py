@@ -2,7 +2,7 @@
 
 perfbench/tracer.py patches package functions by name, so renaming or
 removing one of them breaks the per-layer benchmark; this runs one traced
-op of two workloads so such a break shows up in the test suite.
+op of each workload so such a break shows up in the test suite.
 """
 
 import json
@@ -19,7 +19,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
-@pytest.mark.parametrize("workload", ["pbad-mc", "attack-sampled"])
+@pytest.mark.parametrize("workload", ["pbad-mc", "attack-sampled", "exact-circuit"])
 def test_traced_replay_runs(tmp_path, workload):
     # a checkout-shaped root whose scratch files land in tmp_path
     root = tmp_path / "root"

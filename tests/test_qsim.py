@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,3 +181,183 @@ def test_random_circuit_preserves_norm(width, seed):
         else:
             qsim.apply_phase_if(state, "r", np.flatnonzero(table))
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+# Reference kernels: full-array formulas (a stacking transform, a transposed
+# Hadamard, full-length gathers and masks) that do the same arithmetic as
+# the in-place kernels, whose output must therefore be equal, not close.
+
+def _stacking_fwht(vec):
+    a = np.array(vec, dtype=np.result_type(np.asarray(vec).dtype, np.float64))
+    n = a.shape[-1]
+    h = 1
+    while h < n:
+        a = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
+        top = a[..., 0, :] + a[..., 1, :]
+        bot = a[..., 0, :] - a[..., 1, :]
+        a = np.stack([top, bot], axis=-2).reshape(a.shape[:-3] + (n,))
+        h *= 2
+    return a
+
+
+def _ref_view(psi, layout, name):
+    size, right = 1 << layout.width(name), 1 << layout.shift(name)
+    return psi.reshape(len(psi) // (size * right), size, right)
+
+
+def _ref_apply_h(psi, layout, name):
+    view = _ref_view(psi, layout, name)
+    swapped = np.ascontiguousarray(view.transpose(0, 2, 1))
+    out = _stacking_fwht(swapped) / math.sqrt(view.shape[1])
+    return np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(-1)
+
+
+def _ref_oracle(psi, layout, table, in_regs, out_reg):
+    idx = np.arange(len(psi), dtype=np.int64)
+    packed = np.zeros_like(idx)
+    for name in in_regs:
+        width, shift = layout.width(name), layout.shift(name)
+        packed = (packed << width) | ((idx >> shift) & ((1 << width) - 1))
+    outs = np.asarray(table, dtype=np.int64)[packed]
+    return psi[idx ^ (outs << layout.shift(out_reg))]
+
+
+def _ref_apply_x(psi, layout, name, mask):
+    perm = np.arange(1 << layout.width(name)) ^ mask
+    return _ref_view(psi, layout, name)[:, perm, :].reshape(-1)
+
+
+# 17 qubits (2 MiB): registers of widths 1-4 at the top, middle and bottom,
+# and more amplitudes than one tile of the in-place kernels holds.
+KERNEL_LAYOUT = qsim.RegisterLayout(("idx", 2), ("x0", 3), ("y0", 4), ("x1", 4), ("y1", 1),
+                                    ("mid", 2), ("b", 1))
+
+
+def _random_state(seed, layout=KERNEL_LAYOUT):
+    rng = np.random.default_rng(seed)
+    state = qsim.init_zero(layout)
+    size = len(state.psi)
+    state.psi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return state
+
+
+@pytest.mark.parametrize("register", [name for name, _ in KERNEL_LAYOUT.registers])
+def test_apply_h_is_bit_identical_to_the_transposing_kernel(register):
+    state = _random_state(1)
+    want = _ref_apply_h(state.psi, state.layout, register)
+    qsim.apply_h(state, register)
+    assert np.array_equal(state.psi, want)
+
+
+@pytest.mark.parametrize("in_regs,out_reg", [
+    (("x0",), "y0"),
+    (("x1", "idx"), "b"),          # non-adjacent, out of layout order
+    (("b", "x0"), "idx"),          # output at the top
+    (("mid", "y1", "x0"), "x1"),   # output in the middle, inputs on both sides
+    (("y0",), "mid"),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
+def test_oracle_xor_is_bit_identical_to_the_full_gather(in_regs, out_reg):
+    layout = KERNEL_LAYOUT
+    rng = np.random.default_rng(2)
+    bits = sum(layout.width(name) for name in in_regs)
+    table = rng.integers(0, 1 << layout.width(out_reg), size=1 << bits)
+    state = _random_state(3)
+    want = _ref_oracle(state.psi, layout, table, in_regs, out_reg)
+    qsim.apply_oracle_xor(state, table, in_regs, out_reg)
+    assert np.array_equal(state.psi, want)
+
+
+def test_indexed_oracle_is_bit_identical_to_the_full_gather():
+    layout = KERNEL_LAYOUT
+    family = np.random.default_rng(4).integers(0, 16, size=(4, 16))
+    state = _random_state(5)
+    want = _ref_oracle(state.psi, layout, family.reshape(-1), ("idx", "x1"), "y0")
+    qsim.apply_indexed_oracle(state, family, "idx", "x1", "y0")
+    assert np.array_equal(state.psi, want)
+
+
+@pytest.mark.parametrize("register,mask", [("idx", 2), ("y0", 9), ("b", None)])
+def test_apply_x_is_bit_identical_to_the_register_gather(register, mask):
+    state = _random_state(6)
+    full = (1 << KERNEL_LAYOUT.width(register)) - 1
+    want = _ref_apply_x(state.psi, state.layout, register, full if mask is None else mask)
+    qsim.apply_x(state, register, mask)
+    assert np.array_equal(state.psi, want)
+
+
+def _ref_controlled_ry(psi, layout, target, angle, control, predicate):
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    idx = np.arange(len(psi), dtype=np.int64)
+    rows = np.ones(len(psi), dtype=bool)
+    if control is not None:
+        sel = np.zeros(1 << layout.width(control), dtype=bool)
+        sel[list(predicate)] = True
+        rows = sel[(idx >> layout.shift(control)) & ((1 << layout.width(control)) - 1)]
+    bit = (idx >> layout.shift(target)) & 1
+    zero, one = rows & (bit == 0), rows & (bit == 1)
+    out = psi.copy()
+    a0, a1 = psi[zero], psi[one]
+    out[zero] = c * a0 - s * a1
+    out[one] = s * a0 + c * a1
+    return out
+
+
+@pytest.mark.parametrize("target,control,predicate", [
+    ("y1", None, None), ("y1", "x0", {1, 6}), ("b", "mid", {0}), ("y1", "y0", {3, 9, 15}),
+    ("y1", "mid", {1, 2})])   # the last with the control below the target
+def test_controlled_ry_is_bit_identical_to_the_mask_kernel(target, control, predicate):
+    state = _random_state(9)
+    want = _ref_controlled_ry(state.psi, state.layout, target, 0.7, control, predicate)
+    qsim.apply_controlled_ry(state, target, 0.7, control=control, control_predicate=predicate)
+    assert np.array_equal(state.psi, want)
+
+
+@pytest.mark.parametrize("register", ["idx", "y0", "b"])
+def test_measure_collapse_is_bit_identical_to_the_zeroed_copy(register):
+    state = _random_state(10)
+    before = state.psi.copy()
+    outcome, _ = qsim.measure(state, register, np.random.default_rng(11))
+    view = _ref_view(before, state.layout, register)
+    probs = (np.abs(view) ** 2).sum(axis=(0, 2))
+    want = np.zeros_like(view)
+    want[:, outcome, :] = view[:, outcome, :] / math.sqrt(probs[outcome])
+    assert np.array_equal(state.psi, want.reshape(-1))
+
+
+@pytest.mark.parametrize("table", [[0, 1, 2, 4], [0, -1, 1, 0], [0, 1, 2]],
+                         ids=["too-wide", "negative", "too-short"])
+def test_oracle_table_out_of_range_leaves_state_untouched(table):
+    layout = qsim.RegisterLayout(("x", 2), ("y", 2))
+    state = _random_state(7, layout)
+    psi, before = state.psi, state.psi.copy()
+    with pytest.raises(ValueError):
+        qsim.apply_oracle_xor(state, table, "x", "y")
+    assert state.psi is psi
+    assert np.array_equal(state.psi, before)
+
+
+def _peak_extra_bytes(op, state):
+    """Peak bytes allocated while op(state) runs, beyond those held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        op(state)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("op", [
+    lambda s: qsim.apply_h(s, "x0"),
+    lambda s: qsim.apply_h(s, "idx"),
+    lambda s: qsim.apply_h(s, "b"),
+    lambda s: qsim.apply_oracle_xor(s, np.arange(32) % 2, ("x0", "y1"), "b"),
+    lambda s: qsim.apply_oracle_xor(s, np.arange(8) % 4, "x0", "idx"),
+    lambda s: qsim.apply_indexed_oracle(s, np.arange(64).reshape(4, 16) % 8, "idx", "y0", "x0"),
+], ids=["h-x0", "h-idx", "h-b", "rank-oracle", "oracle-top", "indexed-oracle"])
+def test_kernels_allocate_at_most_one_state(op):
+    # 16 qubits: a 1 MiB state
+    layout = qsim.RegisterLayout(("idx", 2), ("x0", 3), ("y0", 4), ("x1", 4), ("y1", 2),
+                                 ("b", 1))
+    state = _random_state(8, layout)
+    assert _peak_extra_bytes(op, state) <= state.psi.nbytes + (1 << 20)
