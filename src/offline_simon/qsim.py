@@ -19,7 +19,9 @@ reshaped views of it:
   state size and never a full-length index.
 * ``apply_controlled_ry`` and ``measure`` write through register views.
 
-``marginal`` allocates one float64 array of half the state's bytes.
+``marginal`` allocates one float64 array of half the state's bytes;
+``distance`` sums the squared difference tile by tile, so it allocates one
+tile.
 
 Register order is significant: the first register in a layout occupies the
 most significant bits of the basis index.
@@ -319,7 +321,13 @@ def sample_register(state: QState, register: str, shots: int, rng: np.random.Gen
 
 
 def distance(s1: QState, s2: QState) -> float:
-    """Euclidean norm of the amplitude difference (phase-sensitive)."""
+    """Euclidean norm of the amplitude difference (phase-sensitive), summed
+    tile by tile: no state-sized difference is ever built."""
     if s1.layout.registers != s2.layout.registers:
         raise ValueError("states live on different layouts")
-    return float(np.linalg.norm(s1.psi - s2.psi))
+    a, b = s1.psi.reshape(-1), s2.psi.reshape(-1)
+    total = 0.0
+    for start in range(0, a.size, _TILE):
+        diff = a[start:start + _TILE] - b[start:start + _TILE]
+        total += float(np.vdot(diff, diff).real)
+    return math.sqrt(total)

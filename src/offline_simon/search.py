@@ -12,6 +12,11 @@ Three backends share one report shape:
                  index-amplitude level (each check draws fresh rank samples);
   structured     no simulation, just the analytic error budget and exact
                  branch classification.
+
+Every backend starts from the instance's screen, which transforms all 2^m
+branch tables in one ``simon.distributions`` pass and keeps each branch's
+Simon law. A sampled shot draws its rank samples from those laws: one block
+of uniforms per shot, searched in each law's cumulative table.
 """
 
 from __future__ import annotations
@@ -91,27 +96,27 @@ class ScreenResult:
 
 def screen(instance: SearchInstance) -> ScreenResult:
     """Classify every branch: periods, per-branch collision maxima, and the
-    condition value (the largest off-branch collision probability)."""
-    laws = tuple(simon.distribution(instance.branch(i), instance.n)
-                 for i in range(1 << instance.m))
-    periodic = []
-    periods = []
-    eps_branch = np.zeros(1 << instance.m)
-    for i, law in enumerate(laws):
-        nonzero = law.collisions[1:]
-        eps_branch[i] = float(nonzero[nonzero < 1.0].max()) if (nonzero < 1.0).any() else 0.0
-        if law.periods:
-            periodic.append(i)
-        periods.append(law.periods)
-    aperiodic = [i for i in range(1 << instance.m) if i not in periodic]
-    eps = float(max((eps_branch[i] for i in aperiodic), default=0.0))
+    condition value (the largest off-branch collision probability).
+
+    All 2^m branch tables go through ``simon.distributions`` in one call, and
+    the classification is read off the (2^m, 2^n) collision array at once."""
+    laws = simon.distributions(instance.family ^ instance.g, instance.n)
+    off = np.array([law.collisions[1:] for law in laws])
+    hits = off == 1.0
+    periodic = hits.any(axis=1)
+    periods = [[] for _ in laws]
+    for i, t in zip(*np.nonzero(hits)):
+        periods[i].append(int(t) + 1)
+    eps_branch = off.max(axis=1, where=off < 1.0, initial=0.0)
+    eps = float(eps_branch[~periodic].max(initial=0.0))
+    periodic_indices = tuple(np.flatnonzero(periodic).tolist())
     return ScreenResult(
-        periodic_indices=tuple(periodic),
-        branch_periods=tuple(periods),
+        periodic_indices=periodic_indices,
+        branch_periods=tuple(map(tuple, periods)),
         branch_eps=eps_branch,
         eps=eps,
-        condition_violated=(eps > 0.5) or len(periodic) != 1,
-        multi_marked=len(periodic) > 1,
+        condition_violated=(eps > 0.5) or len(periodic_indices) != 1,
+        multi_marked=len(periodic_indices) > 1,
         laws=laws,
     )
 
@@ -426,17 +431,20 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
     draws, from the screen's laws, for every aperiodic branch at every
     iteration.
 
-    All draws come first, iteration by iteration in branch order, and one
-    batched rank test decides every sign."""
+    All draws come first, iteration by iteration in branch order, from one
+    block of uniforms: each branch's words are its law's ``cdf`` searched at
+    its slice of the block, the very words that ``rng.choice(2^n, copies,
+    p=law.weights)`` would give call by call. One batched rank test then
+    decides every sign."""
     n = instance.n
     size = 1 << instance.m
     scr = instance.screened
     periodic = np.array([bool(p) for p in scr.branch_periods], dtype=bool)
     aperiodic = np.nonzero(~periodic)[0]
+    uniforms = rng.random((r, len(aperiodic), copies))
     draws = np.empty((r, len(aperiodic), copies), dtype=np.int64)
-    for j in range(r):
-        for slot, i in enumerate(aperiodic):
-            draws[j, slot] = rng.choice(1 << n, size=copies, p=scr.laws[i].weights)
+    for slot, i in enumerate(aperiodic):
+        draws[:, slot] = scr.laws[i].cdf.searchsorted(uniforms[:, slot], side="right")
     fired = batch_rank(draws.reshape(r * len(aperiodic), copies), n) < n
     fired = fired.reshape(r, len(aperiodic))
     amp = np.full(size, 1.0 / math.sqrt(size))

@@ -9,8 +9,10 @@ no state vectors are needed at widths up to 20 bits.
 The law and the collision spectrum are one Fourier pair: the Walsh transform
 of the law is t -> Pr_x[h(x ^ t) = h(x)] (the orthogonality lemma
 Pr[u . t = 0] = (1 + Pr_x[h(x ^ t) = h(x)]) / 2 of Kaplan et al., CRYPTO
-2016), so one class-indicator transform per table, in ``distribution``,
-gives the periods, the condition value eps and the union bound as well.
+2016), so one class-indicator transform per table gives the periods, the
+condition value eps and the union bound as well. ``distributions`` makes
+that pass over a whole stack of tables at once (every branch of a search
+instance); ``distribution`` is its one-table case.
 """
 
 from __future__ import annotations
@@ -25,17 +27,20 @@ from . import analysis
 from .gf2 import PeriodSolution, batch_rank, fwht, parity, solve_period
 
 MAX_N = 20
-# Cells of one block of class indicators in `distribution`: 32 MiB of float64
-# whatever the number of output classes (the transform's temporaries take a
-# few times that).
+# Cells of one block of class indicators in `distributions`: 32 MiB of
+# float64 whatever the number of output classes (the transform's temporaries
+# take a few times that).
 _CHUNK_CELLS = 1 << 22
 
 
-def _as_table(h, n: int | None) -> tuple[np.ndarray, int]:
+def _as_table(h, n: int | None, ndim: int = 1) -> tuple[np.ndarray, int]:
+    """h as int64 with its width; ndim=2 takes a (rows, 2^n) stack of tables."""
     table = np.asarray(h, dtype=np.int64)
+    if table.ndim != ndim:
+        raise ValueError(f"table must be a {ndim}-D array")
     if n is None:
-        n = int(table.shape[0]).bit_length() - 1
-    if table.shape != (1 << n,):
+        n = int(table.shape[-1]).bit_length() - 1
+    if table.shape[-1] != 1 << n:
         raise ValueError(f"table must have 2^{n} entries")
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}")
@@ -44,10 +49,12 @@ def _as_table(h, n: int | None) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class SimonSampleDistribution:
-    """Exact law of the measured vector u for one round on h."""
+    """Exact law of the measured vector u for one round on h, with
+    Pr_x[h(x ^ t) = h(x)] for every t (the law's Walsh transform)."""
 
     n: int
     weights: np.ndarray
+    collisions: np.ndarray
 
     def prob_orthogonal(self, t: int) -> float:
         """Pr[u . t = 0] under this law."""
@@ -56,32 +63,65 @@ class SimonSampleDistribution:
         return float(self.weights[ortho].sum())
 
     @cached_property
-    def collisions(self) -> np.ndarray:
-        """Pr_x[h(x ^ t) = h(x)] for every t: the law's Walsh transform."""
-        return fwht(self.weights)
-
-    @cached_property
     def periods(self) -> tuple[int, ...]:
         """Nonzero t with h(x ^ t) = h(x) for all x."""
         return tuple(int(t) for t in np.nonzero(self.collisions == 1.0)[0] if t != 0)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The cumulative law, normalized the way numpy's
+        ``Generator.choice(2^n, k, p=weights)`` normalizes it, so that
+        ``cdf.searchsorted(rng.random(k), side="right")`` draws the same
+        words from the same generator state."""
+        cdf = self.weights.cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
 
 def distribution(h, n: int | None = None) -> SimonSampleDistribution:
     """weights(u) = 2^-2n * sum_a |sum_{x: h(x)=a} (-1)^(u.x)|^2."""
     table, n = _as_table(h, n)
-    size = 1 << n
-    _, codes = np.unique(table, return_inverse=True)
-    classes = int(codes.max()) + 1
-    weights = np.zeros(size)
+    return distributions(table[None], n)[0]
+
+
+def distributions(tables, n: int | None = None) -> tuple[SimonSampleDistribution, ...]:
+    """The law of every row of a (rows, 2^n) stack of tables, from one pass.
+
+    Classes are numbered across all rows by one ``np.unique`` over keys
+    offset by row, so a block of class indicators may span rows. Every
+    squared spectrum is an integer below 4^n and each weight a sum of them,
+    exact in float64 in any order: each row's law is bit for bit the one a
+    table alone would get.
+    """
+    tables, n = _as_table(tables, n, ndim=2)
+    count, size = tables.shape
+    low = int(tables.min())
+    span = int(tables.max()) - low + 1
+    if span * count >= 1 << 63:
+        # values too spread to offset row by row: number them first
+        _, ranks = np.unique(tables, return_inverse=True)
+        tables, low, span = ranks.reshape(count, size), 0, int(ranks.max()) + 1
+    keys = tables - low + np.arange(count, dtype=np.int64)[:, None] * span
+    classes, codes = np.unique(keys, return_inverse=True)
+    codes = codes.reshape(count, size)
+    owner = classes // span  # the row of each class, nondecreasing
+    weights = np.zeros((count, size))
     chunk = max(1, _CHUNK_CELLS // size)
-    for start in range(0, classes, chunk):
-        stop = min(classes, start + chunk)
-        rows = np.zeros((stop - start, size))
-        member = (codes >= start) & (codes < stop)
-        rows[codes[member] - start, np.nonzero(member)[0]] = 1.0
-        spectra = fwht(rows)
-        weights += (spectra * spectra).sum(axis=0)
-    return SimonSampleDistribution(n, weights / float(size * size))
+    for start in range(0, len(classes), chunk):
+        stop = min(len(classes), start + chunk)
+        first, last = owner[start], owner[stop - 1]
+        part = codes[first:last + 1]
+        member = (part >= start) & (part < stop)
+        block = np.zeros((stop - start, size))
+        block[part[member] - start, np.nonzero(member)[1]] = 1.0
+        spectra = fwht(block)
+        spectra *= spectra
+        own = owner[start:stop]
+        runs = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
+        weights[own[runs]] += np.add.reduceat(spectra, runs, axis=0)
+    weights /= float(size * size)
+    collisions = fwht(weights)
+    return tuple(SimonSampleDistribution(n, w, c) for w, c in zip(weights, collisions))
 
 
 def sample(h, count: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:

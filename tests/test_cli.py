@@ -5,7 +5,6 @@ import json
 import shutil
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -138,6 +137,24 @@ def test_verify_bounds_passes(tmp_path, capsys):
     names = [c["name"] for c in doc["checks"]]
     assert "period-recovery-rate" in names
     assert "qaa-noisy-interval" in names
+
+
+# SHA-256 of `verify-bounds --seed 0 --trials 50 --out FILE` (the JSON
+# document) and of what it prints, recorded before screens transformed all
+# branches of an instance at once. The p_bad bounds and eps go through
+# `simon.distribution`, so a change to that path that moves a bit shows here.
+GOLDEN_VERIFY_BOUNDS = (
+    "11f03919fc7b6fc12265c06bc29fbe45e6e44d4baeb2f8bf662ad00f9496ef7a",
+    "2a418002904e99dd8082cb611ee04bf7ee8366c0896d45e3feb08a9f01ff7fa4",
+)
+
+
+def test_verify_bounds_golden_report(tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    assert run_cli(["verify-bounds", "--seed", "0", "--trials", "50", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(printed.encode()).hexdigest()) == GOLDEN_VERIFY_BOUNDS
 
 
 def test_verify_bounds_flags_small_c(capsys):
@@ -462,22 +479,19 @@ def test_attack_screens_each_carve_once(monkeypatch, tmp_path, kind):
 @pytest.mark.parametrize("kind", cli.ATTACK_KINDS)
 def test_attack_transforms_each_branch_once(monkeypatch, tmp_path, kind, backend):
     """Every branch of a searched instance goes through the class-indicator
-    transform (simon.distribution) exactly once: the screen's laws serve the
-    backend too."""
-    made, searched = {}, []
-    keep = []  # keeps instances and branch tables alive, so ids are not reused
-    calls = Counter()
-    branch, distribution = search.SearchInstance.branch, simon.distribution
+    transform exactly once: all 2^m branch tables in one simon.distributions
+    call, and no simon.distribution call on any of them. The screen's laws
+    serve the backend too."""
+    stacks, singles, searched = [], [], []
+    distributions, distribution = simon.distributions, simon.distribution
     alg_q1, alg_q2 = search.alg_exp_q1, search.alg_poly_q2
 
-    def spy_branch(instance, i):
-        table = branch(instance, i)
-        keep.extend([instance, table])
-        made[id(table)] = (id(instance), i)
-        return table
+    def spy_distributions(tables, n=None):
+        stacks.append(np.array(tables, dtype=np.int64))
+        return distributions(tables, n)
 
     def spy_distribution(h, n=None):
-        calls[made.get(id(h))] += 1
+        singles.append(np.array(h, dtype=np.int64))
         return distribution(h, n)
 
     def spy(alg):
@@ -486,7 +500,7 @@ def test_attack_transforms_each_branch_once(monkeypatch, tmp_path, kind, backend
             return alg(instance, *args, **kwargs)
         return run
 
-    monkeypatch.setattr(search.SearchInstance, "branch", spy_branch)
+    monkeypatch.setattr(simon, "distributions", spy_distributions)
     monkeypatch.setattr(simon, "distribution", spy_distribution)
     monkeypatch.setattr(search, "alg_exp_q1", spy(alg_q1))
     monkeypatch.setattr(search, "alg_poly_q2", spy(alg_q2))
@@ -494,4 +508,7 @@ def test_attack_transforms_each_branch_once(monkeypatch, tmp_path, kind, backend
                     "--out", str(tmp_path / "r.json")]) == 0
     assert len(searched) == 2
     for inst in searched:
-        assert [calls[id(inst), i] for i in range(1 << inst.m)] == [1] * (1 << inst.m)
+        branches = inst.family ^ inst.g
+        assert sum(np.array_equal(tables, branches) for tables in stacks) == 1
+        rows = {row.tobytes() for row in branches}
+        assert not any(h.tobytes() in rows for h in singles)

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from offline_simon import analysis, search, simon
+from offline_simon import analysis, gf2, search, simon
 from offline_simon.gf2 import Gf2Basis
 
 SCHEMA = json.loads(
@@ -239,6 +240,83 @@ def test_restoration_distance_zero_for_periodic_branch():
     dist = search.restoration_distance(inst.branch(inst.planted_index),
                                        inst.n, inst.l, 2)
     assert dist == pytest.approx(0.0, abs=1e-9)
+
+
+def test_restoration_distance_holds_two_states():
+    """The check keeps its state and the ideal copy; the distance between
+    them is summed tile by tile, so no third state-sized array appears."""
+    n, l, copies = 4, 4, 2  # 17 qubits: a 2 MiB state
+    inst = search.random_instance(n, 2, l, np.random.default_rng(4))
+    table = inst.branch((inst.planted_index + 1) % 4)
+    state_bytes = 16 << search.qubit_footprint(0, copies, n, l)
+    search.restoration_distance(table, n, l, copies)  # builds the cached rank predicate
+    tracemalloc.start()
+    try:
+        dist = search.restoration_distance(table, n, l, copies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist > 0.0
+    assert peak <= 2 * state_bytes + (1 << 20)
+
+
+def _choice_loop_shot(instance, copies, r, rng):
+    """The sampled shot as it drew before the one-block draw: one
+    rng.choice(2^n, copies, p=law) call per aperiodic branch per iteration.
+    Returns the measured index and the draws."""
+    n = instance.n
+    size = 1 << instance.m
+    scr = instance.screened
+    periodic = np.array([bool(p) for p in scr.branch_periods], dtype=bool)
+    aperiodic = np.nonzero(~periodic)[0]
+    draws = np.empty((r, len(aperiodic), copies), dtype=np.int64)
+    for j in range(r):
+        for slot, i in enumerate(aperiodic):
+            draws[j, slot] = rng.choice(1 << n, size=copies, p=scr.laws[i].weights)
+    fired = gf2.batch_rank(draws.reshape(r * len(aperiodic), copies), n) < n
+    fired = fired.reshape(r, len(aperiodic))
+    amp = np.full(size, 1.0 / math.sqrt(size))
+    for j in range(r):
+        signs = np.where(periodic, -1.0, 1.0)
+        signs[aperiodic[fired[j]]] = -1.0
+        amp = amp * signs
+        amp = 2.0 * amp.mean() - amp
+    probs = amp * amp
+    probs = probs / probs.sum()
+    return int(rng.choice(size, p=probs)), draws.reshape(r * len(aperiodic), copies)
+
+
+def test_shot_draws_match_the_choice_loop(monkeypatch):
+    """The one-block draw gives the words, the index and the generator state
+    of the per-branch rng.choice loop, zero-weight words included."""
+    seen = []
+
+    def spy_rank(words, n):
+        seen.append(words.copy())
+        return gf2.batch_rank(words, n)
+
+    monkeypatch.setattr(search, "batch_rank", spy_rank)
+    rng = np.random.default_rng(2026)
+    zero_weight = drawn = 0
+    for _ in range(60):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(0, 5))
+        l = int(rng.integers(1, n + 2))
+        inst = search.SearchInstance(
+            n=n, m=m, l=l, family=rng.integers(0, 1 << l, size=(1 << m, 1 << n)),
+            g=rng.integers(0, 1 << l, size=1 << n))
+        copies, r = int(rng.integers(1, 9)), int(rng.integers(0, 5))
+        seed = int(rng.integers(1 << 32))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        seen.clear()
+        got = search._sampled_index_shot(inst, copies, r, got_rng)
+        want, want_draws = _choice_loop_shot(inst, copies, r, want_rng)
+        assert got == want
+        assert len(seen) == 1 and np.array_equal(seen[0], want_draws)
+        assert got_rng.random() == want_rng.random()
+        laws = [law for law in inst.screened.laws if not law.periods]
+        zero_weight += sum(int((law.weights == 0.0).sum()) for law in laws)
+        drawn += want_draws.size
+    assert zero_weight > 0 and drawn > 1000
 
 
 def test_sim_q1_recovers_period():

@@ -211,6 +211,68 @@ def test_law_and_collisions_exact_across_ragged_chunks(monkeypatch):
     assert spanned >= 15
 
 
+def _mixed_rows(n, rng):
+    """Rows of width n with different class counts: constant, periodic,
+    injective, two-valued and random, in shuffled order."""
+    size = 1 << n
+    period = int(rng.integers(1, size))
+    rows = [np.full(size, 3), simon.random_periodic_function(n, n, period, rng),
+            rng.permutation(size), rng.integers(0, 2, size=size),
+            rng.integers(0, size, size=size)]
+    return np.array(rows, dtype=np.int64)[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_distributions_match_each_row_bit_for_bit(monkeypatch, n):
+    """One pass over a stack of tables gives every row the law, collision
+    spectrum and periods that the row gets alone, also when class-indicator
+    blocks span rows, split a row, and end on a short block."""
+    rng = np.random.default_rng(100 + n)
+    tables = _mixed_rows(n, rng)
+    alone = [simon.distribution(table, n) for table in tables]
+    counts = np.array([len(np.unique(table)) for table in tables])
+    ends = np.cumsum(counts)
+    starts, total = ends - counts, int(ends[-1])
+    ragged = 0
+    for chunk in range(1, 8):
+        monkeypatch.setattr(simon, "_CHUNK_CELLS", chunk << n)
+        laws = simon.distributions(tables, n)
+        assert len(laws) == len(tables)
+        for table, law, one in zip(tables, laws, alone):
+            assert law.weights.tobytes() == one.weights.tobytes()
+            assert law.collisions.tobytes() == one.collisions.tobytes()
+            assert law.periods == one.periods
+            assert np.array_equal(law.weights, brute_law(table, n))
+        cuts = np.arange(chunk, total, chunk)
+        spans_rows = any(end % chunk for end in ends[:-1])
+        splits_row = any(((cuts > a) & (cuts < b)).any() for a, b in zip(starts, ends))
+        ragged += spans_rows and splits_row and total % chunk != 0
+    assert ragged
+
+
+def test_distributions_number_widely_spread_values():
+    """Values too far apart to offset row by row get the same laws as a
+    relabelling of them to small ones."""
+    big = np.array([[-(1 << 62), 1 << 62, 0, 0], [5, 5, 1 << 62, -(1 << 62)]])
+    small = np.array([[0, 2, 1, 1], [1, 1, 2, 0]])
+    for law, want in zip(simon.distributions(big, 2), simon.distributions(small, 2)):
+        assert law.weights.tobytes() == want.weights.tobytes()
+        assert law.periods == want.periods
+
+
+def test_law_cdf_draws_what_choice_draws():
+    """searchsorted on the cached cdf at rng.random(k) is rng.choice(p=law)."""
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        for table in _mixed_rows(n, rng):
+            law = simon.distribution(table, n)
+            seed = int(rng.integers(1 << 32))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = law.cdf.searchsorted(a.random(50), side="right")
+            assert np.array_equal(got, b.choice(1 << n, size=50, p=law.weights))
+            assert a.random() == b.random()
+
+
 def test_p_bad_estimate_transforms_its_table_once(monkeypatch):
     """One block of class indicators and one Walsh transform of the law:
     the periodicity check, the Monte Carlo law, eps and the union bound
@@ -232,4 +294,4 @@ def test_p_bad_estimate_transforms_its_table_once(monkeypatch):
         if hasattr(module, "fwht"):
             monkeypatch.setattr(module, "fwht", spy)
     simon.p_bad_estimate(table, 3, 100, rng, n)
-    assert shapes == [(len(np.unique(table)), 1 << n), (1 << n,)]
+    assert shapes == [(len(np.unique(table)), 1 << n), (1, 1 << n)]
