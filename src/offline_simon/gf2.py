@@ -6,9 +6,10 @@ passes alongside. Widths are capped at 24 bits: everything here is meant
 for desk-scale experiments where 2^n tables are materialized.
 
 ``Gf2Basis`` keeps a basis and is what period solving needs; a caller that
-only asks for ranks hands all its rows to ``batch_rank`` at once, which
-eliminates one pivot bit at a time across every row with numpy bit ops (the
-plain bit-sliced form of M4RI-style elimination).
+only asks for ranks hands all its rows to ``batch_rank`` at once. It runs
+max-pivot elimination across every row with numpy ops: each step XORs the
+largest word of a row into the row's words that share its leading bit,
+which is ``Gf2Basis.reduce``'s min(u, u ^ row) taken elementwise.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_WIDTH = 24
-# Words per block of batch_rank: bounds its working arrays to a few hundred
-# KiB whatever the number of rows.
+# Words per block of batch_rank and of the callers that feed it block by
+# block (search._rank_predicate, simon._p_bad_mc): bounds their working
+# arrays to about a MiB whatever the number of rows.
 _RANK_BLOCK_CELLS = 1 << 16
 # Elements per half tile of the Walsh-Hadamard butterflies: a tile of
 # complex128 and its scratch half take 768 KiB, which stays in cache.
@@ -159,10 +161,15 @@ def _word_dtype(n: int) -> type:
 def batch_rank(words, n: int) -> np.ndarray:
     """GF(2) rank of each row of a (rows, k) array of n-bit words.
 
-    For each pivot bit from n-1 down to 0, the first word of a row with
-    that bit set is XORed into every word of the row that has it, and the
-    row's rank counts one pivot. Rows are processed in blocks of bounded
-    size in the narrowest unsigned dtype that holds n bits.
+    Max-pivot elimination: each step takes the largest word of every row as
+    its pivot, counts one rank where that pivot is nonzero, and replaces
+    every word u of the row by min(u, u ^ pivot), which clears the pivot's
+    leading bit wherever it is set (``Gf2Basis.reduce``, across rows). Each
+    step lowers the largest leading bit and zeroes the pivot, so min(n, k)
+    steps leave only zeros; the rank does not depend on which pivot a step
+    takes. Rows go in blocks of bounded size, each held as a C-ordered
+    (k, rows) array in the narrowest unsigned dtype that holds n bits, so
+    every step runs along the rows.
     """
     _check_width(n)
     a = np.asarray(words)
@@ -179,16 +186,14 @@ def batch_rank(words, n: int) -> np.ndarray:
     dtype = _word_dtype(n)
     block = max(1, _RANK_BLOCK_CELLS // k)
     for start in range(0, rows, block):
-        m = a[start:start + block].astype(dtype)
-        lanes = np.arange(len(m))
+        m = a[start:start + block].T.astype(dtype, order="C")
+        flipped = np.empty_like(m)
         rank = ranks[start:start + block]
-        for bit in range(n - 1, -1, -1):
-            mask = dtype(1 << bit)
-            has = (m & mask) != 0
-            pivot = m[lanes, has.argmax(axis=1)]
-            # a row with no word holding the bit gets a pivot without it
-            rank += (pivot & mask) != 0
-            m ^= has * pivot[:, None]
+        for _ in range(min(n, k)):
+            top = m.max(axis=0)
+            rank += top != 0
+            np.bitwise_xor(m, top, out=flipped)
+            np.minimum(m, flipped, out=m)
     return ranks
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from offline_simon import gf2
 from offline_simon.gf2 import (
     MAX_WIDTH,
     Gf2Basis,
@@ -107,6 +108,64 @@ def test_batch_rank_spans_blocks():
         words[1::2, 4] = words[1::2, 0] ^ words[1::2, 1]
         want = [Gf2Basis(n).extend(int(u) for u in row) for row in words]
         assert batch_rank(words, n).tolist() == want
+
+
+def first_word_batch_rank(words, n):
+    """The batch_rank that max-pivot elimination replaced: for each pivot bit
+    from the top, the first word of a row holding that bit is XORed into
+    every word of the row that holds it."""
+    a = np.asarray(words)
+    rows, k = a.shape
+    ranks = np.zeros(rows, dtype=np.int64)
+    if a.size == 0:
+        return ranks
+    dtype = np.uint8 if n <= 8 else np.uint16 if n <= 16 else np.uint32
+    block = max(1, (1 << 16) // k)
+    for start in range(0, rows, block):
+        m = a[start:start + block].astype(dtype)
+        lanes = np.arange(len(m))
+        rank = ranks[start:start + block]
+        for bit in range(n - 1, -1, -1):
+            mask = dtype(1 << bit)
+            has = (m & mask) != 0
+            pivot = m[lanes, has.argmax(axis=1)]
+            rank += (pivot & mask) != 0
+            m ^= has * pivot[:, None]
+    return ranks
+
+
+def _mixed_rank_rows(n, k, rows, rng):
+    """rows of k n-bit words: free, zero, one repeated word, and spans of
+    1..3 generators (rank-deficient), in shuffled order."""
+    out = rng.integers(0, 1 << n, size=(rows, k))
+    kind = rng.integers(0, 4, size=rows)
+    out[kind == 1] = 0
+    out[kind == 2] = rng.integers(0, 1 << n, size=(int((kind == 2).sum()), 1))
+    for r in np.flatnonzero(kind == 3):
+        gens = rng.integers(0, 1 << n, size=int(rng.integers(1, 4)))
+        masks = rng.integers(0, 2, size=(k, len(gens))).astype(bool)
+        out[r] = [np.bitwise_xor.reduce(gens[m]) if m.any() else 0 for m in masks]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, MAX_WIDTH + 1))
+def test_batch_rank_matches_first_word_elimination(monkeypatch, n):
+    """Max-pivot elimination gives the old kernel's ranks at every width,
+    for k below, at and above n, from every integer dtype that holds n bits,
+    over several blocks with a short last one. Catches a min pivot in place
+    of the max and a block's tail left unranked."""
+    rng = np.random.default_rng(300 + n)
+    cells = 97  # an odd block size, so most blocks end short
+    monkeypatch.setattr(gf2, "_RANK_BLOCK_CELLS", cells)
+    dtypes = [np.int64] + [t for t, bits in ((np.uint8, 8), (np.uint16, 16),
+                                             (np.uint32, 32)) if n <= bits]
+    for k in sorted({1, max(1, n - 1), n, 3 * n + 2}):
+        rows = max(40, 3 * (cells // k) + 2)
+        words = _mixed_rank_rows(n, k, rows, rng)
+        want = first_word_batch_rank(words, n)
+        assert (want < min(n, k)).any()  # some rows are rank-deficient
+        for dtype in dtypes:
+            assert batch_rank(words.astype(dtype), n).tolist() == want.tolist()
 
 
 def test_batch_rank_rejects_bad_input():

@@ -5,6 +5,8 @@ import hypothesis.strategies as st
 
 from offline_simon import analysis, gf2, qsim, search, simon
 
+from test_gf2 import first_word_batch_rank
+
 
 def circuit_u_distribution(table, n, l):
     """Ground truth from the state vector: H, oracle, H, measure x."""
@@ -283,15 +285,102 @@ def test_p_bad_estimate_transforms_its_table_once(monkeypatch):
     while analysis.find_periods(table, n):
         table = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
     shapes = []
-    fwht = gf2.fwht
+    fwht, fwht_inplace = gf2.fwht, gf2.fwht_inplace
 
     def spy(vec):
         shapes.append(np.shape(vec))
         return fwht(vec)
 
-    # every module that binds fwht by name
-    for module in (gf2, simon, analysis, search, qsim):
-        if hasattr(module, "fwht"):
-            monkeypatch.setattr(module, "fwht", spy)
+    def spy_inplace(a, *args):
+        shapes.append(np.shape(a))
+        return fwht_inplace(a, *args)
+
+    # every module that binds either transform by name; fwht itself runs
+    # through gf2.fwht_inplace, which stays unwatched
+    for module in (simon, analysis, search, qsim):
+        for name, watch in (("fwht", spy), ("fwht_inplace", spy_inplace)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, watch)
+    monkeypatch.setattr(gf2, "fwht", spy)
     simon.p_bad_estimate(table, 3, 100, rng, n)
     assert shapes == [(len(np.unique(table)), 1 << n), (1, 1 << n)]
+
+
+def _choice_p_bad_mc(law, count, trials, rng):
+    """The _p_bad_mc that guide-table draws replaced: one rng.choice of the
+    whole (trials, count) block, ranked by the first-word kernel. Returns the
+    estimate and the draws."""
+    draws = rng.choice(1 << law.n, size=(trials, count), p=law.weights)
+    return int((first_word_batch_rank(draws, law.n) < law.n).sum()) / trials, draws
+
+
+def _laws(n, rng):
+    """Laws of width n: of a random, a periodic (zero-weight words), a
+    constant and a one-point table, and given outright: random with zeros,
+    uniform, two-valued, and all weight on a random word and on the last."""
+    size = 1 << n
+    period = int(rng.integers(1, size))
+    tables = [rng.integers(0, size, size=size), simon.random_periodic_function(n, n, period, rng),
+              np.zeros(size, dtype=np.int64), (np.arange(size) == 0).astype(np.int64)]
+    laws = [simon.distribution(table, n) for table in tables]
+    spread = rng.random(size) * (rng.random(size) < 0.7)
+    spread[rng.integers(size)] += 1.0
+    two = np.where(rng.random(size) < 0.5, 1.0, 3.0)
+    for w in (spread, np.ones(size), two, np.eye(size)[rng.integers(size)], np.eye(size)[-1]):
+        laws.append(simon.SimonSampleDistribution(n, w / w.sum(), np.zeros(size)))
+    return laws
+
+
+def _check_p_bad_mc(monkeypatch, law, count, trials, seed):
+    """_p_bad_mc against the rng.choice reference from one seed: the same
+    estimate, the same words ranked in the same order, and the same next
+    generator output."""
+    seen = []
+
+    def spy(words, n):
+        seen.append(np.array(words))
+        return gf2.batch_rank(words, n)
+
+    monkeypatch.setattr(simon, "batch_rank", spy)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, draws = _choice_p_bad_mc(law, count, trials, b)
+    assert simon._p_bad_mc(law, count, trials, a) == want
+    assert np.array_equal(np.concatenate(seen), draws)
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_p_bad_mc_draws_what_choice_draws(monkeypatch, n):
+    """Guide-table draws, block by block, are rng.choice's draws bit for bit,
+    for counts of 1, n and 3n + 2 and for trials below one block and over a
+    ragged number of blocks. Catches a dropped straggler search, blocks drawn
+    column-major, and a block's tail left undrawn."""
+    rng = np.random.default_rng(400 + n)
+    cells = 101  # small blocks, so every case spans several
+    monkeypatch.setattr(simon, "_RANK_BLOCK_CELLS", cells)
+    for law in _laws(n, rng):
+        for count in sorted({1, n, 3 * n + 2}):
+            block = max(1, cells // count)
+            for trials in (max(1, block - 1), 2 * block + 3):
+                _check_p_bad_mc(monkeypatch, law, count, trials, int(rng.integers(1 << 32)))
+
+
+def test_p_bad_mc_draws_what_choice_draws_at_full_blocks(monkeypatch):
+    """The real block size: count 1 over more than one block, and a count
+    above _RANK_BLOCK_CELLS, which leaves one row per block."""
+    rng = np.random.default_rng(12)
+    cells = gf2._RANK_BLOCK_CELLS
+    for n, count, trials in ((3, 1, cells + 5), (2, cells + 3, 3)):
+        for law in _laws(n, rng)[:2]:
+            _check_p_bad_mc(monkeypatch, law, count, trials, int(rng.integers(1 << 32)))
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.6, -0.1, 0.0], [0.25, 0.25, 0.25, 0.26],
+                                     [np.nan, 0.5, 0.5, 0.0]],
+                         ids=["negative", "sum-1.01", "nan"])
+def test_p_bad_mc_rejects_what_choice_rejects(weights):
+    """A negative weight, weights not summing to 1 and a NaN raise, as
+    rng.choice(p=...) raised."""
+    law = simon.SimonSampleDistribution(2, np.array(weights), np.zeros(4))
+    with pytest.raises(ValueError):
+        simon._p_bad_mc(law, 2, 10, np.random.default_rng(0))
