@@ -36,19 +36,6 @@ def collision_probabilities(table, n: int) -> np.ndarray:
     return simon.distribution(table, n).collisions
 
 
-def collision_prob(table, n: int, t: int) -> float:
-    """Pr_x[h(x ^ t) = h(x)] for a single shift t, by direct count."""
-    table = np.asarray(table)
-    xs = np.arange(1 << n)
-    return float(np.count_nonzero(table[xs ^ t] == table[xs])) / (1 << n)
-
-
-def epsilon_max(table, n: int) -> float:
-    """Largest collision probability over nonzero shifts (0.0 when n == 0)."""
-    probs = collision_probabilities(table, n)
-    return float(probs[1:].max()) if len(probs) > 1 else 0.0
-
-
 def find_periods(table, n: int) -> list[int]:
     """Nonzero t with h(x ^ t) = h(x) for all x (a subgroup minus zero)."""
     return list(simon.distribution(table, n).periods)
@@ -132,18 +119,6 @@ def qaa_deviation_bound(j: int, eps: float) -> float:
 def qaa_success_lower(a: float, r: int, eps: float) -> float:
     """max(1-a, a) minus the noise penalty, floored at zero."""
     return max(0.0, max(1.0 - a, a) - qaa_deviation_bound(r, eps))
-
-
-def offline_success_lower(m: int, n: int, copies: int, eps: float) -> float:
-    """End-to-end lower bound for the polynomial-query search.
-
-    The per-call test error is the restoration bound; amplification runs
-    grover_iterations(m) rounds starting from a = 2^-m.
-    """
-    if m == 0:
-        return simon_success_lower(n, copies, eps)
-    per_call = min(1.0, restoration_bound(n, copies, eps))
-    return qaa_success_lower(2.0**-m, grover_iterations(m), per_call)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +235,6 @@ def published_figures() -> dict:
 # ---------------------------------------------------------------------------
 # Classical reference attacks
 # ---------------------------------------------------------------------------
-
-
-def collect_codebook(oracle, inputs) -> np.ndarray:
-    """Query the oracle on every listed input; the caller counts len(inputs)
-    against its data budget."""
-    return np.array([oracle(int(x)) for x in inputs], dtype=np.int64)
 
 
 @dataclass(frozen=True)

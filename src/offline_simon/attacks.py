@@ -13,7 +13,6 @@ table words held.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, NamedTuple
@@ -77,9 +76,6 @@ class AttackReport:
             "notes": list(self.notes),
         })
         return base
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +302,37 @@ def run_attack(target: Target, inst, u: int | None, c: int | None,
 # ---------------------------------------------------------------------------
 
 
-def em_search_instance(inst: EvenMansourInstance, u: int) -> search.SearchInstance:
-    """Data window: the 2^u plaintexts with zero low bits. The guess index
-    runs over the low n-u bits of k1; the branch period is k1's high part."""
-    n = inst.n
+def _em_window_instance(perm: primitives.Permutation, u: int, online: Callable[[int], int],
+                        key: int, target: str) -> search.SearchInstance:
+    """The Even-Mansour window carve that em-q1 and chaskey share: the data
+    window is the 2^u inputs with zero low bits, answered by `online` (the
+    target's own oracle), and family row i is x -> perm((x << w) | i) with
+    w = n - u. The guess index runs over the low w bits of the whitening key
+    `key`; its high part is the branch period, and may vanish (the planted
+    branch is then constant)."""
+    n = perm.n
     if not 1 <= u <= n:
         raise ValueError("need 1 <= u <= n")
     w = n - u
-    g = np.array([em_encrypt(inst, x << w) for x in range(1 << u)], dtype=np.int64)
+    g = np.array([online(x << w) for x in range(1 << u)], dtype=np.int64)
     family = np.array(
-        [[inst.perm((x << w) | i) for x in range(1 << u)] for i in range(1 << w)],
+        [[perm((x << w) | i) for x in range(1 << u)] for i in range(1 << w)],
         dtype=np.int64,
     )
     instance = search.SearchInstance(
         n=u, m=w, l=n, family=family, g=g,
-        planted_index=inst.k1 & ((1 << w) - 1),
-        planted_period=inst.k1 >> w,
+        planted_index=key & ((1 << w) - 1),
+        planted_period=key >> w,
         u=u,
     )
-    _screen_or_raise(instance, "em-q1", allow_constant_branch=True)
+    _screen_or_raise(instance, target, allow_constant_branch=True)
     return instance
+
+
+def em_search_instance(inst: EvenMansourInstance, u: int) -> search.SearchInstance:
+    """Data window: the 2^u plaintexts with zero low bits. The guess index
+    runs over the low n-u bits of k1; the branch period is k1's high part."""
+    return _em_window_instance(inst.perm, u, lambda x: em_encrypt(inst, x), inst.k1, "em-q1")
 
 
 def _em_assemble(cut: Cut, i: int, period: int) -> list[dict]:
@@ -526,22 +533,9 @@ def chaskey_em_instance(inst: ChaskeyToyInstance, u: int, m1: int) -> search.Sea
     """With the first block fixed, the tag is an Even-Mansour instance in the
     second block: tag(m2) = pi(m2 ^ kappa1) ^ kappa2 with kappa1 = pi(k ^ m1)
     ^ k1 and kappa2 = k1."""
-    n = inst.n
-    w = n - u
     kappa1 = inst.perm(inst.k ^ m1) ^ inst.k1
-    g = np.array([chaskey_tag(inst, m1, x << w) for x in range(1 << u)], dtype=np.int64)
-    family = np.array(
-        [[inst.perm((x << w) | i) for x in range(1 << u)] for i in range(1 << w)],
-        dtype=np.int64,
-    )
-    instance = search.SearchInstance(
-        n=u, m=w, l=n, family=family, g=g,
-        planted_index=kappa1 & ((1 << w) - 1),
-        planted_period=kappa1 >> w,
-        u=u,
-    )
-    _screen_or_raise(instance, "chaskey", allow_constant_branch=True)
-    return instance
+    return _em_window_instance(inst.perm, u, lambda x: chaskey_tag(inst, m1, x), kappa1,
+                               "chaskey")
 
 
 def _chaskey_assemble(cut: Cut, i: int, period: int) -> list[dict]:
@@ -734,22 +728,6 @@ def attack_related_key(oracle: RelatedKeyOracle, u: int | None = None,
     return run_attack(RELATED_KEY, oracle, u, c, backend, rng)
 
 
-def exhaustive_related_key_search(oracle: RelatedKeyOracle,
-                                  probes: int = 4) -> list[int]:
-    """Reference brute force: all keys consistent with a few difference
-    probes (normally a single key at toy scale)."""
-    deltas = list(range(probes))
-    targets = [related_key_query(oracle, d) for d in deltas]
-    hits = []
-    for key in range(1 << oracle.family.m):
-        if all(
-            oracle.family.encrypt(key ^ d, oracle.msg) == t
-            for d, t in zip(deltas, targets)
-        ):
-            hits.append(key)
-    return hits
-
-
 # ---------------------------------------------------------------------------
 # Slide attack on iterated FX
 # ---------------------------------------------------------------------------
@@ -827,25 +805,6 @@ def attack_slide_ifx(inst: IterFxInstance, c: int | None = None,
     return run_attack(SLIDE_IFX, inst, None, c, backend, rng)
 
 
-def exhaustive_ifx_search(inst: IterFxInstance) -> list[tuple[int, int]]:
-    """Reference brute force over the full (k1, k2) space."""
-    hits = []
-    targets = [ifx_encrypt(inst, x) for x in range(1 << inst.n)]
-    for k1 in range(1 << inst.n):
-        for k2 in range(1 << inst.m):
-            ok = True
-            for x, t in zip(range(1 << inst.n), targets):
-                y = x
-                for _ in range(inst.rounds):
-                    y = inst.family.encrypt(k2, y ^ k1)
-                if y ^ k1 != t:
-                    ok = False
-                    break
-            if ok:
-                hits.append((k1, k2))
-    return hits
-
-
 TARGETS = {t.kind: t for t in (EM_Q1, FX_Q2, FX_Q1, CHASKEY, BEETLE, RELATED_KEY, SLIDE_IFX)}
 
 
@@ -869,8 +828,12 @@ def estimate_costs(n: int | None = None, m: int | None = None,
     """Cost-table rows for a named target or raw (n, m) parameters.
 
     The generic path reports every form of the copy constant, the query
-    count, and both the Q2 and (data-limited) Q1 iteration counts."""
+    count, and both the Q2 and (data-limited) Q1 iteration counts. A preset
+    fixes its own sizes, so it takes none of n, m and data_limit_log2; the
+    data limit is a window of at most the whole 2^n domain."""
     if preset is not None:
+        if (n, m, data_limit_log2) != (None, None, None):
+            raise ValueError("a preset fixes its own sizes; it takes no n, m or data limit")
         figures = analysis.published_figures()
         key = _PRESET_ALIASES.get(preset, preset)
         if key not in figures:
@@ -879,6 +842,8 @@ def estimate_costs(n: int | None = None, m: int | None = None,
         return {"preset": preset, **figures[key]}
     if n is None or m is None:
         raise ValueError("need n and m (or a preset)")
+    if data_limit_log2 is not None and not 0 <= data_limit_log2 <= n:
+        raise ValueError(f"data limit must be in [0, n={n}], got {data_limit_log2}")
     record = {
         "n": n,
         "m": m,

@@ -33,7 +33,10 @@ GEN_TARGETS = {
     "beetle": ("beetle", "beetle-toy"),
     "related-key": ("related-key", "related-key"),
 }
-GEN_KINDS = ("permutation", "function-table", *GEN_TARGETS)
+# the size flags each table kind of `gen` reads (a record kind reads its
+# record's defaults)
+GEN_TABLE_SIZES = {"permutation": ("n",), "function-table": ("n", "l")}
+GEN_KINDS = (*GEN_TABLE_SIZES, *GEN_TARGETS)
 # Size flags must be at least 1 when given: the records' defaults read
 # `a.n or 9`, so a 0 would silently run the toy size.
 _SIZE_FLAGS = ("n", "m", "l", "u", "c", "rate", "capacity", "rounds")
@@ -71,6 +74,13 @@ class RunConfig:
     fmt: str = "json"
 
 
+def _reject_unread_sizes(cfg: RunConfig, reads) -> None:
+    """A size flag that the kind does not read is an error, not a no-op."""
+    for flag in _SIZE_FLAGS:
+        if getattr(cfg, flag) is not None and flag not in reads:
+            raise CliError(f"{cfg.subcommand} {cfg.kind} does not read --{flag}")
+
+
 def _attack_parameters(cfg: RunConfig) -> dict:
     """Attack parameters with the target's toy defaults filled in. Rejects
     parameter sets whose tables or simulations cannot fit, before any
@@ -78,10 +88,7 @@ def _attack_parameters(cfg: RunConfig) -> dict:
     target = attacks.TARGETS.get(cfg.kind)
     if target is None:
         raise CliError(f"unknown attack kind {cfg.kind!r}")
-    reads = {"c", *target.defaults(cfg)}
-    for flag in _SIZE_FLAGS:
-        if getattr(cfg, flag) is not None and flag not in reads:
-            raise CliError(f"attack {cfg.kind} does not read --{flag}")
+    _reject_unread_sizes(cfg, {"c", *target.defaults(cfg)})
     p = {"seed": cfg.seed, "backend": cfg.backend, "c": cfg.c, **target.defaults(cfg)}
     dim, m_search, l, widths = target.shape(p)
     p["l"] = l
@@ -172,12 +179,9 @@ def _attack_csv(rows: list[dict]) -> str:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    if cfg.preset:
-        record = attacks.estimate_costs(preset=cfg.preset)
-    else:
-        if cfg.n is None or cfg.m is None:
-            raise CliError("estimate needs --preset or both --n and --m")
-        record = attacks.estimate_costs(cfg.n, cfg.m, cfg.data_limit)
+    if not cfg.preset and (cfg.n is None or cfg.m is None):
+        raise CliError("estimate needs --preset or both --n and --m")
+    record = attacks.estimate_costs(cfg.n, cfg.m, cfg.data_limit, cfg.preset)
     if cfg.fmt == "json":
         text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     elif cfg.fmt == "csv":
@@ -300,6 +304,12 @@ def cmd_verify_bounds(cfg: RunConfig) -> int:
 def cmd_gen(cfg: RunConfig) -> int:
     if not cfg.out:
         raise CliError("gen needs --out")
+    if cfg.kind in GEN_TABLE_SIZES:
+        _reject_unread_sizes(cfg, GEN_TABLE_SIZES[cfg.kind])
+    else:
+        attack_kind, descriptor = GEN_TARGETS[cfg.kind]
+        target = attacks.TARGETS[attack_kind]
+        _reject_unread_sizes(cfg, target.defaults(cfg))
     rng = np.random.default_rng(cfg.seed)
     try:
         if cfg.kind == "permutation":
@@ -312,8 +322,6 @@ def cmd_gen(cfg: RunConfig) -> int:
             table = rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)
             save_function_table(cfg.out, n, l, table)
         else:
-            attack_kind, descriptor = GEN_TARGETS[cfg.kind]
-            target = attacks.TARGETS[attack_kind]
             inst = target.draw(target.defaults(cfg), rng)[0]
             Path(cfg.out).write_text(instance_to_json(descriptor, cfg.seed, inst) + "\n")
     except ValueError as exc:

@@ -34,11 +34,6 @@ def _check_width(width: int) -> None:
         raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {width}")
 
 
-def parity(x: int) -> int:
-    """Parity of the popcount of x."""
-    return x.bit_count() & 1
-
-
 class Gf2Basis:
     """Row-echelon basis of a subspace of F_2^n, built incrementally.
 
@@ -62,9 +57,6 @@ class Gf2Basis:
         for row in self.rows:
             u = min(u, u ^ row)
         return u
-
-    def contains(self, u: int) -> bool:
-        return self.reduce(u) == 0
 
     def insert(self, u: int) -> bool:
         """Add u to the basis. Returns True iff the rank grew."""

@@ -97,10 +97,6 @@ class BlockCipherFamily:
     def encrypt(self, key: int, x: int) -> int:
         return int(self.key_table(key)[x])
 
-    def decrypt(self, key: int, y: int) -> int:
-        table = self.key_table(key)
-        return int(np.nonzero(table == y)[0][0])
-
 
 def random_cipher_family(m: int, n: int, rng: np.random.Generator) -> BlockCipherFamily:
     """Seeded cipher family; the seed is drawn once from rng."""

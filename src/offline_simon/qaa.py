@@ -49,32 +49,6 @@ def ideal_success(a: float, j: int) -> float:
     return analysis.amplified_success(a, j)
 
 
-@dataclass(frozen=True)
-class NoisyQaaPrediction:
-    a: float
-    r: int
-    ideal: float
-    epsilon: float
-    lower: float
-
-    def deviation_bound(self, j: int) -> float:
-        return analysis.qaa_deviation_bound(j, self.epsilon)
-
-
-def noisy_prediction(a: float, eps: float) -> NoisyQaaPrediction:
-    """Prediction interval when each check call errs by at most eps."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    spec = spec_for(a)
-    return NoisyQaaPrediction(
-        a=a,
-        r=spec.r,
-        ideal=ideal_success(a, spec.r),
-        epsilon=eps,
-        lower=analysis.qaa_success_lower(a, spec.r, eps),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Exact circuit runs
 # ---------------------------------------------------------------------------

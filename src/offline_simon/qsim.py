@@ -77,9 +77,6 @@ class RegisterLayout:
             raise KeyError(f"no register named {name!r}")
         return self._shift[name]
 
-    def value_of(self, index: int, name: str) -> int:
-        return (index >> self.shift(name)) & ((1 << self.width(name)) - 1)
-
 
 @dataclass
 class QState:
@@ -312,12 +309,6 @@ def measure(state: QState, register: str, rng: np.random.Generator) -> tuple[int
     view[:, outcome + 1:, :] = 0
     view[:, outcome, :] /= math.sqrt(probs[outcome])
     return outcome, state
-
-
-def sample_register(state: QState, register: str, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """shots i.i.d. draws of the register's value, state left untouched."""
-    probs = marginal(state, register)
-    return rng.choice(len(probs), size=shots, p=probs / probs.sum())
 
 
 def distance(s1: QState, s2: QState) -> float:

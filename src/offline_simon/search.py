@@ -21,7 +21,6 @@ of uniforms per shot, searched in each law's cumulative table.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
@@ -140,11 +139,6 @@ class ErrorBudget:
     ideal_success: float
     success_lower: float
 
-    @property
-    def per_iteration(self) -> float:
-        """Phase-flip form of the per-call error (the doubled budget)."""
-        return 2.0 * self.delta_bound
-
     def accumulated(self, j: int) -> float:
         """Output-probability deviation bound after j iterations."""
         return analysis.qaa_deviation_bound(j, self.delta_bound)
@@ -207,9 +201,6 @@ class Report:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

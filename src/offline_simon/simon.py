@@ -24,8 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analysis
-from .gf2 import (_RANK_BLOCK_CELLS, PeriodSolution, batch_rank, fwht, fwht_inplace, parity,
-                  solve_period)
+from .gf2 import _RANK_BLOCK_CELLS, PeriodSolution, batch_rank, fwht, fwht_inplace, solve_period
 
 MAX_N = 20
 # Cells of one block of class indicators in `distributions`: 32 MiB of
@@ -56,12 +55,6 @@ class SimonSampleDistribution:
     n: int
     weights: np.ndarray
     collisions: np.ndarray
-
-    def prob_orthogonal(self, t: int) -> float:
-        """Pr[u . t = 0] under this law."""
-        us = np.arange(1 << self.n)
-        ortho = np.array([parity(int(u) & t) == 0 for u in us])
-        return float(self.weights[ortho].sum())
 
     @cached_property
     def periods(self) -> tuple[int, ...]:

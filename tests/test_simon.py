@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from offline_simon import analysis, gf2, qsim, search, simon
 
+from reference import brute_collision_prob
 from test_gf2 import first_word_batch_rank
 
 
@@ -16,6 +17,12 @@ def circuit_u_distribution(table, n, l):
     qsim.apply_oracle_xor(state, table, "x", "y")
     qsim.apply_h(state, "x")
     return qsim.marginal(state, "x")
+
+
+def prob_orthogonal(weights, n, t):
+    """Pr[u . t = 0] summed from a law's weights."""
+    even = np.array([bin(u & t).count("1") % 2 == 0 for u in range(1 << n)])
+    return float(weights[even].sum())
 
 
 @given(st.data())
@@ -49,7 +56,8 @@ def test_periodic_distribution_is_orthogonal_supported():
     for u in range(8):
         if bin(u & s).count("1") % 2 == 1:
             assert dist.weights[u] == pytest.approx(0.0, abs=1e-12)
-    assert dist.prob_orthogonal(s) == pytest.approx(1.0, abs=1e-12)
+    assert brute_collision_prob(table, 3, s) == 1.0
+    assert prob_orthogonal(dist.weights, 3, s) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.data())
@@ -62,8 +70,8 @@ def test_orthogonality_claim(data):
          for _ in range(1 << n)], dtype=np.int64)
     t = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     dist = simon.distribution(table, n)
-    collision = analysis.collision_prob(table, n, t)
-    assert dist.prob_orthogonal(t) == pytest.approx((1 + collision) / 2, abs=1e-10)
+    collision = brute_collision_prob(table, n, t)
+    assert prob_orthogonal(dist.weights, n, t) == pytest.approx((1 + collision) / 2, abs=1e-10)
 
 
 def test_sample_agrees_with_distribution():
@@ -205,7 +213,7 @@ def test_law_and_collisions_exact_across_ragged_chunks(monkeypatch):
         monkeypatch.setattr(simon, "_CHUNK_CELLS", chunk << n)
         dist = simon.distribution(table, n)
         assert np.array_equal(dist.weights, brute_law(table, n))
-        counts = [analysis.collision_prob(table, n, t) for t in range(1 << n)]
+        counts = [brute_collision_prob(table, n, t) for t in range(1 << n)]
         assert np.array_equal(dist.collisions, counts)
         assert np.array_equal(analysis.collision_probabilities(table, n), counts)
         expect = [t for t in range(1, 1 << n) if counts[t] == 1.0]
