@@ -315,10 +315,8 @@ def _em_window_instance(perm: primitives.Permutation, u: int, online: Callable[[
         raise ValueError("need 1 <= u <= n")
     w = n - u
     g = np.array([online(x << w) for x in range(1 << u)], dtype=np.int64)
-    family = np.array(
-        [[perm((x << w) | i) for x in range(1 << u)] for i in range(1 << w)],
-        dtype=np.int64,
-    )
+    # input (x << w) | i sits at [x, i] of the table as a (2^u, 2^w) array
+    family = np.ascontiguousarray(perm.table.reshape(1 << u, 1 << w).T)
     instance = search.SearchInstance(
         n=u, m=w, l=n, family=family, g=g,
         planted_index=key & ((1 << w) - 1),
@@ -384,12 +382,8 @@ def fx_q2_search_instance(inst: FxInstance) -> search.SearchInstance:
         [fx_encrypt(inst, 2 * x) ^ fx_encrypt(inst, 2 * x + 1) for x in range(1 << dim)],
         dtype=np.int64,
     )
-    family = np.array(
-        [[inst.family.encrypt(i, 2 * x) ^ inst.family.encrypt(i, 2 * x + 1)
-          for x in range(1 << dim)]
-         for i in range(1 << m)],
-        dtype=np.int64,
-    )
+    tables = inst.family.tables()
+    family = tables[:, 0::2] ^ tables[:, 1::2]
     instance = search.SearchInstance(
         n=dim, m=m, l=n, family=family, g=g,
         planted_index=inst.k,
@@ -471,12 +465,9 @@ def fx_q1_search_instance(inst: FxInstance, u: int) -> search.SearchInstance:
     if inst.k_in >> w == 0:
         raise DegenerateInstanceError("fx-q1: k_in's window part is zero")
     g = np.array([fx_encrypt(inst, x << w) for x in range(1 << u)], dtype=np.int64)
-    family = np.empty((1 << (m + w), 1 << u), dtype=np.int64)
-    for i in range(1 << m):
-        for j in range(1 << w):
-            family[(i << w) | j] = [
-                inst.family.encrypt(i, (x << w) | j) for x in range(1 << u)
-            ]
+    # row (i << w) | j, column x is E_i((x << w) | j)
+    family = (inst.family.tables().reshape(1 << m, 1 << u, 1 << w)
+              .transpose(0, 2, 1).reshape(1 << (m + w), 1 << u))
     instance = search.SearchInstance(
         n=u, m=m + w, l=n, family=family, g=g,
         planted_index=(inst.k << w) | (inst.k_in & ((1 << w) - 1)),
@@ -605,11 +596,9 @@ def beetle_search_instance(inst: BeetleToyInstance, k: int) -> search.SearchInst
     hi = rate - k
     g = np.array([beetle_init(inst, x) for x in range(1 << k)], dtype=np.int64)
     width = rate + cpty
-    family = np.empty((1 << (hi + cpty), 1 << k), dtype=np.int64)
-    for a in range(1 << hi):
-        for b in range(1 << cpty):
-            row = [(inst.perm((((a << k) | x) << cpty) | b)) for x in range(1 << k)]
-            family[(a << cpty) | b] = row
+    # row (a << cpty) | b, column x is perm((((a << k) | x) << cpty) | b)
+    family = (inst.perm.table.reshape(1 << hi, 1 << k, 1 << cpty)
+              .transpose(0, 2, 1).reshape(1 << (hi + cpty), 1 << k))
     instance = search.SearchInstance(
         n=k, m=hi + cpty, l=width, family=family, g=g,
         planted_index=((inst.k1 >> k) << cpty) | inst.k2,
@@ -678,11 +667,9 @@ def related_key_search_instance(oracle: RelatedKeyOracle,
         raise DegenerateInstanceError("related-key: high key part is zero")
     g = np.array(
         [related_key_query(oracle, x << m) for x in range(1 << u)], dtype=np.int64)
-    family = np.array(
-        [[oracle.family.encrypt((x << m) | j, oracle.msg) for x in range(1 << u)]
-         for j in range(1 << m)],
-        dtype=np.int64,
-    )
+    # row j, column x is E_{(x << m) | j}(msg)
+    family = np.ascontiguousarray(
+        oracle.family.tables()[:, oracle.msg].reshape(1 << u, 1 << m).T)
     instance = search.SearchInstance(
         n=u, m=m, l=oracle.family.n, family=family, g=g,
         planted_index=oracle.k & ((1 << m) - 1),
@@ -744,12 +731,9 @@ def slide_search_instance(inst: IterFxInstance) -> search.SearchInstance:
     n, m = inst.n, inst.m
     codebook = np.array([ifx_encrypt(inst, x) for x in range(1 << n)], dtype=np.int64)
     size = 1 << n
-    family = np.empty((1 << m, 2 * size), dtype=np.int64)
-    for j in range(1 << m):
-        enc = np.array([inst.family.encrypt(j, x) for x in range(size)], dtype=np.int64)
-        xs = np.arange(size)
-        family[j, :size] = codebook[enc] ^ xs
-        family[j, size:] = enc[codebook] ^ xs
+    enc = inst.family.tables()  # row j is E_j
+    xs = np.arange(size)
+    family = np.concatenate([codebook[enc] ^ xs, enc[:, codebook] ^ xs], axis=1)
     instance = search.SearchInstance(
         n=n + 1, m=m, l=n, family=family,
         g=np.zeros(2 * size, dtype=np.int64),
@@ -814,6 +798,9 @@ TARGETS = {t.kind: t for t in (EM_Q1, FX_Q2, FX_Q1, CHASKEY, BEETLE, RELATED_KEY
 
 ESTIMATE_PRESETS = ("desx", "prince", "pride", "chaskey", "beetle-light",
                     "beetle-secure", "saturnin16")
+# Widest n or m an estimate takes: twice the widest preset (256 bits), and
+# far below where 2^((n + m) / 2) iterations overflow a float (n + m > 2046).
+ESTIMATE_MAX_BITS = 512
 
 _PRESET_ALIASES = {
     "prince": "prince-fx",
@@ -829,8 +816,9 @@ def estimate_costs(n: int | None = None, m: int | None = None,
 
     The generic path reports every form of the copy constant, the query
     count, and both the Q2 and (data-limited) Q1 iteration counts. A preset
-    fixes its own sizes, so it takes none of n, m and data_limit_log2; the
-    data limit is a window of at most the whole 2^n domain."""
+    fixes its own sizes, so it takes none of n, m and data_limit_log2; n and
+    m are at most ESTIMATE_MAX_BITS, and the data limit is a window of at
+    most the whole 2^n domain."""
     if preset is not None:
         if (n, m, data_limit_log2) != (None, None, None):
             raise ValueError("a preset fixes its own sizes; it takes no n, m or data limit")
@@ -842,6 +830,9 @@ def estimate_costs(n: int | None = None, m: int | None = None,
         return {"preset": preset, **figures[key]}
     if n is None or m is None:
         raise ValueError("need n and m (or a preset)")
+    for name, bits in (("n", n), ("m", m)):
+        if not 1 <= bits <= ESTIMATE_MAX_BITS:
+            raise ValueError(f"{name} must be in [1, {ESTIMATE_MAX_BITS}], got {bits}")
     if data_limit_log2 is not None and not 0 <= data_limit_log2 <= n:
         raise ValueError(f"data limit must be in [0, n={n}], got {data_limit_log2}")
     record = {

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,6 +136,9 @@ def cmd_attack(cfg: RunConfig) -> int:
         raise CliError("workers must be at least 1")
     p = _attack_parameters(cfg)
     if cfg.workers > 1:
+        # imported here: a single-process run does not pay for the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_attack_trial, [cfg.kind] * cfg.trials,
                                  [p] * cfg.trials, range(cfg.trials)))
@@ -212,6 +215,9 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 def cmd_verify_bounds(cfg: RunConfig) -> int:
     if cfg.trials < 1:
         raise CliError("trials must be at least 1")
+    if (cfg.n or 0) > simon.MAX_N:
+        # checked before the period-recovery loop builds 2^n-word tables
+        raise CliError(f"--n {cfg.n} exceeds the simulable {simon.MAX_N}")
     rng = np.random.default_rng(cfg.seed)
     checks: list[dict] = []
 
@@ -336,7 +342,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every call to `main` can share it."""
     parser = argparse.ArgumentParser(prog="offline-simon",
                                      description=__doc__.splitlines()[0])
     # Subcommands take no abbreviations, so that a flag one does not read

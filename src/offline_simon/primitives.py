@@ -77,9 +77,10 @@ class BlockCipherFamily:
         self._full: np.ndarray | None = None
         if m <= FULL_TABLE_KEY_LIMIT:
             rng = np.random.default_rng(np.random.SeedSequence([seed, m, n]))
-            self._full = np.stack(
-                [rng.permutation(1 << n) for _ in range(1 << m)]
-            ).astype(np.int64)
+            # one shuffle per row in place: the rows, and the generator state
+            # after them, are those of one rng.permutation(2^n) per key
+            full = np.tile(np.arange(1 << n, dtype=np.int64), (1 << m, 1))
+            self._full = rng.permuted(full, axis=1, out=full)
 
     def key_table(self, key: int) -> np.ndarray:
         """The full codebook of E_key as an array of 2^n ints."""
@@ -88,14 +89,29 @@ class BlockCipherFamily:
         if self._full is not None:
             return self._full[key]
         if key not in self._cache:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, self.m, self.n, key])
-            )
-            self._cache[key] = rng.permutation(1 << self.n).astype(np.int64)
+            self._cache[key] = self._derive(key)
         return self._cache[key]
+
+    def _derive(self, key: int) -> np.ndarray:
+        """E_key of a family too wide to materialize, from the seed."""
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, self.m, self.n, key]))
+        return rng.permutation(1 << self.n).astype(np.int64)
 
     def encrypt(self, key: int, x: int) -> int:
         return int(self.key_table(key)[x])
+
+    def tables(self) -> np.ndarray:
+        """The codebook of every key as one (2^m, 2^n) array, row k being
+        key_table(k); callers must not write to it. A lazy family derives
+        the keys it has not cached into the array and from then on keeps the
+        array in place of its per-key cache, so it holds one copy of each
+        key's table, as when every key has been asked for one by one."""
+        if self._full is None:
+            full = np.empty((1 << self.m, 1 << self.n), dtype=np.int64)
+            for key in range(1 << self.m):
+                full[key] = self._cache[key] if key in self._cache else self._derive(key)
+            self._full, self._cache = full, {}
+        return self._full
 
 
 def random_cipher_family(m: int, n: int, rng: np.random.Generator) -> BlockCipherFamily:

@@ -27,9 +27,9 @@ from . import analysis
 from .gf2 import _RANK_BLOCK_CELLS, PeriodSolution, batch_rank, fwht, fwht_inplace, solve_period
 
 MAX_N = 20
-# Cells of one block of class indicators in `distributions`: 32 MiB of
-# float64 whatever the number of output classes (the transform's temporaries
-# take a few times that).
+# Cells of one block of class indicators in `distributions` and `sample`:
+# 32 MiB of float64 whatever the number of output classes (the transform's
+# temporaries take a few times that).
 _CHUNK_CELLS = 1 << 22
 
 
@@ -78,6 +78,19 @@ def distribution(h, n: int | None = None) -> SimonSampleDistribution:
     return distributions(table[None], n)[0]
 
 
+def _squared_spectra(codes: np.ndarray, start: int, stop: int, size: int) -> np.ndarray:
+    """Squared Walsh spectra of the indicators of classes start..stop-1, one
+    row per class, where `codes` numbers the class of every input (one table
+    of 2^n codes, or a stack of them). Every entry is an integer of at most
+    4^n, exact in float64."""
+    member = (codes >= start) & (codes < stop)
+    block = np.zeros((stop - start, size))
+    block[codes[member] - start, np.nonzero(member)[-1]] = 1.0
+    fwht_inplace(block, size)
+    block *= block
+    return block
+
+
 def distributions(tables, n: int | None = None) -> tuple[SimonSampleDistribution, ...]:
     """The law of every row of a (rows, 2^n) stack of tables, from one pass.
 
@@ -103,13 +116,7 @@ def distributions(tables, n: int | None = None) -> tuple[SimonSampleDistribution
     chunk = max(1, _CHUNK_CELLS // size)
     for start in range(0, len(classes), chunk):
         stop = min(len(classes), start + chunk)
-        first, last = owner[start], owner[stop - 1]
-        part = codes[first:last + 1]
-        member = (part >= start) & (part < stop)
-        block = np.zeros((stop - start, size))
-        block[part[member] - start, np.nonzero(member)[1]] = 1.0
-        fwht_inplace(block, size)
-        block *= block
+        block = _squared_spectra(codes[owner[start]:owner[stop - 1] + 1], start, stop, size)
         own = owner[start:stop]
         runs = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
         weights[own[runs]] += np.add.reduceat(block, runs, axis=0)
@@ -122,21 +129,37 @@ def sample(h, count: int, rng: np.random.Generator, n: int | None = None) -> np.
     """count i.i.d. draws of u, as int64; conditions on the output value first.
 
     Only the preimage classes actually hit get a Walsh transform, so widths
-    up to 20 bits stay cheap for small sample counts.
+    up to 20 bits stay cheap for small sample counts. The draws are those of
+    one ``rng.choice(2^n, hits, p=law)`` per hit class, in increasing order
+    of output value, bit for bit and with the same generator state after:
+    one block of uniforms is cut into the classes' slices in that order, and
+    each slice searches its class's cdf, normalized as ``choice`` normalizes
+    it.
     """
     table, n = _as_table(h, n)
     size = 1 << n
-    _, codes = np.unique(table, return_inverse=True)
     xs = rng.integers(0, size, size=count)
-    hit = codes[xs]
+    if not count:
+        return xs
+    values, rank, hits = np.unique(table[xs], return_inverse=True, return_counts=True)
+    uniforms = rng.random(count)
+    # the hit class of every input (its rank among the hit values), or -1
+    slot = values.searchsorted(table).clip(max=len(values) - 1)
+    codes = np.where(values[slot] == table, slot, -1)
+    # the draws of class k, in draw order, and their slice of the uniforms
+    order = np.argsort(rank, kind="stable")
+    bounds = np.r_[0, hits.cumsum()]
     out = np.empty(count, dtype=np.int64)
-    for code in np.unique(hit):
-        where = np.nonzero(hit == code)[0]
-        indicator = (codes == code).astype(float)
-        spectrum = fwht(indicator)
-        law = spectrum * spectrum
-        law /= law.sum()
-        out[where] = rng.choice(size, size=len(where), p=law)
+    chunk = max(1, _CHUNK_CELLS // size)
+    for start in range(0, len(values), chunk):
+        stop = min(len(values), start + chunk)
+        law = _squared_spectra(codes, start, stop, size)
+        law /= law.sum(axis=1, keepdims=True)
+        cdf = law.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        for k in range(start, stop):
+            lo, hi = bounds[k], bounds[k + 1]
+            out[order[lo:hi]] = cdf[k - start].searchsorted(uniforms[lo:hi], side="right")
     return out
 
 

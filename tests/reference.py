@@ -3,12 +3,14 @@
 Each one computes its answer the slow, direct way, independently of the
 kernel or attack it is compared with: a collision count shift by shift, a
 key search over the whole key space, a register read off a basis index,
-and the stage-by-stage Walsh-Hadamard transform that the in-place kernel
-replaced.
+the stage-by-stage Walsh-Hadamard transform that the in-place kernel
+replaced, the per-key family draw, the per-class sampler and the
+call-by-call carve families that the numpy gathers replaced.
 """
 
 import numpy as np
 
+from offline_simon.gf2 import fwht
 from offline_simon.primitives import (IterFxInstance, RelatedKeyOracle, ifx_encrypt,
                                       related_key_query)
 
@@ -74,3 +76,64 @@ def stacking_fwht(vec):
         a = np.stack([top, bot], axis=-2).reshape(a.shape[:-3] + (n,))
         h *= 2
     return a
+
+
+def stacked_family_table(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The (2^m, 2^n) table ``BlockCipherFamily`` drew before its in-place
+    shuffle: one ``rng.permutation(2^n)`` per key, stacked, then cast."""
+    return np.stack([rng.permutation(1 << n) for _ in range(1 << m)]).astype(np.int64)
+
+
+def per_class_sample(h, count: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The sampler ``simon.sample`` replaced: one ``np.unique``, one class
+    indicator transform and one ``rng.choice`` per hit class, in increasing
+    order of output value."""
+    table = np.asarray(h, dtype=np.int64)
+    size = 1 << n
+    _, codes = np.unique(table, return_inverse=True)
+    xs = rng.integers(0, size, size=count)
+    hit = codes[xs]
+    out = np.empty(count, dtype=np.int64)
+    for code in np.unique(hit):
+        where = np.nonzero(hit == code)[0]
+        spectrum = fwht((codes == code).astype(float))
+        law = spectrum * spectrum
+        law /= law.sum()
+        out[where] = rng.choice(size, size=len(where), p=law)
+    return out
+
+
+def scalar_carve_family(kind: str, inst, u: int | None) -> np.ndarray:
+    """The branch family an attack kind carves from its instance, one
+    permutation or cipher call per entry: row i, column x of the family of
+    ``attacks.TARGETS[kind].carve(inst, u, 0)``."""
+    if kind in ("em-q1", "chaskey"):
+        w = inst.n - u
+        rows = [[inst.perm((x << w) | i) for x in range(1 << u)] for i in range(1 << w)]
+    elif kind == "fx-q2":
+        enc = inst.family.encrypt
+        rows = [[enc(i, 2 * x) ^ enc(i, 2 * x + 1) for x in range(1 << (inst.n - 1))]
+                for i in range(1 << inst.m)]
+    elif kind == "fx-q1":
+        w = inst.n - u
+        rows = [[inst.family.encrypt(i, (x << w) | j) for x in range(1 << u)]
+                for i in range(1 << inst.m) for j in range(1 << w)]
+    elif kind == "beetle":
+        hi, cpty = inst.rate - u, inst.capacity
+        rows = [[inst.perm((((a << u) | x) << cpty) | b) for x in range(1 << u)]
+                for a in range(1 << hi) for b in range(1 << cpty)]
+    elif kind == "related-key":
+        m = inst.family.m - u
+        rows = [[inst.family.encrypt((x << m) | j, inst.msg) for x in range(1 << u)]
+                for j in range(1 << m)]
+    elif kind == "slide-ifx":
+        size = 1 << inst.n
+        codebook = [ifx_encrypt(inst, x) for x in range(size)]
+        rows = []
+        for j in range(1 << inst.m):
+            enc = [inst.family.encrypt(j, x) for x in range(size)]
+            rows.append([codebook[enc[x]] ^ x for x in range(size)]
+                        + [enc[codebook[x]] ^ x for x in range(size)])
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return np.array(rows, dtype=np.int64)

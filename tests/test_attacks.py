@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from offline_simon import analysis, attacks
+from offline_simon import analysis, attacks, primitives
 from offline_simon.attacks import DegenerateInstanceError
 from offline_simon.primitives import (
     BeetleToyInstance,
@@ -17,7 +18,8 @@ from offline_simon.primitives import (
     random_cipher_family,
     random_permutation,
 )
-from reference import exhaustive_ifx_search, exhaustive_related_key_search
+from reference import (exhaustive_ifx_search, exhaustive_related_key_search,
+                       scalar_carve_family)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
@@ -307,6 +309,45 @@ def test_builders_plant_the_derived_key_material():
     assert s.planted_period == beetle.k1 & 0b111
 
 
+# CLI sizes per kind: the defaults, then a second shape
+CARVE_SIZES = {
+    "em-q1": ({}, {"n": 5, "u": 2}),
+    "fx-q2": ({}, {"n": 5, "m": 2}),
+    "fx-q1": ({}, {"n": 5, "m": 2, "u": 2}),
+    "chaskey": ({}, {"n": 6, "u": 4}),
+    "beetle": ({}, {"rate": 4, "capacity": 3, "u": 2}),
+    "related-key": ({}, {"n": 7, "u": 2}),
+    "slide-ifx": ({}, {"n": 4, "m": 2, "rounds": 2}),
+}
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["full", "lazy"])
+@pytest.mark.parametrize("kind", sorted(CARVE_SIZES))
+def test_carved_family_is_the_call_by_call_family(monkeypatch, kind, lazy):
+    """Each carve's gather from the permutation or the family's tables
+    gives the family one primitive call per entry gives, as a C-ordered
+    int64 array of its own; with the key-table limit lowered, also over
+    lazily derived cipher families."""
+    if lazy:
+        monkeypatch.setattr(primitives, "FULL_TABLE_KEY_LIMIT", 1)
+    monkeypatch.setattr(attacks, "_screen_or_raise", lambda *args, **kwargs: None)
+    target = attacks.TARGETS[kind]
+    rng = np.random.default_rng(sorted(CARVE_SIZES).index(kind))
+    for sizes in CARVE_SIZES[kind]:
+        flags = {f: sizes.get(f) for f in ("n", "m", "u", "rate", "capacity", "rounds")}
+        p = target.defaults(SimpleNamespace(**flags))
+        for _ in range(3):
+            inst, *rest = target.draw(p, rng)
+            u = rest[0] if rest else None
+            if not hasattr(inst, "perm"):
+                assert (inst.family._full is None) == lazy
+            family = target.carve(inst, u, 0).family
+            source = inst.perm.table if hasattr(inst, "perm") else inst.family.tables()
+            assert family.dtype == np.int64 and family.flags.c_contiguous
+            assert not np.shares_memory(family, source)
+            assert np.array_equal(family, scalar_carve_family(kind, inst, u))
+
+
 def test_attack_report_serialization():
     rng = np.random.default_rng(41)
     rep = attacks.attack_em_q1(build_em(rng), 3, rng=rng)
@@ -362,3 +403,8 @@ def test_estimate_rejects_bad_input():
             attacks.estimate_costs(preset="desx", **sizes)
     assert attacks.estimate_costs(8, 4, 0)["t_log2_q1"] == 6.0
     assert attacks.estimate_costs(8, 4, 8)["t_log2_q1"] == 2.0
+    top = attacks.ESTIMATE_MAX_BITS
+    for n, m in ((0, 4), (8, 0), (top + 1, 4), (8, top + 1)):
+        with pytest.raises(ValueError, match=rf"must be in \[1, {top}\]"):
+            attacks.estimate_costs(n, m)
+    assert attacks.estimate_costs(top, top, 0)["dt2_log2"] == 2 * top

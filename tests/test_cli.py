@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -138,6 +139,8 @@ def test_estimate_requires_preset_or_params(capsys):
     (["--preset", "desx", "--n", "5"], "a preset fixes its own sizes"),
     (["--preset", "desx", "--m", "5"], "a preset fixes its own sizes"),
     (["--preset", "desx", "--data-limit", "3"], "a preset fixes its own sizes"),
+    (["--n", "8", "--m", "3000"], "m must be in [1, 512], got 3000"),
+    (["--n", "3000", "--m", "8", "--data-limit", "2"], "n must be in [1, 512], got 3000"),
 ))
 def test_estimate_rejects_inputs_it_would_ignore_or_misread(tmp_path, capsys, argv, error):
     out = tmp_path / "est.json"
@@ -187,6 +190,28 @@ def test_verify_bounds_flags_small_c(capsys):
 def test_verify_bounds_rejects_zero_trials(capsys):
     assert run_cli(["verify-bounds", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [21, 30])
+def test_verify_bounds_rejects_unsimulable_n_before_any_table(capsys, monkeypatch, n):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a 2^n table was drawn")
+
+    monkeypatch.setattr(simon, "random_periodic_function", no_table)
+    assert run_cli(["verify-bounds", "--trials", "1", "--n", str(n)]) == 2
+    assert f"error: --n {n} exceeds the simulable {simon.MAX_N}" in capsys.readouterr().err
+
+
+def test_verify_bounds_takes_the_widest_simulable_n(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def stop(n, *args, **kwargs):
+        raise Drawn(n)
+
+    monkeypatch.setattr(simon, "random_periodic_function", stop)
+    with pytest.raises(Drawn, match=str(simon.MAX_N)):
+        run_cli(["verify-bounds", "--trials", "1", "--n", str(simon.MAX_N)])
 
 
 def test_gen_permutation_roundtrip(tmp_path):
@@ -544,3 +569,42 @@ def test_attack_transforms_each_branch_once(monkeypatch, tmp_path, kind, backend
         assert sum(np.array_equal(tables, branches) for tables in stacks) == 1
         rows = {row.tobytes() for row in branches}
         assert not any(h.tobytes() in rows for h in singles)
+
+
+def package_env() -> dict:
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_one_parser_serves_every_call_without_carrying_state(tmp_path):
+    """`main` reuses one parser: a sequence of calls in one process, a
+    parse error among them, writes what each command writes when run
+    first in a fresh process."""
+    assert cli.build_parser() is cli.build_parser()
+    commands = [
+        ["attack", "em-q1", "--n", "6", "--u", "2", "--trials", "2", "--seed", "4"],
+        ["attack", "em-q1", "--trials", "2", "--seed", "4"],
+        ["estimate", "--n", "64", "--m", "56", "--data-limit", "20", "--format", "json"],
+        ["gen", "em", "--seed", "3"],
+        ["attack", "em-q1", "--n", "6", "--u", "2", "--trials", "2", "--seed", "4"],
+    ]
+    for i, argv in enumerate(commands):
+        if i == 2:
+            with pytest.raises(SystemExit):
+                cli.main(["attack", "em-q1", "--rate", "x"])
+        assert cli.main([*argv, "--out", str(tmp_path / f"in-process-{i}")]) == 0
+    for i, argv in enumerate(commands[:4]):
+        fresh = tmp_path / f"fresh-{i}"
+        subprocess.run([sys.executable, "-m", "offline_simon.cli", *argv, "--out", str(fresh)],
+                       check=True, env=package_env(), timeout=120)
+        assert (tmp_path / f"in-process-{i}").read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "in-process-4").read_bytes() == (tmp_path / "fresh-0").read_bytes()
+
+
+def test_cli_imports_no_process_pool_until_workers_ask_for_one():
+    code = ("import sys, offline_simon.cli; "
+            "print(any(m.startswith('concurrent.futures') for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env(), timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

@@ -28,6 +28,9 @@ from offline_simon.primitives import (
     save_function_table,
     save_permutation,
 )
+from offline_simon import primitives
+
+from reference import stacked_family_table
 
 
 def test_permutation_rejects_non_bijection():
@@ -57,6 +60,44 @@ def test_cipher_family_lazy_path_matches_nothing_shared():
     fam = BlockCipherFamily(13, 4, seed=5)
     t = fam.key_table(1 << 12)
     assert np.array_equal(np.sort(t), np.arange(1 << 4))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 4), (3, 6), (9, 9), (12, 4), (4, 12), (2, 1)])
+def test_family_table_is_the_per_key_draw(monkeypatch, m, n):
+    """The in-place shuffle gives the table of one rng.permutation per key,
+    bit for bit, and leaves the family's generator where that draw did."""
+    drawn = []
+
+    def capture(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", capture)
+    fam = BlockCipherFamily(m, n, seed=1234 + m)
+    monkeypatch.undo()
+    rng = np.random.default_rng(np.random.SeedSequence([1234 + m, m, n]))
+    want = stacked_family_table(m, n, rng)
+    got = fam.tables()
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert all(np.array_equal(fam.key_table(k), want[k]) for k in (0, (1 << m) - 1))
+    assert len(drawn) == 1 and drawn[0].random() == rng.random()
+
+
+def test_lazy_family_tables_replace_its_per_key_cache(monkeypatch):
+    monkeypatch.setattr(primitives, "FULL_TABLE_KEY_LIMIT", 2)
+    fam = BlockCipherFamily(4, 5, seed=77)
+    assert fam._full is None
+    early = fam.key_table(9).copy()
+    tables = fam.tables()
+    assert fam._full is tables and fam._cache == {}
+    assert tables.shape == (16, 32) and tables.dtype == np.int64
+    assert np.array_equal(tables[9], early)
+    for key in range(16):
+        rng = np.random.default_rng(np.random.SeedSequence([77, 4, 5, key]))
+        assert np.array_equal(tables[key], rng.permutation(32))
+        assert np.array_equal(fam.key_table(key), tables[key])
 
 
 def test_em_encrypt_shape():

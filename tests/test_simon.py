@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from offline_simon import analysis, gf2, qsim, search, simon
 
-from reference import brute_collision_prob
+from reference import brute_collision_prob, per_class_sample
 from test_gf2 import first_word_batch_rank
 
 
@@ -82,6 +82,85 @@ def test_sample_agrees_with_distribution():
     assert draws.dtype == np.int64 and draws.shape == (4000,)
     freq = np.bincount(draws, minlength=8) / 4000
     assert np.abs(freq - dist.weights).max() < 0.05
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sample_draws_what_per_class_choice_draws(monkeypatch, n):
+    """One block of uniforms cut class by class gives the words of one
+    rng.choice per hit class, bit for bit, and leaves the generator where
+    those calls did, also when the class-indicator blocks split the hit
+    classes and end on a short block."""
+    rng = np.random.default_rng(300 + n)
+    for classes_per_block in (1, 2, 3, 1 << 20):
+        monkeypatch.setattr(simon, "_CHUNK_CELLS", classes_per_block << n)
+        for table in _mixed_rows(n, rng):
+            for count in (0, 1, n, 3 * n + 2, 97):
+                seed = int(rng.integers(1 << 32))
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = simon.sample(table, count, a, n)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, per_class_sample(table, count, b, n))
+                assert a.random() == b.random()
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 state word whose tempered output is y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    t = y
+    for _ in range(4):
+        t = y ^ ((t << 7) & 0x9D2C5680)
+    y = t & 0xFFFFFFFF
+    t = y
+    for _ in range(2):
+        t = y ^ (t >> 11)
+    return t
+
+
+def _generator_emitting(xs, n, uniforms):
+    """A Generator whose `integers(0, 2^n, len(xs))` gives xs and whose next
+    `random(len(uniforms))` gives uniforms (multiples of 2^-53), by writing
+    the 32-bit words MT19937 will temper into its state."""
+    words = [x << (32 - n) for x in xs]
+    for u in uniforms:
+        k = int(u * 2.0**53)
+        words += [(k >> 26) << 5, (k & ((1 << 26) - 1)) << 6]
+    bits = np.random.MT19937(0)
+    state = bits.state
+    state["state"]["key"][:len(words)] = [_untemper(w) for w in words]
+    state["state"]["pos"] = 0
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+def test_sample_searches_the_cdf_normalized_as_choice_does():
+    """Uniforms placed on the steps of a class's cdf, where dividing by its
+    last entry moves a step past the uniform: the draws are still those of
+    rng.choice, which normalizes."""
+    n = 8
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        table = rng.integers(0, 8, size=1 << n, dtype=np.int64)
+        spectrum = gf2.fwht((table == table[0]).astype(float))
+        law = spectrum * spectrum
+        law /= law.sum()
+        raw = law.cumsum()
+        cdf = raw / raw[-1]
+        steps = np.unique(np.r_[raw, cdf])
+        steps = steps[(steps >= 0.5) & (steps < 1.0)][-150:]
+        moved = cdf.searchsorted(steps, side="right") != raw.searchsorted(steps, side="right")
+        if moved.any():
+            break
+    else:
+        raise AssertionError("no class whose cdf steps move when normalized")
+    xs = [0] * len(steps)
+    probe = _generator_emitting(xs, n, steps)
+    assert np.array_equal(probe.integers(0, 1 << n, size=len(xs)), xs)
+    assert np.array_equal(probe.random(len(steps)), steps)
+    got = simon.sample(table, len(xs), _generator_emitting(xs, n, steps), n)
+    want = per_class_sample(table, len(xs), _generator_emitting(xs, n, steps), n)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, cdf.searchsorted(steps, side="right"))
 
 
 def test_random_periodic_function_injective():
