@@ -27,12 +27,6 @@ from .primitives import (
     FxInstance,
     IterFxInstance,
     RelatedKeyOracle,
-    beetle_init,
-    chaskey_tag,
-    em_encrypt,
-    fx_encrypt,
-    ifx_encrypt,
-    related_key_query,
 )
 
 
@@ -123,13 +117,21 @@ def _tradeoff_identity(d_log2: int, grover_bits: int, target_log2: int) -> dict:
     }
 
 
-def _agrees(inst, keys: dict | None, oracle, inputs) -> bool:
+def _agrees(inst, keys: dict | None, *inputs) -> bool:
     """The target re-keyed with `keys` answers like the real one on every
-    input (the keys' names are the instance's key fields)."""
-    if keys is None:
-        return False
-    rekeyed = replace(inst, **keys)
-    return all(oracle(rekeyed, x) == oracle(inst, x) for x in inputs)
+    query in `inputs`, the instance call's arguments as arrays (the keys'
+    names are the instance's key fields)."""
+    return keys is not None and np.array_equal(replace(inst, **keys)(*inputs), inst(*inputs))
+
+
+def _window(u: int, shift: int) -> np.ndarray:
+    """The 2^u inputs x << shift of a data window."""
+    return np.arange(1 << u, dtype=np.int64) << shift
+
+
+def _codebook(inst, rng=None) -> tuple[np.ndarray]:
+    """Every n-bit input of the target: its full codebook."""
+    return (_window(inst.n, 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +169,6 @@ class Cut:
     window: int
 
 
-def _window_reproduced(cut: Cut, keys: dict, oracle, shift: int) -> bool:
-    """The target re-keyed with `keys` reproduces the collected window:
-    oracle(x << shift) == g[x] for every window input x."""
-    rekeyed = replace(cut.inst, **keys)
-    return all(oracle(rekeyed, x << shift) == y for x, y in enumerate(cut.s_inst.g.tolist()))
-
-
 def _window_ledger(cut: Cut, rep: search.Report) -> dict:
     """Ledger of an attack on one collected window of 2^n inputs: D is the
     window, M holds the branch family plus the window."""
@@ -198,12 +193,14 @@ class Target:
     its permutation or family from the seed, so `draw` takes that first.
 
     Attack side (key dicts name the instance's key fields, so a proposal
-    re-keys a copy of the instance): `carve(inst, u, window)` is the target's
-    `*_search_instance` (it raises DegenerateInstanceError when the screen
-    rejects the instance); per period candidate, `assemble` lists the key
-    proposals, `consistent` checks one against the collected data and
-    `check_cost(cut)` is its T charge; `verify(inst, keys, rng)` is the final
-    re-encryption check; `ledger` gives the D/M/tradeoff/notes terms.
+    re-keys a copy of the instance, and the instance is its own oracle):
+    `carve(inst, u, window)` is the target's `*_search_instance` (it raises
+    DegenerateInstanceError when the screen rejects the instance); per
+    period candidate, `assemble` lists the key proposals, each checked
+    against the collected data on the queries `probes(cut)` returns, at a
+    T charge of `check_cost(cut)`; the final re-encryption check runs on the
+    queries `codebook(inst, rng)` returns; `ledger` gives the
+    D/M/tradeoff/notes terms.
     """
 
     kind: str
@@ -213,9 +210,9 @@ class Target:
     draw: Callable[[dict, np.random.Generator], tuple]
     carve: Callable[[Any, int | None, int], search.SearchInstance]
     assemble: Callable[[Cut, int, int], list[dict]]
-    consistent: Callable[[Cut, dict], bool]
+    probes: Callable[[Cut], tuple]
     check_cost: Callable[[Cut], int]
-    verify: Callable[[Any, dict | None, np.random.Generator], bool]
+    codebook: Callable[[Any, np.random.Generator], tuple]
     ledger: Callable[[Cut, search.Report], dict] = _window_ledger
     quantum_queries: bool = False     # Q2 search, else Q1
     windows: int = 1                  # data windows tried before giving up
@@ -280,15 +277,16 @@ def run_attack(target: Target, inst, u: int | None, c: int | None,
     candidates = [*simon.recover(s_inst.branch(i_hat), copies, rng, n).candidates, 0]
     t_extra = copies
     keys = None
+    probes = target.probes(cut)
     for proposal in (k for period in candidates for k in target.assemble(cut, i_hat, period)):
         t_extra += target.check_cost(cut)
-        if target.consistent(cut, proposal):
+        if _agrees(inst, proposal, *probes):
             keys = proposal
             break
     return AttackReport(
         target=target.name,
         keys=keys,
-        verified=target.verify(inst, keys, rng),
+        verified=_agrees(inst, keys, *target.codebook(inst, rng)),
         planted_match=bool(keys) and all(getattr(inst, k) == v for k, v in keys.items()),
         search_report=rep,
         t_offline=target.f_calls_per_query * rep.counters.f_queries + t_extra,
@@ -302,19 +300,20 @@ def run_attack(target: Target, inst, u: int | None, c: int | None,
 # ---------------------------------------------------------------------------
 
 
-def _em_window_instance(perm: primitives.Permutation, u: int, online: Callable[[int], int],
+def _em_window_instance(perm: primitives.Permutation, u: int,
+                        online: Callable[[np.ndarray], np.ndarray],
                         key: int, target: str) -> search.SearchInstance:
     """The Even-Mansour window carve that em-q1 and chaskey share: the data
     window is the 2^u inputs with zero low bits, answered by `online` (the
-    target's own oracle), and family row i is x -> perm((x << w) | i) with
-    w = n - u. The guess index runs over the low w bits of the whitening key
-    `key`; its high part is the branch period, and may vanish (the planted
-    branch is then constant)."""
+    target's own oracle, queried with the whole window), and family row i is
+    x -> perm((x << w) | i) with w = n - u. The guess index runs over the low
+    w bits of the whitening key `key`; its high part is the branch period,
+    and may vanish (the planted branch is then constant)."""
     n = perm.n
     if not 1 <= u <= n:
         raise ValueError("need 1 <= u <= n")
     w = n - u
-    g = np.array([online(x << w) for x in range(1 << u)], dtype=np.int64)
+    g = online(_window(u, w))
     # input (x << w) | i sits at [x, i] of the table as a (2^u, 2^w) array
     family = np.ascontiguousarray(perm.table.reshape(1 << u, 1 << w).T)
     instance = search.SearchInstance(
@@ -330,7 +329,7 @@ def _em_window_instance(perm: primitives.Permutation, u: int, online: Callable[[
 def em_search_instance(inst: EvenMansourInstance, u: int) -> search.SearchInstance:
     """Data window: the 2^u plaintexts with zero low bits. The guess index
     runs over the low n-u bits of k1; the branch period is k1's high part."""
-    return _em_window_instance(inst.perm, u, lambda x: em_encrypt(inst, x), inst.k1, "em-q1")
+    return _em_window_instance(inst.perm, u, inst, inst.k1, "em-q1")
 
 
 def _em_assemble(cut: Cut, i: int, period: int) -> list[dict]:
@@ -349,9 +348,9 @@ EM_Q1 = Target(
         p["u"]),
     carve=lambda inst, u, _: em_search_instance(inst, u),
     assemble=_em_assemble,
-    consistent=lambda cut, keys: _window_reproduced(cut, keys, em_encrypt, cut.s_inst.m),
+    probes=lambda cut: (_window(cut.s_inst.n, cut.s_inst.m),),
     check_cost=lambda cut: 1 + (1 << cut.s_inst.n),
-    verify=lambda inst, keys, rng: _agrees(inst, keys, em_encrypt, range(1 << inst.n)),
+    codebook=_codebook,
 )
 
 
@@ -378,10 +377,8 @@ def fx_q2_search_instance(inst: FxInstance) -> search.SearchInstance:
     if inst.k_in in (0, 1):
         raise DegenerateInstanceError("fx-q2: k_in pairs to a zero period")
     dim = n - 1
-    g = np.array(
-        [fx_encrypt(inst, 2 * x) ^ fx_encrypt(inst, 2 * x + 1) for x in range(1 << dim)],
-        dtype=np.int64,
-    )
+    evens = _window(dim, 1)
+    g = inst(evens) ^ inst(evens + 1)
     tables = inst.family.tables()
     family = tables[:, 0::2] ^ tables[:, 1::2]
     instance = search.SearchInstance(
@@ -398,7 +395,7 @@ FX_Q2_PROBES = (1, 2, 3)
 
 def _fx_q2_assemble(cut: Cut, i: int, period: int) -> list[dict]:
     """The quotient period fixes k_in up to its low bit; try both."""
-    fx0 = fx_encrypt(cut.inst, 0)
+    fx0 = cut.inst(0)
     return [{"k": i, "k_in": k_in, "k_out": fx0 ^ cut.inst.family.encrypt(i, k_in)}
             for k_in in (period << 1, (period << 1) | 1) if k_in]
 
@@ -417,10 +414,6 @@ def _fx_q2_ledger(cut: Cut, rep: search.Report) -> dict:
     }
 
 
-def _fx_verify(inst: FxInstance, keys: dict | None, rng) -> bool:
-    return _agrees(inst, keys, fx_encrypt, range(1 << inst.n))
-
-
 FX_Q2 = Target(
     kind="fx-q2",
     name="fx-q2",
@@ -432,9 +425,9 @@ FX_Q2 = Target(
                    int(rng.integers(1 << p["n"]))),),
     carve=lambda inst, _, __: fx_q2_search_instance(inst),
     assemble=_fx_q2_assemble,
-    consistent=lambda cut, keys: _agrees(cut.inst, keys, fx_encrypt, FX_Q2_PROBES),
+    probes=lambda cut: (np.array(FX_Q2_PROBES),),
     check_cost=lambda cut: 1 + len(FX_Q2_PROBES),
-    verify=_fx_verify,
+    codebook=_codebook,
     ledger=_fx_q2_ledger,
     quantum_queries=True,
     c_times_block=True,
@@ -464,7 +457,7 @@ def fx_q1_search_instance(inst: FxInstance, u: int) -> search.SearchInstance:
     w = n - u
     if inst.k_in >> w == 0:
         raise DegenerateInstanceError("fx-q1: k_in's window part is zero")
-    g = np.array([fx_encrypt(inst, x << w) for x in range(1 << u)], dtype=np.int64)
+    g = inst(_window(u, w))
     # row (i << w) | j, column x is E_i((x << w) | j)
     family = (inst.family.tables().reshape(1 << m, 1 << u, 1 << w)
               .transpose(0, 2, 1).reshape(1 << (m + w), 1 << u))
@@ -500,10 +493,9 @@ FX_Q1 = Target(
         p["u"]),
     carve=lambda inst, u, _: fx_q1_search_instance(inst, u),
     assemble=_fx_q1_assemble,
-    consistent=lambda cut, keys: _window_reproduced(
-        cut, keys, fx_encrypt, cut.inst.n - cut.s_inst.n),
+    probes=lambda cut: (_window(cut.s_inst.n, cut.inst.n - cut.s_inst.n),),
     check_cost=lambda cut: 1 + (1 << cut.s_inst.n),
-    verify=_fx_verify,
+    codebook=_codebook,
 )
 
 
@@ -525,8 +517,7 @@ def chaskey_em_instance(inst: ChaskeyToyInstance, u: int, m1: int) -> search.Sea
     second block: tag(m2) = pi(m2 ^ kappa1) ^ kappa2 with kappa1 = pi(k ^ m1)
     ^ k1 and kappa2 = k1."""
     kappa1 = inst.perm(inst.k ^ m1) ^ inst.k1
-    return _em_window_instance(inst.perm, u, lambda x: chaskey_tag(inst, m1, x), kappa1,
-                               "chaskey")
+    return _em_window_instance(inst.perm, u, lambda m2: inst(m1, m2), kappa1, "chaskey")
 
 
 def _chaskey_assemble(cut: Cut, i: int, period: int) -> list[dict]:
@@ -538,10 +529,10 @@ def _chaskey_assemble(cut: Cut, i: int, period: int) -> list[dict]:
     return [{"k": perm.inverse(kappa1 ^ kappa2) ^ cut.window, "k1": kappa2}]
 
 
-def _chaskey_verify(inst: ChaskeyToyInstance, keys: dict | None, rng) -> bool:
-    # the fresh pairs are drawn whatever the outcome, after the search
-    fresh = [(int(a), int(b)) for a, b in rng.integers(0, 1 << inst.n, size=(10, 2))]
-    return _agrees(inst, keys, lambda i, ab: chaskey_tag(i, *ab), fresh)
+def _chaskey_codebook(inst: ChaskeyToyInstance, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Ten fresh (m1, m2) pairs, drawn whatever the outcome, after the
+    search."""
+    return tuple(rng.integers(0, 1 << inst.n, size=(10, 2)).T)
 
 
 def _chaskey_ledger(cut: Cut, rep: search.Report) -> dict:
@@ -563,10 +554,9 @@ CHASKEY = Target(
         p["u"]),
     carve=chaskey_em_instance,
     assemble=_chaskey_assemble,
-    consistent=lambda cut, keys: _window_reproduced(
-        cut, keys, lambda i, x: chaskey_tag(i, cut.window, x), cut.s_inst.m),
+    probes=lambda cut: (cut.window, _window(cut.s_inst.n, cut.s_inst.m)),
     check_cost=lambda cut: 1 + (1 << cut.s_inst.n),
-    verify=_chaskey_verify,
+    codebook=_chaskey_codebook,
     ledger=_chaskey_ledger,
     windows=8,
 )
@@ -594,7 +584,7 @@ def beetle_search_instance(inst: BeetleToyInstance, k: int) -> search.SearchInst
     if not 1 <= k <= rate:
         raise ValueError("need 1 <= k <= rate")
     hi = rate - k
-    g = np.array([beetle_init(inst, x) for x in range(1 << k)], dtype=np.int64)
+    g = inst(_window(k, 0))
     width = rate + cpty
     # row (a << cpty) | b, column x is perm((((a << k) | x) << cpty) | b)
     family = (inst.perm.table.reshape(1 << hi, 1 << k, 1 << cpty)
@@ -634,9 +624,9 @@ BEETLE = Target(
         p["u"]),
     carve=lambda inst, k, _: beetle_search_instance(inst, k),
     assemble=_beetle_assemble,
-    consistent=lambda cut, keys: _window_reproduced(cut, keys, beetle_init, 0),
+    probes=lambda cut: (_window(cut.s_inst.n, 0),),
     check_cost=lambda cut: 1 << cut.s_inst.n,
-    verify=lambda inst, keys, rng: _agrees(inst, keys, beetle_init, range(1 << inst.rate)),
+    codebook=lambda inst, rng: (_window(inst.rate, 0),),
 )
 
 
@@ -665,8 +655,7 @@ def related_key_search_instance(oracle: RelatedKeyOracle,
     m = kw - u
     if oracle.k >> m == 0:
         raise DegenerateInstanceError("related-key: high key part is zero")
-    g = np.array(
-        [related_key_query(oracle, x << m) for x in range(1 << u)], dtype=np.int64)
+    g = oracle(_window(u, m))
     # row j, column x is E_{(x << m) | j}(msg)
     family = np.ascontiguousarray(
         oracle.family.tables()[:, oracle.msg].reshape(1 << u, 1 << m).T)
@@ -699,11 +688,9 @@ RELATED_KEY = Target(
         p["u"]),
     carve=lambda oracle, u, _: related_key_search_instance(oracle, u),
     assemble=lambda cut, j, period: [{"k": (period << cut.s_inst.m) | j}] if period else [],
-    consistent=lambda cut, keys: _window_reproduced(
-        cut, keys, related_key_query, cut.s_inst.m),
+    probes=lambda cut: (_window(cut.s_inst.n, cut.s_inst.m),),
     check_cost=lambda cut: 1 << cut.s_inst.n,
-    verify=lambda oracle, keys, rng: _agrees(
-        oracle, keys, related_key_query, range(1 << oracle.family.m)),
+    codebook=lambda oracle, rng: (_window(oracle.family.m, 0),),
 )
 
 
@@ -729,10 +716,10 @@ def slide_search_instance(inst: IterFxInstance) -> search.SearchInstance:
     on the (1+n)-bit domain. At j = k2 the slide identity makes the pair one
     function with hidden period (1, k1); wrong guesses are aperiodic."""
     n, m = inst.n, inst.m
-    codebook = np.array([ifx_encrypt(inst, x) for x in range(1 << n)], dtype=np.int64)
     size = 1 << n
-    enc = inst.family.tables()  # row j is E_j
     xs = np.arange(size)
+    codebook = inst(xs)
+    enc = inst.family.tables()  # row j is E_j
     family = np.concatenate([codebook[enc] ^ xs, enc[:, codebook] ^ xs], axis=1)
     instance = search.SearchInstance(
         n=n + 1, m=m, l=n, family=family,
@@ -772,9 +759,9 @@ SLIDE_IFX = Target(
     carve=lambda inst, _, __: slide_search_instance(inst),
     assemble=_slide_assemble,
     # the consistency check already covers the full codebook
-    consistent=lambda cut, keys: _agrees(cut.inst, keys, ifx_encrypt, range(1 << cut.inst.n)),
+    probes=lambda cut: _codebook(cut.inst),
     check_cost=lambda cut: (1 << cut.inst.n) * cut.inst.rounds,
-    verify=lambda inst, keys, rng: keys is not None,
+    codebook=_codebook,
     ledger=_slide_ledger,
     # the online object is the n-bit codebook, not the (n+1)-bit search domain
     online_counts=lambda cut: (1 << cut.inst.n, 0),

@@ -44,6 +44,9 @@ _SIZE_FLAGS = ("n", "m", "l", "u", "c", "rate", "capacity", "rounds")
 # Every branch table an attack materializes must fit comfortably in memory;
 # 2^22 words of family is the ceiling for a toy run.
 TABLE_ENTRY_CAP_LOG2 = 22
+# A sampled shot draws r * 2^m * copies rank-sample words at once, each a
+# float64 uniform and an int64 word: 2^26 cells is 1 GiB.
+SHOT_CELL_CAP_LOG2 = 26
 
 
 class CliError(Exception):
@@ -100,6 +103,12 @@ def _attack_parameters(cfg: RunConfig) -> dict:
     if m_search + dim > TABLE_ENTRY_CAP_LOG2:
         raise CliError(
             f"family table needs 2^{m_search + dim} entries, cap is 2^{TABLE_ENTRY_CAP_LOG2}")
+    if p["backend"] == "sampled":
+        r = analysis.grover_iterations(m_search)
+        cells = r * target.copies(p["c"], dim, m_search, l) << m_search
+        if cells > 1 << SHOT_CELL_CAP_LOG2:
+            raise CliError(f"a sampled shot needs {cells} rank-sample cells "
+                           f"(iterations x 2^{m_search} x copies), cap is 2^{SHOT_CELL_CAP_LOG2}")
     if p["backend"] == "exact-circuit":
         footprint = target.footprint(p)
         if footprint > qsim.qubit_cap():

@@ -189,11 +189,6 @@ def batch_rank(words, n: int) -> np.ndarray:
     return ranks
 
 
-def rank_of(vectors: Iterable[int], n: int) -> int:
-    """Rank of a set of words in F_2^n."""
-    return int(batch_rank(np.asarray(list(vectors)).reshape(1, -1), n)[0])
-
-
 def fwht(vec: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform; fwht(fwht(v)) == len(v) * v.
 

@@ -119,6 +119,17 @@ def random_cipher_family(m: int, n: int, rng: np.random.Generator) -> BlockCiphe
     return BlockCipherFamily(m, n, int(rng.integers(0, 2**63 - 1)))
 
 
+def _answer(y):
+    """An oracle's answer: an int for one query, the int64 array for an
+    array of them."""
+    return int(y) if np.ndim(y) == 0 else y
+
+
+# Each construction below is its own online oracle: calling an instance
+# answers one query (an int) or a whole batch (an int64 array) by gathering
+# from its permutation or cipher table.
+
+
 @dataclass
 class EvenMansourInstance:
     """E(x) = P(x ^ k1) ^ k2 with a public permutation P."""
@@ -128,9 +139,8 @@ class EvenMansourInstance:
     k1: int
     k2: int
 
-
-def em_encrypt(inst: EvenMansourInstance, x: int) -> int:
-    return inst.perm(x ^ inst.k1) ^ inst.k2
+    def __call__(self, x):
+        return _answer(self.perm.table[x ^ self.k1] ^ self.k2)
 
 
 @dataclass
@@ -144,9 +154,8 @@ class FxInstance:
     k_in: int
     k_out: int
 
-
-def fx_encrypt(inst: FxInstance, x: int) -> int:
-    return inst.family.encrypt(inst.k, x ^ inst.k_in) ^ inst.k_out
+    def __call__(self, x):
+        return _answer(self.family.key_table(self.k)[x ^ self.k_in] ^ self.k_out)
 
 
 @dataclass
@@ -160,11 +169,11 @@ class IterFxInstance:
     k2: int
     rounds: int
 
-
-def ifx_encrypt(inst: IterFxInstance, x: int) -> int:
-    for _ in range(inst.rounds):
-        x = inst.family.encrypt(inst.k2, x ^ inst.k1)
-    return x ^ inst.k1
+    def __call__(self, x):
+        table = self.family.key_table(self.k2)
+        for _ in range(self.rounds):
+            x = table[x ^ self.k1]
+        return _answer(x ^ self.k1)
 
 
 @dataclass
@@ -180,10 +189,9 @@ class ChaskeyToyInstance:
     k: int
     k1: int
 
-
-def chaskey_tag(inst: ChaskeyToyInstance, m1: int, m2: int) -> int:
-    state = inst.perm(inst.k ^ m1)
-    return inst.perm(state ^ m2 ^ inst.k1) ^ inst.k1
+    def __call__(self, m1, m2):
+        table = self.perm.table
+        return _answer(table[table[self.k ^ m1] ^ m2 ^ self.k1] ^ self.k1)
 
 
 @dataclass
@@ -200,12 +208,10 @@ class BeetleToyInstance:
     k1: int
     k2: int
 
-
-def beetle_init(inst: BeetleToyInstance, nonce: int) -> int:
-    if not 0 <= nonce < (1 << inst.rate):
-        raise ValueError("nonce wider than the rate")
-    state = ((inst.k1 ^ nonce) << inst.capacity) | inst.k2
-    return inst.perm(state)
+    def __call__(self, nonce):
+        if not np.all((0 <= nonce) & (nonce < 1 << self.rate)):
+            raise ValueError("nonce wider than the rate")
+        return _answer(self.perm.table[((self.k1 ^ nonce) << self.capacity) | self.k2])
 
 
 @dataclass
@@ -216,9 +222,8 @@ class RelatedKeyOracle:
     k: int
     msg: int
 
-
-def related_key_query(oracle: RelatedKeyOracle, delta: int) -> int:
-    return oracle.family.encrypt(oracle.k ^ delta, oracle.msg)
+    def __call__(self, delta):
+        return _answer(self.family.tables()[self.k ^ delta, self.msg])
 
 
 # ---------------------------------------------------------------------------

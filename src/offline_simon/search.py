@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import analysis, gf2, qaa, qsim, simon
-from .gf2 import batch_rank, rank_of
+from .gf2 import batch_rank
 
 BACKENDS = ("exact-circuit", "structured", "sampled")
 Q2_ACQUISITION = "q2-superposition-queries"
@@ -226,14 +226,6 @@ def _rank_predicate(n: int, copies: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class TestResult:
-    outcome: int | None
-    periodic: bool | None
-    p_bad: float | None
-    restoration_distance: float | None
-
-
 def _exact_layout(n: int, l: int, copies: int, m: int = 0) -> qsim.RegisterLayout:
     regs = []
     if m > 0:
@@ -264,59 +256,6 @@ def _apply_rank_xor(state: qsim.QState, n: int, copies: int) -> None:
     qsim.apply_oracle_xor(state, _rank_predicate(n, copies), xs, "b")
     for name in xs:
         qsim.apply_h(state, name)
-
-
-def test(instance: SearchInstance, i: int, copies: int, backend: str = "sampled",
-         rng: np.random.Generator | None = None, b: int = 0) -> TestResult:
-    """Run the period check for one branch on the chosen backend.
-
-    exact-circuit: prepares the branch database, applies the check and
-    measures the output bit; also reports the Euclidean distance between the
-    database registers before and after (the restoration damage).
-    sampled: draws `copies` fresh samples and applies the rank test.
-    structured: returns the exact classification and the branch's p_bad,
-    read from the instance's screen.
-    """
-    table = instance.branch(i)
-    n, l = instance.n, instance.l
-    if backend == "structured":
-        law = instance.screened.laws[i]
-        if law.periods:
-            return TestResult(outcome=b ^ 1, periodic=True, p_bad=None, restoration_distance=None)
-        p_bad = analysis.p_bad_union_bound(law.collisions, copies)
-        return TestResult(outcome=None, periodic=False, p_bad=p_bad, restoration_distance=None)
-    if backend == "sampled":
-        if rng is None:
-            raise ValueError("sampled backend needs an rng")
-        fired = rank_of(simon.sample(table, copies, rng, n), n) < n
-        return TestResult(outcome=b ^ (1 if fired else 0), periodic=None, p_bad=None, restoration_distance=None)
-    if backend != "exact-circuit":
-        raise ValueError(f"unknown backend {backend!r}")
-    if rng is None:
-        raise ValueError("exact backend needs an rng")
-    state, restoration = _exact_check(table, n, l, copies, b)
-    outcome, _ = qsim.measure(state, "b", rng)
-    return TestResult(outcome=outcome, periodic=None, p_bad=None, restoration_distance=restoration)
-
-
-def _exact_check(table, n: int, l: int, copies: int, b: int = 0) -> tuple[qsim.QState, float]:
-    """One check on a freshly prepared branch database with output bit b:
-    the state after it, and its distance from the ideal outcome (the
-    database untouched, b flipped exactly when the branch is periodic)."""
-    state = qsim.init_zero(_exact_layout(n, l, copies))
-    _prepare_database(state, table, copies)
-    if b:
-        qsim.apply_x(state, "b")
-    ideal = state.copy()
-    _apply_rank_xor(state, n, copies)
-    if analysis.find_periods(table, n):
-        qsim.apply_x(ideal, "b")
-    return state, qsim.distance(state, ideal)
-
-
-def restoration_distance(table, n: int, l: int, copies: int) -> float:
-    """Exact database damage of one check on the given branch table."""
-    return _exact_check(table, n, l, copies)[1]
 
 
 def _flags(m: int, copies: int, scr: ScreenResult) -> list[str]:

@@ -1,18 +1,52 @@
 """Brute-force references the tests check the package against.
 
 Each one computes its answer the slow, direct way, independently of the
-kernel or attack it is compared with: a collision count shift by shift, a
-key search over the whole key space, a register read off a basis index,
-the stage-by-stage Walsh-Hadamard transform that the in-place kernel
-replaced, the per-key family draw, the per-class sampler and the
-call-by-call carve families that the numpy gathers replaced.
+kernel or attack it is compared with: the scalar oracle of each
+construction, one query at a time, a collision count shift by shift, a key
+search over the whole key space, a register read off a basis index, the
+exact database damage of one check, the stage-by-stage Walsh-Hadamard
+transform that the in-place kernel replaced, the per-key family draw, the
+per-class sampler and the call-by-call carve families that the numpy
+gathers replaced.
 """
 
 import numpy as np
 
+from offline_simon import analysis, qsim, search
 from offline_simon.gf2 import fwht
-from offline_simon.primitives import (IterFxInstance, RelatedKeyOracle, ifx_encrypt,
-                                      related_key_query)
+from offline_simon.primitives import (BeetleToyInstance, ChaskeyToyInstance,
+                                      EvenMansourInstance, FxInstance, IterFxInstance,
+                                      RelatedKeyOracle)
+
+
+def em_encrypt(inst: EvenMansourInstance, x: int) -> int:
+    return inst.perm(x ^ inst.k1) ^ inst.k2
+
+
+def fx_encrypt(inst: FxInstance, x: int) -> int:
+    return inst.family.encrypt(inst.k, x ^ inst.k_in) ^ inst.k_out
+
+
+def ifx_encrypt(inst: IterFxInstance, x: int) -> int:
+    for _ in range(inst.rounds):
+        x = inst.family.encrypt(inst.k2, x ^ inst.k1)
+    return x ^ inst.k1
+
+
+def chaskey_tag(inst: ChaskeyToyInstance, m1: int, m2: int) -> int:
+    state = inst.perm(inst.k ^ m1)
+    return inst.perm(state ^ m2 ^ inst.k1) ^ inst.k1
+
+
+def beetle_init(inst: BeetleToyInstance, nonce: int) -> int:
+    if not 0 <= nonce < (1 << inst.rate):
+        raise ValueError("nonce wider than the rate")
+    state = ((inst.k1 ^ nonce) << inst.capacity) | inst.k2
+    return inst.perm(state)
+
+
+def related_key_query(oracle: RelatedKeyOracle, delta: int) -> int:
+    return oracle.family.encrypt(oracle.k ^ delta, oracle.msg)
 
 
 def brute_collision_prob(table, n: int, t: int) -> float:
@@ -55,6 +89,26 @@ def exhaustive_ifx_search(inst: IterFxInstance) -> list[tuple[int, int]]:
             if ok:
                 hits.append((k1, k2))
     return hits
+
+
+def exact_check(table, n: int, l: int, copies: int, b: int = 0) -> tuple[qsim.QState, float]:
+    """One check on a freshly prepared branch database with output bit b:
+    the state after it, and its distance from the ideal outcome (the
+    database untouched, b flipped exactly when the branch is periodic)."""
+    state = qsim.init_zero(search._exact_layout(n, l, copies))
+    search._prepare_database(state, table, copies)
+    if b:
+        qsim.apply_x(state, "b")
+    ideal = state.copy()
+    search._apply_rank_xor(state, n, copies)
+    if analysis.find_periods(table, n):
+        qsim.apply_x(ideal, "b")
+    return state, qsim.distance(state, ideal)
+
+
+def restoration_distance(table, n: int, l: int, copies: int) -> float:
+    """Exact database damage of one check on the given branch table."""
+    return exact_check(table, n, l, copies)[1]
 
 
 def register_value(layout, index: int, name: str) -> int:

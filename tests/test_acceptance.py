@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from offline_simon import analysis, attacks, cli, qaa, search, simon
-from reference import brute_collision_prob
+from reference import brute_collision_prob, restoration_distance
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
@@ -103,7 +103,7 @@ def test_false_positive_rate_bound(committed_instance):
     scr = search.screen(inst)
     dbound = analysis.restoration_bound(inst.n, 2, scr.eps)
     dworst = max(
-        search.restoration_distance(inst.branch(i), inst.n, inst.l, 2)
+        restoration_distance(inst.branch(i), inst.n, inst.l, 2)
         for i in range(1 << inst.m))
     all_ok = all_ok and dworst <= dbound + 1e-9
     emit("p-bad-bound", all_ok,

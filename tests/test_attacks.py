@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -346,6 +347,47 @@ def test_carved_family_is_the_call_by_call_family(monkeypatch, kind, lazy):
             assert family.dtype == np.int64 and family.flags.c_contiguous
             assert not np.shares_memory(family, source)
             assert np.array_equal(family, scalar_carve_family(kind, inst, u))
+
+
+# instance class -> the names of its key fields
+KEY_FIELDS = {cls: keys for cls, _, keys in primitives._KINDS.values()}
+
+
+@pytest.mark.parametrize("kind", sorted(attacks.TARGETS))
+def test_agrees_fails_on_one_differing_answer(kind):
+    """`_agrees` passes the true keys on the verification queries, and fails
+    a key one bit off as soon as one query's answer differs, whether that
+    query comes first or last among queries whose answers agree."""
+    target = attacks.TARGETS[kind]
+    flags = dict.fromkeys(("n", "m", "u", "rate", "capacity", "rounds"))
+    inst = target.draw(target.defaults(SimpleNamespace(**flags)), np.random.default_rng(3))[0]
+    queries = target.codebook(inst, np.random.default_rng(4))
+    keys = {name: getattr(inst, name) for name in KEY_FIELDS[type(inst)]}
+    assert attacks._agrees(inst, keys, *queries)
+    assert not attacks._agrees(inst, None, *queries)
+    for name in keys:
+        off = {**keys, name: keys[name] ^ 1}
+        differ = replace(inst, **off)(*queries) != inst(*queries)
+        same, (one, *_) = np.nonzero(~differ)[0], np.nonzero(differ)[0]
+        assert attacks._agrees(inst, off, *(q[same] for q in queries))
+        for picked in ([one, *same], [*same, one]):
+            assert not attacks._agrees(inst, off, *(q[picked] for q in queries))
+
+
+def test_chaskey_draws_its_pairs_whatever_the_outcome():
+    """The ten verification pairs are drawn from the trial rng after the
+    search whether or not a key was found, so the generator's next output
+    does not depend on the outcome."""
+    inst = build_chaskey(np.random.default_rng(17))
+    pairs = attacks.CHASKEY.codebook(inst, np.random.default_rng(1))
+    want = np.random.default_rng(1).integers(0, 1 << inst.n, size=(10, 2))
+    assert np.array_equal(np.stack(pairs, axis=1), want)
+    found_rng, missed_rng = np.random.default_rng(5), np.random.default_rng(5)
+    found = attacks.run_attack(attacks.CHASKEY, inst, 3, None, "structured", found_rng)
+    nothing = replace(attacks.CHASKEY, assemble=lambda cut, i, period: [])
+    missed = attacks.run_attack(nothing, inst, 3, None, "structured", missed_rng)
+    assert found.verified and missed.keys is None and not missed.verified
+    assert found_rng.random() == missed_rng.random()
 
 
 def test_attack_report_serialization():

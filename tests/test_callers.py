@@ -1,13 +1,14 @@
 """Every public name in the package has a caller outside the tests.
 
 A function, class or method that only tests reach is either dead or a test
-oracle; oracles live in tests/reference.py. A name passes when it occurs as
-a whole word in src/ or perfbench/ on any line but its own definition.
+oracle; oracles live in tests/reference.py. A name passes when src/ or
+perfbench/ refers to it in code: as a name, an attribute, an imported name,
+or a string constant that is exactly the name (as the tracer's patch lists
+name what they wrap). Words in comments and docstrings do not count, and
+neither does the definition itself.
 """
 
 import ast
-import re
-from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,16 +38,46 @@ def public_definitions():
                         yield path, f"{node.name}.{sub.name}", sub.lineno
 
 
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the docstring constants of a module and of its classes and
+    functions."""
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                ids.add(id(first.value))
+    return ids
+
+
+def code_references(tree: ast.AST) -> set[str]:
+    """The identifiers a module's code refers to: names, attributes,
+    imported names and their aliases, and identifier-shaped string
+    constants that are not docstrings."""
+    docstrings = _docstrings(tree)
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.update(part for name in (node.name, node.asname) if name
+                        for part in name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in docstrings):
+            refs.add(node.value)
+    return refs
+
+
 def uncalled_names() -> dict[str, str]:
-    """Dotted name -> "module:line" of each public definition whose name
-    occurs nowhere in src/ or perfbench/ but on its own definition line."""
-    sites = defaultdict(set)  # word -> the (file, line) pairs it occurs on
+    """Dotted name -> "module:line" of each public definition that no code
+    in src/ or perfbench/ refers to."""
+    refs = set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        for i, line in enumerate(path.read_text().splitlines(), 1):
-            for word in re.findall(r"\w+", line):
-                sites[word].add((path, i))
+        refs |= code_references(ast.parse(path.read_text()))
     return {name: f"{path.name}:{lineno}" for path, name, lineno in public_definitions()
-            if not sites[name.rsplit(".", 1)[-1]] - {(path, lineno)}}
+            if name.rsplit(".", 1)[-1] not in refs}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -58,3 +89,14 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 def test_every_allowed_name_is_defined_and_still_uncalled():
     # a name that gains a caller leaves the allowlist
     assert set(ALLOWED) <= set(uncalled_names())
+
+
+def test_comments_and_docstrings_are_not_callers():
+    tree = ast.parse('"""make_it in a docstring"""\n'
+                     '# make_it in a comment\n'
+                     'def f():\n'
+                     '    """make_it"""\n'
+                     '    return g.attr, "tracer_name", "not an identifier"\n')
+    refs = code_references(tree)
+    assert {"g", "attr", "tracer_name"} <= refs
+    assert "make_it" not in refs and "f" not in refs

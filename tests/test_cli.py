@@ -86,6 +86,38 @@ def test_attack_rejects_oversized_family(capsys):
     assert "family table" in capsys.readouterr().err
 
 
+class Drawn(Exception):
+    """A run got past its parameter checks to its first draw."""
+
+
+def _stop_at_draw(monkeypatch, kind):
+    def draw(p, rng):
+        raise Drawn(kind)
+
+    stopped = dataclasses.replace(attacks.TARGETS[kind], draw=draw)
+    monkeypatch.setitem(attacks.TARGETS, kind, stopped)
+
+
+def test_attack_rejects_a_sampled_shot_over_the_cell_cap(capsys, monkeypatch):
+    # r * 2^m * copies = 201 * 2^16 * 39 cells, a 3.8 GiB uniform block
+    _stop_at_draw(monkeypatch, "fx-q1")
+    assert run_cli(["attack", "fx-q1", "--m", "13", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: a sampled shot needs 513736704 rank-sample cells" in err
+    assert f"cap is 2^{cli.SHOT_CELL_CAP_LOG2}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["em-q1", "--n", "15", "--u", "5"],
+    ["fx-q1", "--n", "7", "--u", "6", "--m", "13"],
+    ["fx-q1", "--m", "13", "--backend", "structured"],
+], ids=["em-q1-n15-u5", "fx-q1-n7-u6-m13", "fx-q1-m13-structured"])
+def test_attack_under_the_cell_cap_reaches_the_draw(monkeypatch, argv):
+    _stop_at_draw(monkeypatch, argv[0])
+    with pytest.raises(Drawn):
+        run_cli(["attack", *argv, "--trials", "1"])
+
+
 def test_attack_rejects_zero_trials(capsys):
     assert run_cli(["attack", "em-q1", "--trials", "0"]) == 2
     assert "trials" in capsys.readouterr().err
@@ -203,9 +235,6 @@ def test_verify_bounds_rejects_unsimulable_n_before_any_table(capsys, monkeypatc
 
 
 def test_verify_bounds_takes_the_widest_simulable_n(monkeypatch):
-    class Drawn(Exception):
-        pass
-
     def stop(n, *args, **kwargs):
         raise Drawn(n)
 

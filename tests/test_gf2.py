@@ -10,10 +10,14 @@ from offline_simon.gf2 import (
     batch_rank,
     fwht,
     fwht_inplace,
-    rank_of,
     solve_period,
 )
 from reference import stacking_fwht
+
+
+def rank_of(vectors, n):
+    """Rank of a set of words in F_2^n, as one row of batch_rank."""
+    return int(batch_rank(np.asarray(list(vectors), dtype=np.int64).reshape(1, -1), n)[0])
 
 
 def brute_rank(vectors, n):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,22 +15,17 @@ from offline_simon.primitives import (
     IterFxInstance,
     Permutation,
     RelatedKeyOracle,
-    beetle_init,
-    chaskey_tag,
-    em_encrypt,
-    fx_encrypt,
-    ifx_encrypt,
     instance_from_json,
     instance_to_json,
     load_function_table,
     load_permutation,
     random_permutation,
-    related_key_query,
     save_function_table,
     save_permutation,
 )
 from offline_simon import primitives
 
+import reference
 from reference import stacked_family_table
 
 
@@ -104,14 +100,14 @@ def test_em_encrypt_shape():
     rng = np.random.default_rng(1)
     inst = EvenMansourInstance(5, random_permutation(5, rng), 0b10110, 0b01011)
     for x in range(1 << 5):
-        assert em_encrypt(inst, x) == inst.perm(x ^ inst.k1) ^ inst.k2
+        assert inst(x) == inst.perm(x ^ inst.k1) ^ inst.k2
 
 
 def test_fx_encrypt_shape():
     fam = BlockCipherFamily(3, 5, seed=2)
     inst = FxInstance(5, 3, fam, 0b101, 0b11010, 0b00111)
     for x in range(1 << 5):
-        assert fx_encrypt(inst, x) == fam.encrypt(0b101, x ^ 0b11010) ^ 0b00111
+        assert inst(x) == fam.encrypt(0b101, x ^ 0b11010) ^ 0b00111
 
 
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=10**6))
@@ -125,8 +121,8 @@ def test_slide_identity(n, seed):
     inst = IterFxInstance(n, m, fam, int(rng.integers(1 << n)),
                           int(rng.integers(1 << m)), rounds=3)
     for z in range(1 << n):
-        lhs = ifx_encrypt(inst, fam.encrypt(inst.k2, z ^ inst.k1))
-        rhs = fam.encrypt(inst.k2, ifx_encrypt(inst, z)) ^ inst.k1
+        lhs = inst(fam.encrypt(inst.k2, z ^ inst.k1))
+        rhs = fam.encrypt(inst.k2, inst(z)) ^ inst.k1
         assert lhs == rhs
 
 
@@ -137,24 +133,75 @@ def test_chaskey_tag_is_even_mansour_in_second_block():
     kappa1 = inst.perm(inst.k ^ m1) ^ inst.k1
     kappa2 = inst.k1
     for m2 in range(1 << 6):
-        assert chaskey_tag(inst, m1, m2) == inst.perm(m2 ^ kappa1) ^ kappa2
+        assert inst(m1, m2) == inst.perm(m2 ^ kappa1) ^ kappa2
 
 
 def test_beetle_init_layout():
     rng = np.random.default_rng(8)
     inst = BeetleToyInstance(4, 3, random_permutation(7, rng), 0b1010, 0b011)
-    out = beetle_init(inst, 0b0110)
+    out = inst(0b0110)
     assert 0 <= out < 1 << 7
     assert out == inst.perm(((0b1010 ^ 0b0110) << 3) | 0b011)
-    with pytest.raises(ValueError):
-        beetle_init(inst, 1 << 4)
+    for nonce in (1 << 4, -1, np.array([0, 1 << 4]), np.array([-1, 0])):
+        with pytest.raises(ValueError):
+            inst(nonce)
 
 
 def test_related_key_query():
     fam = BlockCipherFamily(4, 4, seed=3)
     oracle = RelatedKeyOracle(fam, 0b1001, 0b0110)
     for delta in range(1 << 4):
-        assert related_key_query(oracle, delta) == fam.encrypt(0b1001 ^ delta, 0b0110)
+        assert oracle(delta) == fam.encrypt(0b1001 ^ delta, 0b0110)
+
+
+def _oracle_cases(lazy: bool):
+    """(instance, scalar reference oracle, its full query domain) for each
+    construction; the cipher families are lazy (key width above
+    FULL_TABLE_KEY_LIMIT) or fully materialized."""
+    rng = np.random.default_rng(12)
+    m = primitives.FULL_TABLE_KEY_LIMIT + 1 if lazy else 4
+    n = 3 if lazy else 5
+    family = BlockCipherFamily(m, n, seed=21)
+
+    def key(bits):
+        return int(rng.integers(1 << bits))
+
+    xs = np.arange(1 << n)
+    chaskey = ChaskeyToyInstance(6, random_permutation(6, rng), key(6), key(6))
+    m1, m2 = (a.ravel() for a in np.meshgrid(np.arange(64), np.arange(64), indexing="ij"))
+    return [
+        (EvenMansourInstance(6, random_permutation(6, rng), key(6), key(6)),
+         reference.em_encrypt, (np.arange(64),)),
+        (FxInstance(n, m, family, key(m), key(n), key(n)), reference.fx_encrypt, (xs,)),
+        (IterFxInstance(n, m, family, key(n), key(m), 3), reference.ifx_encrypt, (xs,)),
+        (chaskey, reference.chaskey_tag, (m1, m2)),
+        (BeetleToyInstance(4, 3, random_permutation(7, rng), key(4), key(3)),
+         reference.beetle_init, (np.arange(16),)),
+        (RelatedKeyOracle(family, key(m), key(n)), reference.related_key_query,
+         (np.arange(1 << m),)),
+    ]
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["full", "lazy"])
+def test_instance_call_is_the_scalar_oracle(lazy):
+    """Each construction's call answers an int query with the int, and an
+    int64 array of queries with the int64 array of answers, that its scalar
+    oracle gives query by query, over the whole query domain (every
+    (m1, m2) pair for the MAC). The reference runs on a twin whose family
+    is rebuilt from the seed, so no key table is shared with the call."""
+    for inst, oracle, domain in _oracle_cases(lazy):
+        twin = inst
+        if hasattr(inst, "family"):
+            fam = inst.family
+            assert (fam._full is None) == lazy
+            twin = replace(inst, family=BlockCipherFamily(fam.m, fam.n, fam.seed))
+        queries = list(zip(*(a.tolist() for a in domain)))
+        want = [oracle(twin, *query) for query in queries]
+        got = inst(*domain)
+        assert got.dtype == np.int64 and got.tolist() == want
+        for query, y in zip(queries, want):
+            answer = inst(*query)
+            assert type(answer) is int and answer == y
 
 
 def test_permutation_file_roundtrip(tmp_path):

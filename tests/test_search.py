@@ -7,8 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from offline_simon import analysis, gf2, search, simon
+from offline_simon import analysis, gf2, qsim, search, simon
 from offline_simon.gf2 import Gf2Basis
+from reference import exact_check, restoration_distance
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
@@ -206,38 +207,40 @@ def test_search_rejects_nonpositive_copies(backend, copies):
 
 
 def test_branch_test_structured_and_sampled():
+    """The period check of one branch as the structured and sampled
+    backends make it: the screen's law classifies the branch (with the
+    union bound on p_bad when it is aperiodic), and a rank test on fresh
+    samples fires on the periodic one."""
     inst = medium_instance()
     rng = np.random.default_rng(6)
-    good = search.test(inst, inst.planted_index, 18, backend="structured")
-    assert good.periodic is True
-    assert good.outcome == 1
-    bad = search.test(inst, (inst.planted_index + 1) % (1 << inst.m), 18,
-                      backend="structured")
-    assert bad.periodic is False
-    assert bad.p_bad is not None and bad.p_bad < 0.01
-    fired = search.test(inst, inst.planted_index, 18, backend="sampled", rng=rng)
-    assert fired.outcome == 1
+    laws = inst.screened.laws
+    assert laws[inst.planted_index].periods
+    bad = laws[(inst.planted_index + 1) % (1 << inst.m)]
+    assert not bad.periods
+    assert analysis.p_bad_union_bound(bad.collisions, 18) < 0.01
+    words = simon.sample(inst.branch(inst.planted_index), 18, rng, inst.n)
+    assert gf2.batch_rank(words.reshape(1, -1), inst.n)[0] < inst.n
 
 
 def test_branch_test_exact_restoration():
     inst = tiny_instance()
     rng = np.random.default_rng(7)
-    res = search.test(inst, inst.planted_index, 2, backend="exact-circuit", rng=rng)
-    assert res.outcome in (0, 1)
-    assert res.restoration_distance is not None
+    state, dist = exact_check(inst.branch(inst.planted_index), inst.n, inst.l, 2)
+    outcome, _ = qsim.measure(state, "b", rng)
+    assert outcome in (0, 1)
+    assert dist >= 0.0
     scr = search.screen(inst)
     bound = analysis.restoration_bound(inst.n, 2, scr.eps)
     for i in range(1 << inst.m):
         if i == inst.planted_index:
             continue
-        dist = search.restoration_distance(inst.branch(i), inst.n, inst.l, 2)
+        dist = restoration_distance(inst.branch(i), inst.n, inst.l, 2)
         assert dist <= bound + 1e-9
 
 
 def test_restoration_distance_zero_for_periodic_branch():
     inst = tiny_instance()
-    dist = search.restoration_distance(inst.branch(inst.planted_index),
-                                       inst.n, inst.l, 2)
+    dist = restoration_distance(inst.branch(inst.planted_index), inst.n, inst.l, 2)
     assert dist == pytest.approx(0.0, abs=1e-9)
 
 
@@ -248,10 +251,10 @@ def test_restoration_distance_holds_two_states():
     inst = search.random_instance(n, 2, l, np.random.default_rng(4))
     table = inst.branch((inst.planted_index + 1) % 4)
     state_bytes = 16 << search.qubit_footprint(0, copies, n, l)
-    search.restoration_distance(table, n, l, copies)  # builds the cached rank predicate
+    restoration_distance(table, n, l, copies)  # builds the cached rank predicate
     tracemalloc.start()
     try:
-        dist = search.restoration_distance(table, n, l, copies)
+        dist = restoration_distance(table, n, l, copies)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
