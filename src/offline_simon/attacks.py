@@ -77,27 +77,26 @@ class AttackReport:
 # ---------------------------------------------------------------------------
 
 
-def _screen_or_raise(instance: search.SearchInstance, target: str,
-                     allow_constant_branch: bool = False) -> search.ScreenResult:
+def _screen_or_raise(instance: search.SearchInstance, target: Target) -> search.ScreenResult:
     """Degeneracy screen: exactly one periodic branch, sitting at the planted
     index, with exactly the planted period. Targets whose planted period can
     legitimately vanish (the periodic branch collapses to a constant) pass
-    that case through when allow_constant_branch is set. The screen is kept
-    on the instance, so the search that follows does not redo it."""
+    that case through when their `constant_branch` is set. The screen is
+    kept on the instance, so the search that follows does not redo it."""
     scr = instance.screened
     i0 = instance.planted_index
     if scr.periodic_indices != (i0,):
         raise DegenerateInstanceError(
-            f"{target}: periodic branches {scr.periodic_indices}, expected ({i0},)")
+            f"{target.kind}: periodic branches {scr.periodic_indices}, expected ({i0},)")
     periods = scr.branch_periods[i0]
     full = (1 << instance.n) - 1
     if instance.planted_period:
         if periods != (instance.planted_period,):
             raise DegenerateInstanceError(
-                f"{target}: branch periods {periods}, expected the planted one")
+                f"{target.kind}: branch periods {periods}, expected the planted one")
     else:
-        if not (allow_constant_branch and len(periods) == full):
-            raise DegenerateInstanceError(f"{target}: planted period is zero")
+        if not (target.constant_branch and len(periods) == full):
+            raise DegenerateInstanceError(f"{target.kind}: planted period is zero")
     return scr
 
 
@@ -132,6 +131,37 @@ def _window(u: int, shift: int) -> np.ndarray:
 def _codebook(inst, rng=None) -> tuple[np.ndarray]:
     """Every n-bit input of the target: its full codebook."""
     return (_window(inst.n, 0),)
+
+
+def _window_carve(table: np.ndarray, u: int, above: int,
+                  online: Callable[[np.ndarray], np.ndarray], key: int, l: int,
+                  outer: int = 0) -> search.SearchInstance:
+    """The chosen-window carve of the attacks whose key XORs into the input
+    of a public table: row r of `table` (rows, 2^N) maps N-bit inputs, and
+    the target answers table[outer, x ^ key] up to a constant XORed onto
+    the output. An input splits into its top `above` bits a, u window bits
+    and the `below` = N - above - u bits b under them. The data window is
+    the 2^u inputs that are zero outside the window bits, answered by
+    `online` (the target's own oracle, queried with the whole window);
+    family row (r, a, b) is x -> table[r, a || x || b]. The guess index
+    packs `outer` with the key's bits above and below the window, and the
+    key's window bits are the branch period (they may vanish: the planted
+    branch is then constant)."""
+    rows, size = table.shape
+    below = size.bit_length() - 1 - above - u
+    if u < 1 or min(above, below) < 0:
+        raise ValueError("need 1 <= u <= n")
+    g = online(_window(u, below))
+    family = np.ascontiguousarray(
+        table.reshape(rows, 1 << above, 1 << u, 1 << below)
+        .transpose(0, 1, 3, 2).reshape(-1, 1 << u))
+    return search.SearchInstance(
+        n=u, m=rows.bit_length() - 1 + above + below, l=l, family=family, g=g,
+        planted_index=(((outer << above) | (key >> (below + u))) << below)
+        | (key & ((1 << below) - 1)),
+        planted_period=(key >> below) & ((1 << u) - 1),
+        u=u,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +224,15 @@ class Target:
 
     Attack side (key dicts name the instance's key fields, so a proposal
     re-keys a copy of the instance, and the instance is its own oracle):
-    `carve(inst, u, window)` is the target's `*_search_instance` (it raises
-    DegenerateInstanceError when the screen rejects the instance); per
-    period candidate, `assemble` lists the key proposals, each checked
-    against the collected data on the queries `probes(cut)` returns, at a
-    T charge of `check_cost(cut)`; the final re-encryption check runs on the
-    queries `codebook(inst, rng)` returns; `ledger` gives the
-    D/M/tradeoff/notes terms.
+    `carve(inst, u, window)` cuts the instance into Problem-3 shape (the
+    five chosen-window targets through `_window_carve`) and does not screen
+    it: `run_attack` screens each carve, and a zero planted period (a
+    constant planted branch) passes the screen only where `constant_branch`
+    is set; per period candidate, `assemble` lists the key proposals, each
+    checked against the collected data on the queries `probes(cut)`
+    returns, at a T charge of `check_cost(cut)`; the final re-encryption
+    check runs on the queries `codebook(inst, rng)` returns; `ledger` gives
+    the D/M/tradeoff/notes terms.
     """
 
     kind: str
@@ -216,6 +248,7 @@ class Target:
     ledger: Callable[[Cut, search.Report], dict] = _window_ledger
     quantum_queries: bool = False     # Q2 search, else Q1
     windows: int = 1                  # data windows tried before giving up
+    constant_branch: bool = False     # the planted period may be zero
     c_times_block: bool = False       # c multiplies the block width l, not n
     f_calls_per_query: int = 1        # primitive calls behind one f query
     online_counts: Callable[[Cut], tuple[int, int] | None] = lambda cut: None
@@ -263,6 +296,7 @@ def run_attack(target: Target, inst, u: int | None, c: int | None,
     for window in range(target.windows):
         try:
             s_inst = target.carve(inst, u, window)
+            _screen_or_raise(s_inst, target)
             break
         except DegenerateInstanceError:
             if window + 1 == target.windows:
@@ -300,43 +334,14 @@ def run_attack(target: Target, inst, u: int | None, c: int | None,
 # ---------------------------------------------------------------------------
 
 
-def _em_window_instance(perm: primitives.Permutation, u: int,
-                        online: Callable[[np.ndarray], np.ndarray],
-                        key: int, target: str) -> search.SearchInstance:
-    """The Even-Mansour window carve that em-q1 and chaskey share: the data
-    window is the 2^u inputs with zero low bits, answered by `online` (the
-    target's own oracle, queried with the whole window), and family row i is
-    x -> perm((x << w) | i) with w = n - u. The guess index runs over the low
-    w bits of the whitening key `key`; its high part is the branch period,
-    and may vanish (the planted branch is then constant)."""
-    n = perm.n
-    if not 1 <= u <= n:
-        raise ValueError("need 1 <= u <= n")
-    w = n - u
-    g = online(_window(u, w))
-    # input (x << w) | i sits at [x, i] of the table as a (2^u, 2^w) array
-    family = np.ascontiguousarray(perm.table.reshape(1 << u, 1 << w).T)
-    instance = search.SearchInstance(
-        n=u, m=w, l=n, family=family, g=g,
-        planted_index=key & ((1 << w) - 1),
-        planted_period=key >> w,
-        u=u,
-    )
-    _screen_or_raise(instance, target, allow_constant_branch=True)
-    return instance
-
-
-def em_search_instance(inst: EvenMansourInstance, u: int) -> search.SearchInstance:
-    """Data window: the 2^u plaintexts with zero low bits. The guess index
-    runs over the low n-u bits of k1; the branch period is k1's high part."""
-    return _em_window_instance(inst.perm, u, inst, inst.k1, "em-q1")
-
-
 def _em_assemble(cut: Cut, i: int, period: int) -> list[dict]:
     k1 = (period << cut.s_inst.m) | i
     return [{"k1": k1, "k2": int(cut.s_inst.g[0]) ^ cut.inst.perm(k1)}]
 
 
+# Data window: the 2^u plaintexts with zero low bits; family row i is
+# x -> P((x << w) | i) with w = n - u. The guess index runs over the low w
+# bits of k1; the branch period is k1's high part, and may vanish.
 EM_Q1 = Target(
     kind="em-q1",
     name="em-q1",
@@ -346,11 +351,12 @@ EM_Q1 = Target(
         EvenMansourInstance(p["n"], primitives.random_permutation(p["n"], rng),
                             int(rng.integers(1 << p["n"])), int(rng.integers(1 << p["n"]))),
         p["u"]),
-    carve=lambda inst, u, _: em_search_instance(inst, u),
+    carve=lambda inst, u, _: _window_carve(inst.perm.table[None], u, 0, inst, inst.k1, inst.n),
     assemble=_em_assemble,
     probes=lambda cut: (_window(cut.s_inst.n, cut.s_inst.m),),
     check_cost=lambda cut: 1 + (1 << cut.s_inst.n),
     codebook=_codebook,
+    constant_branch=True,
 )
 
 
@@ -381,13 +387,11 @@ def fx_q2_search_instance(inst: FxInstance) -> search.SearchInstance:
     g = inst(evens) ^ inst(evens + 1)
     tables = inst.family.tables()
     family = tables[:, 0::2] ^ tables[:, 1::2]
-    instance = search.SearchInstance(
+    return search.SearchInstance(
         n=dim, m=m, l=n, family=family, g=g,
         planted_index=inst.k,
         planted_period=inst.k_in >> 1,
     )
-    _screen_or_raise(instance, "fx-q2")
-    return instance
 
 
 FX_Q2_PROBES = (1, 2, 3)
@@ -448,29 +452,6 @@ def attack_fx_q2(inst: FxInstance, c: int | None = None, backend: str = "sampled
 # ---------------------------------------------------------------------------
 
 
-def fx_q1_search_instance(inst: FxInstance, u: int) -> search.SearchInstance:
-    """Joint Grover over the cipher key and the low n-u bits of k_in against
-    the 2^u-plaintext window; the branch period is k_in's high part."""
-    n, m = inst.n, inst.m
-    if not 1 <= u <= n:
-        raise ValueError("need 1 <= u <= n")
-    w = n - u
-    if inst.k_in >> w == 0:
-        raise DegenerateInstanceError("fx-q1: k_in's window part is zero")
-    g = inst(_window(u, w))
-    # row (i << w) | j, column x is E_i((x << w) | j)
-    family = (inst.family.tables().reshape(1 << m, 1 << u, 1 << w)
-              .transpose(0, 2, 1).reshape(1 << (m + w), 1 << u))
-    instance = search.SearchInstance(
-        n=u, m=m + w, l=n, family=family, g=g,
-        planted_index=(inst.k << w) | (inst.k_in & ((1 << w) - 1)),
-        planted_period=inst.k_in >> w,
-        u=u,
-    )
-    _screen_or_raise(instance, "fx-q1")
-    return instance
-
-
 def _fx_q1_assemble(cut: Cut, i: int, period: int) -> list[dict]:
     if period == 0:
         return []
@@ -480,6 +461,9 @@ def _fx_q1_assemble(cut: Cut, i: int, period: int) -> list[dict]:
              "k_out": int(cut.s_inst.g[0]) ^ cut.inst.family.encrypt(k, k_in)}]
 
 
+# Joint Grover over the cipher key and the low w = n - u bits of k_in
+# against the 2^u-plaintext window: row (i << w) | j, column x is
+# E_i((x << w) | j). The branch period is k_in's high part.
 FX_Q1 = Target(
     kind="fx-q1",
     name="fx-q1",
@@ -491,7 +475,8 @@ FX_Q1 = Target(
                    int(rng.integers(1 << (p["n"] - p["u"]), 1 << p["n"])),
                    int(rng.integers(1 << p["n"]))),
         p["u"]),
-    carve=lambda inst, u, _: fx_q1_search_instance(inst, u),
+    carve=lambda inst, u, _: _window_carve(inst.family.tables(), u, 0, inst, inst.k_in,
+                                           inst.n, outer=inst.k),
     assemble=_fx_q1_assemble,
     probes=lambda cut: (_window(cut.s_inst.n, cut.inst.n - cut.s_inst.n),),
     check_cost=lambda cut: 1 + (1 << cut.s_inst.n),
@@ -512,12 +497,12 @@ def attack_fx_q1(inst: FxInstance, u: int, c: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def chaskey_em_instance(inst: ChaskeyToyInstance, u: int, m1: int) -> search.SearchInstance:
+def _chaskey_carve(inst: ChaskeyToyInstance, u: int, m1: int) -> search.SearchInstance:
     """With the first block fixed, the tag is an Even-Mansour instance in the
     second block: tag(m2) = pi(m2 ^ kappa1) ^ kappa2 with kappa1 = pi(k ^ m1)
     ^ k1 and kappa2 = k1."""
     kappa1 = inst.perm(inst.k ^ m1) ^ inst.k1
-    return _em_window_instance(inst.perm, u, lambda m2: inst(m1, m2), kappa1, "chaskey")
+    return _window_carve(inst.perm.table[None], u, 0, lambda m2: inst(m1, m2), kappa1, inst.n)
 
 
 def _chaskey_assemble(cut: Cut, i: int, period: int) -> list[dict]:
@@ -552,13 +537,14 @@ CHASKEY = Target(
         ChaskeyToyInstance(p["n"], primitives.random_permutation(p["n"], rng),
                            int(rng.integers(1 << p["n"])), int(rng.integers(1 << p["n"]))),
         p["u"]),
-    carve=chaskey_em_instance,
+    carve=_chaskey_carve,
     assemble=_chaskey_assemble,
     probes=lambda cut: (cut.window, _window(cut.s_inst.n, cut.s_inst.m)),
     check_cost=lambda cut: 1 + (1 << cut.s_inst.n),
     codebook=_chaskey_codebook,
     ledger=_chaskey_ledger,
     windows=8,
+    constant_branch=True,
 )
 
 
@@ -576,29 +562,6 @@ def attack_chaskey(inst: ChaskeyToyInstance, u: int, c: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def beetle_search_instance(inst: BeetleToyInstance, k: int) -> search.SearchInstance:
-    """2^k consecutive nonces give an affine window on the rate part. The
-    guess index packs the remaining K1 bits with all of K2; the branch
-    period is K1's low k bits."""
-    rate, cpty = inst.rate, inst.capacity
-    if not 1 <= k <= rate:
-        raise ValueError("need 1 <= k <= rate")
-    hi = rate - k
-    g = inst(_window(k, 0))
-    width = rate + cpty
-    # row (a << cpty) | b, column x is perm((((a << k) | x) << cpty) | b)
-    family = (inst.perm.table.reshape(1 << hi, 1 << k, 1 << cpty)
-              .transpose(0, 2, 1).reshape(1 << (hi + cpty), 1 << k))
-    instance = search.SearchInstance(
-        n=k, m=hi + cpty, l=width, family=family, g=g,
-        planted_index=((inst.k1 >> k) << cpty) | inst.k2,
-        planted_period=inst.k1 & ((1 << k) - 1),
-        u=k,
-    )
-    _screen_or_raise(instance, "beetle", allow_constant_branch=True)
-    return instance
-
-
 def _beetle_shape(p: dict) -> Shape:
     rate, cpty, k = p["rate"], p["capacity"], p["u"]
     if not 1 <= k <= rate:
@@ -611,6 +574,10 @@ def _beetle_assemble(cut: Cut, i: int, period: int) -> list[dict]:
     return [{"k1": ((i >> cpty) << cut.s_inst.n) | period, "k2": i & ((1 << cpty) - 1)}]
 
 
+# 2^k consecutive nonces give an affine window on the rate part of the
+# state (K1 ^ N) || K2: row (a << capacity) | b, column x is
+# perm((((a << k) | x) << capacity) | b). The guess index packs the high
+# rate - k bits of K1 with all of K2; the branch period is K1's low k bits.
 BEETLE = Target(
     kind="beetle",
     name="beetle-toy",
@@ -622,11 +589,14 @@ BEETLE = Target(
                           int(rng.integers(1 << p["rate"])),
                           int(rng.integers(1 << p["capacity"]))),
         p["u"]),
-    carve=lambda inst, k, _: beetle_search_instance(inst, k),
+    carve=lambda inst, k, _: _window_carve(
+        inst.perm.table[None], k, inst.rate - k, lambda s: inst(s >> inst.capacity),
+        (inst.k1 << inst.capacity) | inst.k2, inst.rate + inst.capacity),
     assemble=_beetle_assemble,
     probes=lambda cut: (_window(cut.s_inst.n, 0),),
     check_cost=lambda cut: 1 << cut.s_inst.n,
     codebook=lambda inst, rng: (_window(inst.rate, 0),),
+    constant_branch=True,
 )
 
 
@@ -644,31 +614,6 @@ def attack_beetle(inst: BeetleToyInstance, k: int, c: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def related_key_search_instance(oracle: RelatedKeyOracle,
-                                u: int | None = None) -> search.SearchInstance:
-    """Difference queries on the high key bits form the online function; the
-    offline family guesses the low key bits. The branch period is the high
-    key part itself."""
-    kw = oracle.family.m
-    if u is None:
-        u = round(kw / 3)
-    m = kw - u
-    if oracle.k >> m == 0:
-        raise DegenerateInstanceError("related-key: high key part is zero")
-    g = oracle(_window(u, m))
-    # row j, column x is E_{(x << m) | j}(msg)
-    family = np.ascontiguousarray(
-        oracle.family.tables()[:, oracle.msg].reshape(1 << u, 1 << m).T)
-    instance = search.SearchInstance(
-        n=u, m=m, l=oracle.family.n, family=family, g=g,
-        planted_index=oracle.k & ((1 << m) - 1),
-        planted_period=oracle.k >> m,
-        u=u,
-    )
-    _screen_or_raise(instance, "related-key")
-    return instance
-
-
 def _related_key_shape(p: dict) -> Shape:
     n, u = p["n"], p["u"]
     if not 1 <= u < n:
@@ -676,6 +621,10 @@ def _related_key_shape(p: dict) -> Shape:
     return Shape(u, n - u, n, (n,))
 
 
+# Difference queries on the high u key bits form the online function; row
+# j, column x of the family is E_{(x << m) | j}(msg) with m = key width - u,
+# so the guess index is the low key bits and the branch period is the high
+# key part itself.
 RELATED_KEY = Target(
     kind="related-key",
     name="related-key",
@@ -686,7 +635,8 @@ RELATED_KEY = Target(
                          int(rng.integers(1 << (p["n"] - p["u"]), 1 << p["n"])),
                          int(rng.integers(1 << p["n"]))),
         p["u"]),
-    carve=lambda oracle, u, _: related_key_search_instance(oracle, u),
+    carve=lambda oracle, u, _: _window_carve(oracle.family.tables()[None, :, oracle.msg], u, 0,
+                                             oracle, oracle.k, oracle.family.n),
     assemble=lambda cut, j, period: [{"k": (period << cut.s_inst.m) | j}] if period else [],
     probes=lambda cut: (_window(cut.s_inst.n, cut.s_inst.m),),
     check_cost=lambda cut: 1 << cut.s_inst.n,
@@ -699,6 +649,8 @@ def attack_related_key(oracle: RelatedKeyOracle, u: int | None = None,
                        rng: np.random.Generator | None = None) -> AttackReport:
     """Full-key recovery from 2^(key/3) related-key queries: Grover over the
     low two thirds of the key, period recovery for the high third."""
+    if u is None:
+        u = round(oracle.family.m / 3)
     return run_attack(RELATED_KEY, oracle, u, c, backend, rng)
 
 
@@ -721,14 +673,12 @@ def slide_search_instance(inst: IterFxInstance) -> search.SearchInstance:
     codebook = inst(xs)
     enc = inst.family.tables()  # row j is E_j
     family = np.concatenate([codebook[enc] ^ xs, enc[:, codebook] ^ xs], axis=1)
-    instance = search.SearchInstance(
+    return search.SearchInstance(
         n=n + 1, m=m, l=n, family=family,
         g=np.zeros(2 * size, dtype=np.int64),
         planted_index=inst.k2,
         planted_period=(1 << n) | inst.k1,
     )
-    _screen_or_raise(instance, "slide-ifx")
-    return instance
 
 
 def _slide_assemble(cut: Cut, j: int, period: int) -> list[dict]:

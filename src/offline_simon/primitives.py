@@ -216,14 +216,19 @@ class BeetleToyInstance:
 
 @dataclass
 class RelatedKeyOracle:
-    """Encrypts a fixed message under k ^ delta for attacker-chosen delta."""
+    """Encrypts a fixed message under k ^ delta for attacker-chosen delta.
+
+    One delta is answered from that key's table alone, so a lazy family
+    derives one key; an array of them gathers from every key's table."""
 
     family: BlockCipherFamily
     k: int
     msg: int
 
     def __call__(self, delta):
-        return _answer(self.family.tables()[self.k ^ delta, self.msg])
+        if np.ndim(delta) == 0:
+            return self.family.encrypt(self.k ^ delta, self.msg)
+        return self.family.tables()[self.k ^ delta, self.msg]
 
 
 # ---------------------------------------------------------------------------

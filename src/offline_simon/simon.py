@@ -245,14 +245,12 @@ def p_bad_estimate(h, c: int, trials: int, rng: np.random.Generator, n: int | No
     )
 
 
-def random_periodic_function(n: int, l: int, period: int, rng: np.random.Generator,
-                             injective: bool = True) -> np.ndarray:
+def random_periodic_function(n: int, l: int, period: int,
+                             rng: np.random.Generator) -> np.ndarray:
     """Random table with the nonzero period `period` and no other.
 
-    With injective=True the cosets {x, x ^ period} get pairwise distinct
-    values (needs l >= n - 1), which pins the period set exactly; otherwise
-    coset values are drawn freely and the table is re-rolled until the
-    period set is exactly {period}.
+    The cosets {x, x ^ period} get pairwise distinct values (needs
+    l >= n - 1), which pins the period set exactly.
     """
     if not 0 < period < (1 << n):
         raise ValueError("period must be a nonzero n-bit value")
@@ -263,14 +261,7 @@ def random_periodic_function(n: int, l: int, period: int, rng: np.random.Generat
     slot = np.empty(size, dtype=np.int64)
     slot[reps] = np.arange(len(reps))
     slot = slot[canon]
-    if injective:
-        if (1 << l) < len(reps):
-            raise ValueError(f"need l >= {int(len(reps)).bit_length() - 1} for injective cosets")
-        values = rng.choice(1 << l, size=len(reps), replace=False)
-        return values[slot].astype(np.int64)
-    for _ in range(1000):
-        values = rng.integers(0, 1 << l, size=len(reps))
-        table = values[slot].astype(np.int64)
-        if distribution(table, n).periods == (period,):
-            return table
-    raise RuntimeError("could not hit the exact period set; widen l")
+    if (1 << l) < len(reps):
+        raise ValueError(f"need l >= {int(len(reps)).bit_length() - 1} for injective cosets")
+    values = rng.choice(1 << l, size=len(reps), replace=False)
+    return values[slot].astype(np.int64)

@@ -246,68 +246,47 @@ def test_fx_q1_rejects_zero_window_part():
     fam = random_cipher_family(3, 6, rng)
     inst = FxInstance(n=6, m=3, family=fam, k=2, k_in=5, k_out=7)
     # u = 3 leaves a 3-bit window part, and 5 >> 3 == 0
-    with pytest.raises(DegenerateInstanceError):
-        attacks.fx_q1_search_instance(inst, 3)
+    with pytest.raises(DegenerateInstanceError, match="planted period is zero"):
+        attacks.run_attack(attacks.FX_Q1, inst, 3, None, "structured", rng)
 
 
 def test_related_key_rejects_zero_high_part():
     rng = np.random.default_rng(0)
     oracle = RelatedKeyOracle(family=random_cipher_family(6, 6, rng), k=7, msg=0)
     with pytest.raises(DegenerateInstanceError):
-        attacks.related_key_search_instance(oracle, 2)
+        attacks.run_attack(attacks.RELATED_KEY, oracle, 2, None, "structured", rng)
+
+
+def test_related_key_window_defaults_to_a_third_of_the_key():
+    """`attack_related_key` without u queries a 2^3 window at key width 9."""
+    rng = np.random.default_rng(6)
+    for _ in range(REDRAWS):
+        try:
+            rep = attacks.attack_related_key(build_related_key(rng, kw=9, n=9, u=3), rng=rng)
+            break
+        except DegenerateInstanceError:
+            continue
+    else:
+        raise AssertionError("no clean instance found")
+    assert rep.d_online == 1 << 3
+    assert rep.search_report.counters.classical_online == 1 << 3
 
 
 def test_window_width_validation():
+    """Every chosen-window carve rejects, with one message, a window that
+    does not fit its input."""
     rng = np.random.default_rng(0)
-    em = build_em(rng)
-    with pytest.raises(ValueError):
-        attacks.em_search_instance(em, 0)
-    with pytest.raises(ValueError):
-        attacks.em_search_instance(em, em.n + 1)
-    # chaskey carves the same Even-Mansour window, with the same check
-    chaskey = build_chaskey(rng)
-    for u in (0, chaskey.n + 1):
-        with pytest.raises(ValueError, match=r"need 1 <= u <= n"):
-            attacks.chaskey_em_instance(chaskey, u, 0)
-    beetle = build_beetle(rng)
-    with pytest.raises(ValueError):
-        attacks.beetle_search_instance(beetle, beetle.rate + 1)
-
-
-def test_builders_plant_the_derived_key_material():
-    rng = np.random.default_rng(31)
-    em = build_em(rng)
-    s = attacks.em_search_instance(em, 3)
-    w = em.n - 3
-    assert s.planted_index == em.k1 & ((1 << w) - 1)
-    assert s.planted_period == em.k1 >> w
-    assert s.family.shape == (1 << w, 1 << 3)
-
-    slide = build_slide(rng)
-    for _ in range(REDRAWS):
-        try:
-            s = attacks.slide_search_instance(slide)
-            break
-        except DegenerateInstanceError:
-            slide = build_slide(rng)
-    else:
-        raise AssertionError("no clean slide instance")
-    assert s.planted_index == slide.k2
-    assert s.planted_period == (1 << slide.n) | slide.k1
-    assert s.n == slide.n + 1
-    assert int(s.g.max()) == 0
-
-    beetle = build_beetle(rng)
-    for _ in range(REDRAWS):
-        try:
-            s = attacks.beetle_search_instance(beetle, 3)
-            break
-        except DegenerateInstanceError:
-            beetle = build_beetle(rng)
-    else:
-        raise AssertionError("no clean beetle instance")
-    assert s.planted_index == ((beetle.k1 >> 3) << beetle.capacity) | beetle.k2
-    assert s.planted_period == beetle.k1 & 0b111
+    cases = {
+        "em-q1": (build_em(rng), 7),
+        "fx-q1": (build_fx(rng, n=6), 6),
+        "chaskey": (build_chaskey(rng), 8),
+        "beetle": (build_beetle(rng), 6),
+        "related-key": (build_related_key(rng), 6),
+    }
+    for kind, (inst, widest) in cases.items():
+        for u in (0, widest + 1):
+            with pytest.raises(ValueError, match=r"need 1 <= u <= n"):
+                attacks.TARGETS[kind].carve(inst, u, 0)
 
 
 # CLI sizes per kind: the defaults, then a second shape
@@ -331,7 +310,6 @@ def test_carved_family_is_the_call_by_call_family(monkeypatch, kind, lazy):
     lazily derived cipher families."""
     if lazy:
         monkeypatch.setattr(primitives, "FULL_TABLE_KEY_LIMIT", 1)
-    monkeypatch.setattr(attacks, "_screen_or_raise", lambda *args, **kwargs: None)
     target = attacks.TARGETS[kind]
     rng = np.random.default_rng(sorted(CARVE_SIZES).index(kind))
     for sizes in CARVE_SIZES[kind]:
@@ -347,6 +325,67 @@ def test_carved_family_is_the_call_by_call_family(monkeypatch, kind, lazy):
             assert family.dtype == np.int64 and family.flags.c_contiguous
             assert not np.shares_memory(family, source)
             assert np.array_equal(family, scalar_carve_family(kind, inst, u))
+
+
+def carve_cases(kind):
+    """(instance, u, carve) at each CARVE_SIZES shape of a kind; carves do
+    not screen, so every draw carves."""
+    target = attacks.TARGETS[kind]
+    rng = np.random.default_rng(sorted(CARVE_SIZES).index(kind))
+    for sizes in CARVE_SIZES[kind]:
+        flags = {f: sizes.get(f) for f in ("n", "m", "u", "rate", "capacity", "rounds")}
+        inst, *rest = target.draw(target.defaults(SimpleNamespace(**flags)), rng)
+        u = rest[0] if rest else None
+        yield inst, u, target.carve(inst, u, 0)
+
+
+def _planted_window_split(kind, inst, u):
+    """(guess index, branch period, family rows) the window carve of `kind`
+    plants, from the instance's keys by the attack's own derivation."""
+    if kind == "beetle":
+        cpty = inst.capacity
+        return (((inst.k1 >> u) << cpty) | inst.k2, inst.k1 & ((1 << u) - 1),
+                1 << (inst.rate - u + cpty))
+    if kind == "related-key":
+        m = inst.family.m - u
+        return inst.k & ((1 << m) - 1), inst.k >> m, 1 << m
+    w = inst.n - u
+    if kind == "fx-q1":
+        return (inst.k << w) | (inst.k_in & ((1 << w) - 1)), inst.k_in >> w, 1 << (inst.m + w)
+    key = inst.k1 if kind == "em-q1" else inst.perm(inst.k) ^ inst.k1  # chaskey: kappa1
+    return key & ((1 << w) - 1), key >> w, 1 << w
+
+
+def test_builders_plant_the_derived_key_material():
+    """Each chosen-window carve plants the key split its attack derives, at
+    both CARVE_SIZES shapes, and its planted branch has the planted period;
+    the slide carve plants (1, k1) at the round key."""
+    for kind in ("em-q1", "fx-q1", "chaskey", "beetle", "related-key"):
+        for inst, u, s in carve_cases(kind):
+            index, period, rows = _planted_window_split(kind, inst, u)
+            assert (s.planted_index, s.planted_period) == (index, period), kind
+            assert (s.n, s.u) == (u, u) and s.family.shape == (rows, 1 << u)
+            branch = s.branch(index)
+            assert np.array_equal(branch, branch[np.arange(1 << u) ^ period])
+
+    slide = build_slide(np.random.default_rng(31))
+    s = attacks.slide_search_instance(slide)
+    assert s.planted_index == slide.k2
+    assert s.planted_period == (1 << slide.n) | slide.k1
+    assert s.n == slide.n + 1
+    assert int(s.g.max()) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(CARVE_SIZES))
+def test_assembling_the_planted_split_proposes_the_keys(kind):
+    """The planted (index, period) pair assembles into a key proposal that
+    answers like the instance on its verification queries."""
+    target = attacks.TARGETS[kind]
+    for inst, u, s in carve_cases(kind):
+        cut = attacks.Cut(inst, s, 0)
+        proposals = target.assemble(cut, s.planted_index, s.planted_period)
+        queries = target.codebook(inst, np.random.default_rng(2))
+        assert any(attacks._agrees(inst, keys, *queries) for keys in proposals)
 
 
 # instance class -> the names of its key fields

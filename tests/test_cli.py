@@ -503,6 +503,21 @@ GOLDEN_ATTACK_DIGESTS = {
 }
 GOLDEN_CONFIGS = {"defaults": [], "structured": ["--backend", "structured"],
                   "c2": ["--c", "2"]}
+# The same command at a second size per kind (the second shape of each kind
+# in test_attacks.CARVE_SIZES) and at a window as wide as the block
+# (u = n), recorded before the five chosen-window carves became one.
+GOLDEN_SHAPE_DIGESTS = {
+    "em-q1 --n 5 --u 2": "286628d12bb8e31a4d0d27ad7d6facdf78c10ad8c77f4112c5205acb703f49c2",
+    "em-q1 --n 6 --u 6": "d9751ea393b6851f6517218a20f217cd397f6645caa79036fc4129af2022b4cf",
+    "fx-q2 --n 5 --m 2": "34032f4b414be483e2a076bc20a67eb60016c030f94d6f8473cf6b7f9fe33cf9",
+    "fx-q1 --n 5 --m 2 --u 2": "18b3148098d6cab2d0c3cf38b9f5b702cc6c1832f4bfa8e1aaf552ecbca816d3",
+    "chaskey --n 6 --u 4": "8dca16c126fb6a68d84f3fb3e5987420a0881f4192e043a9ef6cf5bd664b2198",
+    "beetle --rate 4 --capacity 3 --u 2":
+        "97a246d13bbb2d4aea99afe24c284db8ef10d93d6159049ab625d8ec196771ff",
+    "related-key --n 7 --u 2": "ec5a5bcb7002ff6ed42a041518499f0bcae34b84aa8addb6a6a98fcb42022772",
+    "slide-ifx --n 4 --m 2 --rounds 2":
+        "2937f61ddc0be6d7f1922da7dd5d46e9c6baca929991029a69f99fb3b30203b3",
+}
 
 
 @pytest.mark.parametrize("config,kind", sorted(GOLDEN_ATTACK_DIGESTS))
@@ -511,6 +526,14 @@ def test_attack_golden_report(tmp_path, config, kind):
     assert run_cli(["attack", kind, "--trials", "3", "--seed", "11", "--out", str(out)]
                    + GOLDEN_CONFIGS[config]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ATTACK_DIGESTS[config, kind]
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_SHAPE_DIGESTS))
+def test_attack_golden_report_at_other_shapes(tmp_path, args):
+    out = tmp_path / "run.json"
+    assert run_cli(["attack", *args.split(), "--trials", "3", "--seed", "11",
+                    "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHAPE_DIGESTS[args]
 
 
 @pytest.mark.parametrize("kind", cli.ATTACK_KINDS)

@@ -154,6 +154,18 @@ def test_related_key_query():
         assert oracle(delta) == fam.encrypt(0b1001 ^ delta, 0b0110)
 
 
+def test_related_key_int_query_derives_one_key_of_a_lazy_family():
+    """One delta on a lazy family is answered from that key's table alone:
+    the table of every key is not built. The reference runs on a twin
+    family rebuilt from the seed."""
+    m = primitives.FULL_TABLE_KEY_LIMIT + 1
+    oracle = RelatedKeyOracle(BlockCipherFamily(m, 4, seed=5), 0b1_0110_0101_1001, 0b0110)
+    twin = replace(oracle, family=BlockCipherFamily(m, 4, seed=5))
+    assert oracle(3) == reference.related_key_query(twin, 3)
+    assert oracle.family._full is None
+    assert list(oracle.family._cache) == [oracle.k ^ 3]
+
+
 def _oracle_cases(lazy: bool):
     """(instance, scalar reference oracle, its full query domain) for each
     construction; the cipher families are lazy (key width above

@@ -174,13 +174,6 @@ def test_random_periodic_function_injective():
         assert len(set(int(v) for v in table)) == 1 << (n - 1)
 
 
-def test_random_periodic_function_non_injective():
-    rng = np.random.default_rng(13)
-    table = simon.random_periodic_function(5, 2, 0b10110, rng, injective=False)
-    assert analysis.find_periods(table, 5) == [0b10110]
-    assert table.max() < 4
-
-
 def test_random_periodic_function_rejects_tight_range():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
