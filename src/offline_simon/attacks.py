@@ -19,7 +19,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import analysis, primitives, search, simon
+from . import analysis, primitives, search
 from .primitives import (
     BeetleToyInstance,
     ChaskeyToyInstance,
@@ -28,6 +28,12 @@ from .primitives import (
     IterFxInstance,
     RelatedKeyOracle,
 )
+
+
+# Every table an attack materializes (a branch family, or the whole cipher
+# family the related-key carve reads) must fit comfortably in memory; 2^22
+# words is the ceiling for a toy run.
+TABLE_ENTRY_CAP_LOG2 = 22
 
 
 class DegenerateInstanceError(ValueError):
@@ -42,7 +48,7 @@ class AttackReport:
     keys: dict[str, int] | None
     verified: bool
     planted_match: bool | None
-    search_report: search.Report | None
+    search_report: search.Report
     d_online: int
     t_offline: int
     q_qubits: int
@@ -51,7 +57,7 @@ class AttackReport:
     notes: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        base = self.search_report.as_dict() if self.search_report else {}
+        base = self.search_report.as_dict()
         base["recovered"] = (
             {name: f"0x{v:x}" for name, v in self.keys.items()} if self.keys else None
         )
@@ -280,16 +286,18 @@ def run_attack(target: Target, inst, u: int | None, c: int | None,
        window plus an offline guess family whose one periodic branch sits at
        the key's index part (walking data windows until the screen accepts);
     2. search: amplify over the family index with the Q1 (codebook) or Q2
-       (superposition) database; only the counters differ;
-    3. candidates: sample the measured branch for its consistent periods;
+       (superposition) database (only the counters differ), then recover
+       the period of the branch the search returns, once;
+    3. candidates: the periods consistent with that recovery's samples
+       (the search report's `solution`), then zero;
     4. assemble and check: turn each (index, period) pair into key
        proposals and keep the first that reproduces the collected data;
     5. verify by re-encryption (planted keys are never trusted alone:
        equivalent keys pass, wrong keys fail) and report the D/T/Q/M ledger.
 
     u is the data-window width (None where the target fixes it); the trial
-    rng is consumed by the search, the candidate sampling and, for some
-    targets, the verification, in that order.
+    rng is consumed by the search (its shots, then its one recovery) and,
+    for some targets, the verification, in that order.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -308,7 +316,7 @@ def run_attack(target: Target, inst, u: int | None, c: int | None,
     i_hat, rep = find(s_inst, copies, backend, rng, online_counts=target.online_counts(cut))
     # zero is always a candidate: for some targets the honest answer is
     # the constant branch
-    candidates = [*simon.recover(s_inst.branch(i_hat), copies, rng, n).candidates, 0]
+    candidates = [*rep.solution.candidates, 0]
     t_extra = copies
     keys = None
     probes = target.probes(cut)
@@ -618,6 +626,8 @@ def _related_key_shape(p: dict) -> Shape:
     n, u = p["n"], p["u"]
     if not 1 <= u < n:
         raise ValueError("need 1 <= u < key width")
+    if 2 * n > TABLE_ENTRY_CAP_LOG2:
+        raise ValueError(f"cipher family needs 2^{2 * n} entries, cap is 2^{TABLE_ENTRY_CAP_LOG2}")
     return Shape(u, n - u, n, (n,))
 
 

@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,9 +42,6 @@ GEN_KINDS = (*GEN_TABLE_SIZES, *GEN_TARGETS)
 # `a.n or 9`, so a 0 would silently run the toy size.
 _SIZE_FLAGS = ("n", "m", "l", "u", "c", "rate", "capacity", "rounds")
 
-# Every branch table an attack materializes must fit comfortably in memory;
-# 2^22 words of family is the ceiling for a toy run.
-TABLE_ENTRY_CAP_LOG2 = 22
 # A sampled shot draws r * 2^m * copies rank-sample words at once, each a
 # float64 uniform and an int64 word: 2^26 cells is 1 GiB.
 SHOT_CELL_CAP_LOG2 = 26
@@ -100,9 +98,9 @@ def _attack_parameters(cfg: RunConfig) -> dict:
             raise CliError(f"width {w} outside [1, {MAX_WIDTH}]")
     if dim > simon.MAX_N:
         raise CliError(f"search dimension {dim} exceeds the simulable {simon.MAX_N}")
-    if m_search + dim > TABLE_ENTRY_CAP_LOG2:
-        raise CliError(
-            f"family table needs 2^{m_search + dim} entries, cap is 2^{TABLE_ENTRY_CAP_LOG2}")
+    if m_search + dim > attacks.TABLE_ENTRY_CAP_LOG2:
+        raise CliError(f"family table needs 2^{m_search + dim} entries, "
+                       f"cap is 2^{attacks.TABLE_ENTRY_CAP_LOG2}")
     if p["backend"] == "sampled":
         r = analysis.grover_iterations(m_search)
         cells = r * target.copies(p["c"], dim, m_search, l) << m_search
@@ -144,11 +142,13 @@ def cmd_attack(cfg: RunConfig) -> int:
     if cfg.workers < 1:
         raise CliError("workers must be at least 1")
     p = _attack_parameters(cfg)
-    if cfg.workers > 1:
+    # the pool starts all its workers at once: never more than can be busy
+    workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: a single-process run does not pay for the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_attack_trial, [cfg.kind] * cfg.trials,
                                  [p] * cfg.trials, range(cfg.trials)))
     else:

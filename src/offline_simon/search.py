@@ -12,6 +12,8 @@ Three backends share one report shape:
                  index-amplitude level (each check draws fresh rank samples);
   structured     no simulation, just the analytic error budget and exact
                  branch classification.
+Every backend then recovers the period of the one branch it returns (the
+first measured shot, or the screen's one periodic branch), once per search.
 
 Every backend starts from the instance's screen, which transforms all 2^m
 branch tables in one ``simon.distributions`` pass and keeps each branch's
@@ -198,9 +200,13 @@ class Report:
     recovery_queries: int = 0
     shots: int = 1
     success_rate: float | None = None
+    # the recovery behind `recovered`, kept for the attack; not serialized
+    solution: gf2.PeriodSolution | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        doc = asdict(self)
+        del doc["solution"]
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +395,7 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
 
 
 def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
-                 rng: np.random.Generator, acquisition: str, shots: int,
+                 rng: np.random.Generator | None, acquisition: str, shots: int,
                  online_counts: tuple[int, int] | None = None) -> tuple[int | None, Report]:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -399,6 +405,10 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
         copies = analysis.default_copies(instance.m, instance.n)
     if copies < 1:
         raise ValueError("copies must be at least 1")
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    if rng is None:
+        rng = np.random.default_rng(0)
     scr = instance.screened
     budget = error_budget(instance.n, instance.m, copies, scr.eps)
     # Both acquisitions yield the same offline database (the codebook fixes
@@ -412,20 +422,11 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
         f_queries=2 * copies * budget.r,
         grover_iterations=budget.r,
     )
-    flags = _flags(instance.m, copies, scr)
 
     if backend == "structured":
-        report = Report(
-            backend=backend, n=instance.n, m=instance.m, l=instance.l, c=copies,
-            u=instance.u, counters=counters, eps=scr.eps, delta_bound=budget.delta_bound,
-            ideal_success=budget.ideal_success, success_lower=budget.success_lower,
-            recovered=None, correct=None, condition_violated=scr.condition_violated,
-            flags=flags, acquisition=acquisition, shots=0,
-        )
-        good = scr.periodic_indices[0] if len(scr.periodic_indices) == 1 else None
-        return good, report
-
-    if backend == "exact-circuit":
+        shots = 0
+        outcomes = scr.periodic_indices if len(scr.periodic_indices) == 1 else ()
+    elif backend == "exact-circuit":
         needed = qubit_footprint(instance.m, copies, instance.n, instance.l)
         cap = qsim.qubit_cap()
         if needed > cap:
@@ -436,39 +437,31 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
             index_probs = _exact_index_distribution(instance, copies, budget.r)
         outcomes = rng.choice(len(index_probs), size=shots, p=index_probs / index_probs.sum())
     else:
-        outcomes = np.array([
-            _sampled_index_shot(instance, copies, budget.r, rng) for _ in range(shots)
-        ])
+        outcomes = [_sampled_index_shot(instance, copies, budget.r, rng) for _ in range(shots)]
 
-    first_index = int(outcomes[0])
-    first_recovered: dict | None = None
-    first_correct: bool | None = None
-    hits = 0
-    for shot, i_hat in enumerate(outcomes):
-        i_hat = int(i_hat)
-        period = simon.recover(instance.branch(i_hat), copies, rng, instance.n).period
-        if instance.planted_index is not None and i_hat == instance.planted_index:
-            hits += 1
-        if shot == 0:
-            first_recovered = {"index": f"0x{i_hat:x}"}
-            if period is not None:
-                first_recovered["period"] = f"0x{period:x}"
-            if instance.planted_index is not None:
-                first_correct = (
-                    i_hat == instance.planted_index
-                    and period == instance.planted_period
-                )
-    success_rate = hits / shots if instance.planted_index is not None else None
+    index = int(outcomes[0]) if len(outcomes) else None
+    solution = recovered = correct = None
+    if index is not None:
+        solution = simon.recover(instance.branch(index), copies, rng, instance.n)
+        recovered = {"index": f"0x{index:x}"}
+        if solution.period is not None:
+            recovered["period"] = f"0x{solution.period:x}"
+        if instance.planted_index is not None:
+            correct = (index == instance.planted_index
+                       and solution.period == instance.planted_period)
+    hits = sum(int(i) == instance.planted_index for i in outcomes)
+    success_rate = hits / shots if instance.planted_index is not None and shots else None
     report = Report(
         backend=backend, n=instance.n, m=instance.m, l=instance.l, c=copies,
         u=instance.u, counters=counters, eps=scr.eps, delta_bound=budget.delta_bound,
         ideal_success=budget.ideal_success, success_lower=budget.success_lower,
-        recovered=first_recovered, correct=first_correct,
-        condition_violated=scr.condition_violated, flags=flags,
-        acquisition=acquisition, measured_index=first_index,
+        recovered=recovered, correct=correct,
+        condition_violated=scr.condition_violated, flags=_flags(instance.m, copies, scr),
+        acquisition=acquisition, measured_index=index if shots else None,
         recovery_queries=copies * shots, shots=shots, success_rate=success_rate,
+        solution=solution,
     )
-    return first_index, report
+    return index, report
 
 
 def alg_poly_q2(instance: SearchInstance, copies: int | None = None,
@@ -482,8 +475,6 @@ def alg_poly_q2(instance: SearchInstance, copies: int | None = None,
     counts for callers whose online object is not g itself (for example a
     codebook the family tables were derived from).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     return _run_offline(instance, copies, backend, rng, Q2_ACQUISITION, shots, online_counts)
 
 
@@ -493,8 +484,6 @@ def alg_exp_q1(instance: SearchInstance, copies: int | None = None,
                online_counts: tuple[int, int] | None = None) -> tuple[int | None, Report]:
     """Search with classical access to g: the whole codebook is collected
     (2^n classical queries), the offline phase is identical to the Q2 run."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     return _run_offline(instance, copies, backend, rng, Q1_ACQUISITION, shots, online_counts)
 
 

@@ -108,7 +108,8 @@ def test_structured_returns_planted_index():
     inst = medium_instance()
     good, rep = search.alg_poly_q2(inst, backend="structured")
     assert good == inst.planted_index
-    assert rep.recovered is None
+    assert rep.recovered == {"index": f"0x{inst.planted_index:x}",
+                             "period": f"0x{inst.planted_period:x}"}
     assert rep.shots == 0
 
 
@@ -203,6 +204,13 @@ def test_structured_predict_rejects_bad_counts(copies, trials):
 def test_search_rejects_nonpositive_copies(backend, copies):
     with pytest.raises(ValueError, match="copies must be at least 1"):
         search.alg_poly_q2(tiny_instance(), copies=copies, backend=backend,
+                           rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("backend", search.BACKENDS)
+def test_search_rejects_zero_shots(backend):
+    with pytest.raises(ValueError, match="shots must be at least 1"):
+        search.alg_poly_q2(tiny_instance(), copies=2, backend=backend, shots=0,
                            rng=np.random.default_rng(0))
 
 
@@ -349,6 +357,29 @@ def test_success_rate_counts_planted_hits():
     assert 0.0 <= rep.success_rate <= 1.0
     assert rep.recovery_queries == 200 * 2
     assert rep.counters.quantum_online == 2
+
+
+def test_search_recovers_one_period_whatever_the_shot_count(monkeypatch):
+    """Five shots, one recovery: on the first shot's branch, and the report's
+    `recovered` reads the solution it keeps; the ledger still charges one
+    recovery's copies per shot."""
+    calls = []
+    recover = simon.recover
+
+    def spy(h, *args, **kwargs):
+        calls.append(np.array(h))
+        return recover(h, *args, **kwargs)
+
+    monkeypatch.setattr(simon, "recover", spy)
+    inst = medium_instance()
+    idx, rep = search.alg_poly_q2(inst, copies=8, rng=np.random.default_rng(3), shots=5)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], inst.branch(idx))
+    assert rep.recovered["index"] == f"0x{idx:x}"
+    assert rep.recovered.get("period") == (
+        None if rep.solution.period is None else f"0x{rep.solution.period:x}")
+    assert rep.recovery_queries == 5 * 8
+    assert "solution" not in rep.as_dict()
 
 
 def test_flags_c_too_small():
