@@ -30,12 +30,6 @@ from .primitives import (
 )
 
 
-# Every table an attack materializes (a branch family, or the whole cipher
-# family the related-key carve reads) must fit comfortably in memory; 2^22
-# words is the ceiling for a toy run.
-TABLE_ENTRY_CAP_LOG2 = 22
-
-
 class DegenerateInstanceError(ValueError):
     """The derived branch family failed the degeneracy screen."""
 
@@ -271,11 +265,6 @@ class Target:
             return analysis.default_copies(m, n)
         return c * (l if self.c_times_block else n)
 
-    def footprint(self, p: dict) -> int:
-        """Qubits an exact run needs at CLI parameters p."""
-        n, m, l, _ = self.shape(p)
-        return search.qubit_footprint(m, self.copies(p["c"], n, m, l), n, l)
-
 
 def run_attack(target: Target, inst, u: int | None, c: int | None,
                backend: str, rng: np.random.Generator | None) -> AttackReport:
@@ -508,7 +497,10 @@ def attack_fx_q1(inst: FxInstance, u: int, c: int | None = None,
 def _chaskey_carve(inst: ChaskeyToyInstance, u: int, m1: int) -> search.SearchInstance:
     """With the first block fixed, the tag is an Even-Mansour instance in the
     second block: tag(m2) = pi(m2 ^ kappa1) ^ kappa2 with kappa1 = pi(k ^ m1)
-    ^ k1 and kappa2 = k1."""
+    ^ k1 and kappa2 = k1. A block width under 3 bits has fewer first blocks
+    than the walk tries; the ones past 2^n are degenerate."""
+    if m1 >> inst.n:
+        raise DegenerateInstanceError(f"chaskey: no first block {m1} at n = {inst.n}")
     kappa1 = inst.perm(inst.k ^ m1) ^ inst.k1
     return _window_carve(inst.perm.table[None], u, 0, lambda m2: inst(m1, m2), kappa1, inst.n)
 
@@ -626,8 +618,9 @@ def _related_key_shape(p: dict) -> Shape:
     n, u = p["n"], p["u"]
     if not 1 <= u < n:
         raise ValueError("need 1 <= u < key width")
-    if 2 * n > TABLE_ENTRY_CAP_LOG2:
-        raise ValueError(f"cipher family needs 2^{2 * n} entries, cap is 2^{TABLE_ENTRY_CAP_LOG2}")
+    if 2 * n > search.TABLE_ENTRY_CAP_LOG2:
+        raise ValueError(f"cipher family needs 2^{2 * n} entries, "
+                         f"cap is 2^{search.TABLE_ENTRY_CAP_LOG2}")
     return Shape(u, n - u, n, (n,))
 
 

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, attacks, primitives, qaa, qsim, simon
-from .gf2 import MAX_WIDTH
+from . import analysis, attacks, gf2, primitives, qaa, search, simon
 from .primitives import instance_to_json, save_function_table, save_permutation
 
 ATTACK_KINDS = tuple(attacks.TARGETS)
@@ -42,13 +41,10 @@ GEN_KINDS = (*GEN_TABLE_SIZES, *GEN_TARGETS)
 # `a.n or 9`, so a 0 would silently run the toy size.
 _SIZE_FLAGS = ("n", "m", "l", "u", "c", "rate", "capacity", "rounds")
 
-# A sampled shot draws r * 2^m * copies rank-sample words at once, each a
-# float64 uniform and an int64 word: 2^26 cells is 1 GiB.
-SHOT_CELL_CAP_LOG2 = 26
-
 
 class CliError(Exception):
-    """Bad configuration or capacity problem, reported as exit code 2."""
+    """Bad configuration, reported as exit code 2 (as is the ValueError of a
+    failed width or capacity check)."""
 
 
 @dataclass(frozen=True)
@@ -91,26 +87,12 @@ def _attack_parameters(cfg: RunConfig) -> dict:
         raise CliError(f"unknown attack kind {cfg.kind!r}")
     _reject_unread_sizes(cfg, {"c", *target.defaults(cfg)})
     p = {"seed": cfg.seed, "backend": cfg.backend, "c": cfg.c, **target.defaults(cfg)}
-    dim, m_search, l, widths = target.shape(p)
-    p["l"] = l
-    for w in widths:
-        if not 1 <= w <= MAX_WIDTH:
-            raise CliError(f"width {w} outside [1, {MAX_WIDTH}]")
-    if dim > simon.MAX_N:
-        raise CliError(f"search dimension {dim} exceeds the simulable {simon.MAX_N}")
-    if m_search + dim > attacks.TABLE_ENTRY_CAP_LOG2:
-        raise CliError(f"family table needs 2^{m_search + dim} entries, "
-                       f"cap is 2^{attacks.TABLE_ENTRY_CAP_LOG2}")
-    if p["backend"] == "sampled":
-        r = analysis.grover_iterations(m_search)
-        cells = r * target.copies(p["c"], dim, m_search, l) << m_search
-        if cells > 1 << SHOT_CELL_CAP_LOG2:
-            raise CliError(f"a sampled shot needs {cells} rank-sample cells "
-                           f"(iterations x 2^{m_search} x copies), cap is 2^{SHOT_CELL_CAP_LOG2}")
-    if p["backend"] == "exact-circuit":
-        footprint = target.footprint(p)
-        if footprint > qsim.qubit_cap():
-            raise CliError(f"exact backend needs {footprint} qubits, cap is {qsim.qubit_cap()}")
+    shape = target.shape(p)
+    p["l"] = shape.l
+    for w in shape.widths:
+        gf2._check_width(w)
+    search.check_capacity(shape.n, shape.m, shape.l,
+                          target.copies(p["c"], shape.n, shape.m, shape.l), p["backend"])
     return p
 
 
@@ -332,8 +314,8 @@ def cmd_gen(cfg: RunConfig) -> int:
         elif cfg.kind == "function-table":
             n, l = cfg.n or 8, cfg.l or cfg.n or 8
             # the loader's width rule, checked before 2^n values are drawn
-            primitives._check_width(n)
-            primitives._check_width(l, "output width")
+            gf2._check_width(n)
+            gf2._check_width(l, "output width")
             table = rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)
             save_function_table(cfg.out, n, l, table)
         else:

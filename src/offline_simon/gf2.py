@@ -29,9 +29,9 @@ _RANK_BLOCK_CELLS = 1 << 16
 _WHT_TILE = 1 << 14
 
 
-def _check_width(width: int) -> None:
+def _check_width(width: int, what: str = "width") -> None:
     if not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {width}")
+        raise ValueError(f"{what} must be in [1, {MAX_WIDTH}], got {width}")
 
 
 class Gf2Basis:

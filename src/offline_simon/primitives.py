@@ -15,14 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .gf2 import MAX_WIDTH
+from .gf2 import _check_width
 
 FULL_TABLE_KEY_LIMIT = 12
-
-
-def _check_width(n: int, what: str = "width") -> None:
-    if not 1 <= n <= MAX_WIDTH:
-        raise ValueError(f"{what} must be in [1, {MAX_WIDTH}], got {n}")
 
 
 @dataclass
@@ -293,17 +288,18 @@ def _load_table_file(path: str | Path, expect_l: bool) -> tuple[int, int | None,
 # JSON instance descriptors
 # ---------------------------------------------------------------------------
 
-# Descriptor kind -> (instance class, size fields, key fields). The table
-# object is not stored: it rebuilds from the seed by its field, a `perm` of
-# width n (or rate + capacity) or an (m, n) `family`. A related-key
-# oracle's sizes are its family's.
+# Descriptor kind -> (instance class, size fields, key field -> the size
+# field that is its width). The table object is not stored: it rebuilds from
+# the seed by its field, a `perm` of width n (or rate + capacity) or an
+# (m, n) `family`. A related-key oracle's sizes are its family's: its key
+# is m bits wide and its message n.
 _KINDS = {
-    "even-mansour": (EvenMansourInstance, ("n",), ("k1", "k2")),
-    "fx": (FxInstance, ("n", "m"), ("k", "k_in", "k_out")),
-    "iterated-fx": (IterFxInstance, ("n", "m", "rounds"), ("k1", "k2")),
-    "chaskey-toy": (ChaskeyToyInstance, ("n",), ("k", "k1")),
-    "beetle-toy": (BeetleToyInstance, ("rate", "capacity"), ("k1", "k2")),
-    "related-key": (RelatedKeyOracle, ("n", "m"), ("k", "msg")),
+    "even-mansour": (EvenMansourInstance, ("n",), {"k1": "n", "k2": "n"}),
+    "fx": (FxInstance, ("n", "m"), {"k": "m", "k_in": "n", "k_out": "n"}),
+    "iterated-fx": (IterFxInstance, ("n", "m", "rounds"), {"k1": "n", "k2": "m"}),
+    "chaskey-toy": (ChaskeyToyInstance, ("n",), {"k": "n", "k1": "n"}),
+    "beetle-toy": (BeetleToyInstance, ("rate", "capacity"), {"k1": "rate", "k2": "capacity"}),
+    "related-key": (RelatedKeyOracle, ("n", "m"), {"k": "m", "msg": "n"}),
 }
 
 
@@ -311,7 +307,7 @@ def _hex(v: int) -> str:
     return f"0x{v:x}"
 
 
-def _kind(kind: str) -> tuple[type, tuple[str, ...], tuple[str, ...]]:
+def _kind(kind: str) -> tuple[type, tuple[str, ...], dict[str, str]]:
     if kind not in _KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
     return _KINDS[kind]
@@ -329,11 +325,16 @@ def instance_to_json(kind: str, seed: int, inst) -> str:
 
 
 def instance_from_json(text: str):
-    """Rebuild an instance from its descriptor (deterministic in the seed)."""
+    """Rebuild an instance from its descriptor (deterministic in the seed).
+    Each key must lie in [0, 2^w) for w its width field."""
     doc = json.loads(text)
     cls, sizes, keys = _kind(doc["kind"])
     values = {f: doc[f] for f in sizes}
-    values.update({k: int(doc["keys"][k], 16) for k in keys})
+    for k, width in keys.items():
+        values[k] = int(doc["keys"][k], 16)
+        if not 0 <= values[k] < 1 << doc[width]:
+            raise ValueError(f"key {k} = {doc['keys'][k]} outside [0, 2^{width}) "
+                             f"with {width} = {doc[width]}")
     rng = np.random.default_rng(doc["seed"])
     names = [f.name for f in fields(cls)]
     if "perm" in names:

@@ -35,6 +35,13 @@ from .gf2 import batch_rank
 BACKENDS = ("exact-circuit", "structured", "sampled")
 Q2_ACQUISITION = "q2-superposition-queries"
 Q1_ACQUISITION = "q1-classical-codebook"
+# Every table an attack materializes (a branch family, or the whole cipher
+# family the related-key carve reads) must fit comfortably in memory; 2^22
+# words is the ceiling for a toy run.
+TABLE_ENTRY_CAP_LOG2 = 22
+# A sampled shot draws r * 2^m * copies rank-sample words at once, each a
+# float64 uniform and an int64 word: 2^26 cells is 1 GiB.
+SHOT_CELL_CAP_LOG2 = 26
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +179,6 @@ class Counters:
     f_queries: int = 0
     grover_iterations: int = 0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class Report:
@@ -247,6 +251,29 @@ def qubit_footprint(m: int, copies: int, n: int, l: int) -> int:
     """Qubits of a full exact run: the m-qubit index, `copies` (x, y)
     register pairs of n + l qubits, and the output bit."""
     return m + copies * (n + l) + 1
+
+
+def check_capacity(n: int, m: int, l: int, copies: int, backend: str) -> None:
+    """Raise ValueError unless a search over 2^m branches of n-bit domain
+    and l-bit output, with `copies` samples per database, fits the lab's
+    limits: the simulable width, the branch family's table cap, and the
+    backend's own (a sampled shot's cells, an exact run's qubits)."""
+    if n < 1:
+        raise ValueError(f"search dimension {n} must be at least 1")
+    if n > simon.MAX_N:
+        raise ValueError(f"search dimension {n} exceeds the simulable {simon.MAX_N}")
+    if m + n > TABLE_ENTRY_CAP_LOG2:
+        raise ValueError(f"family table needs 2^{m + n} entries, "
+                         f"cap is 2^{TABLE_ENTRY_CAP_LOG2}")
+    if backend == "sampled":
+        cells = analysis.grover_iterations(m) * copies << m
+        if cells > 1 << SHOT_CELL_CAP_LOG2:
+            raise ValueError(f"a sampled shot needs {cells} rank-sample cells "
+                             f"(iterations x 2^{m} x copies), cap is 2^{SHOT_CELL_CAP_LOG2}")
+    elif backend == "exact-circuit":
+        needed, cap = qubit_footprint(m, copies, n, l), qsim.qubit_cap()
+        if needed > cap:
+            raise ValueError(f"exact backend needs {needed} qubits, cap is {cap}")
 
 
 def _prepare_database(state: qsim.QState, table, copies: int) -> None:
@@ -399,12 +426,11 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
                  online_counts: tuple[int, int] | None = None) -> tuple[int | None, Report]:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if instance.n > simon.MAX_N:
-        raise ValueError(f"n must be at most {simon.MAX_N}")
     if copies is None:
         copies = analysis.default_copies(instance.m, instance.n)
     if copies < 1:
         raise ValueError("copies must be at least 1")
+    check_capacity(instance.n, instance.m, instance.l, copies, backend)
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if rng is None:
@@ -427,10 +453,6 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
         shots = 0
         outcomes = scr.periodic_indices if len(scr.periodic_indices) == 1 else ()
     elif backend == "exact-circuit":
-        needed = qubit_footprint(instance.m, copies, instance.n, instance.l)
-        cap = qsim.qubit_cap()
-        if needed > cap:
-            raise ValueError(f"exact backend needs {needed} qubits, cap is {cap}")
         if instance.m == 0:
             index_probs = np.array([1.0])
         else:

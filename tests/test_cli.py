@@ -78,7 +78,7 @@ def test_attack_csv_parses(tmp_path):
 
 def test_attack_rejects_oversized_width(capsys):
     assert run_cli(["attack", "em-q1", "--n", "40"]) == 2
-    assert "width 40" in capsys.readouterr().err
+    assert "width must be in [1, 24], got 40" in capsys.readouterr().err
 
 
 def test_attack_rejects_oversized_family(capsys):
@@ -104,7 +104,29 @@ def test_attack_rejects_a_sampled_shot_over_the_cell_cap(capsys, monkeypatch):
     assert run_cli(["attack", "fx-q1", "--m", "13", "--trials", "1"]) == 2
     err = capsys.readouterr().err
     assert "error: a sampled shot needs 513736704 rank-sample cells" in err
-    assert f"cap is 2^{cli.SHOT_CELL_CAP_LOG2}" in err
+    assert f"cap is 2^{search.SHOT_CELL_CAP_LOG2}" in err
+
+
+@pytest.mark.parametrize("argv, error", argv_cases(
+    (["fx-q2", "--n", "1"], "error: search dimension 0 must be at least 1"),
+    (["em-q1", "--n", "24", "--u", "21"], "error: search dimension 21 exceeds the simulable 20"),
+    (["fx-q1", "--n", "20", "--m", "8", "--u", "4"],
+     "error: family table needs 2^28 entries, cap is 2^22"),
+    (["fx-q1", "--m", "13"], "error: a sampled shot needs 513736704 rank-sample cells"),
+    (["fx-q2", "--backend", "exact-circuit", "--c", "1"],
+     "error: exact backend needs 32 qubits, cap is 26"),
+))
+def test_attack_refuses_each_search_limit_before_the_draw(capsys, monkeypatch, argv, error):
+    monkeypatch.delenv("OFFLINE_SIMON_QUBIT_CAP", raising=False)
+    _stop_at_draw(monkeypatch, argv[0])
+    assert run_cli(["attack", *argv, "--trials", "1"]) == 2
+    assert error in capsys.readouterr().err
+
+
+def test_chaskey_below_three_bits_runs_out_of_first_blocks(capsys):
+    # 2^2 first blocks exist, fewer than the 8 the window walk tries
+    assert run_cli(["attack", "chaskey", "--n", "2", "--u", "1", "--trials", "2"]) == 2
+    assert "error: chaskey: 50 consecutive instances failed the screen" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -568,7 +590,10 @@ def test_capacity_footprint_matches_reported_q(tmp_path, kind):
     assert run_cli(["attack", kind, "--c", "1", "--backend", "structured",
                     "--trials", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    footprint = attacks.TARGETS[kind].footprint(doc["parameters"])
+    p = doc["parameters"]
+    target = attacks.TARGETS[kind]
+    n, m, l, _ = target.shape(p)
+    footprint = search.qubit_footprint(m, target.copies(p["c"], n, m, l), n, l)
     assert footprint == doc["trials"][0]["Q"]
 
 
@@ -595,7 +620,7 @@ def test_related_key_bounds_its_cipher_family_before_any_draw(capsys, monkeypatc
     assert run_cli(["attack", "related-key", "--n", n, "--trials", "1"]) == 2
     err = capsys.readouterr().err
     assert f"cipher family needs 2^{2 * int(n)} entries" in err
-    assert f"cap is 2^{attacks.TABLE_ENTRY_CAP_LOG2}" in err
+    assert f"cap is 2^{search.TABLE_ENTRY_CAP_LOG2}" in err
 
 
 @pytest.mark.parametrize("backend", ["sampled", "structured"])

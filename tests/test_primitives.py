@@ -294,6 +294,36 @@ def test_instance_json_roundtrip(kind):
         assert (back.k, back.msg) == (inst.k, inst.msg)
 
 
+# Descriptor kind -> (sizes, key field -> its width in those sizes). The
+# related-key family has a 5-bit key over 4-bit messages, so its two key
+# fields take different widths.
+KEY_WIDTHS = {
+    "even-mansour": ({"n": 4}, {"k1": 4, "k2": 4}),
+    "fx": ({"n": 4, "m": 3}, {"k": 3, "k_in": 4, "k_out": 4}),
+    "iterated-fx": ({"n": 4, "m": 3, "rounds": 2}, {"k1": 4, "k2": 3}),
+    "chaskey-toy": ({"n": 4}, {"k": 4, "k1": 4}),
+    "beetle-toy": ({"rate": 4, "capacity": 3}, {"k1": 4, "k2": 3}),
+    "related-key": ({"n": 4, "m": 5}, {"k": 5, "msg": 4}),
+}
+
+
+def _descriptor(kind, key, value):
+    sizes, widths = KEY_WIDTHS[kind]
+    keys = {k: f"{value if k == key else 0:#x}" for k in widths}
+    return json.dumps({"kind": kind, "seed": 3, **sizes, "keys": keys})
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, (_, widths) in KEY_WIDTHS.items()
+                                       for key in widths])
+def test_instance_from_json_takes_keys_only_inside_their_widths(kind, key):
+    width = KEY_WIDTHS[kind][1][key]
+    for value in (-1, 1 << width):
+        with pytest.raises(ValueError, match=f"key {key} = "):
+            instance_from_json(_descriptor(kind, key, value))
+    assert getattr(instance_from_json(_descriptor(kind, key, (1 << width) - 1)), key) \
+        == (1 << width) - 1
+
+
 def test_width_overflow_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):

@@ -156,6 +156,21 @@ def test_exact_backend_respects_qubit_cap(monkeypatch):
                            rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("find", [search.alg_exp_q1, search.alg_poly_q2])
+def test_sampled_search_refuses_a_shot_over_the_cell_cap(monkeypatch, find):
+    # 201 iterations x 2^16 branches x 39 default copies: a 3.8 GiB block
+    def no_shot(*args):
+        raise AssertionError("a shot was drawn")
+
+    monkeypatch.setattr(search, "_sampled_index_shot", no_shot)
+    rng = np.random.default_rng(0)
+    inst = search.SearchInstance(n=3, m=16, l=6,
+                                 family=rng.integers(0, 64, size=(1 << 16, 8)),
+                                 g=rng.integers(0, 64, size=8))
+    with pytest.raises(ValueError, match=r"cap is 2\^26"):
+        find(inst, backend="sampled", rng=rng)
+
+
 def test_exact_backend_runs_tiny():
     inst = tiny_instance()
     rng = np.random.default_rng(1)
