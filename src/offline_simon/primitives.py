@@ -326,10 +326,15 @@ def instance_to_json(kind: str, seed: int, inst) -> str:
 
 def instance_from_json(text: str):
     """Rebuild an instance from its descriptor (deterministic in the seed).
-    Each key must lie in [0, 2^w) for w its width field."""
+    Each size field (a width or a round count) must be at least 1, as the
+    CLI's size flags must, and each key must lie in [0, 2^w) for w its
+    width field."""
     doc = json.loads(text)
     cls, sizes, keys = _kind(doc["kind"])
     values = {f: doc[f] for f in sizes}
+    for f, value in values.items():
+        if value < 1:
+            raise ValueError(f"{f} = {value} must be at least 1")
     for k, width in keys.items():
         values[k] = int(doc["keys"][k], 16)
         if not 0 <= values[k] < 1 << doc[width]:

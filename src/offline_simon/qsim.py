@@ -17,6 +17,9 @@ reshaped views of it:
   amplitudes is copied aside and gathered back through an index built from
   the small truth table, so a call allocates well under 1 MiB whatever the
   state size and never a full-length index.
+* ``apply_phase_oracle`` is the bit-flip oracle with its output bit held
+  in |->, where the bit only ever acts as a phase: one broadcast multiply
+  of the register view by the truth table's signs, (-1)^f(x).
 * ``apply_controlled_ry`` and ``measure`` write through register views.
 
 ``marginal`` allocates one float64 array of half the state's bytes;
@@ -149,6 +152,25 @@ def _packed(layout: RegisterLayout, in_regs: tuple[str, ...], index: np.ndarray)
     return packed
 
 
+def _input_regs(in_reg) -> tuple[str, ...]:
+    return (in_reg,) if isinstance(in_reg, str) else tuple(in_reg)
+
+
+def _checked_table(layout: RegisterLayout, table, in_regs: tuple[str, ...],
+                   out_width: int) -> np.ndarray:
+    """The truth table over the packed inputs as int64, cut to its first
+    2^(input bits) entries; ValueError if it is shorter or a value does not
+    fit out_width bits."""
+    in_bits = sum(layout.width(name) for name in in_regs)
+    table = np.asarray(table, dtype=np.int64)
+    if len(table) < 1 << in_bits:
+        raise ValueError(f"oracle table has {len(table)} entries, inputs take {1 << in_bits}")
+    table = table[:1 << in_bits]
+    if table.min() < 0 or table.max() >= (1 << out_width):
+        raise ValueError(f"oracle output exceeds register width {out_width}")
+    return table
+
+
 def _xor_table(state: QState, table, in_regs: tuple[str, ...], out_reg: str) -> QState:
     """|x>|y> -> |x>|y ^ table[x]> in place, x the packed input registers.
 
@@ -158,14 +180,8 @@ def _xor_table(state: QState, table, in_regs: tuple[str, ...], out_reg: str) -> 
     tile-sized index: its flat position with table[x] XORed into the y bits.
     """
     layout = state.layout
-    in_bits = sum(layout.width(name) for name in in_regs)
     out_width, out_shift = layout.width(out_reg), layout.shift(out_reg)
-    table = np.asarray(table, dtype=np.int64)
-    if len(table) < 1 << in_bits:
-        raise ValueError(f"oracle table has {len(table)} entries, inputs take {1 << in_bits}")
-    table = table[:1 << in_bits]
-    if table.min() < 0 or table.max() >= (1 << out_width):
-        raise ValueError(f"oracle output exceeds register width {out_width}")
+    table = _checked_table(layout, table, in_regs, out_width)
     psi = _amplitudes(state)
     view = _register_view(state, out_reg)
     above, ys, below = view.shape
@@ -207,10 +223,37 @@ def apply_oracle_xor(state: QState, f, in_reg, out_reg: str) -> QState:
     does not fit the output register raises ValueError before the state is
     touched.
     """
-    in_regs = (in_reg,) if isinstance(in_reg, str) else tuple(in_reg)
+    in_regs = _input_regs(in_reg)
     if out_reg in in_regs:
         raise ValueError("output register cannot also be an input")
     return _xor_table(state, f, in_regs, out_reg)
+
+
+def apply_phase_oracle(state: QState, f, in_reg) -> QState:
+    """Phase map |x> -> (-1)^f(x) |x>, in place: ``apply_oracle_xor`` into
+    an output bit held in |->, which the map leaves in |-> (phase kickback),
+    so the bit need not be simulated.
+
+    in_reg and f as for ``apply_oracle_xor``, with f's values in {0, 1}; a
+    short table or another value raises ValueError before the state is
+    touched. The signs are reshaped onto the register axes of the state's
+    view and multiplied in, so nothing of the state's size is allocated.
+    """
+    in_regs = _input_regs(in_reg)
+    if len(set(in_regs)) != len(in_regs):
+        raise ValueError("input registers must be distinct")
+    layout = state.layout
+    table = _checked_table(layout, f, in_regs, 1)
+    signs = (1.0 - 2.0 * table).reshape([1 << layout.width(name) for name in in_regs])
+    # the view's register axes follow the layout, the packing follows in_regs
+    order = sorted(range(len(in_regs)), key=lambda k: -layout.shift(in_regs[k]))
+    signs = signs.transpose(order)
+    _amplitudes(state)
+    view = _register_view(state, *in_regs)
+    shape = [1] * view.ndim
+    shape[1::2] = signs.shape
+    view *= signs.reshape(shape)
+    return state
 
 
 def apply_indexed_oracle(state: QState, family, idx_reg: str, in_reg: str, out_reg: str) -> QState:

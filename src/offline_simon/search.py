@@ -7,7 +7,10 @@ amplifies over the family index with a checking oracle that tests the branch
 f_i xor g for a period against that database and never queries g again.
 
 Three backends share one report shape:
-  exact-circuit  full state-vector run, ground truth at tiny widths;
+  exact-circuit  full state-vector run, ground truth at tiny widths; the
+                 check's output bit sits in |-> and acts only as a phase,
+                 so the state folds it into one and holds 2^(footprint - 1)
+                 amplitudes;
   sampled        per-iteration Monte Carlo of the checking oracle at the
                  index-amplitude level (each check draws fresh rank samples);
   structured     no simulation, just the analytic error budget and exact
@@ -237,19 +240,21 @@ def _rank_predicate(n: int, copies: int) -> np.ndarray:
 
 
 def _exact_layout(n: int, l: int, copies: int, m: int = 0) -> qsim.RegisterLayout:
-    regs = []
-    if m > 0:
-        regs.append(("idx", m))
-    for k in range(copies):
-        regs.append((f"x{k}", n))
-        regs.append((f"y{k}", l))
-    regs.append(("b", 1))
+    """The simulated registers of an exact run, highest bits first: the
+    index, the x registers, the y registers. The check's output bit is
+    folded into a phase and has no register. The registers that take
+    Hadamard layers sit high, where the in-place transform runs fastest."""
+    regs = [("idx", m)] if m > 0 else []
+    regs += [(f"x{k}", n) for k in range(copies)]
+    regs += [(f"y{k}", l) for k in range(copies)]
     return qsim.RegisterLayout(*regs)
 
 
 def qubit_footprint(m: int, copies: int, n: int, l: int) -> int:
     """Qubits of a full exact run: the m-qubit index, `copies` (x, y)
-    register pairs of n + l qubits, and the output bit."""
+    register pairs of n + l qubits, and the output bit. The simulated state
+    holds 2^(footprint - 1) amplitudes, the output bit being folded into a
+    phase."""
     return m + copies * (n + l) + 1
 
 
@@ -257,7 +262,9 @@ def check_capacity(n: int, m: int, l: int, copies: int, backend: str) -> None:
     """Raise ValueError unless a search over 2^m branches of n-bit domain
     and l-bit output, with `copies` samples per database, fits the lab's
     limits: the simulable width, the branch family's table cap, and the
-    backend's own (a sampled shot's cells, an exact run's qubits)."""
+    backend's own (a sampled shot's cells, an exact run's qubits). The qubit
+    cap counts the circuit's output bit, though the simulated state holds
+    2^(footprint - 1) amplitudes with that bit folded into a phase."""
     if n < 1:
         raise ValueError(f"search dimension {n} must be at least 1")
     if n > simon.MAX_N:
@@ -282,11 +289,13 @@ def _prepare_database(state: qsim.QState, table, copies: int) -> None:
         qsim.apply_oracle_xor(state, table, f"x{k}", f"y{k}")
 
 
-def _apply_rank_xor(state: qsim.QState, n: int, copies: int) -> None:
+def _apply_rank_phase(state: qsim.QState, n: int, copies: int) -> None:
+    """The check in its phase form: -1 on the components whose sample words
+    do not span F_2^n, read in the Hadamard basis of the x registers."""
     xs = [f"x{k}" for k in range(copies)]
     for name in xs:
         qsim.apply_h(state, name)
-    qsim.apply_oracle_xor(state, _rank_predicate(n, copies), xs, "b")
+    qsim.apply_phase_oracle(state, _rank_predicate(n, copies), xs)
     for name in xs:
         qsim.apply_h(state, name)
 
@@ -370,18 +379,17 @@ def structured_predict(instance: SearchInstance, copies: int,
 
 
 def _exact_index_distribution(instance: SearchInstance, copies: int, r: int) -> np.ndarray:
-    """Final index marginal of the full circuit (deterministic)."""
+    """Final index marginal of the full circuit (deterministic), simulated
+    with the check in its phase form: the state holds 2^(footprint - 1)
+    amplitudes, the output bit that sits in |-> having no register."""
     n, l, m = instance.n, instance.l, instance.m
-    layout = _exact_layout(n, l, copies, m)
-    state = qsim.init_zero(layout)
+    state = qsim.init_zero(_exact_layout(n, l, copies, m))
     _prepare_database(state, instance.g, copies)
     qsim.apply_h(state, "idx")
-    qsim.apply_x(state, "b")
-    qsim.apply_h(state, "b")
     for _ in range(r):
         for k in range(copies):
             qsim.apply_indexed_oracle(state, instance.family, "idx", f"x{k}", f"y{k}")
-        _apply_rank_xor(state, n, copies)
+        _apply_rank_phase(state, n, copies)
         for k in range(copies):
             qsim.apply_indexed_oracle(state, instance.family, "idx", f"x{k}", f"y{k}")
         qaa.diffusion(state)

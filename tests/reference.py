@@ -4,7 +4,8 @@ Each one computes its answer the slow, direct way, independently of the
 kernel or attack it is compared with: the scalar oracle of each
 construction, one query at a time, a collision count shift by shift, a key
 search over the whole key space, a register read off a basis index, the
-exact database damage of one check, the stage-by-stage Walsh-Hadamard
+exact circuit with its check's output bit simulated as a qubit (and the
+exact database damage of one such check), the stage-by-stage Walsh-Hadamard
 transform that the in-place kernel replaced, the per-key family draw, the
 per-class sampler and the call-by-call carve families that the numpy
 gathers replaced.
@@ -12,7 +13,7 @@ gathers replaced.
 
 import numpy as np
 
-from offline_simon import analysis, qsim, search
+from offline_simon import analysis, qaa, qsim, search
 from offline_simon.gf2 import fwht
 from offline_simon.primitives import (BeetleToyInstance, ChaskeyToyInstance,
                                       EvenMansourInstance, FxInstance, IterFxInstance,
@@ -91,16 +92,53 @@ def exhaustive_ifx_search(inst: IterFxInstance) -> list[tuple[int, int]]:
     return hits
 
 
+def ancilla_layout(n: int, l: int, copies: int, m: int = 0) -> qsim.RegisterLayout:
+    """The exact backend's layout with the check's output bit simulated as
+    a one-qubit register "b", below the others."""
+    return qsim.RegisterLayout(*search._exact_layout(n, l, copies, m).registers, ("b", 1))
+
+
+def apply_rank_xor(state: qsim.QState, n: int, copies: int) -> None:
+    """The check in its bit-flip form: the rank predicate of the x
+    registers, read in their Hadamard basis, XORed into "b"."""
+    xs = [f"x{k}" for k in range(copies)]
+    for name in xs:
+        qsim.apply_h(state, name)
+    qsim.apply_oracle_xor(state, search._rank_predicate(n, copies), xs, "b")
+    for name in xs:
+        qsim.apply_h(state, name)
+
+
+def ancilla_index_distribution(instance, copies: int, r: int) -> np.ndarray:
+    """The exact backend's index marginal with the output bit simulated:
+    "b" prepared in |-> and flipped by the bit-flip check, the circuit the
+    phase form folds away."""
+    n, l, m = instance.n, instance.l, instance.m
+    state = qsim.init_zero(ancilla_layout(n, l, copies, m))
+    search._prepare_database(state, instance.g, copies)
+    qsim.apply_h(state, "idx")
+    qsim.apply_x(state, "b")
+    qsim.apply_h(state, "b")
+    for _ in range(r):
+        for k in range(copies):
+            qsim.apply_indexed_oracle(state, instance.family, "idx", f"x{k}", f"y{k}")
+        apply_rank_xor(state, n, copies)
+        for k in range(copies):
+            qsim.apply_indexed_oracle(state, instance.family, "idx", f"x{k}", f"y{k}")
+        qaa.diffusion(state)
+    return qsim.marginal(state, "idx")
+
+
 def exact_check(table, n: int, l: int, copies: int, b: int = 0) -> tuple[qsim.QState, float]:
-    """One check on a freshly prepared branch database with output bit b:
-    the state after it, and its distance from the ideal outcome (the
+    """One bit-flip check on a freshly prepared branch database with output
+    bit b: the state after it, and its distance from the ideal outcome (the
     database untouched, b flipped exactly when the branch is periodic)."""
-    state = qsim.init_zero(search._exact_layout(n, l, copies))
+    state = qsim.init_zero(ancilla_layout(n, l, copies))
     search._prepare_database(state, table, copies)
     if b:
         qsim.apply_x(state, "b")
     ideal = state.copy()
-    search._apply_rank_xor(state, n, copies)
+    apply_rank_xor(state, n, copies)
     if analysis.find_periods(table, n):
         qsim.apply_x(ideal, "b")
     return state, qsim.distance(state, ideal)

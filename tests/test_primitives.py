@@ -324,6 +324,18 @@ def test_instance_from_json_takes_keys_only_inside_their_widths(kind, key):
         == (1 << width) - 1
 
 
+@pytest.mark.parametrize("kind, size", [(kind, size) for kind, (sizes, _) in KEY_WIDTHS.items()
+                                        for size in sizes])
+def test_instance_from_json_takes_sizes_of_at_least_one(kind, size):
+    # an iterated-fx descriptor with rounds 0 would build a cipher that
+    # runs no rounds
+    sizes, widths = KEY_WIDTHS[kind]
+    for value in (0, -2):
+        doc = {"kind": kind, "seed": 3, **sizes, size: value, "keys": dict.fromkeys(widths, "0x0")}
+        with pytest.raises(ValueError, match=f"{size} = {value} must be at least 1"):
+            instance_from_json(json.dumps(doc))
+
+
 def test_width_overflow_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):

@@ -316,6 +316,52 @@ def test_oracle_table_out_of_range_leaves_state_untouched(table):
     assert np.array_equal(state.psi, before)
 
 
+def _ref_phase_oracle(psi, layout, table, in_regs):
+    """(-1)^table[x] on each basis state, one index at a time."""
+    out = psi.copy()
+    for idx in range(len(psi)):
+        packed = 0
+        for name in in_regs:
+            packed = (packed << layout.width(name)) | register_value(layout, idx, name)
+        if table[packed]:
+            out[idx] = -psi[idx]
+    return out
+
+
+@pytest.mark.parametrize("in_regs", [
+    ("x0",),
+    ("y1",),
+    ("mid", "idx"),                # non-adjacent, out of layout order
+    ("x1", "b", "x0"),             # three registers, the lowest bit among them
+], ids="-".join)
+def test_phase_oracle_matches_the_basis_loop(in_regs):
+    layout = KERNEL_LAYOUT
+    bits = sum(layout.width(name) for name in in_regs)
+    table = np.random.default_rng(12).integers(0, 2, size=1 << bits)
+    state = _random_state(13)
+    want = _ref_phase_oracle(state.psi, layout, table, in_regs)
+    qsim.apply_phase_oracle(state, table, in_regs if len(in_regs) > 1 else in_regs[0])
+    assert np.array_equal(state.psi, want)
+
+
+@pytest.mark.parametrize("table", [[0, 1, 2, 0], [0, -1, 1, 0], [0, 1, 1]],
+                         ids=["not-a-bit", "negative", "too-short"])
+def test_phase_oracle_rejects_a_bad_table_before_touching_the_state(table):
+    layout = qsim.RegisterLayout(("x", 2), ("y", 2))
+    state = _random_state(7, layout)
+    psi, before = state.psi, state.psi.copy()
+    with pytest.raises(ValueError):
+        qsim.apply_phase_oracle(state, table, "x")
+    assert state.psi is psi
+    assert np.array_equal(state.psi, before)
+
+
+def test_phase_oracle_rejects_a_repeated_register():
+    state = _random_state(7, qsim.RegisterLayout(("x", 2), ("y", 2)))
+    with pytest.raises(ValueError, match="distinct"):
+        qsim.apply_phase_oracle(state, np.zeros(16, dtype=np.int64), ["x", "x"])
+
+
 def _peak_extra_bytes(op, state):
     """Peak bytes allocated while op(state) runs, beyond those held before."""
     tracemalloc.start()
@@ -341,3 +387,11 @@ def test_kernels_allocate_at_most_one_state(op):
                                  ("b", 1))
     state = _random_state(8, layout)
     assert _peak_extra_bytes(op, state) <= state.psi.nbytes + (1 << 20)
+
+
+def test_phase_oracle_allocates_nothing_of_state_size():
+    # a multiply in place: only numpy's casting buffer, against a 2 MiB state
+    state = _random_state(14)
+    table = np.arange(128) % 3 == 1
+    extra = _peak_extra_bytes(lambda s: qsim.apply_phase_oracle(s, table, ("x1", "x0")), state)
+    assert extra <= state.psi.nbytes // 8

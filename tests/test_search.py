@@ -9,7 +9,7 @@ import pytest
 
 from offline_simon import analysis, gf2, qsim, search, simon
 from offline_simon.gf2 import Gf2Basis
-from reference import exact_check, restoration_distance
+from reference import ancilla_index_distribution, exact_check, restoration_distance
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
@@ -427,12 +427,64 @@ def test_rank_predicate_table_matches_basis_rule(n, copies):
 
 
 def test_exact_index_distribution_pinned():
-    # the committed 11-qubit acceptance instance, recorded with the
-    # callable rank predicate; the tabulated one must give the same bits
+    # the committed 11-qubit acceptance instance: the circuit's exact
+    # marginal is 31/128, 38/128, 23/128, 36/128, and the phase form, with
+    # no 1/sqrt(2) scaling of an output qubit, gives those bits exactly
     inst = tiny_instance()
     r = search.error_budget(inst.n, inst.m, 2, inst.screened.eps).r
     got = search._exact_index_distribution(inst, 2, r)
-    want = np.array([float.fromhex(h) for h in (
-        "0x1.efffffffffffep-3", "0x1.3000000000000p-2",
-        "0x1.7000000000000p-3", "0x1.2000000000000p-2")])
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, np.array([31, 38, 23, 36]) / 128)
+
+
+def _unmarked_instance():
+    rng = np.random.default_rng(0)
+    inst = search.SearchInstance(n=3, m=2, l=3, family=rng.integers(0, 8, size=(4, 8)),
+                                 g=rng.integers(0, 8, size=8))
+    assert inst.screened.periodic_indices == ()
+    return inst
+
+
+def _multi_marked_instance():
+    rng = np.random.default_rng(1)
+    g = rng.integers(0, 8, size=8)
+    family = rng.integers(0, 8, size=(4, 8))
+    family[1] = family[2] = simon.random_periodic_function(3, 3, 0b101, rng) ^ g
+    inst = search.SearchInstance(n=3, m=2, l=3, family=family, g=g)
+    assert inst.screened.multi_marked
+    return inst
+
+
+@pytest.mark.parametrize("make, copies, r", [
+    (lambda: search.random_instance(3, 2, 3, np.random.default_rng([5, 2])), 3, 1),
+    (tiny_instance, 2, 1),
+    (lambda: search.random_instance(3, 3, 3, np.random.default_rng(1)), 2, 2),
+    (lambda: search.random_instance(2, 4, 2, np.random.default_rng(2)), 3, 3),
+    (lambda: search.random_instance(3, 1, 2, np.random.default_rng(3)), 4, 1),
+    (_unmarked_instance, 2, 1),
+    (_multi_marked_instance, 2, 1),
+], ids=["3-2-3-c3", "2-2-2-c2", "3-3-3-c2-r2", "2-4-2-c3-r3", "3-1-2-c4", "unmarked",
+        "multi-marked"])
+def test_phase_form_matches_the_ancilla_circuit(make, copies, r):
+    """Folding the output bit into a phase (phase kickback off |->) leaves
+    the index marginal of the circuit that simulates the bit."""
+    inst = make()
+    got = search._exact_index_distribution(inst, copies, r)
+    want = ancilla_index_distribution(inst, copies, r)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_phase_check_damage_within_the_doubled_budget():
+    """On each aperiodic branch the phase-form check moves the database by
+    at most twice the bit-flip restoration bound, the budget qaa names for
+    the phase-flip form."""
+    inst = tiny_instance()
+    n, l, copies = inst.n, inst.l, 2
+    bound = analysis.restoration_bound(n, copies, inst.screened.eps)
+    for i in range(1 << inst.m):
+        if i == inst.planted_index:
+            continue
+        state = qsim.init_zero(search._exact_layout(n, l, copies))
+        search._prepare_database(state, inst.branch(i), copies)
+        ideal = state.copy()
+        search._apply_rank_phase(state, n, copies)
+        assert qsim.distance(state, ideal) <= 2 * bound + 1e-9
