@@ -25,7 +25,8 @@ MAX_WIDTH = 24
 # arrays to about a MiB whatever the number of rows.
 _RANK_BLOCK_CELLS = 1 << 16
 # Elements per half tile of the Walsh-Hadamard butterflies: a tile of
-# complex128 and its scratch half take 768 KiB, which stays in cache.
+# float64 (the simulator's amplitudes) and its scratch half take 384 KiB,
+# of complex128 768 KiB, which stays in cache.
 _WHT_TILE = 1 << 14
 
 

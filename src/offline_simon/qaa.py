@@ -71,8 +71,7 @@ def diffusion(state: qsim.QState, register: str = "idx") -> qsim.QState:
 def grover_state(m: int, marked, j: int) -> qsim.QState:
     """Exact state after j iterations on the index register alone."""
     targets = _marked_set(marked)
-    state = qsim.init_zero(qsim.RegisterLayout(("idx", m)))
-    qsim.apply_h(state, "idx")
+    state = qsim.init_plus(qsim.RegisterLayout(("idx", m)))
     for _ in range(j):
         qsim.apply_phase_if(state, "idx", targets)
         diffusion(state)

@@ -1,17 +1,20 @@
 """Exact state-vector simulation over named bit registers.
 
 Ground truth for every quantum claim in this package at tiny sizes: flat
-complex128 amplitudes, Hadamard layers via the Walsh-Hadamard butterfly, and
-classical reversible maps applied as basis permutations. The qubit budget is
-capped (default 26, override with OFFLINE_SIMON_QUBIT_CAP) so a runaway
-layout fails fast instead of allocating gigabytes.
+float64 amplitudes, Hadamard layers via the Walsh-Hadamard butterfly, and
+classical reversible maps applied as basis permutations. Every gate here is
+real (H, +-1 phases, permutations, the reflection, Ry), so a state starts
+real and stays real; only a non-real ``QState.scale`` makes it complex. The
+qubit budget is capped (default 26, override with OFFLINE_SIMON_QUBIT_CAP)
+so a runaway layout fails fast instead of allocating gigabytes.
 
-The kernels work in place on the state's one amplitude array, through
-reshaped views of it:
+A state starts as ``init_zero`` (|0...0>) or ``init_plus`` (|+...+>, every
+register already through H). The kernels work in place on the state's one
+amplitude array, through reshaped views of it:
 
 * ``apply_h`` runs ``gf2.fwht_inplace``: one butterfly stage per qubit on a
   (rows, 2, h) view, (a, b) -> (a + b, a - b), tile by tile with a scratch
-  buffer of 16K amplitudes (256 KiB), then one scaling pass.
+  buffer of 16K amplitudes (128 KiB), then one scaling pass.
 * ``apply_x``, ``apply_oracle_xor`` and ``apply_indexed_oracle`` are one
   permutation, y -> y ^ table[x], applied tile by tile: each tile of 16K
   amplitudes is copied aside and gathered back through an index built from
@@ -19,10 +22,17 @@ reshaped views of it:
   state size and never a full-length index.
 * ``apply_phase_oracle`` is the bit-flip oracle with its output bit held
   in |->, where the bit only ever acts as a phase: one broadcast multiply
-  of the register view by the truth table's signs, (-1)^f(x).
+  of the register view by the truth table's signs, (-1)^f(x). With the
+  output register in its Hadamard basis, a whole XOR query takes this form
+  too, (-1)^(v . f(x)) for the register's label v.
 * ``apply_controlled_ry`` and ``measure`` write through register views.
 
-``marginal`` allocates one float64 array of half the state's bytes;
+The exact search backend runs on ``init_plus``, ``apply_h``,
+``apply_phase_oracle``, ``apply_reflection_about_zero``, ``QState.scale``
+and ``marginal`` alone: no permutation and no complex array.
+
+``marginal`` sums the squares straight off the register view (a complex
+state viewed as float pairs), so it allocates nothing of the state's size;
 ``distance`` sums the squared difference tile by tile, so it allocates one
 tile.
 
@@ -93,19 +103,38 @@ class QState:
         return QState(self.layout, self.psi.copy())
 
     def scale(self, phase: complex) -> "QState":
-        """Multiply all amplitudes by a unit scalar (global phase tracking)."""
-        self.psi *= phase
+        """Multiply all amplitudes by a unit scalar (global phase tracking);
+        a non-real factor makes real amplitudes complex."""
+        phase = complex(phase)
+        if phase.imag:
+            self.psi = self.psi.astype(np.complex128, copy=False)
+            self.psi *= phase
+        else:
+            self.psi *= phase.real
         return self
+
+
+def _size(layout: RegisterLayout) -> int:
+    """Amplitudes of the layout's state; rejects layouts over the qubit cap
+    before anything is allocated."""
+    cap = qubit_cap()
+    if layout.total > cap:
+        raise ValueError(f"layout needs {layout.total} qubits, cap is {cap}")
+    return 1 << layout.total
 
 
 def init_zero(layout: RegisterLayout) -> QState:
     """All-qubit |0...0> state; rejects layouts over the qubit cap."""
-    cap = qubit_cap()
-    if layout.total > cap:
-        raise ValueError(f"layout needs {layout.total} qubits, cap is {cap}")
-    psi = np.zeros(1 << layout.total, dtype=np.complex128)
+    psi = np.zeros(_size(layout))
     psi[0] = 1.0
     return QState(layout, psi)
+
+
+def init_plus(layout: RegisterLayout) -> QState:
+    """All-qubit |+...+> state, H on every register of ``init_zero``;
+    rejects layouts over the qubit cap."""
+    size = _size(layout)
+    return QState(layout, np.full(size, 1.0 / math.sqrt(size)))
 
 
 def _register_view(state: QState, *names: str) -> np.ndarray:
@@ -124,7 +153,8 @@ def _register_view(state: QState, *names: str) -> np.ndarray:
 
 def _amplitudes(state: QState) -> np.ndarray:
     """The amplitudes as one C-contiguous, writable, floating array, which
-    the in-place kernels write through their views (a copy only if not)."""
+    the in-place kernels write through their views (a copy only if not).
+    Real amplitudes stay real."""
     psi = state.psi
     state.psi = np.require(psi, np.result_type(psi.dtype, np.float64), ("C", "W"))
     return state.psi
@@ -135,9 +165,9 @@ def apply_h(state: QState, register: str) -> QState:
     psi = _amplitudes(state)
     size = 1 << state.layout.width(register)
     fwht_inplace(psi, size, 1 << state.layout.shift(register))
-    # numpy divides a complex by a real by multiplying with its reciprocal
-    # (Smith's method), so this equals psi / sqrt(size) up to the signs of
-    # zero parts, at a sixth of the time.
+    # One multiply by the reciprocal: numpy divides a complex by a real that
+    # way too (Smith's method), so on a complex state this equals
+    # psi / sqrt(size) up to the signs of zero parts, at a sixth of the time.
     psi *= 1.0 / math.sqrt(size)
     return state
 
@@ -329,10 +359,15 @@ def apply_controlled_ry(
 
 
 def marginal(state: QState, register: str) -> np.ndarray:
-    """Born-rule distribution of the register's value."""
-    probs = np.abs(_register_view(state, register))
-    np.square(probs, out=probs)
-    return probs.sum(axis=(0, 2))
+    """Born-rule distribution of the register's value: the squares summed
+    straight off the register view, a complex state viewed as (re, im)
+    float pairs, so nothing of the state's size is allocated."""
+    psi = _amplitudes(state)
+    above, size, _ = _register_view(state, register).shape
+    if np.iscomplexobj(psi):
+        psi = psi.view(psi.real.dtype)
+    view = psi.reshape(above, size, -1)
+    return np.einsum("aib,aib->i", view, view)
 
 
 def prob_of(state: QState, register: str, value: int) -> float:

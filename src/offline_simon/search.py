@@ -10,7 +10,8 @@ Three backends share one report shape:
   exact-circuit  full state-vector run, ground truth at tiny widths; the
                  check's output bit sits in |-> and acts only as a phase,
                  so the state folds it into one and holds 2^(footprint - 1)
-                 amplitudes;
+                 real amplitudes, with every y register in its Hadamard
+                 basis, where each query is a phase too;
   sampled        per-iteration Monte Carlo of the checking oracle at the
                  index-amplitude level (each check draws fresh rank samples);
   structured     no simulation, just the analytic error budget and exact
@@ -283,10 +284,22 @@ def check_capacity(n: int, m: int, l: int, copies: int, backend: str) -> None:
             raise ValueError(f"exact backend needs {needed} qubits, cap is {cap}")
 
 
+def _parity_table(table, l: int) -> np.ndarray:
+    """0/1 table over the packed (input, v) values, v an l-bit label of the
+    output register's Hadamard basis: the parity of v & table[input]. In
+    that basis the query y ^= table[x] is the phase (-1)^(v . table[x]).
+    A 2-D family table packs as (index, x, v)."""
+    table = np.asarray(table, dtype=np.int64).reshape(-1, 1)
+    return (np.bitwise_count(table & np.arange(1 << l)) & 1).reshape(-1).astype(np.int64)
+
+
 def _prepare_database(state: qsim.QState, table, copies: int) -> None:
+    """The database, each copy sum_x |x>|table[x]>, on the |+...+> state
+    with every y register in its Hadamard basis: one parity phase per
+    copy over its (x, y) registers."""
+    phases = _parity_table(table, state.layout.width("y0"))
     for k in range(copies):
-        qsim.apply_h(state, f"x{k}")
-        qsim.apply_oracle_xor(state, table, f"x{k}", f"y{k}")
+        qsim.apply_phase_oracle(state, phases, (f"x{k}", f"y{k}"))
 
 
 def _apply_rank_phase(state: qsim.QState, n: int, copies: int) -> None:
@@ -381,17 +394,23 @@ def structured_predict(instance: SearchInstance, copies: int,
 def _exact_index_distribution(instance: SearchInstance, copies: int, r: int) -> np.ndarray:
     """Final index marginal of the full circuit (deterministic), simulated
     with the check in its phase form: the state holds 2^(footprint - 1)
-    amplitudes, the output bit that sits in |-> having no register."""
+    real amplitudes, the output bit that sits in |-> having no register.
+
+    The run is the circuit conjugated by H on every y register: those start
+    in |+...+> and are never measured, so the index marginal is the
+    circuit's, and each query, g's and the family's, is a parity phase.
+    The y registers hold Hadamard-basis labels, not query outputs; only the
+    index marginal is meaningful."""
     n, l, m = instance.n, instance.l, instance.m
-    state = qsim.init_zero(_exact_layout(n, l, copies, m))
+    state = qsim.init_plus(_exact_layout(n, l, copies, m))
     _prepare_database(state, instance.g, copies)
-    qsim.apply_h(state, "idx")
+    family = _parity_table(instance.family, l)
     for _ in range(r):
         for k in range(copies):
-            qsim.apply_indexed_oracle(state, instance.family, "idx", f"x{k}", f"y{k}")
+            qsim.apply_phase_oracle(state, family, ("idx", f"x{k}", f"y{k}"))
         _apply_rank_phase(state, n, copies)
         for k in range(copies):
-            qsim.apply_indexed_oracle(state, instance.family, "idx", f"x{k}", f"y{k}")
+            qsim.apply_phase_oracle(state, family, ("idx", f"x{k}", f"y{k}"))
         qaa.diffusion(state)
     return qsim.marginal(state, "idx")
 

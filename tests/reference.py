@@ -4,11 +4,11 @@ Each one computes its answer the slow, direct way, independently of the
 kernel or attack it is compared with: the scalar oracle of each
 construction, one query at a time, a collision count shift by shift, a key
 search over the whole key space, a register read off a basis index, the
-exact circuit with its check's output bit simulated as a qubit (and the
-exact database damage of one such check), the stage-by-stage Walsh-Hadamard
-transform that the in-place kernel replaced, the per-key family draw, the
-per-class sampler and the call-by-call carve families that the numpy
-gathers replaced.
+exact circuit with its check's output bit simulated as a qubit and its
+queries as XORs into the y registers (and the exact database damage of one
+such check), the stage-by-stage Walsh-Hadamard transform that the in-place
+kernel replaced, the per-key family draw, the per-class sampler and the
+call-by-call carve families that the numpy gathers replaced.
 """
 
 import numpy as np
@@ -98,6 +98,14 @@ def ancilla_layout(n: int, l: int, copies: int, m: int = 0) -> qsim.RegisterLayo
     return qsim.RegisterLayout(*search._exact_layout(n, l, copies, m).registers, ("b", 1))
 
 
+def bitflip_database(state: qsim.QState, table, copies: int) -> None:
+    """The database on a |0...0> state as the circuit builds it: H on each
+    x register, then the query XORed into its y register, copy by copy."""
+    for k in range(copies):
+        qsim.apply_h(state, f"x{k}")
+        qsim.apply_oracle_xor(state, table, f"x{k}", f"y{k}")
+
+
 def apply_rank_xor(state: qsim.QState, n: int, copies: int) -> None:
     """The check in its bit-flip form: the rank predicate of the x
     registers, read in their Hadamard basis, XORed into "b"."""
@@ -110,12 +118,12 @@ def apply_rank_xor(state: qsim.QState, n: int, copies: int) -> None:
 
 
 def ancilla_index_distribution(instance, copies: int, r: int) -> np.ndarray:
-    """The exact backend's index marginal with the output bit simulated:
-    "b" prepared in |-> and flipped by the bit-flip check, the circuit the
-    phase form folds away."""
+    """The exact backend's index marginal from the bit-flip circuit: queries
+    XORed into the y registers, and "b" prepared in |-> and flipped by the
+    bit-flip check, all of which the backend's phase form folds away."""
     n, l, m = instance.n, instance.l, instance.m
     state = qsim.init_zero(ancilla_layout(n, l, copies, m))
-    search._prepare_database(state, instance.g, copies)
+    bitflip_database(state, instance.g, copies)
     qsim.apply_h(state, "idx")
     qsim.apply_x(state, "b")
     qsim.apply_h(state, "b")
@@ -134,7 +142,7 @@ def exact_check(table, n: int, l: int, copies: int, b: int = 0) -> tuple[qsim.QS
     bit b: the state after it, and its distance from the ideal outcome (the
     database untouched, b flipped exactly when the branch is periodic)."""
     state = qsim.init_zero(ancilla_layout(n, l, copies))
-    search._prepare_database(state, table, copies)
+    bitflip_database(state, table, copies)
     if b:
         qsim.apply_x(state, "b")
     ideal = state.copy()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from offline_simon import qsim
+from offline_simon import qaa, qsim, search
 from reference import register_value, stacking_fwht
 
 
@@ -25,6 +25,36 @@ def test_init_zero_and_cap(monkeypatch):
     assert qsim.qubit_cap() == 4
     with pytest.raises(ValueError):
         qsim.init_zero(qsim.RegisterLayout(("a", 5)))
+
+
+def test_init_plus_is_h_on_every_register_of_init_zero(monkeypatch):
+    layout = qsim.RegisterLayout(("a", 3), ("b", 2), ("c", 1))
+    want = qsim.init_zero(layout)
+    for name, _ in layout.registers:
+        qsim.apply_h(want, name)
+    got = qsim.init_plus(layout)
+    assert got.psi.dtype == np.float64
+    assert np.allclose(got.psi, want.psi, rtol=0, atol=1e-15)
+    monkeypatch.setenv(qsim.CAP_ENV_VAR, "5")
+    for init in (qsim.init_zero, qsim.init_plus):
+        with pytest.raises(ValueError, match="layout needs 6 qubits, cap is 5"):
+            init(layout)
+
+
+def test_scale_keeps_a_real_state_real_unless_the_factor_is_not():
+    real = uniform_state(("a", 3))
+    psi = real.psi
+    real.scale(-1.0)
+    real.scale(complex(0.5, 0.0))
+    assert real.psi is psi and real.psi.dtype == np.float64
+    assert np.array_equal(real.psi, np.full(8, -0.5 / math.sqrt(8)))
+    promoted = uniform_state(("a", 3))
+    cplx = uniform_state(("a", 3))
+    cplx.psi = cplx.psi.astype(np.complex128)
+    promoted.scale(1j)
+    cplx.scale(1j)
+    assert promoted.psi.dtype == np.complex128
+    assert np.array_equal(promoted.psi, cplx.psi)
 
 
 def test_layout_rejects_duplicates():
@@ -298,10 +328,24 @@ def test_measure_collapse_is_bit_identical_to_the_zeroed_copy(register):
     before = state.psi.copy()
     outcome, _ = qsim.measure(state, register, np.random.default_rng(11))
     view = _ref_view(before, state.layout, register)
-    probs = (np.abs(view) ** 2).sum(axis=(0, 2))
+    # the Born weights in marginal's arithmetic, re^2 + im^2 summed off the
+    # float-pair view (test_marginal_matches_the_squared_moduli checks them)
+    pairs = before.view(np.float64).reshape(view.shape[0], view.shape[1], -1)
+    probs = np.einsum("aib,aib->i", pairs, pairs)
     want = np.zeros_like(view)
     want[:, outcome, :] = view[:, outcome, :] / math.sqrt(probs[outcome])
     assert np.array_equal(state.psi, want.reshape(-1))
+
+
+@pytest.mark.parametrize("register", ["idx", "y0", "b"])
+@pytest.mark.parametrize("real", [True, False], ids=["float64", "complex128"])
+def test_marginal_matches_the_squared_moduli(register, real):
+    state = _random_state(10)
+    if real:
+        state.psi = state.psi.real.copy()
+    view = _ref_view(state.psi, state.layout, register)
+    want = (np.abs(view) ** 2).sum(axis=(0, 2))
+    assert np.allclose(qsim.marginal(state, register), want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("table", [[0, 1, 2, 4], [0, -1, 1, 0], [0, 1, 2]],
@@ -395,3 +439,58 @@ def test_phase_oracle_allocates_nothing_of_state_size():
     table = np.arange(128) % 3 == 1
     extra = _peak_extra_bytes(lambda s: qsim.apply_phase_oracle(s, table, ("x1", "x0")), state)
     assert extra <= state.psi.nbytes // 8
+
+
+def test_exact_index_distribution_allocates_one_real_state():
+    # 18 qubits: the state is 2 MiB of float64; marginal sums off its view
+    inst = search.random_instance(2, 2, 2, np.random.default_rng(39))
+    copies = 4
+    r = search.error_budget(inst.n, inst.m, copies, inst.screened.eps).r
+    state_bytes = 8 << (search.qubit_footprint(inst.m, copies, inst.n, inst.l) - 1)
+    search._exact_index_distribution(inst, copies, r)  # builds the cached rank predicate
+    extra = _peak_extra_bytes(lambda _: search._exact_index_distribution(inst, copies, r), None)
+    assert extra <= state_bytes + (1 << 20)
+
+
+@pytest.mark.parametrize("in_regs,out_reg", [
+    (("x0",), "y0"),
+    (("idx", "x1"), "y0"),         # the family's (index, x) query
+    (("mid", "y1", "x0"), "x1"),   # output in the middle, inputs on both sides
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
+@pytest.mark.parametrize("real", [True, False], ids=["float64", "complex128"])
+def test_xor_query_is_a_parity_phase_in_the_output_hadamard_basis(in_regs, out_reg, real):
+    layout = KERNEL_LAYOUT
+    rng = np.random.default_rng(15)
+    width = layout.width(out_reg)
+    table = rng.integers(0, 1 << width, size=1 << sum(layout.width(name) for name in in_regs))
+    want = _random_state(16)
+    if real:
+        want.psi = want.psi.real.copy()
+    got = want.copy()
+    qsim.apply_h(want, out_reg)
+    qsim.apply_oracle_xor(want, table, in_regs, out_reg)
+    qsim.apply_h(want, out_reg)
+    qsim.apply_phase_oracle(got, search._parity_table(table, width), in_regs + (out_reg,))
+    assert got.psi.dtype == want.psi.dtype
+    assert np.abs(got.psi - want.psi).max() <= 1e-12
+
+
+@pytest.mark.parametrize("op", [
+    lambda s: qsim.apply_h(s, "y0"),
+    lambda s: qsim.apply_x(s, "idx", 1),
+    lambda s: qsim.apply_oracle_xor(s, np.arange(8) % 4, "x0", "idx"),
+    lambda s: qsim.apply_indexed_oracle(s, np.arange(64).reshape(4, 16) % 8, "idx", "y0", "x0"),
+    lambda s: qsim.apply_phase_oracle(s, np.arange(128) % 2, ("x0", "x1")),
+    lambda s: qsim.apply_phase_if(s, "mid", {1, 2}),
+    lambda s: qsim.apply_reflection_about_zero(s, "x1"),
+    lambda s: qsim.apply_controlled_ry(s, "b", 0.3, control="idx", control_predicate={2}),
+    lambda s: qsim.measure(s, "y1", np.random.default_rng(0)),
+    lambda s: s.scale(-1.0),
+    lambda s: qaa.diffusion(s, "x0"),
+], ids=["h", "x", "oracle-xor", "indexed-oracle", "phase-oracle", "phase-if", "reflection",
+        "controlled-ry", "measure", "scale", "diffusion"])
+def test_kernels_keep_a_real_state_real(op):
+    state = qsim.init_plus(KERNEL_LAYOUT)
+    psi = state.psi
+    op(state)
+    assert state.psi is psi and state.psi.dtype == np.float64

@@ -270,10 +270,10 @@ def test_restoration_distance_zero_for_periodic_branch():
 def test_restoration_distance_holds_two_states():
     """The check keeps its state and the ideal copy; the distance between
     them is summed tile by tile, so no third state-sized array appears."""
-    n, l, copies = 4, 4, 2  # 17 qubits: a 2 MiB state
+    n, l, copies = 4, 4, 2  # 17 qubits: a 1 MiB state of float64
     inst = search.random_instance(n, 2, l, np.random.default_rng(4))
     table = inst.branch((inst.planted_index + 1) % 4)
-    state_bytes = 16 << search.qubit_footprint(0, copies, n, l)
+    state_bytes = 8 << search.qubit_footprint(0, copies, n, l)
     restoration_distance(table, n, l, copies)  # builds the cached rank predicate
     tracemalloc.start()
     try:
@@ -436,6 +436,35 @@ def test_exact_index_distribution_pinned():
     assert np.array_equal(got, np.array([31, 38, 23, 36]) / 128)
 
 
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(8,), (4, 8)], ids=["g", "family"])
+def test_parity_table_is_the_popcount_parity(shape, l):
+    table = np.random.default_rng(l).integers(0, 1 << l, size=shape)
+    got = search._parity_table(table, l)
+    want = [bin(int(y) & v).count("1") % 2 for y in table.reshape(-1) for v in range(1 << l)]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def test_exact_run_is_real_phases_only(monkeypatch):
+    """The exact backend permutes no amplitude and keeps its state real."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact run took a permutation")
+
+    dtypes = []
+    marginal = qsim.marginal
+
+    def spy(state, register):
+        dtypes.append(state.psi.dtype)
+        return marginal(state, register)
+
+    monkeypatch.setattr(qsim, "_xor_table", refuse)
+    monkeypatch.setattr(qsim, "marginal", spy)
+    inst = tiny_instance()
+    search.alg_poly_q2(inst, copies=2, backend="exact-circuit")
+    assert dtypes == [np.float64]
+
+
 def _unmarked_instance():
     rng = np.random.default_rng(0)
     inst = search.SearchInstance(n=3, m=2, l=3, family=rng.integers(0, 8, size=(4, 8)),
@@ -483,7 +512,7 @@ def test_phase_check_damage_within_the_doubled_budget():
     for i in range(1 << inst.m):
         if i == inst.planted_index:
             continue
-        state = qsim.init_zero(search._exact_layout(n, l, copies))
+        state = qsim.init_plus(search._exact_layout(n, l, copies))
         search._prepare_database(state, inst.branch(i), copies)
         ideal = state.copy()
         search._apply_rank_phase(state, n, copies)
