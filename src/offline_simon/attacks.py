@@ -88,7 +88,7 @@ def _screen_or_raise(instance: search.SearchInstance, target: Target) -> search.
     if scr.periodic_indices != (i0,):
         raise DegenerateInstanceError(
             f"{target.kind}: periodic branches {scr.periodic_indices}, expected ({i0},)")
-    periods = scr.branch_periods[i0]
+    periods = scr.laws[i0].periods
     full = (1 << instance.n) - 1
     if instance.planted_period:
         if periods != (instance.planted_period,):

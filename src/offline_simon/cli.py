@@ -260,7 +260,7 @@ def cmd_verify_bounds(cfg: RunConfig) -> int:
     for m in (2, 4):
         a = 2.0**-m
         run = qaa.build_and_run_grover(m, 0, rng)
-        ideal = qaa.ideal_success(a, run.spec.r)
+        ideal = analysis.amplified_success(a, run.spec.r)
         checks.append({
             "name": f"qaa-exact[a=1/{1 << m}]",
             "measured": run.success,
@@ -273,7 +273,7 @@ def cmd_verify_bounds(cfg: RunConfig) -> int:
     ok = True
     for j in range(1, 9):
         got = qaa.run_grover_noisy(3, 5, beta, j)
-        dev = abs(got - qaa.ideal_success(2.0**-3, j))
+        dev = abs(got - analysis.amplified_success(2.0**-3, j))
         bound = analysis.qaa_deviation_bound(j, eps)
         worst = max(worst, dev - bound)
         ok = ok and dev <= bound + 1e-12

@@ -1,5 +1,5 @@
 """GF(2) words, incremental row echelon bases, period solving, batched rank
-tests, and the Walsh-Hadamard transform.
+tests, and the Walsh-Hadamard transform of real arrays.
 
 Words are plain python ints (or integer arrays) whose width the caller
 passes alongside. Widths are capped at 24 bits: everything here is meant
@@ -26,7 +26,7 @@ MAX_WIDTH = 24
 _RANK_BLOCK_CELLS = 1 << 16
 # Elements per half tile of the Walsh-Hadamard butterflies: a tile of
 # float64 (the simulator's amplitudes) and its scratch half take 384 KiB,
-# of complex128 768 KiB, which stays in cache.
+# which stays in cache.
 _WHT_TILE = 1 << 14
 
 
@@ -193,12 +193,14 @@ def batch_rank(words, n: int) -> np.ndarray:
 def fwht(vec: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform; fwht(fwht(v)) == len(v) * v.
 
-    Works along the last axis, which must be a power of two. Real input is
-    promoted to float64; complex input stays complex. The input is not
-    modified.
+    Works along the last axis, which must be a power of two. Input is real
+    only and the result is float64; complex input raises ValueError. The
+    input is not modified.
     """
     a = np.asarray(vec)
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=True)
+    if np.iscomplexobj(a):
+        raise ValueError("fwht takes real input only")
+    a = a.astype(np.float64)
     n = a.shape[-1]
     if n & (n - 1) or n == 0:
         raise ValueError(f"length must be a power of two, got {n}")

@@ -5,7 +5,9 @@ The amplified iteration is Q = -A S_0 A^(-1) S_chi with A = H on the index
 register. Checking oracles come in two forms: a bit-flip form that XORs the
 predicate into an ancilla, and the phase-flip form obtained by sandwiching
 the ancilla in |->; the derivation doubles the per-call error, and both
-forms are kept so that factor of two stays visible.
+forms are kept so that factor of two stays visible. The noiseless check
+S_chi is ``qsim.apply_phase_oracle`` on the marked set's 0/1 table, and
+every run is on real amplitudes.
 
 Fixed register names: "idx" (search space), "b" (check output), "noise"
 (deliberate-error qubit).
@@ -30,23 +32,17 @@ class QaaSpec:
     r: int
 
 
-def spec_for(a: float, r: int | None = None) -> QaaSpec:
+def spec_for(a: float) -> QaaSpec:
     """Iteration schedule for initial success probability a.
 
-    r defaults to floor(pi / (4 theta)); the tiny guard keeps exact integer
-    ratios (a = 1/2 gives pi/(4 theta) = 1 exactly) from rounding down.
+    r is floor(pi / (4 theta)); the tiny guard keeps exact integer ratios
+    (a = 1/2 gives pi/(4 theta) = 1 exactly) from rounding down.
     """
     if not 0.0 < a <= 1.0:
         raise ValueError("a must be in (0, 1]")
     theta = analysis.grover_theta(a)
-    if r is None:
-        r = int(math.floor(math.pi / (4.0 * theta) + _FLOOR_GUARD))
+    r = int(math.floor(math.pi / (4.0 * theta) + _FLOOR_GUARD))
     return QaaSpec(a, theta, r)
-
-
-def ideal_success(a: float, j: int) -> float:
-    """sin^2((2j+1) theta) after j noiseless iterations."""
-    return analysis.amplified_success(a, j)
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +50,20 @@ def ideal_success(a: float, j: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _marked_set(marked) -> set[int]:
+def _indicator(m: int, marked) -> np.ndarray:
+    """0/1 table over the m-bit index register of the marked values;
+    ValueError if none is marked or one lies outside [0, 2^m)."""
     if isinstance(marked, (int, np.integer)):
-        return {int(marked)}
-    return {int(v) for v in marked}
+        marked = (marked,)
+    values = [int(v) for v in marked]
+    if not values:
+        raise ValueError("the marked set is empty")
+    outside = sorted(v for v in values if not 0 <= v < 1 << m)
+    if outside:
+        raise ValueError(f"marked values {outside} lie outside [0, {1 << m})")
+    table = np.zeros(1 << m, dtype=np.int64)
+    table[values] = 1
+    return table
 
 
 def diffusion(state: qsim.QState, register: str = "idx") -> qsim.QState:
@@ -70,10 +76,10 @@ def diffusion(state: qsim.QState, register: str = "idx") -> qsim.QState:
 
 def grover_state(m: int, marked, j: int) -> qsim.QState:
     """Exact state after j iterations on the index register alone."""
-    targets = _marked_set(marked)
+    table = _indicator(m, marked)
     state = qsim.init_plus(qsim.RegisterLayout(("idx", m)))
     for _ in range(j):
-        qsim.apply_phase_if(state, "idx", targets)
+        qsim.apply_phase_oracle(state, table, "idx")
         diffusion(state)
     return state
 
@@ -83,28 +89,20 @@ class GroverRun:
     outcome: int
     success: float
     spec: QaaSpec
-    unknown_count_heuristic: bool
 
 
-def build_and_run_grover(m: int, check, rng: np.random.Generator, r: int | None = None) -> GroverRun:
+def build_and_run_grover(m: int, check, rng: np.random.Generator) -> GroverRun:
     """Amplify, measure the index register once, report the exact success.
 
-    check is a marked value or a collection of values. When the check
-    marks nothing (a = 0), r falls back to the single-target default and
-    the run is flagged.
+    check is a marked value or a nonempty collection of values, each in
+    [0, 2^m); ValueError otherwise, before any state is built.
     """
-    targets = _marked_set(check)
-    heuristic = False
-    if targets:
-        spec = spec_for(len(targets) / float(1 << m), r)
-    else:
-        heuristic = True
-        single = spec_for(2.0**-m, r)
-        spec = QaaSpec(0.0, 0.0, single.r)
-    state = grover_state(m, targets, spec.r)
-    success = float(sum(qsim.prob_of(state, "idx", t) for t in targets))
+    table = _indicator(m, check)
+    spec = spec_for(int(table.sum()) / float(1 << m))
+    state = grover_state(m, check, spec.r)
+    success = float(qsim.marginal(state, "idx")[table == 1].sum())
     outcome, _ = qsim.measure(state, "idx", rng)
-    return GroverRun(outcome, success, spec, heuristic)
+    return GroverRun(outcome, success, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +125,10 @@ def noisy_check_bit(state: qsim.QState, marked, beta: float) -> qsim.QState:
     (The sandwich error is (delta_0 - delta_1)/sqrt(2) over orthogonal
     ancilla branches, so the doubled budget is a bound the tests verify,
     not a value they can saturate.)"""
-    m = state.layout.width("idx")
-    targets = _marked_set(marked)
-    indicator = np.array([1 if v in targets else 0 for v in range(1 << m)])
-    qsim.apply_oracle_xor(state, indicator, "idx", "b")
+    table = _indicator(state.layout.width("idx"), marked)
+    qsim.apply_oracle_xor(state, table, "idx", "b")
     if beta != 0.0:
-        qsim.apply_controlled_ry(state, "noise", 2.0 * beta, control="idx", control_predicate=targets)
+        qsim.apply_controlled_ry(state, "noise", 2.0 * beta, "idx", table)
     return state
 
 
@@ -148,12 +144,13 @@ def phase_flip_check(state: qsim.QState, marked, beta: float) -> qsim.QState:
 
 def run_grover_noisy(m: int, marked, beta: float, j: int) -> float:
     """Success probability after j iterations with the noisy check inside
-    the phase-flip sandwich; compare against ideal_success +- 4 j eps."""
-    targets = _marked_set(marked)
+    the phase-flip sandwich; compare against analysis.amplified_success
+    +- 4 j eps."""
+    table = _indicator(m, marked)
     layout = qsim.RegisterLayout(("idx", m), ("b", 1), ("noise", 1))
     state = qsim.init_zero(layout)
     qsim.apply_h(state, "idx")
     for _ in range(j):
-        phase_flip_check(state, targets, beta)
+        phase_flip_check(state, marked, beta)
         diffusion(state)
-    return float(sum(qsim.prob_of(state, "idx", t) for t in targets))
+    return float(qsim.marginal(state, "idx")[table == 1].sum())

@@ -3,10 +3,11 @@
 Ground truth for every quantum claim in this package at tiny sizes: flat
 float64 amplitudes, Hadamard layers via the Walsh-Hadamard butterfly, and
 classical reversible maps applied as basis permutations. Every gate here is
-real (H, +-1 phases, permutations, the reflection, Ry), so a state starts
-real and stays real; only a non-real ``QState.scale`` makes it complex. The
-qubit budget is capped (default 26, override with OFFLINE_SIMON_QUBIT_CAP)
-so a runaway layout fails fast instead of allocating gigabytes.
+real (H, +-1 phases, permutations, the reflection, Ry), so amplitudes are
+real only: a kernel given a complex state, or ``QState.scale`` given a
+non-real factor, raises ValueError before the state is touched. The qubit
+budget is capped (default 26, override with OFFLINE_SIMON_QUBIT_CAP) so a
+runaway layout fails fast instead of allocating gigabytes.
 
 A state starts as ``init_zero`` (|0...0>) or ``init_plus`` (|+...+>, every
 register already through H). The kernels work in place on the state's one
@@ -20,21 +21,20 @@ amplitude array, through reshaped views of it:
   amplitudes is copied aside and gathered back through an index built from
   the small truth table, so a call allocates well under 1 MiB whatever the
   state size and never a full-length index.
-* ``apply_phase_oracle`` is the bit-flip oracle with its output bit held
-  in |->, where the bit only ever acts as a phase: one broadcast multiply
-  of the register view by the truth table's signs, (-1)^f(x). With the
-  output register in its Hadamard basis, a whole XOR query takes this form
-  too, (-1)^(v . f(x)) for the register's label v.
+* ``apply_phase_oracle`` is the one diagonal kernel: the bit-flip oracle
+  with its output bit held in |->, where the bit only ever acts as a phase,
+  so one broadcast multiply of the register view by the truth table's
+  signs, (-1)^f(x). With the output register in its Hadamard basis, a
+  whole XOR query takes this form too, (-1)^(v . f(x)) for its label v.
 * ``apply_controlled_ry`` and ``measure`` write through register views.
 
 The exact search backend runs on ``init_plus``, ``apply_h``,
 ``apply_phase_oracle``, ``apply_reflection_about_zero``, ``QState.scale``
-and ``marginal`` alone: no permutation and no complex array.
+and ``marginal`` alone: no permutation.
 
-``marginal`` sums the squares straight off the register view (a complex
-state viewed as float pairs), so it allocates nothing of the state's size;
-``distance`` sums the squared difference tile by tile, so it allocates one
-tile.
+``marginal`` sums the squares straight off the register view, so it
+allocates nothing of the state's size; ``distance`` sums the squared
+difference tile by tile, so it allocates one tile.
 
 Register order is significant: the first register in a layout occupies the
 most significant bits of the basis index.
@@ -96,21 +96,17 @@ class QState:
     layout: RegisterLayout
     psi: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.psi))
-
     def copy(self) -> "QState":
         return QState(self.layout, self.psi.copy())
 
-    def scale(self, phase: complex) -> "QState":
-        """Multiply all amplitudes by a unit scalar (global phase tracking);
-        a non-real factor makes real amplitudes complex."""
-        phase = complex(phase)
-        if phase.imag:
-            self.psi = self.psi.astype(np.complex128, copy=False)
-            self.psi *= phase
-        else:
-            self.psi *= phase.real
+    def scale(self, factor: float) -> "QState":
+        """Multiply all amplitudes by a real factor (the -1 of the Grover
+        iterate); ValueError on a non-real one, before the state is touched."""
+        factor = complex(factor)
+        if factor.imag:
+            raise ValueError(f"amplitudes are real; cannot scale by {factor}")
+        psi = _amplitudes(self)
+        psi *= factor.real
         return self
 
 
@@ -138,9 +134,9 @@ def init_plus(layout: RegisterLayout) -> QState:
 
 
 def _register_view(state: QState, *names: str) -> np.ndarray:
-    """View of the amplitudes with one axis per named register, in layout
-    order, and one axis for each run of bits between them; with one name
-    that is (above, register, below)."""
+    """View of the amplitudes (through ``_amplitudes``) with one axis per
+    named register, in layout order, and one axis for each run of bits
+    between them; with one name that is (above, register, below)."""
     layout = state.layout
     spans = sorted(((layout.shift(n), layout.width(n)) for n in names), reverse=True)
     shape, top = [], layout.total
@@ -148,15 +144,16 @@ def _register_view(state: QState, *names: str) -> np.ndarray:
         shape += [1 << (top - shift - width), 1 << width]
         top = shift
     shape.append(1 << top)
-    return state.psi.reshape(shape)
+    return _amplitudes(state).reshape(shape)
 
 
 def _amplitudes(state: QState) -> np.ndarray:
-    """The amplitudes as one C-contiguous, writable, floating array, which
-    the in-place kernels write through their views (a copy only if not).
-    Real amplitudes stay real."""
-    psi = state.psi
-    state.psi = np.require(psi, np.result_type(psi.dtype, np.float64), ("C", "W"))
+    """The amplitudes as one C-contiguous, writable float64 array, which
+    the in-place kernels write through their views (a copy only if not);
+    ValueError on complex amplitudes, before the state is touched."""
+    if np.iscomplexobj(state.psi):
+        raise ValueError("amplitudes are real; got a complex state")
+    state.psi = np.require(state.psi, np.float64, ("C", "W"))
     return state.psi
 
 
@@ -165,9 +162,6 @@ def apply_h(state: QState, register: str) -> QState:
     psi = _amplitudes(state)
     size = 1 << state.layout.width(register)
     fwht_inplace(psi, size, 1 << state.layout.shift(register))
-    # One multiply by the reciprocal: numpy divides a complex by a real that
-    # way too (Smith's method), so on a complex state this equals
-    # psi / sqrt(size) up to the signs of zero parts, at a sixth of the time.
     psi *= 1.0 / math.sqrt(size)
     return state
 
@@ -212,7 +206,6 @@ def _xor_table(state: QState, table, in_regs: tuple[str, ...], out_reg: str) -> 
     layout = state.layout
     out_width, out_shift = layout.width(out_reg), layout.shift(out_reg)
     table = _checked_table(layout, table, in_regs, out_width)
-    psi = _amplitudes(state)
     view = _register_view(state, out_reg)
     above, ys, below = view.shape
     nb = min(below, max(1, _TILE // ys))
@@ -224,7 +217,7 @@ def _xor_table(state: QState, table, in_regs: tuple[str, ...], out_reg: str) -> 
                | _packed(layout, in_regs, np.arange(nb)))
     flat = np.arange(na * ys * nb).reshape(na, ys, nb)
     idx = np.empty_like(flat)
-    src = np.empty(flat.shape, dtype=psi.dtype)
+    src = np.empty(flat.shape)
     for a0 in range(0, above, na):
         for b0 in range(0, below, nb):
             outs = table[offsets | _packed(layout, in_regs, (a0 << a_shift) | b0)]
@@ -278,7 +271,6 @@ def apply_phase_oracle(state: QState, f, in_reg) -> QState:
     # the view's register axes follow the layout, the packing follows in_regs
     order = sorted(range(len(in_regs)), key=lambda k: -layout.shift(in_regs[k]))
     signs = signs.transpose(order)
-    _amplitudes(state)
     view = _register_view(state, *in_regs)
     shape = [1] * view.ndim
     shape[1::2] = signs.shape
@@ -295,28 +287,6 @@ def apply_indexed_oracle(state: QState, family, idx_reg: str, in_reg: str, out_r
     return apply_oracle_xor(state, flat, (idx_reg, in_reg), out_reg)
 
 
-def _selector(width: int, predicate) -> np.ndarray:
-    if isinstance(predicate, (int, np.integer)):
-        predicate = (predicate,)
-    sel = np.zeros(1 << width, dtype=bool)
-    for v in predicate:
-        sel[int(v)] = True
-    return sel
-
-
-def apply_phase_if(state: QState, register: str, predicate) -> QState:
-    """Phase -1 on basis states whose register value matches the predicate.
-
-    The predicate is a value or a collection of values; multi-register
-    conditions are built by computing a flag into an ancilla, phasing on
-    it, and uncomputing.
-    """
-    sel = _selector(state.layout.width(register), predicate)
-    view = _register_view(state, register)
-    view[:, sel, :] *= -1.0
-    return state
-
-
 def apply_reflection_about_zero(state: QState, register: str) -> QState:
     """Phase -1 on the register's all-zero value (the S_0 reflection)."""
     view = _register_view(state, register)
@@ -324,30 +294,24 @@ def apply_reflection_about_zero(state: QState, register: str) -> QState:
     return state
 
 
-def apply_controlled_ry(
-    state: QState,
-    target: str,
-    angle: float,
-    control: str | None = None,
-    control_predicate=None,
-) -> QState:
-    """Ry(angle) on a 1-qubit register, optionally predicated on another
-    register's value. The deliberate-noise knob for checking-error tests."""
-    if state.layout.width(target) != 1:
-        raise ValueError("rotation target must be a 1-qubit register")
-    names = (target,) if control is None else (target, control)
-    if len(set(names)) != len(names):
-        raise ValueError("rotation control cannot be its target")
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    _amplitudes(state)
-    view = _register_view(state, *names)
-    # the view's register axes are 1 and 3, the higher register first
+def apply_controlled_ry(state: QState, target: str, angle: float, control: str,
+                        table) -> QState:
+    """Ry(angle) on a 1-qubit register where the control register's value
+    has table[value] = 1: the deliberate-noise knob for checking-error
+    tests. table is a 0/1 table over the control's values; a short table or
+    another value raises ValueError before the state is touched."""
     layout = state.layout
-    t_axis = 1 if control is None or layout.shift(target) > layout.shift(control) else 3
+    if layout.width(target) != 1:
+        raise ValueError("rotation target must be a 1-qubit register")
+    if control == target:
+        raise ValueError("rotation control cannot be its target")
+    rows = np.flatnonzero(_checked_table(layout, table, (control,), 1))
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    view = _register_view(state, target, control)
+    # the view's register axes are 1 and 3, the higher register first
+    t_axis = 1 if layout.shift(target) > layout.shift(control) else 3
     zero = [slice(None)] * view.ndim
-    if control is not None:
-        sel = _selector(layout.width(control), control_predicate)
-        zero[4 - t_axis] = np.flatnonzero(sel)
+    zero[4 - t_axis] = rows
     one = list(zero)
     zero[t_axis], one[t_axis] = 0, 1
     zero, one = tuple(zero), tuple(one)
@@ -360,18 +324,10 @@ def apply_controlled_ry(
 
 def marginal(state: QState, register: str) -> np.ndarray:
     """Born-rule distribution of the register's value: the squares summed
-    straight off the register view, a complex state viewed as (re, im)
-    float pairs, so nothing of the state's size is allocated."""
-    psi = _amplitudes(state)
-    above, size, _ = _register_view(state, register).shape
-    if np.iscomplexobj(psi):
-        psi = psi.view(psi.real.dtype)
-    view = psi.reshape(above, size, -1)
+    straight off the register view, so nothing of the state's size is
+    allocated."""
+    view = _register_view(state, register)
     return np.einsum("aib,aib->i", view, view)
-
-
-def prob_of(state: QState, register: str, value: int) -> float:
-    return float(marginal(state, register)[value])
 
 
 def measure(state: QState, register: str, rng: np.random.Generator) -> tuple[int, QState]:
@@ -381,7 +337,6 @@ def measure(state: QState, register: str, rng: np.random.Generator) -> tuple[int
     if total < 1e-12:
         raise ValueError("measuring a zero-norm branch")
     outcome = int(rng.choice(len(probs), p=probs / total))
-    _amplitudes(state)
     view = _register_view(state, register)
     view[:, :outcome, :] = 0
     view[:, outcome + 1:, :] = 0
@@ -398,5 +353,5 @@ def distance(s1: QState, s2: QState) -> float:
     total = 0.0
     for start in range(0, a.size, _TILE):
         diff = a[start:start + _TILE] - b[start:start + _TILE]
-        total += float(np.vdot(diff, diff).real)
+        total += float(np.dot(diff, diff))
     return math.sqrt(total)

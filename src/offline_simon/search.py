@@ -98,7 +98,6 @@ class ScreenResult:
     law (and through it the collision spectrum) for the backends to reuse."""
 
     periodic_indices: tuple[int, ...]
-    branch_periods: tuple[tuple[int, ...], ...]
     branch_eps: np.ndarray
     eps: float
     condition_violated: bool
@@ -107,24 +106,20 @@ class ScreenResult:
 
 
 def screen(instance: SearchInstance) -> ScreenResult:
-    """Classify every branch: periods, per-branch collision maxima, and the
-    condition value (the largest off-branch collision probability).
+    """Classify every branch: periodic or not (its law's ``periods`` name the
+    periods), per-branch collision maxima, and the condition value (the
+    largest off-branch collision probability).
 
     All 2^m branch tables go through ``simon.distributions`` in one call, and
     the classification is read off the (2^m, 2^n) collision array at once."""
     laws = simon.distributions(instance.family ^ instance.g, instance.n)
     off = np.array([law.collisions[1:] for law in laws])
-    hits = off == 1.0
-    periodic = hits.any(axis=1)
-    periods = [[] for _ in laws]
-    for i, t in zip(*np.nonzero(hits)):
-        periods[i].append(int(t) + 1)
+    periodic = (off == 1.0).any(axis=1)
     eps_branch = off.max(axis=1, where=off < 1.0, initial=0.0)
     eps = float(eps_branch[~periodic].max(initial=0.0))
     periodic_indices = tuple(np.flatnonzero(periodic).tolist())
     return ScreenResult(
         periodic_indices=periodic_indices,
-        branch_periods=tuple(map(tuple, periods)),
         branch_eps=eps_branch,
         eps=eps,
         condition_violated=(eps > 0.5) or len(periodic_indices) != 1,
@@ -429,7 +424,8 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
     n = instance.n
     size = 1 << instance.m
     scr = instance.screened
-    periodic = np.array([bool(p) for p in scr.branch_periods], dtype=bool)
+    periodic = np.zeros(size, dtype=bool)
+    periodic[list(scr.periodic_indices)] = True
     aperiodic = np.nonzero(~periodic)[0]
     uniforms = rng.random((r, len(aperiodic), copies))
     draws = np.empty((r, len(aperiodic), copies), dtype=np.int64)

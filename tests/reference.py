@@ -164,7 +164,7 @@ def register_value(layout, index: int, name: str) -> int:
 
 def stacking_fwht(vec):
     """The stage-by-stage transform ``gf2.fwht`` replaced: reshape, then
-    np.stack, on a float (or complex) copy of the last axis."""
+    np.stack, on a float copy of the last axis."""
     a = np.asarray(vec)
     a = a.astype(np.result_type(a.dtype, np.float64), copy=True)
     n = a.shape[-1]

@@ -144,14 +144,14 @@ def test_amplification_exact_and_noisy():
     worst_exact = 0.0
     for m, a in ((2, 0.25), (4, 0.0625)):
         run = qaa.build_and_run_grover(m, 0, rng)
-        worst_exact = max(worst_exact, abs(run.success - qaa.ideal_success(a, run.spec.r)))
+        worst_exact = max(worst_exact, abs(run.success - analysis.amplified_success(a, run.spec.r)))
     beta = 0.05
     eps = qaa.bit_flip_error(beta)
     worst_margin = math.inf
     noisy_ok = True
     for j in range(1, 9):
         got = qaa.run_grover_noisy(3, 5, beta, j)
-        dev = abs(got - qaa.ideal_success(2.0**-3, j))
+        dev = abs(got - analysis.amplified_success(2.0**-3, j))
         noisy_ok = noisy_ok and dev <= 4 * j * eps + 1e-12
         worst_margin = min(worst_margin, 4 * j * eps - dev)
     ok = worst_exact <= 1e-9 and noisy_ok

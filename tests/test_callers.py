@@ -5,7 +5,8 @@ oracle; oracles live in tests/reference.py. A name passes when src/ or
 perfbench/ refers to it in code: as a name, an attribute, an imported name,
 or a string constant that is exactly the name (as the tracer's patch lists
 name what they wrap). Words in comments and docstrings do not count, and
-neither does the definition itself.
+neither does the definition itself, nor an attribute read off a module
+from outside the package (``np.linalg.norm`` is no caller of a ``norm``).
 """
 
 import ast
@@ -50,17 +51,41 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return ids
 
 
+def _foreign_imports(tree: ast.AST) -> set[str]:
+    """The names a module binds by importing from outside the package."""
+    foreign = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            foreign.update((alias.asname or alias.name).split(".")[0] for alias in node.names
+                           if alias.name.split(".")[0] != PACKAGE.name)
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] != PACKAGE.name):
+            foreign.update(alias.asname or alias.name for alias in node.names)
+    return foreign
+
+
+def _root(node: ast.Attribute) -> ast.AST:
+    """The expression an attribute chain such as np.linalg.norm starts from."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def code_references(tree: ast.AST) -> set[str]:
-    """The identifiers a module's code refers to: names, attributes,
-    imported names and their aliases, and identifier-shaped string
-    constants that are not docstrings."""
+    """The identifiers a module's code refers to: names, attributes not
+    read off a module from outside the package, imported names and their
+    aliases, and identifier-shaped string constants that are not
+    docstrings."""
     docstrings = _docstrings(tree)
+    foreign = _foreign_imports(tree)
     refs = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            root = _root(node)
+            if not (isinstance(root, ast.Name) and root.id in foreign):
+                refs.add(node.attr)
         elif isinstance(node, ast.alias):
             refs.update(part for name in (node.name, node.asname) if name
                         for part in name.split("."))
@@ -100,3 +125,17 @@ def test_comments_and_docstrings_are_not_callers():
     refs = code_references(tree)
     assert {"g", "attr", "tracer_name"} <= refs
     assert "make_it" not in refs and "f" not in refs
+
+
+def test_attributes_of_foreign_modules_are_not_callers():
+    tree = ast.parse('import numpy as np\n'
+                     'from math import sqrt as root\n'
+                     'from . import qsim\n'
+                     'from offline_simon import search\n'
+                     'np.linalg.norm(v), root.real\n'
+                     'qsim.apply_h, search.screen.cache, state.norm(), np.asarray(v).copy()\n')
+    refs = code_references(tree)
+    assert {"apply_h", "screen", "cache", "norm", "copy", "np", "qsim", "search"} <= refs
+    assert not {"linalg", "real"} & refs
+    refs = code_references(ast.parse("import numpy as np\nnp.linalg.norm(v)\n"))
+    assert "norm" not in refs and "linalg" not in refs

@@ -20,29 +20,20 @@ def test_spec_handles_exact_integer_ratio():
     assert qaa.spec_for(2.0**-1 * (1 - 1e-12)).r == 1
 
 
-def test_ideal_success_closed_form():
-    for a in (0.25, 0.0625, 0.01):
-        for j in range(5):
-            theta = math.asin(math.sqrt(a))
-            assert qaa.ideal_success(a, j) == pytest.approx(
-                math.sin((2 * j + 1) * theta) ** 2, abs=1e-12)
-
-
 @pytest.mark.parametrize("m", [2, 4])
 def test_exact_grover_matches_sine_formula(m):
     """The simulated amplified success equals sin^2((2r+1) theta) exactly."""
     a = 2.0**-m
     rng = np.random.default_rng(0)
     run = qaa.build_and_run_grover(m, 3 % (1 << m), rng)
-    assert run.success == pytest.approx(qaa.ideal_success(a, run.spec.r), abs=1e-9)
-    assert not run.unknown_count_heuristic
+    assert run.success == pytest.approx(analysis.amplified_success(a, run.spec.r), abs=1e-9)
 
 
 def test_exact_grover_multi_target():
     rng = np.random.default_rng(1)
     run = qaa.build_and_run_grover(4, {1, 6, 9}, rng)
     a = 3 / 16
-    assert run.success == pytest.approx(qaa.ideal_success(a, run.spec.r), abs=1e-9)
+    assert run.success == pytest.approx(analysis.amplified_success(a, run.spec.r), abs=1e-9)
 
 
 def test_grover_state_progression():
@@ -51,16 +42,31 @@ def test_grover_state_progression():
     probs = []
     for j in range(analysis.grover_iterations(m) + 1):
         state = qaa.grover_state(m, 5, j)
-        probs.append(qsim.prob_of(state, "idx", 5))
+        probs.append(qsim.marginal(state, "idx")[5])
     assert all(b > a for a, b in zip(probs, probs[1:]))
     assert probs[-1] > 0.99
 
 
-def test_empty_marked_set_flagged():
+@pytest.mark.parametrize("marked", [set(), (), {-1}, {8}, {2, 8}, -1, 8],
+                         ids=["empty-set", "empty-tuple", "minus-one", "eight", "two-and-eight",
+                              "int-minus-one", "int-eight"])
+def test_marked_values_outside_the_index_register_are_refused(marked):
+    # numpy indexing would read -1 as 7 and fail on 8 only part way through
     rng = np.random.default_rng(2)
-    run = qaa.build_and_run_grover(3, set(), rng)
-    assert run.unknown_count_heuristic
-    assert run.success == 0.0
+    with pytest.raises(ValueError, match="empty|outside"):
+        qaa.build_and_run_grover(3, marked, rng)
+    with pytest.raises(ValueError, match="empty|outside"):
+        qaa.grover_state(3, marked, 1)
+    with pytest.raises(ValueError, match="empty|outside"):
+        qaa.run_grover_noisy(3, marked, 0.05, 1)
+    for beta in (0.0, 0.05):
+        state = qsim.init_zero(qsim.RegisterLayout(("idx", 3), ("b", 1), ("noise", 1)))
+        qsim.apply_h(state, "idx")
+        psi, before = state.psi, state.psi.copy()
+        with pytest.raises(ValueError, match="empty|outside"):
+            qaa.noisy_check_bit(state, marked, beta)
+        assert state.psi is psi
+        assert np.array_equal(state.psi, before)
 
 
 def test_bit_flip_error_value():
@@ -88,7 +94,7 @@ def test_noisy_deviation_within_linear_budget():
     a = 2.0**-m
     for j in range(1, 9):
         got = qaa.run_grover_noisy(m, marked, beta, j)
-        dev = abs(got - qaa.ideal_success(a, j))
+        dev = abs(got - analysis.amplified_success(a, j))
         print(f"j={j} deviation={dev:.6f} allowance={4 * j * eps:.6f}")
         assert dev <= 4 * j * eps + 1e-12
 
@@ -123,7 +129,7 @@ def test_single_call_deviation_budgets():
 def test_diffusion_is_inversion_about_mean():
     rng = np.random.default_rng(8)
     state = qsim.init_zero(qsim.RegisterLayout(("idx", 3)))
-    state.psi = rng.standard_normal(8) + 0j
+    state.psi = rng.standard_normal(8)
     state.psi /= np.linalg.norm(state.psi)
     before = state.psi.copy()
     qaa.diffusion(state)

@@ -39,7 +39,7 @@ def test_random_instance_screens_clean():
         inst = search.random_instance(4, 3, 4, np.random.default_rng(seed))
         scr = search.screen(inst)
         assert scr.periodic_indices == (inst.planted_index,)
-        assert scr.branch_periods[inst.planted_index] == (inst.planted_period,)
+        assert scr.laws[inst.planted_index].periods == (inst.planted_period,)
         assert not scr.condition_violated
         assert 0.0 <= scr.eps <= 0.5
 
@@ -292,7 +292,7 @@ def _choice_loop_shot(instance, copies, r, rng):
     n = instance.n
     size = 1 << instance.m
     scr = instance.screened
-    periodic = np.array([bool(p) for p in scr.branch_periods], dtype=bool)
+    periodic = np.array([bool(law.periods) for law in scr.laws], dtype=bool)
     aperiodic = np.nonzero(~periodic)[0]
     draws = np.empty((r, len(aperiodic), copies), dtype=np.int64)
     for j in range(r):
