@@ -28,9 +28,9 @@ amplitude array, through reshaped views of it:
   whole XOR query takes this form too, (-1)^(v . f(x)) for its label v.
 * ``apply_controlled_ry`` and ``measure`` write through register views.
 
-The exact search backend runs on ``init_plus``, ``apply_h``,
-``apply_phase_oracle``, ``apply_reflection_about_zero``, ``QState.scale``
-and ``marginal`` alone: no permutation.
+The exact search backend holds no ``QState``: it runs on ``search``'s label
+blocks. The simulator serves ``verify-bounds`` (``qaa``'s Grover runs) and
+the reference circuits the tests check that backend against.
 
 ``marginal`` sums the squares straight off the register view, so it
 allocates nothing of the state's size; ``distance`` sums the squared

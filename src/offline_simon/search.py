@@ -7,11 +7,12 @@ amplifies over the family index with a checking oracle that tests the branch
 f_i xor g for a period against that database and never queries g again.
 
 Three backends share one report shape:
-  exact-circuit  full state-vector run, ground truth at tiny widths; the
-                 check's output bit sits in |-> and acts only as a phase,
-                 so the state folds it into one and holds 2^(footprint - 1)
-                 real amplitudes, with every y register in its Hadamard
-                 basis, where each query is a phase too;
+  exact-circuit  exact index marginal of the full circuit, ground truth at
+                 tiny widths; the check's output bit sits in |-> and acts
+                 only as a phase, and in its Hadamard basis each y register
+                 holds a label v that every query (-1)^(v . f(x)) leaves
+                 unchanged, so the run holds one real state on the index
+                 and x registers per multiset of the copies' labels;
   sampled        per-iteration Monte Carlo of the checking oracle at the
                  index-amplitude level (each check draws fresh rank samples);
   structured     no simulation, just the analytic error budget and exact
@@ -33,7 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import analysis, gf2, qaa, qsim, simon
+from . import analysis, gf2, qsim, simon
 from .gf2 import batch_rank
 
 BACKENDS = ("exact-circuit", "structured", "sampled")
@@ -235,22 +236,37 @@ def _rank_predicate(n: int, copies: int) -> np.ndarray:
     return table
 
 
-def _exact_layout(n: int, l: int, copies: int, m: int = 0) -> qsim.RegisterLayout:
-    """The simulated registers of an exact run, highest bits first: the
-    index, the x registers, the y registers. The check's output bit is
-    folded into a phase and has no register. The registers that take
-    Hadamard layers sit high, where the in-place transform runs fastest."""
-    regs = [("idx", m)] if m > 0 else []
-    regs += [(f"x{k}", n) for k in range(copies)]
-    regs += [(f"y{k}", l) for k in range(copies)]
-    return qsim.RegisterLayout(*regs)
+@lru_cache(maxsize=8)
+def _label_blocks(l: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multisets of `copies` l-bit labels, as the rows of a (blocks,
+    copies) array of nondecreasing labels in lexicographic order, and the
+    number of label tuples each one stands for, copies! over the product
+    of its multiplicities' factorials: C(2^l + copies - 1, copies) blocks
+    whose counts sum to 2^(l * copies). Built once per (l, copies), one
+    copy at a time, and read-only."""
+    size = 1 << l
+    labels = np.arange(size, dtype=np.int64)[:, None]
+    run = np.ones(size, dtype=np.int64)  # trailing equal labels of each row
+    factorials = np.ones(size, dtype=np.int64)  # product of the multiplicities' factorials
+    for _ in range(1, copies):
+        last = labels[:, -1]
+        reps = size - last
+        rows = np.repeat(np.arange(len(labels)), reps)
+        offsets = np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
+        run = np.where(offsets == 0, run[rows] + 1, 1)
+        factorials = factorials[rows] * run
+        labels = np.column_stack([labels[rows], last[rows] + offsets])
+    counts = math.factorial(copies) // factorials
+    labels.flags.writeable = counts.flags.writeable = False
+    return labels, counts
 
 
 def qubit_footprint(m: int, copies: int, n: int, l: int) -> int:
-    """Qubits of a full exact run: the m-qubit index, `copies` (x, y)
-    register pairs of n + l qubits, and the output bit. The simulated state
-    holds 2^(footprint - 1) amplitudes, the output bit being folded into a
-    phase."""
+    """Qubits of the whole exact circuit: the m-qubit index, `copies`
+    (x, y) register pairs of n + l qubits, and the output bit. The run
+    simulates no y register and no output bit: it holds one state of
+    2^(m + copies * n) amplitudes per multiset of the y labels, never more
+    than 2^(footprint - 1) amplitudes in all."""
     return m + copies * (n + l) + 1
 
 
@@ -259,8 +275,8 @@ def check_capacity(n: int, m: int, l: int, copies: int, backend: str) -> None:
     and l-bit output, with `copies` samples per database, fits the lab's
     limits: the simulable width, the branch family's table cap, and the
     backend's own (a sampled shot's cells, an exact run's qubits). The qubit
-    cap counts the circuit's output bit, though the simulated state holds
-    2^(footprint - 1) amplitudes with that bit folded into a phase."""
+    cap counts the whole circuit, output bit and y registers included,
+    though the run holds only its label blocks (see ``qubit_footprint``)."""
     if n < 1:
         raise ValueError(f"search dimension {n} must be at least 1")
     if n > simon.MAX_N:
@@ -286,26 +302,6 @@ def _parity_table(table, l: int) -> np.ndarray:
     A 2-D family table packs as (index, x, v)."""
     table = np.asarray(table, dtype=np.int64).reshape(-1, 1)
     return (np.bitwise_count(table & np.arange(1 << l)) & 1).reshape(-1).astype(np.int64)
-
-
-def _prepare_database(state: qsim.QState, table, copies: int) -> None:
-    """The database, each copy sum_x |x>|table[x]>, on the |+...+> state
-    with every y register in its Hadamard basis: one parity phase per
-    copy over its (x, y) registers."""
-    phases = _parity_table(table, state.layout.width("y0"))
-    for k in range(copies):
-        qsim.apply_phase_oracle(state, phases, (f"x{k}", f"y{k}"))
-
-
-def _apply_rank_phase(state: qsim.QState, n: int, copies: int) -> None:
-    """The check in its phase form: -1 on the components whose sample words
-    do not span F_2^n, read in the Hadamard basis of the x registers."""
-    xs = [f"x{k}" for k in range(copies)]
-    for name in xs:
-        qsim.apply_h(state, name)
-    qsim.apply_phase_oracle(state, _rank_predicate(n, copies), xs)
-    for name in xs:
-        qsim.apply_h(state, name)
 
 
 def _flags(m: int, copies: int, scr: ScreenResult) -> list[str]:
@@ -387,27 +383,60 @@ def structured_predict(instance: SearchInstance, copies: int,
 
 
 def _exact_index_distribution(instance: SearchInstance, copies: int, r: int) -> np.ndarray:
-    """Final index marginal of the full circuit (deterministic), simulated
-    with the check in its phase form: the state holds 2^(footprint - 1)
-    real amplitudes, the output bit that sits in |-> having no register.
+    """Final index marginal of the full circuit (deterministic).
 
-    The run is the circuit conjugated by H on every y register: those start
-    in |+...+> and are never measured, so the index marginal is the
-    circuit's, and each query, g's and the family's, is a parity phase.
-    The y registers hold Hadamard-basis labels, not query outputs; only the
-    index marginal is meaningful."""
+    The check's output bit sits in |-> and acts only as a phase, and every
+    y register starts in |+...+>, is never measured and, in its Hadamard
+    basis, only ever takes the query phase (-1)^(v . f(x)) on its label v.
+    So each copy's label is fixed, and the marginal is the average over
+    label tuples of a circuit on the index and x registers alone. The
+    rank predicate is symmetric in the copies, so the run holds one such
+    state per label multiset, a row of one (blocks, 2^m, 2^(copies * n))
+    array, and weights it by its tuple count.
+
+    The state entering the first check is a product over the copies of
+    each branch's Walsh spectrum, which the run builds in the scale of the
+    unnormalized transform: fwht(psi) = 2^(copies * n / 2) H psi. Every
+    later H layer over the x registers is an fwht too, and the rank signs
+    carry the 2^-(copies * n) that normalizes each check's pair of them."""
     n, l, m = instance.n, instance.l, instance.m
-    state = qsim.init_plus(_exact_layout(n, l, copies, m))
-    _prepare_database(state, instance.g, copies)
-    family = _parity_table(instance.family, l)
-    for _ in range(r):
-        for k in range(copies):
-            qsim.apply_phase_oracle(state, family, ("idx", f"x{k}", f"y{k}"))
-        _apply_rank_phase(state, n, copies)
-        for k in range(copies):
-            qsim.apply_phase_oracle(state, family, ("idx", f"x{k}", f"y{k}"))
-        qaa.diffusion(state)
-    return qsim.marginal(state, "idx")
+    labels, counts = _label_blocks(l, copies)
+    cells = 1 << (n * copies)
+
+    def signs(table) -> np.ndarray:
+        """(-1)^(v . table[i, x]) as a C-contiguous [v, i, x] array."""
+        parity = _parity_table(table, l).reshape(1 << m, 1 << n, 1 << l)
+        return np.ascontiguousarray(1.0 - 2.0 * parity.transpose(2, 0, 1))
+
+    spectra = signs(instance.family ^ instance.g)
+    gf2.fwht_inplace(spectra, 1 << n)
+    phases = signs(instance.family)
+    rank = (1.0 - 2.0 * _rank_predicate(n, copies)) / cells
+
+    amp = np.full((len(labels), 1 << m, cells), 2.0 ** (-(m + n * copies) / 2))
+    view = amp.reshape((len(labels), 1 << m) + (1 << n,) * copies)
+    _multiply_per_copy(view, spectra, labels)
+    for j in range(r):
+        if j:
+            _multiply_per_copy(view, phases, labels)
+            gf2.fwht_inplace(amp, cells)
+        amp *= rank
+        gf2.fwht_inplace(amp, cells)
+        _multiply_per_copy(view, phases, labels)
+        mean = amp.mean(axis=1, keepdims=True)
+        mean *= 2.0
+        np.subtract(mean, amp, out=amp)
+    return counts @ np.einsum("bic,bic->bi", amp, amp) / 2.0 ** (l * copies)
+
+
+def _multiply_per_copy(view: np.ndarray, table: np.ndarray, labels: np.ndarray) -> None:
+    """Multiply a (blocks, 2^m, 2^n, ..., 2^n) view in place by one factor
+    per copy: along copy k's x axis, ``table[v, i, x]`` at its block's
+    label v (a query's signs, or the first check's spectra)."""
+    for k in range(labels.shape[1]):
+        shape = [1] * view.ndim
+        shape[:2], shape[2 + k] = view.shape[:2], view.shape[2 + k]
+        view *= table[labels[:, k]].reshape(shape)
 
 
 def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,

@@ -6,7 +6,9 @@ construction, one query at a time, a collision count shift by shift, a key
 search over the whole key space, a register read off a basis index, the
 exact circuit with its check's output bit simulated as a qubit and its
 queries as XORs into the y registers (and the exact database damage of one
-such check), the stage-by-stage Walsh-Hadamard transform that the in-place
+such check), the same circuit with its y registers in their Hadamard
+basis, held as registers or run label tuple by label tuple, the
+stage-by-stage Walsh-Hadamard transform that the in-place
 kernel replaced, the per-key family draw, the per-class sampler and the
 call-by-call carve families that the numpy gathers replaced.
 """
@@ -92,10 +94,66 @@ def exhaustive_ifx_search(inst: IterFxInstance) -> list[tuple[int, int]]:
     return hits
 
 
+def exact_layout(n: int, l: int, copies: int, m: int = 0) -> qsim.RegisterLayout:
+    """The registers of the whole exact circuit but its check's output bit,
+    highest bits first: the index, the x registers, the y registers."""
+    regs = [("idx", m)] if m > 0 else []
+    regs += [(f"x{k}", n) for k in range(copies)]
+    regs += [(f"y{k}", l) for k in range(copies)]
+    return qsim.RegisterLayout(*regs)
+
+
+def prepare_database(state: qsim.QState, table, copies: int) -> None:
+    """The database, each copy sum_x |x>|table[x]>, on the |+...+> state
+    with every y register in its Hadamard basis: one parity phase per
+    copy over its (x, y) registers."""
+    phases = search._parity_table(table, state.layout.width("y0"))
+    for k in range(copies):
+        qsim.apply_phase_oracle(state, phases, (f"x{k}", f"y{k}"))
+
+
+def apply_rank_phase(state: qsim.QState, n: int, copies: int) -> None:
+    """The check in its phase form: -1 on the components whose sample words
+    do not span F_2^n, read in the Hadamard basis of the x registers."""
+    xs = [f"x{k}" for k in range(copies)]
+    for name in xs:
+        qsim.apply_h(state, name)
+    qsim.apply_phase_oracle(state, search._rank_predicate(n, copies), xs)
+    for name in xs:
+        qsim.apply_h(state, name)
+
+
+def label_tuple_index_distribution(instance, copies: int, r: int) -> np.ndarray:
+    """The exact backend's index marginal as the average, at unit weight,
+    over every one of the 2^(l * copies) tuples of y labels of a circuit
+    on the index and x registers alone, run with the simulator's kernels:
+    each copy k with label v takes the query phases (-1)^(v . g(x_k)) and
+    (-1)^(v . f_i(x_k)), the y registers themselves never being held."""
+    n, l, m = instance.n, instance.l, instance.m
+    layout = qsim.RegisterLayout(("idx", m), *[(f"x{k}", n) for k in range(copies)])
+    g_parity = [np.bitwise_count(instance.g & v) & 1 for v in range(1 << l)]
+    f_parity = [np.bitwise_count(instance.family.reshape(-1) & v) & 1 for v in range(1 << l)]
+    total = np.zeros(1 << m)
+    for packed in range(1 << (l * copies)):
+        vs = [(packed >> (k * l)) & ((1 << l) - 1) for k in range(copies)]
+        state = qsim.init_plus(layout)
+        for k, v in enumerate(vs):
+            qsim.apply_phase_oracle(state, g_parity[v], f"x{k}")
+        for _ in range(r):
+            for k, v in enumerate(vs):
+                qsim.apply_phase_oracle(state, f_parity[v], ("idx", f"x{k}"))
+            apply_rank_phase(state, n, copies)
+            for k, v in enumerate(vs):
+                qsim.apply_phase_oracle(state, f_parity[v], ("idx", f"x{k}"))
+            qaa.diffusion(state)
+        total += qsim.marginal(state, "idx")
+    return total / (1 << (l * copies))
+
+
 def ancilla_layout(n: int, l: int, copies: int, m: int = 0) -> qsim.RegisterLayout:
-    """The exact backend's layout with the check's output bit simulated as
+    """The exact circuit's layout with the check's output bit simulated as
     a one-qubit register "b", below the others."""
-    return qsim.RegisterLayout(*search._exact_layout(n, l, copies, m).registers, ("b", 1))
+    return qsim.RegisterLayout(*exact_layout(n, l, copies, m).registers, ("b", 1))
 
 
 def bitflip_database(state: qsim.QState, table, copies: int) -> None:

@@ -449,15 +449,16 @@ def test_phase_oracle_allocates_nothing_of_state_size():
     assert extra <= state.psi.nbytes // 8
 
 
-def test_exact_index_distribution_allocates_one_real_state():
-    # 18 qubits: the state is 2 MiB of float64; marginal sums off its view
+def test_exact_index_distribution_allocates_one_block_array():
+    # a 19-qubit circuit: 35 label blocks of 2^10 float64 amplitudes (280 KiB)
     inst = search.random_instance(2, 2, 2, np.random.default_rng(39))
     copies = 4
     r = search.error_budget(inst.n, inst.m, copies, inst.screened.eps).r
-    state_bytes = 8 << (search.qubit_footprint(inst.m, copies, inst.n, inst.l) - 1)
-    search._exact_index_distribution(inst, copies, r)  # builds the cached rank predicate
+    blocks = len(search._label_blocks(inst.l, copies)[1])
+    block_bytes = 8 * blocks << (inst.m + copies * inst.n)
+    search._exact_index_distribution(inst, copies, r)  # builds the cached tables
     extra = _peak_extra_bytes(lambda _: search._exact_index_distribution(inst, copies, r), None)
-    assert extra <= state_bytes + (1 << 20)
+    assert extra <= block_bytes + (1 << 20)
 
 
 @pytest.mark.parametrize("in_regs,out_reg", [

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -9,7 +11,8 @@ import pytest
 
 from offline_simon import analysis, gf2, qsim, search, simon
 from offline_simon.gf2 import Gf2Basis
-from reference import ancilla_index_distribution, exact_check, restoration_distance
+from reference import (ancilla_index_distribution, apply_rank_phase, exact_check, exact_layout,
+                       label_tuple_index_distribution, prepare_database, restoration_distance)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
@@ -426,6 +429,41 @@ def test_rank_predicate_table_matches_basis_rule(n, copies):
         assert table[packed] == (1 if basis.rank < n else 0)
 
 
+@pytest.mark.parametrize("l, copies", [(1, 8), (2, 5), (3, 3), (11, 2)])
+def test_label_blocks_count_every_tuple_once(l, copies):
+    # (11, 2) is the widest label set under the 26-qubit cap, at n = m = 1
+    labels, counts = search._label_blocks(l, copies)
+    blocks = math.comb((1 << l) + copies - 1, copies)
+    assert labels.shape == (blocks, copies) and counts.shape == (blocks,)
+    assert not labels.flags.writeable and not counts.flags.writeable
+    assert int(counts.sum()) == 1 << (l * copies)
+    assert (np.diff(labels, axis=1) >= 0).all()
+
+
+@pytest.mark.parametrize("l, copies", [(1, 1), (2, 3), (3, 2), (1, 5)])
+def test_label_blocks_are_the_multisets_with_their_tuple_counts(l, copies):
+    labels, counts = search._label_blocks(l, copies)
+    want = Counter(tuple(sorted(t)) for t in itertools.product(range(1 << l), repeat=copies))
+    assert [tuple(row) for row in labels.tolist()] == sorted(want)
+    assert counts.tolist() == [want[key] for key in sorted(want)]
+
+
+@pytest.mark.parametrize("make, copies, r", [
+    (tiny_instance, 2, 1),
+    (lambda: search.random_instance(3, 2, 3, np.random.default_rng([5, 2])), 3, 1),
+    (lambda: search.random_instance(3, 3, 3, np.random.default_rng(1)), 2, 2),
+    (lambda: search.random_instance(2, 4, 2, np.random.default_rng(2)), 3, 3),
+    (lambda: search.random_instance(3, 2, 3, np.random.default_rng(7)), 1, 1),
+], ids=["2-2-2-c2", "3-2-3-c3", "3-3-3-c2-r2", "2-4-2-c3-r3", "3-2-3-c1"])
+def test_label_blocks_match_every_label_tuple(make, copies, r):
+    """One state per label multiset, weighted by its tuple count, gives the
+    marginal of every label tuple run at unit weight."""
+    inst = make()
+    got = search._exact_index_distribution(inst, copies, r)
+    want = label_tuple_index_distribution(inst, copies, r)
+    assert np.abs(got - want).max() <= 1e-15
+
+
 def test_exact_index_distribution_pinned():
     # the committed 11-qubit acceptance instance: the circuit's exact
     # marginal is 31/128, 38/128, 23/128, 36/128, and the phase form, with
@@ -447,22 +485,23 @@ def test_parity_table_is_the_popcount_parity(shape, l):
 
 
 def test_exact_run_is_real_phases_only(monkeypatch):
-    """The exact backend permutes no amplitude and keeps its state real."""
+    """The exact backend permutes no amplitude and transforms only real
+    arrays."""
     def refuse(*args, **kwargs):
         raise AssertionError("the exact run took a permutation")
 
     dtypes = []
-    marginal = qsim.marginal
+    fwht_inplace = gf2.fwht_inplace
 
-    def spy(state, register):
-        dtypes.append(state.psi.dtype)
-        return marginal(state, register)
+    def spy(a, size, right=1):
+        dtypes.append(a.dtype)
+        return fwht_inplace(a, size, right)
 
     monkeypatch.setattr(qsim, "_xor_table", refuse)
-    monkeypatch.setattr(qsim, "marginal", spy)
+    monkeypatch.setattr(gf2, "fwht_inplace", spy)
     inst = tiny_instance()
     search.alg_poly_q2(inst, copies=2, backend="exact-circuit")
-    assert dtypes == [np.float64]
+    assert dtypes and all(dtype == np.float64 for dtype in dtypes)
 
 
 def _unmarked_instance():
@@ -491,8 +530,9 @@ def _multi_marked_instance():
     (lambda: search.random_instance(3, 1, 2, np.random.default_rng(3)), 4, 1),
     (_unmarked_instance, 2, 1),
     (_multi_marked_instance, 2, 1),
+    (lambda: search.random_instance(3, 2, 3, np.random.default_rng(7)), 1, 1),
 ], ids=["3-2-3-c3", "2-2-2-c2", "3-3-3-c2-r2", "2-4-2-c3-r3", "3-1-2-c4", "unmarked",
-        "multi-marked"])
+        "multi-marked", "3-2-3-c1"])
 def test_phase_form_matches_the_ancilla_circuit(make, copies, r):
     """Folding the output bit into a phase (phase kickback off |->) leaves
     the index marginal of the circuit that simulates the bit."""
@@ -512,8 +552,8 @@ def test_phase_check_damage_within_the_doubled_budget():
     for i in range(1 << inst.m):
         if i == inst.planted_index:
             continue
-        state = qsim.init_plus(search._exact_layout(n, l, copies))
-        search._prepare_database(state, inst.branch(i), copies)
+        state = qsim.init_plus(exact_layout(n, l, copies))
+        prepare_database(state, inst.branch(i), copies)
         ideal = state.copy()
-        search._apply_rank_phase(state, n, copies)
+        apply_rank_phase(state, n, copies)
         assert qsim.distance(state, ideal) <= 2 * bound + 1e-9
