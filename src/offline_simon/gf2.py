@@ -10,11 +10,17 @@ only asks for ranks hands all its rows to ``batch_rank`` at once. It runs
 max-pivot elimination across every row with numpy ops: each step XORs the
 largest word of a row into the row's words that share its leading bit,
 which is ``Gf2Basis.reduce``'s min(u, u ^ row) taken elementwise.
+
+``fwht_inplace`` splits the Walsh-Hadamard transform by Sylvester's
+Kronecker factorization into at most five-bit factors, each one matrix
+product with a cached +-1 matrix, which BLAS runs in a few passes over the
+array where a radix-2 butterfly makes one per bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,10 +30,12 @@ MAX_WIDTH = 24
 # block (search._rank_predicate, simon._p_bad_mc): bounds their working
 # arrays to about a MiB whatever the number of rows.
 _RANK_BLOCK_CELLS = 1 << 16
-# Elements per half tile of the Walsh-Hadamard butterflies: a tile of
-# float64 (the simulator's amplitudes) and its scratch half take 384 KiB,
-# which stays in cache.
-_WHT_TILE = 1 << 14
+# Elements of the one scratch every matrix product of the Walsh-Hadamard
+# transform goes through: 256 KiB of float64, which stays in cache and
+# bounds the transform's memory whatever the array's size.
+_WHT_TILE = 1 << 15
+# Widest factor of the transform: a 32 x 32 matrix of +-1 per product.
+_WHT_FACTOR_BITS = 5
 
 
 def _check_width(width: int, what: str = "width") -> None:
@@ -208,18 +216,22 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     return a
 
 
-def _butterfly(pairs: np.ndarray, scratch: np.ndarray) -> None:
-    """(a, b) -> (a + b, a - b) across the middle axis of a (rows, 2, h) view."""
-    lo, hi = pairs[:, 0], pairs[:, 1]
-    if 1 < lo.shape[1] < 8:
-        # numpy would run its inner loop over the 2-4 elements of h; over
-        # the transposed views in C order it runs along the rows instead,
-        # 3-4x faster for the same elementwise arithmetic
-        lo, hi = lo.T, hi.T
-    diff = scratch[:lo.size].reshape(lo.shape)
-    np.subtract(lo, hi, out=diff, order="C")
-    np.add(lo, hi, out=lo, order="C")
-    hi[...] = diff
+@lru_cache(maxsize=None)
+def _sylvester(bits: int, dtype: np.dtype) -> np.ndarray:
+    """The 2^bits-point Hadamard matrix of +-1 entries, H[i, j] =
+    (-1)^(i . j), symmetric; one per (bits, dtype), read-only."""
+    i = np.arange(1 << bits)
+    parity = (np.bitwise_count(i[:, None] & i) & 1).astype(np.int64)
+    h = (1 - 2 * parity).astype(dtype)
+    h.flags.writeable = False
+    return h
+
+
+def _factor_bits(bits: int) -> list[int]:
+    """The fewest near-equal widths of at most _WHT_FACTOR_BITS that sum to
+    bits, the smaller ones first."""
+    count = -(-bits // _WHT_FACTOR_BITS)
+    return [bits // count + (j >= count - bits % count) for j in range(count)]
 
 
 def fwht_inplace(a: np.ndarray, size: int, right: int = 1) -> None:
@@ -227,27 +239,43 @@ def fwht_inplace(a: np.ndarray, size: int, right: int = 1) -> None:
     place, along the axis of length `size` (a power of two) of its
     (left, size, right) view.
 
-    One butterfly stage per bit, lowest bit first, each on a (rows, 2, h)
-    view of the array, so nothing is transposed or stacked. The work goes
-    chunk by chunk, a chunk being as many whole transforms as fit in one
-    tile of 2 * _WHT_TILE elements (at least one), and each stage runs tile
-    by tile with one scratch buffer: a chunk that fits in a tile gets every
-    stage while it is cached.
+    Sylvester's H_(2^(s+t)) = H_(2^s) (x) H_(2^t) splits the transform
+    into a few small ones, one per factor of the axis's bits (see
+    ``_factor_bits``), lowest bits first. Each is one matrix product with
+    the factor's +-1 matrix on the array's (P, F, Q) view: the (P, F) rows
+    times H when Q = 1, else H times each (F, Q) slab. The products go
+    tile by tile, over P and, where F * Q exceeds a tile, over Q too, each
+    into one scratch of at most _WHT_TILE elements and copied back. On
+    integer-valued input every result is exact; on floats the sums run in
+    the matrix product's order, not a butterfly's.
     """
     if not a.flags.c_contiguous:
         raise ValueError("fwht_inplace works through views of a C-contiguous array")
-    half = max(1, min(_WHT_TILE, a.size // 2))
-    scratch = np.empty(half, dtype=a.dtype)
-    group = size * right
-    rows = a.reshape(-1, group)
-    step = max(1, 2 * half // group)
-    for r0 in range(0, len(rows), step):
-        chunk = rows[r0:r0 + step]
-        h = right
-        while h < group:
-            pairs = chunk.reshape(-1, 2, h)
-            k, m = max(1, half // h), min(h, half)
-            for p0 in range(0, len(pairs), k):
-                for c0 in range(0, h, m):
-                    _butterfly(pairs[p0:p0 + k, :, c0:c0 + m], scratch)
-            h *= 2
+    scratch = np.empty(min(_WHT_TILE, a.size), dtype=a.dtype)
+    q = right
+    for bits in _factor_bits(size.bit_length() - 1):
+        f, h = 1 << bits, _sylvester(bits, a.dtype)
+        if q == 1:
+            rows = a.reshape(-1, f)
+            step = _WHT_TILE // f
+            for r0 in range(0, len(rows), step):
+                piece = rows[r0:r0 + step]
+                if len(piece) == 1:
+                    # numpy takes a one-row product as a matrix-vector one,
+                    # which sums in another order than the rows of a matrix
+                    # product: pad it with a zero row
+                    piece[...] = np.matmul(np.vstack([piece, np.zeros_like(piece)]), h)[:1]
+                    continue
+                out = scratch[:piece.size].reshape(piece.shape)
+                np.matmul(piece, h, out=out)
+                piece[...] = out
+        else:
+            slabs = a.reshape(-1, f, q)
+            step, width = max(1, _WHT_TILE // (f * q)), min(q, _WHT_TILE // f)
+            for p0 in range(0, len(slabs), step):
+                for c0 in range(0, q, width):
+                    piece = slabs[p0:p0 + step, :, c0:c0 + width]
+                    out = scratch[:piece.size].reshape(piece.shape)
+                    np.matmul(h, piece, out=out)
+                    piece[...] = out
+        q *= f

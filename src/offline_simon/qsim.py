@@ -1,7 +1,7 @@
 """Exact state-vector simulation over named bit registers.
 
 Ground truth for every quantum claim in this package at tiny sizes: flat
-float64 amplitudes, Hadamard layers via the Walsh-Hadamard butterfly, and
+float64 amplitudes, Hadamard layers via the Walsh-Hadamard transform, and
 classical reversible maps applied as basis permutations. Every gate here is
 real (H, +-1 phases, permutations, the reflection, Ry), so amplitudes are
 real only: a kernel given a complex state, or ``QState.scale`` given a
@@ -13,9 +13,10 @@ A state starts as ``init_zero`` (|0...0>) or ``init_plus`` (|+...+>, every
 register already through H). The kernels work in place on the state's one
 amplitude array, through reshaped views of it:
 
-* ``apply_h`` runs ``gf2.fwht_inplace``: one butterfly stage per qubit on a
-  (rows, 2, h) view, (a, b) -> (a + b, a - b), tile by tile with a scratch
-  buffer of 16K amplitudes (128 KiB), then one scaling pass.
+* ``apply_h`` runs ``gf2.fwht_inplace``: one matrix product with a +-1
+  Sylvester matrix per factor of at most five qubits, on the register's
+  (rows, 2^f, below) view, tile by tile through a scratch of 32K amplitudes
+  (256 KiB), then one scaling pass.
 * ``apply_x``, ``apply_oracle_xor`` and ``apply_indexed_oracle`` are one
   permutation, y -> y ^ table[x], applied tile by tile: each tile of 16K
   amplitudes is copied aside and gathered back through an index built from

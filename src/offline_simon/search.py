@@ -47,6 +47,9 @@ TABLE_ENTRY_CAP_LOG2 = 22
 # A sampled shot draws r * 2^m * copies rank-sample words at once, each a
 # float64 uniform and an int64 word: 2^26 cells is 1 GiB.
 SHOT_CELL_CAP_LOG2 = 26
+# Amplitudes per chunk of the exact run's label blocks (8 MiB of float64):
+# a chunk's per-copy gathers, 2^(m + n) factors per block, are no more.
+_BLOCK_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +401,12 @@ def _exact_index_distribution(instance: SearchInstance, copies: int, r: int) -> 
     each branch's Walsh spectrum, which the run builds in the scale of the
     unnormalized transform: fwht(psi) = 2^(copies * n / 2) H psi. Every
     later H layer over the x registers is an fwht too, and the rank signs
-    carry the 2^-(copies * n) that normalizes each check's pair of them."""
+    carry the 2^-(copies * n) that normalizes each check's pair of them.
+
+    The blocks evolve independently, so the run takes them in chunks of at
+    most _BLOCK_CELLS amplitudes (and as many gathered per-copy factors):
+    what it holds beyond the cached labels is one chunk and the (blocks,
+    2^m) squared norms, whatever the number of blocks."""
     n, l, m = instance.n, instance.l, instance.m
     labels, counts = _label_blocks(l, copies)
     cells = 1 << (n * copies)
@@ -413,20 +421,25 @@ def _exact_index_distribution(instance: SearchInstance, copies: int, r: int) -> 
     phases = signs(instance.family)
     rank = (1.0 - 2.0 * _rank_predicate(n, copies)) / cells
 
-    amp = np.full((len(labels), 1 << m, cells), 2.0 ** (-(m + n * copies) / 2))
-    view = amp.reshape((len(labels), 1 << m) + (1 << n,) * copies)
-    _multiply_per_copy(view, spectra, labels)
-    for j in range(r):
-        if j:
-            _multiply_per_copy(view, phases, labels)
+    norms = np.empty((len(labels), 1 << m))
+    step = max(1, _BLOCK_CELLS // (cells << m))
+    for b0 in range(0, len(labels), step):
+        chunk = labels[b0:b0 + step]
+        amp = np.full((len(chunk), 1 << m, cells), 2.0 ** (-(m + n * copies) / 2))
+        view = amp.reshape((len(chunk), 1 << m) + (1 << n,) * copies)
+        _multiply_per_copy(view, spectra, chunk)
+        for j in range(r):
+            if j:
+                _multiply_per_copy(view, phases, chunk)
+                gf2.fwht_inplace(amp, cells)
+            amp *= rank
             gf2.fwht_inplace(amp, cells)
-        amp *= rank
-        gf2.fwht_inplace(amp, cells)
-        _multiply_per_copy(view, phases, labels)
-        mean = amp.mean(axis=1, keepdims=True)
-        mean *= 2.0
-        np.subtract(mean, amp, out=amp)
-    return counts @ np.einsum("bic,bic->bi", amp, amp) / 2.0 ** (l * copies)
+            _multiply_per_copy(view, phases, chunk)
+            mean = amp.mean(axis=1, keepdims=True)
+            mean *= 2.0
+            np.subtract(mean, amp, out=amp)
+        np.einsum("bic,bic->bi", amp, amp, out=norms[b0:b0 + step])
+    return counts @ norms / 2.0 ** (l * copies)
 
 
 def _multiply_per_copy(view: np.ndarray, table: np.ndarray, labels: np.ndarray) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from offline_simon.gf2 import (
     fwht_inplace,
     solve_period,
 )
-from reference import stacking_fwht
+from reference import fwht_error_bound, stacking_fwht
 
 
 def rank_of(vectors, n):
@@ -264,7 +266,7 @@ def test_fwht_matches_definition():
         assert got[u] == pytest.approx(want)
 
 
-# lengths below, at and above one tile of butterflies, and batches of rows
+# lengths below, at and above one tile of products, and batches of rows
 @pytest.mark.parametrize("shape", [(1,), (2,), (16,), (512,), (1 << 15,), (1 << 16,),
                                    (100, 512), (3, 1 << 15), (5, 4, 8)], ids=str)
 @pytest.mark.parametrize("kind", ["real", "int"])
@@ -276,10 +278,93 @@ def test_fwht_is_bit_identical_to_the_stacking_transform(shape, kind):
         v = rng.standard_normal(shape)
     before = v.copy()
     out = fwht(v)
-    want = stacking_fwht(v)
-    assert out.dtype == want.dtype
-    assert np.array_equal(out, want)
+    assert out.dtype == np.float64
+    if kind == "int":
+        # every partial sum is an integer, exact in any order
+        assert np.array_equal(out, stacking_fwht(v))
+    else:
+        # the matrix products sum in another order than the radix-2 tree:
+        # the same bound against the exact transform, not the same bits
+        exact = stacking_fwht(v.astype(np.longdouble))
+        assert np.all(np.abs(out - exact) <= fwht_error_bound(v))
     assert np.array_equal(v, before)
+
+
+def _stacked_along(a, size, right):
+    """stacking_fwht along the middle axis of a's (left, size, right) view."""
+    view = a.reshape(-1, size, right).transpose(0, 2, 1)
+    out = stacking_fwht(np.ascontiguousarray(view)).transpose(0, 2, 1)
+    return np.ascontiguousarray(out).reshape(a.shape)
+
+
+# 1-5 bits are one factor, 6-10 two (7 and 9 uneven), 11-15 three (11, 13
+# and 14 uneven), 16 four
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_fwht_inplace_is_exact_at_every_factor_split(bits):
+    factors = gf2._factor_bits(bits)
+    assert sum(factors) == bits and max(factors) <= 5
+    assert len(factors) == -(-bits // 5) and max(factors) - min(factors) <= 1
+    size = 1 << bits
+    rows = max(1, (1 << 16) >> bits)
+    a = np.random.default_rng(bits).integers(-9, 9, size=(rows, size)).astype(np.float64)
+    want = stacking_fwht(a)
+    fwht_inplace(a, size)
+    assert np.array_equal(a, want)
+
+
+# right = 1 (row products), small rights (slabs tiled over the rows), and
+# rights whose F * Q passes one tile (slabs tiled over Q too: strided
+# pieces); rows that end one short of, on and one past a tile
+@pytest.mark.parametrize("left,size,right", [
+    (7, 512, 1), (33, 512, 4), (5000, 8, 2), (3, 1024, 64), (3, 8, 1 << 13),
+    (2, 32, 1 << 12), (2, 1 << 11, 16),
+    (1023, 32, 1), (1024, 32, 1), (1025, 32, 1), (2049, 32, 1),
+    (63, 512, 1), (64, 512, 1), (65, 512, 1), (129, 512, 1),
+], ids=str)
+def test_fwht_inplace_is_exact_along_a_middle_axis(left, size, right):
+    rng = np.random.default_rng(left + size + right)
+    a = rng.integers(-9, 9, size=(left, size, right)).astype(np.float64)
+    want = _stacked_along(a, size, right)
+    fwht_inplace(a, size, right)
+    assert np.array_equal(a, want)
+
+
+@pytest.mark.parametrize("size,right", [(32, 1), (512, 1), (1 << 13, 1), (64, 8)], ids=str)
+def test_fwht_inplace_rows_do_not_depend_on_their_call(size, right):
+    # a row's float transform is the same bits whatever rows share the call
+    # and wherever the array starts in its buffer: the exact run's blocks
+    # and simon.distributions' stacked rows rely on it; the last tile of
+    # the whole call holds one row
+    rng = np.random.default_rng(size + right)
+    rows = (1 << 17) // (size * right) + 1
+    v = rng.standard_normal((rows, size * right))
+    whole = v.copy()
+    fwht_inplace(whole, size, right)
+    for start, stop in [(0, 1), (0, 2), (1, 4), (rows // 2, rows), (rows - 1, rows)]:
+        part = v[start:stop].copy()
+        fwht_inplace(part, size, right)
+        assert np.array_equal(part, whole[start:stop])
+    buf = np.empty(v.size + 8)
+    for offset in range(1, 9):
+        a = buf[offset:offset + v.size].reshape(v.shape)
+        a[...] = v
+        fwht_inplace(a, size, right)
+        assert np.array_equal(a, whole)
+
+
+@pytest.mark.parametrize("size,right", [(1 << 20, 1), (1 << 10, 1 << 10), (8, 1 << 17),
+                                        (32, 1)], ids=str)
+def test_fwht_inplace_scratch_is_one_tile(size, right):
+    a = np.ones(1 << 20)
+    fwht_inplace(a[:size * right].copy(), size, right)  # builds the cached matrices
+    tracemalloc.start()
+    try:
+        fwht_inplace(a, size, right)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (1 << 15) + (1 << 12)
+    assert a[0] == size and np.count_nonzero(a) == a.size // size
 
 
 def test_fwht_inplace_rejects_a_strided_view():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from offline_simon import qaa, qsim, search
-from reference import register_value, stacking_fwht
+from reference import fwht_error_bound, register_value, stacking_fwht
 
 
 def uniform_state(*regs):
@@ -207,6 +207,10 @@ def test_random_circuit_preserves_norm(width, seed):
 # Reference kernels: full-array formulas (a stacking transform, a transposed
 # Hadamard, full-length gathers and masks) that do the same arithmetic as
 # the in-place kernels, whose output must therefore be equal, not close.
+# The one exception is the Hadamard's float sums, which the kernel's matrix
+# products add in another order: equal on integer-valued amplitudes, where
+# every order is exact, and within fwht_error_bound of the exact transform
+# on random ones.
 
 def _ref_view(psi, layout, name):
     size, right = 1 << layout.width(name), 1 << layout.shift(name)
@@ -253,10 +257,19 @@ def _random_state(seed, layout=KERNEL_LAYOUT):
 
 @pytest.mark.parametrize("register", [name for name, _ in KERNEL_LAYOUT.registers])
 def test_apply_h_is_bit_identical_to_the_transposing_kernel(register):
+    # integer-valued amplitudes: exact sums, then the same scaling multiply
     state = _random_state(1)
+    state.psi = np.round(8 * state.psi)
     want = _ref_apply_h(state.psi, state.layout, register)
     qsim.apply_h(state, register)
     assert np.array_equal(state.psi, want)
+    # random amplitudes: within the bound of the exact transform, scaled
+    state = _random_state(1)
+    view = _ref_view(state.psi, state.layout, register)
+    exact = _ref_apply_h(state.psi.astype(np.longdouble), state.layout, register)
+    bound = np.broadcast_to(fwht_error_bound(view, axis=1), view.shape).reshape(-1)
+    qsim.apply_h(state, register)
+    assert np.all(np.abs(state.psi - exact) <= bound / math.sqrt(view.shape[1]))
 
 
 @pytest.mark.parametrize("in_regs,out_reg", [
@@ -459,6 +472,20 @@ def test_exact_index_distribution_allocates_one_block_array():
     search._exact_index_distribution(inst, copies, r)  # builds the cached tables
     extra = _peak_extra_bytes(lambda _: search._exact_index_distribution(inst, copies, r), None)
     assert extra <= block_bytes + (1 << 20)
+
+
+def test_exact_index_distribution_holds_one_chunk_of_blocks(monkeypatch):
+    # the same circuit four blocks at a time: a chunk of 32 KiB, as much
+    # transform scratch, the chunk's mean and the squared norms (80 KiB
+    # measured), not the 280 KiB of all 35 blocks
+    inst = search.random_instance(2, 2, 2, np.random.default_rng(39))
+    copies = 4
+    r = search.error_budget(inst.n, inst.m, copies, inst.screened.eps).r
+    chunk_cells = 4 << (inst.m + copies * inst.n)
+    monkeypatch.setattr(search, "_BLOCK_CELLS", chunk_cells)
+    search._exact_index_distribution(inst, copies, r)  # builds the cached tables
+    extra = _peak_extra_bytes(lambda _: search._exact_index_distribution(inst, copies, r), None)
+    assert extra <= 3 * 8 * chunk_cells
 
 
 @pytest.mark.parametrize("in_regs,out_reg", [

@@ -474,6 +474,18 @@ def test_exact_index_distribution_pinned():
     assert np.array_equal(got, np.array([31, 38, 23, 36]) / 128)
 
 
+def test_exact_run_is_the_same_bits_chunk_by_chunk(monkeypatch):
+    # a 19-qubit circuit's 35 label blocks, whole and three at a time (the
+    # last chunk two): every block evolves alone, and the tuple-weighted sum
+    # runs once over all of them
+    inst = search.random_instance(2, 2, 2, np.random.default_rng(39))
+    copies = 4
+    r = search.error_budget(inst.n, inst.m, copies, inst.screened.eps).r
+    whole = search._exact_index_distribution(inst, copies, r)
+    monkeypatch.setattr(search, "_BLOCK_CELLS", 3 << (inst.m + copies * inst.n))
+    assert np.array_equal(search._exact_index_distribution(inst, copies, r), whole)
+
+
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 @pytest.mark.parametrize("shape", [(8,), (4, 8)], ids=["g", "family"])
 def test_parity_table_is_the_popcount_parity(shape, l):
