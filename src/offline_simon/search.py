@@ -12,7 +12,9 @@ Three backends share one report shape:
                  only as a phase, and in its Hadamard basis each y register
                  holds a label v that every query (-1)^(v . f(x)) leaves
                  unchanged, so the run holds one real state on the index
-                 and x registers per multiset of the copies' labels;
+                 and x registers per multiset of the copies' labels; a
+                 copy whose label is 0 takes no phase and always samples
+                 the word 0, so each state holds only its other copies;
   sampled        per-iteration Monte Carlo of the checking oracle at the
                  index-amplitude level (each check draws fresh rank samples);
   structured     no simulation, just the analytic error budget and exact
@@ -23,7 +25,8 @@ first measured shot, or the screen's one periodic branch), once per search.
 Every backend starts from the instance's screen, which transforms all 2^m
 branch tables in one ``simon.distributions`` pass and keeps each branch's
 Simon law. A sampled shot draws its rank samples from those laws: one block
-of uniforms per shot, searched in each law's cumulative table.
+of uniforms per shot, searched all at once in the laws' stacked cumulative
+tables.
 """
 
 from __future__ import annotations
@@ -47,9 +50,15 @@ TABLE_ENTRY_CAP_LOG2 = 22
 # A sampled shot draws r * 2^m * copies rank-sample words at once, each a
 # float64 uniform and an int64 word: 2^26 cells is 1 GiB.
 SHOT_CELL_CAP_LOG2 = 26
+# Draws per piece of a shot's search (see _search_rows): its index arrays
+# stay a few MiB whatever the shot's size.
+_DRAW_PIECE = 1 << 16
 # Amplitudes per chunk of the exact run's label blocks (8 MiB of float64):
-# a chunk's per-copy gathers, 2^(m + n) factors per block, are no more.
+# a chunk's gathered per-copy factors are no more.
 _BLOCK_CELLS = 1 << 20
+# New rows per piece of a _label_blocks step (8 bytes per row for each of
+# the piece's index arrays).
+_LABEL_PIECE_ROWS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +255,35 @@ def _label_blocks(l: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
     number of label tuples each one stands for, copies! over the product
     of its multiplicities' factorials: C(2^l + copies - 1, copies) blocks
     whose counts sum to 2^(l * copies). Built once per (l, copies), one
-    copy at a time, and read-only."""
+    copy at a time, and read-only.
+
+    Each step extends every row by each label from its last one up, into
+    arrays allocated once at their final size, a piece of at most
+    _LABEL_PIECE_ROWS new rows at a time: the build holds the last step's
+    rows, the new ones and one piece's index arrays."""
     size = 1 << l
     labels = np.arange(size, dtype=np.int64)[:, None]
     run = np.ones(size, dtype=np.int64)  # trailing equal labels of each row
     factorials = np.ones(size, dtype=np.int64)  # product of the multiplicities' factorials
-    for _ in range(1, copies):
+    step = max(1, _LABEL_PIECE_ROWS // size)  # old rows per piece, size new rows or fewer each
+    for k in range(1, copies):
         last = labels[:, -1]
         reps = size - last
-        rows = np.repeat(np.arange(len(labels)), reps)
-        offsets = np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
-        run = np.where(offsets == 0, run[rows] + 1, 1)
-        factorials = factorials[rows] * run
-        labels = np.column_stack([labels[rows], last[rows] + offsets])
-    counts = math.factorial(copies) // factorials
+        ends = np.cumsum(reps)
+        grown = np.empty((int(ends[-1]), k + 1), dtype=np.int64)
+        grown_run = np.empty(len(grown), dtype=np.int64)
+        grown_factorials = np.empty(len(grown), dtype=np.int64)
+        for r0 in range(0, len(labels), step):
+            r1 = min(len(labels), r0 + step)
+            lo, hi = int(ends[r0] - reps[r0]), int(ends[r1 - 1])
+            rows = np.repeat(np.arange(r0, r1), reps[r0:r1])
+            offsets = np.arange(hi - lo) - np.repeat(ends[r0:r1] - reps[r0:r1] - lo, reps[r0:r1])
+            grown[lo:hi, :k] = labels[rows]
+            np.add(last[rows], offsets, out=grown[lo:hi, k])
+            grown_run[lo:hi] = np.where(offsets == 0, run[rows] + 1, 1)
+            np.multiply(factorials[rows], grown_run[lo:hi], out=grown_factorials[lo:hi])
+        labels, run, factorials = grown, grown_run, grown_factorials
+    counts = np.floor_divide(math.factorial(copies), factorials, out=factorials)
     labels.flags.writeable = counts.flags.writeable = False
     return labels, counts
 
@@ -394,22 +418,40 @@ def _exact_index_distribution(instance: SearchInstance, copies: int, r: int) -> 
     So each copy's label is fixed, and the marginal is the average over
     label tuples of a circuit on the index and x registers alone. The
     rank predicate is symmetric in the copies, so the run holds one such
-    state per label multiset, a row of one (blocks, 2^m, 2^(copies * n))
-    array, and weights it by its tuple count.
+    state per label multiset and weights its squared norms by its tuple
+    count.
+
+    A copy whose label is 0 takes no phase, and its x register returns to
+    the sample word 0 at every check, which spans nothing. So a block with
+    z zero labels (its first z, the rows being sorted) is the circuit of
+    its other copies - z alone, with their rank predicate; the all-zero
+    block is one cell whose rank sign is -1. The rows with z zero labels
+    are one run of ``_label_blocks``, and each runs as a (blocks, 2^m,
+    2^(live * n)) array of live = copies - z copies.
 
     The state entering the first check is a product over the copies of
     each branch's Walsh spectrum, which the run builds in the scale of the
-    unnormalized transform: fwht(psi) = 2^(copies * n / 2) H psi. Every
+    unnormalized transform: fwht(psi) = 2^(live * n / 2) H psi. Every
     later H layer over the x registers is an fwht too, and the rank signs
-    carry the 2^-(copies * n) that normalizes each check's pair of them.
+    carry the 2^-(live * n) that normalizes each check's pair of them.
+    Each per-copy factor (the spectra once, a query's signs twice per
+    check) goes on as two: copy 0's along the leading x axis and the
+    product of the other copies' along the rest (see ``_split_factors``).
 
     The blocks evolve independently, so the run takes them in chunks of at
-    most _BLOCK_CELLS amplitudes (and as many gathered per-copy factors):
-    what it holds beyond the cached labels is one chunk and the (blocks,
-    2^m) squared norms, whatever the number of blocks."""
+    most _BLOCK_CELLS amplitudes: what it holds beyond the cached labels
+    is one chunk with its two factors and the (blocks, 2^m) squared norms
+    (``_block_norms``), whatever the number of blocks."""
+    counts = _label_blocks(instance.l, copies)[1]
+    return counts @ _block_norms(instance, copies, r) / 2.0 ** (instance.l * copies)
+
+
+def _block_norms(instance: SearchInstance, copies: int, r: int) -> np.ndarray:
+    """The squared norm on each index of the final state of each label
+    block, the rows of ``_label_blocks(l, copies)``: a (blocks, 2^m) array
+    whose rows each sum to 1 (see ``_exact_index_distribution``)."""
     n, l, m = instance.n, instance.l, instance.m
-    labels, counts = _label_blocks(l, copies)
-    cells = 1 << (n * copies)
+    labels = _label_blocks(l, copies)[0]
 
     def signs(table) -> np.ndarray:
         """(-1)^(v . table[i, x]) as a C-contiguous [v, i, x] array."""
@@ -419,37 +461,66 @@ def _exact_index_distribution(instance: SearchInstance, copies: int, r: int) -> 
     spectra = signs(instance.family ^ instance.g)
     gf2.fwht_inplace(spectra, 1 << n)
     phases = signs(instance.family)
-    rank = (1.0 - 2.0 * _rank_predicate(n, copies)) / cells
+    predicate = _rank_predicate(n, copies)
 
     norms = np.empty((len(labels), 1 << m))
-    step = max(1, _BLOCK_CELLS // (cells << m))
-    for b0 in range(0, len(labels), step):
-        chunk = labels[b0:b0 + step]
-        amp = np.full((len(chunk), 1 << m, cells), 2.0 ** (-(m + n * copies) / 2))
-        view = amp.reshape((len(chunk), 1 << m) + (1 << n,) * copies)
-        _multiply_per_copy(view, spectra, chunk)
-        for j in range(r):
-            if j:
-                _multiply_per_copy(view, phases, chunk)
-                gf2.fwht_inplace(amp, cells)
-            amp *= rank
-            gf2.fwht_inplace(amp, cells)
-            _multiply_per_copy(view, phases, chunk)
-            mean = amp.mean(axis=1, keepdims=True)
-            mean *= 2.0
-            np.subtract(mean, amp, out=amp)
-        np.einsum("bic,bic->bi", amp, amp, out=norms[b0:b0 + step])
-    return counts @ norms / 2.0 ** (l * copies)
+    stop = 0
+    for live in range(copies + 1):
+        # the rows with at least copies - live zero labels come first
+        start, stop = stop, math.comb((1 << l) + live - 1, live)
+        cells = 1 << (n * live)
+        # the zero-label copies' words, all 0, are the packed inputs' top
+        # bits: the live copies' predicate is the table's first entries
+        rank = (1.0 - 2.0 * predicate[:cells]) / cells
+        step = max(1, _BLOCK_CELLS // (cells << m))
+        for b0 in range(start, stop, step):
+            b1 = min(stop, b0 + step)
+            _evolve_blocks(labels[b0:b1, copies - live:], spectra, phases, rank, r,
+                           2.0 ** (-(m + n * live) / 2), norms[b0:b1])
+    return norms
 
 
-def _multiply_per_copy(view: np.ndarray, table: np.ndarray, labels: np.ndarray) -> None:
-    """Multiply a (blocks, 2^m, 2^n, ..., 2^n) view in place by one factor
-    per copy: along copy k's x axis, ``table[v, i, x]`` at its block's
-    label v (a query's signs, or the first check's spectra)."""
-    for k in range(labels.shape[1]):
-        shape = [1] * view.ndim
-        shape[:2], shape[2 + k] = view.shape[:2], view.shape[2 + k]
-        view *= table[labels[:, k]].reshape(shape)
+def _split_factors(table: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One factor per copy, ``table[v, i, x]`` at the copy's label v, as
+    two arrays: copy 0's, (blocks, 2^m, 2^n), and the product of the
+    others', (blocks, 2^m, 2^((copies - 1) * n)) with copy 1 on the
+    highest bits. No copies give two factors of one cell."""
+    blocks, live = labels.shape
+    rows = table.shape[1]
+    first = table[labels[:, 0]] if live else np.ones((blocks, rows, 1))
+    rest = table[labels[:, 1]] if live > 1 else np.ones((blocks, rows, 1))
+    for k in range(2, live):
+        rest = np.einsum("bir,bix->birx", rest, table[labels[:, k]]).reshape(blocks, rows, -1)
+    return first, rest
+
+
+def _evolve_blocks(labels: np.ndarray, spectra: np.ndarray, phases: np.ndarray,
+                   rank: np.ndarray, r: int, scale: float, out: np.ndarray) -> None:
+    """Run r checks of the label blocks whose rows are `labels`, and write
+    each block's squared norm per index into the (blocks, 2^m) `out`."""
+    first, rest = _split_factors(spectra, labels)
+    first *= scale
+    amp = np.empty((len(labels), first.shape[1], len(rank)))
+    view = amp.reshape(first.shape + rest.shape[2:])
+    # the outer product in one pass, without the iterator buffers that a
+    # broadcast multiply into `out` takes for each of its operands
+    np.einsum("bix,bir->bixr", first, rest, out=view)
+    del first, rest
+    head, tail = _split_factors(phases, labels)
+    head, tail = head[..., None], tail[:, :, None, :]
+    for j in range(r):
+        if j:
+            view *= head
+            view *= tail
+            gf2.fwht_inplace(amp, len(rank))
+        amp *= rank
+        gf2.fwht_inplace(amp, len(rank))
+        view *= head
+        view *= tail
+        mean = amp.sum(axis=1, keepdims=True)
+        mean *= 2.0 / amp.shape[1]
+        np.subtract(mean, amp, out=amp)
+    np.einsum("bic,bic->bi", amp, amp, out=out)
 
 
 def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
@@ -459,10 +530,11 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
     iteration.
 
     All draws come first, iteration by iteration in branch order, from one
-    block of uniforms: each branch's words are its law's ``cdf`` searched at
-    its slice of the block, the very words that ``rng.choice(2^n, copies,
-    p=law.weights)`` would give call by call. One batched rank test then
-    decides every sign."""
+    block of uniforms: each branch's words are its law's cumulative table,
+    normalized as ``SimonSampleDistribution.cdf`` normalizes it, searched at
+    its slice of the block (see ``_search_rows``), the very words that
+    ``rng.choice(2^n, copies, p=law.weights)`` would give call by call. One
+    batched rank test then decides every sign."""
     n = instance.n
     size = 1 << instance.m
     scr = instance.screened
@@ -470,9 +542,10 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
     periodic[list(scr.periodic_indices)] = True
     aperiodic = np.nonzero(~periodic)[0]
     uniforms = rng.random((r, len(aperiodic), copies))
-    draws = np.empty((r, len(aperiodic), copies), dtype=np.int64)
-    for slot, i in enumerate(aperiodic):
-        draws[:, slot] = scr.laws[i].cdf.searchsorted(uniforms[:, slot], side="right")
+    cdf = np.array([scr.laws[i].weights for i in aperiodic]).reshape(len(aperiodic), 1 << n)
+    cdf = cdf.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    draws = _search_rows(cdf, uniforms)
     fired = batch_rank(draws.reshape(r * len(aperiodic), copies), n) < n
     fired = fired.reshape(r, len(aperiodic))
     amp = np.full(size, 1.0 / math.sqrt(size))
@@ -484,6 +557,31 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
     probs = amp * amp
     probs = probs / probs.sum()
     return int(rng.choice(size, p=probs))
+
+
+def _search_rows(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The words at an (r, rows, copies) block of uniforms in [0, 1), each
+    searched in its row of the (rows, 2^n) cumulative table `cdf`, whose
+    rows end at exactly 1.0: the count of the row's entries <= u, which is
+    ``cdf[row].searchsorted(u, side="right")``. A branchless binary search,
+    n gather steps over the flat table, a piece of _DRAW_PIECE draws at a
+    time."""
+    rows, width = cdf.shape
+    copies = uniforms.shape[2]
+    flat, u = cdf.reshape(-1), uniforms.reshape(-1)
+    draws = np.empty(uniforms.shape, dtype=np.int64)
+    out = draws.reshape(-1)
+    for f0 in range(0, len(u), _DRAW_PIECE):
+        piece = u[f0:f0 + _DRAW_PIECE]
+        # each draw's row starts at (its slot) * 2^n of the flat table
+        base = np.arange(f0, f0 + len(piece)) // copies % rows * width
+        pos = base.copy()
+        step = width >> 1
+        while step:
+            pos += (flat[pos + (step - 1)] <= piece) * step
+            step >>= 1
+        np.subtract(pos, base, out=out[f0:f0 + len(piece)])
+    return draws
 
 
 def _run_offline(instance: SearchInstance, copies: int | None, backend: str,

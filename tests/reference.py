@@ -127,28 +127,36 @@ def apply_rank_phase(state: qsim.QState, n: int, copies: int) -> None:
 def label_tuple_index_distribution(instance, copies: int, r: int) -> np.ndarray:
     """The exact backend's index marginal as the average, at unit weight,
     over every one of the 2^(l * copies) tuples of y labels of a circuit
-    on the index and x registers alone, run with the simulator's kernels:
-    each copy k with label v takes the query phases (-1)^(v . g(x_k)) and
-    (-1)^(v . f_i(x_k)), the y registers themselves never being held."""
-    n, l, m = instance.n, instance.l, instance.m
-    layout = qsim.RegisterLayout(("idx", m), *[(f"x{k}", n) for k in range(copies)])
-    g_parity = [np.bitwise_count(instance.g & v) & 1 for v in range(1 << l)]
-    f_parity = [np.bitwise_count(instance.family.reshape(-1) & v) & 1 for v in range(1 << l)]
-    total = np.zeros(1 << m)
+    on the index and x registers alone (``label_tuple_marginal``)."""
+    l = instance.l
+    total = np.zeros(1 << instance.m)
     for packed in range(1 << (l * copies)):
-        vs = [(packed >> (k * l)) & ((1 << l) - 1) for k in range(copies)]
-        state = qsim.init_plus(layout)
-        for k, v in enumerate(vs):
-            qsim.apply_phase_oracle(state, g_parity[v], f"x{k}")
-        for _ in range(r):
-            for k, v in enumerate(vs):
-                qsim.apply_phase_oracle(state, f_parity[v], ("idx", f"x{k}"))
-            apply_rank_phase(state, n, copies)
-            for k, v in enumerate(vs):
-                qsim.apply_phase_oracle(state, f_parity[v], ("idx", f"x{k}"))
-            qaa.diffusion(state)
-        total += qsim.marginal(state, "idx")
+        total += label_tuple_marginal(
+            instance, [(packed >> (k * l)) & ((1 << l) - 1) for k in range(copies)], r)
     return total / (1 << (l * copies))
+
+
+def label_tuple_marginal(instance, labels, r: int) -> np.ndarray:
+    """The index marginal of the circuit on the index and x registers of
+    one tuple of y labels, one copy per label, run with the simulator's
+    kernels: each copy k with label v takes the query phases
+    (-1)^(v . g(x_k)) and (-1)^(v . f_i(x_k)), the y registers themselves
+    never being held."""
+    n, m, copies = instance.n, instance.m, len(labels)
+    layout = qsim.RegisterLayout(("idx", m), *[(f"x{k}", n) for k in range(copies)])
+    g_parity = [np.bitwise_count(instance.g & v) & 1 for v in labels]
+    f_parity = [np.bitwise_count(instance.family.reshape(-1) & v) & 1 for v in labels]
+    state = qsim.init_plus(layout)
+    for k in range(copies):
+        qsim.apply_phase_oracle(state, g_parity[k], f"x{k}")
+    for _ in range(r):
+        for k in range(copies):
+            qsim.apply_phase_oracle(state, f_parity[k], ("idx", f"x{k}"))
+        apply_rank_phase(state, n, copies)
+        for k in range(copies):
+            qsim.apply_phase_oracle(state, f_parity[k], ("idx", f"x{k}"))
+        qaa.diffusion(state)
+    return qsim.marginal(state, "idx")
 
 
 def ancilla_layout(n: int, l: int, copies: int, m: int = 0) -> qsim.RegisterLayout:

@@ -12,7 +12,8 @@ import pytest
 from offline_simon import analysis, gf2, qsim, search, simon
 from offline_simon.gf2 import Gf2Basis
 from reference import (ancilla_index_distribution, apply_rank_phase, exact_check, exact_layout,
-                       label_tuple_index_distribution, prepare_database, restoration_distance)
+                       label_tuple_index_distribution, label_tuple_marginal, prepare_database,
+                       restoration_distance)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
@@ -347,6 +348,42 @@ def test_shot_draws_match_the_choice_loop(monkeypatch):
     assert zero_weight > 0 and drawn > 1000
 
 
+def test_shot_search_is_searchsorted_piece_by_piece(monkeypatch):
+    # pieces of five draws across rows and iterations; zero weights repeat a
+    # cdf value, and uniforms that land on one count it, as side="right" does
+    rng = np.random.default_rng(12)
+    weights = rng.random((6, 16)) * (rng.random((6, 16)) < 0.7)
+    weights[:, 0] = 0.0
+    weights[:, -1] = 0.5
+    cdf = weights.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    uniforms = rng.random((3, 6, 7))
+    uniforms[0, :, :4] = cdf[:, [0, 3, 8, 14]]
+    monkeypatch.setattr(search, "_DRAW_PIECE", 5)
+    got = search._search_rows(cdf, uniforms)
+    want = np.stack([cdf[row].searchsorted(uniforms[:, row], side="right")
+                     for row in range(6)], axis=1)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_shot_search_holds_one_piece(monkeypatch):
+    # 2^18 draws (2 MiB) in pieces of 2^12: a few index arrays of a piece
+    # beside the draws, not of the whole block
+    rng = np.random.default_rng(13)
+    cdf = rng.random((64, 32)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    uniforms = rng.random((64, 64, 64))
+    monkeypatch.setattr(search, "_DRAW_PIECE", 1 << 12)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        draws = search._search_rows(cdf, uniforms)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= draws.nbytes + draws.nbytes // 8
+
+
 def test_sim_q1_recovers_period():
     rng = np.random.default_rng(8)
     n = 6
@@ -448,6 +485,32 @@ def test_label_blocks_are_the_multisets_with_their_tuple_counts(l, copies):
     assert counts.tolist() == [want[key] for key in sorted(want)]
 
 
+@pytest.mark.parametrize("l, copies", [(1, 6), (2, 4), (3, 3), (4, 2)])
+def test_label_blocks_are_the_same_piece_by_piece(monkeypatch, l, copies):
+    # pieces of three new rows, where one old row grows by up to 2^l
+    search._label_blocks.cache_clear()
+    monkeypatch.setattr(search, "_LABEL_PIECE_ROWS", 3)
+    labels, counts = search._label_blocks(l, copies)
+    search._label_blocks.cache_clear()
+    want = Counter(tuple(sorted(t)) for t in itertools.product(range(1 << l), repeat=copies))
+    assert [tuple(row) for row in labels.tolist()] == sorted(want)
+    assert counts.tolist() == [want[key] for key in sorted(want)]
+
+
+def test_label_blocks_build_within_twice_their_size():
+    # (11, 2), the widest labels under the qubit cap: 48 MiB of labels and
+    # counts, built in place in pieces (66 MiB traced at the peak)
+    search._label_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        labels, counts = search._label_blocks(11, 2)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (labels.nbytes + counts.nbytes)
+
+
 @pytest.mark.parametrize("make, copies, r", [
     (tiny_instance, 2, 1),
     (lambda: search.random_instance(3, 2, 3, np.random.default_rng([5, 2])), 3, 1),
@@ -484,6 +547,66 @@ def test_exact_run_is_the_same_bits_chunk_by_chunk(monkeypatch):
     whole = search._exact_index_distribution(inst, copies, r)
     monkeypatch.setattr(search, "_BLOCK_CELLS", 3 << (inst.m + copies * inst.n))
     assert np.array_equal(search._exact_index_distribution(inst, copies, r), whole)
+
+
+@pytest.mark.parametrize("copies, r", [(3, 1), (3, 2), (4, 1), (4, 3)])
+def test_zero_labels_leave_their_blocks(copies, r):
+    """A block with z zero labels has the norms of the (copies - z)-copy
+    run on its other labels, and of the simulator's run of the whole
+    tuple, zero-label copies and all."""
+    inst = search.random_instance(2, 2, 2, np.random.default_rng(11))
+    labels = search._label_blocks(inst.l, copies)[0]
+    norms = search._block_norms(inst, copies, r)
+    fewer = {z: dict(zip(map(tuple, search._label_blocks(inst.l, copies - z)[0].tolist()),
+                         search._block_norms(inst, copies - z, r)))
+             for z in range(1, copies)}
+    checked = 0
+    for row, got in zip(labels.tolist(), norms):
+        z = row.count(0)
+        if 0 < z < copies:
+            assert np.abs(got - fewer[z][tuple(row[z:])]).max() <= 1e-15
+            assert np.abs(got - label_tuple_marginal(inst, row, r)).max() <= 1e-15
+            checked += 1
+    assert checked == len(labels) - math.comb(copies + 2, copies) - 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_all_zero_block_is_uniform(m):
+    # no copy takes a phase and every check's sign is -1: each diffusion
+    # leaves the uniform index state as it is (at odd m up to the rounding
+    # of its amplitude 2^(-m/2))
+    inst = search.random_instance(2, m, 2, np.random.default_rng(m))
+    norms = search._block_norms(inst, 3, 2)
+    np.testing.assert_allclose(norms[0], 2.0 ** -m, rtol=2 * np.finfo(float).eps, atol=0)
+
+
+def test_one_bit_labels_match_every_label_tuple():
+    # l = 1: of the copies + 1 blocks only the all-ones one keeps every copy
+    inst = search.SearchInstance(n=2, m=2, l=1,
+                                 family=np.random.default_rng(3).integers(0, 2, size=(4, 4)),
+                                 g=np.random.default_rng(4).integers(0, 2, size=4))
+    for copies, r in [(3, 1), (5, 2)]:
+        got = search._exact_index_distribution(inst, copies, r)
+        assert np.abs(got - label_tuple_index_distribution(inst, copies, r)).max() <= 1e-15
+
+
+def test_only_zero_free_blocks_transform_every_copy(monkeypatch):
+    # the benchmark shape: 84 of the 120 label blocks hold no zero label,
+    # and only they reach the transform at 2^(copies * n) cells
+    inst = search.random_instance(3, 2, 3, np.random.default_rng([1, 2]))
+    copies = 3
+    r = search.error_budget(inst.n, inst.m, copies, inst.screened.eps).r
+    rows = Counter()
+    fwht_inplace = gf2.fwht_inplace
+
+    def spy(a, size, right=1):
+        rows[size] += a.size // size
+        return fwht_inplace(a, size, right)
+
+    monkeypatch.setattr(gf2, "fwht_inplace", spy)
+    search._exact_index_distribution(inst, copies, r)
+    checks = 2 * r - 1  # transforms per block: one per check, two in each later one
+    assert rows[1 << (copies * inst.n)] == 84 * (1 << inst.m) * checks
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
