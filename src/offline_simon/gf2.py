@@ -27,8 +27,9 @@ import numpy as np
 
 MAX_WIDTH = 24
 # Words per block of batch_rank and of the callers that feed it block by
-# block (search._rank_predicate, simon._p_bad_mc): bounds their working
-# arrays to about a MiB whatever the number of rows.
+# block (search._rank_predicate, and simon.misses_rank, which draws the
+# sampled shot's and the p_bad Monte Carlo's words a block at a time):
+# bounds their working arrays to a few MiB whatever the number of rows.
 _RANK_BLOCK_CELLS = 1 << 16
 # Elements of the one scratch every matrix product of the Walsh-Hadamard
 # transform goes through: 256 KiB of float64, which stays in cache and

@@ -24,9 +24,10 @@ first measured shot, or the screen's one periodic branch), once per search.
 
 Every backend starts from the instance's screen, which transforms all 2^m
 branch tables in one ``simon.distributions`` pass and keeps each branch's
-Simon law. A sampled shot draws its rank samples from those laws: one block
-of uniforms per shot, searched all at once in the laws' stacked cumulative
-tables.
+Simon law. A sampled shot draws its rank samples from those laws and
+rank-tests them through ``simon.misses_rank``, the kernel of the p_bad
+Monte Carlo too: one call per shot, over the stacked laws of every
+aperiodic branch.
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ Q1_ACQUISITION = "q1-classical-codebook"
 # family the related-key carve reads) must fit comfortably in memory; 2^22
 # words is the ceiling for a toy run.
 TABLE_ENTRY_CAP_LOG2 = 22
-# A sampled shot draws r * 2^m * copies rank-sample words at once, each a
-# float64 uniform and an int64 word: 2^26 cells is 1 GiB.
+# A sampled shot draws r * 2^m * copies rank-sample words. It holds one
+# block of them at a time (see simon.misses_rank), so the cap bounds a
+# shot's draw work, not its memory.
 SHOT_CELL_CAP_LOG2 = 26
-# Draws per piece of a shot's search (see _search_rows): its index arrays
-# stay a few MiB whatever the shot's size.
-_DRAW_PIECE = 1 << 16
 # Amplitudes per chunk of the exact run's label blocks (8 MiB of float64):
 # a chunk's gathered per-copy factors are no more.
 _BLOCK_CELLS = 1 << 20
@@ -92,6 +91,8 @@ class SearchInstance:
             raise ValueError(f"family must have shape (2^{self.m}, 2^{self.n})")
         if g.shape != (1 << self.n,):
             raise ValueError(f"g must have 2^{self.n} entries")
+        if min(fam.min(), g.min()) < 0 or max(fam.max(), g.max()) >> self.l:
+            raise ValueError(f"family and g values must be l-bit, in [0, 2^{self.l})")
         object.__setattr__(self, "family", fam)
         object.__setattr__(self, "g", g)
 
@@ -529,25 +530,18 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
     draws, from the screen's laws, for every aperiodic branch at every
     iteration.
 
-    All draws come first, iteration by iteration in branch order, from one
-    block of uniforms: each branch's words are its law's cumulative table,
-    normalized as ``SimonSampleDistribution.cdf`` normalizes it, searched at
-    its slice of the block (see ``_search_rows``), the very words that
-    ``rng.choice(2^n, copies, p=law.weights)`` would give call by call. One
-    batched rank test then decides every sign."""
-    n = instance.n
+    All draws come first, iteration by iteration in branch order: one
+    ``simon.misses_rank`` call over the stacked laws of the aperiodic
+    branches draws the very words that ``rng.choice(2^n, copies,
+    p=law.weights)`` would give call by call, and rank-tests them a block
+    at a time, which decides every sign."""
     size = 1 << instance.m
     scr = instance.screened
     periodic = np.zeros(size, dtype=bool)
     periodic[list(scr.periodic_indices)] = True
     aperiodic = np.nonzero(~periodic)[0]
-    uniforms = rng.random((r, len(aperiodic), copies))
-    cdf = np.array([scr.laws[i].weights for i in aperiodic]).reshape(len(aperiodic), 1 << n)
-    cdf = cdf.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    draws = _search_rows(cdf, uniforms)
-    fired = batch_rank(draws.reshape(r * len(aperiodic), copies), n) < n
-    fired = fired.reshape(r, len(aperiodic))
+    laws = [scr.laws[i].weights for i in aperiodic]
+    fired = simon.misses_rank(laws, (r, len(aperiodic), copies), rng, instance.n)
     amp = np.full(size, 1.0 / math.sqrt(size))
     for j in range(r):
         signs = np.where(periodic, -1.0, 1.0)
@@ -557,31 +551,6 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
     probs = amp * amp
     probs = probs / probs.sum()
     return int(rng.choice(size, p=probs))
-
-
-def _search_rows(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """The words at an (r, rows, copies) block of uniforms in [0, 1), each
-    searched in its row of the (rows, 2^n) cumulative table `cdf`, whose
-    rows end at exactly 1.0: the count of the row's entries <= u, which is
-    ``cdf[row].searchsorted(u, side="right")``. A branchless binary search,
-    n gather steps over the flat table, a piece of _DRAW_PIECE draws at a
-    time."""
-    rows, width = cdf.shape
-    copies = uniforms.shape[2]
-    flat, u = cdf.reshape(-1), uniforms.reshape(-1)
-    draws = np.empty(uniforms.shape, dtype=np.int64)
-    out = draws.reshape(-1)
-    for f0 in range(0, len(u), _DRAW_PIECE):
-        piece = u[f0:f0 + _DRAW_PIECE]
-        # each draw's row starts at (its slot) * 2^n of the flat table
-        base = np.arange(f0, f0 + len(piece)) // copies % rows * width
-        pos = base.copy()
-        step = width >> 1
-        while step:
-            pos += (flat[pos + (step - 1)] <= piece) * step
-            step >>= 1
-        np.subtract(pos, base, out=out[f0:f0 + len(piece)])
-    return draws
 
 
 def _run_offline(instance: SearchInstance, copies: int | None, backend: str,

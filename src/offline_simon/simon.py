@@ -61,16 +61,6 @@ class SimonSampleDistribution:
         """Nonzero t with h(x ^ t) = h(x) for all x."""
         return tuple(int(t) for t in np.nonzero(self.collisions == 1.0)[0] if t != 0)
 
-    @cached_property
-    def cdf(self) -> np.ndarray:
-        """The cumulative law, normalized the way numpy's
-        ``Generator.choice(2^n, k, p=weights)`` normalizes it, so that
-        ``cdf.searchsorted(rng.random(k), side="right")`` draws the same
-        words from the same generator state."""
-        cdf = self.weights.cumsum()
-        cdf /= cdf[-1]
-        return cdf
-
 
 def distribution(h, n: int | None = None) -> SimonSampleDistribution:
     """weights(u) = 2^-2n * sum_a |sum_{x: h(x)=a} (-1)^(u.x)|^2."""
@@ -171,6 +161,63 @@ def recover(h, count: int, rng: np.random.Generator, n: int | None = None) -> Pe
     return solve_period(sample(table, count, rng, n).tolist(), n)
 
 
+def misses_rank(weights, shape, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Whether k words drawn from each of a stack of laws fail to span
+    F_2^n: a (..., rows) bool array for a `shape` of (..., rows, k), where
+    `weights` is the (rows, 2^n) stack.
+
+    The words at [..., row, :] are those of ``rng.choice(2^n, k,
+    p=weights[row])`` called in the C order of the leading axes, bit for
+    bit, and the generator ends where ``rng.random(shape)`` leaves it: the
+    uniforms are drawn in that order a block of _RANK_BLOCK_CELLS cells at
+    a time, each block rank-tested before the next is drawn. A uniform u
+    finds its word through a guide table (the indexed search of Chen &
+    Asau, 1974) over the rows' cdfs, normalized as ``choice`` normalizes
+    them: guide[row, j] is the first word whose cdf exceeds j / bins, u's
+    word unless the cdf also steps inside u's bin; only those uniforms get
+    a binary search, between guide[row, j] and guide[row, j + 1]. A Simon
+    law's weights are multiples of 4^-n, so at 4^n bins every step sits on
+    a bin edge; there are fewer where the guide would outgrow one block,
+    or the draws.
+    """
+    *lead, rows, k = shape
+    size = 1 << n
+    draws = rows * math.prod(lead)
+    if not draws * k:  # no uniform to draw and no law to normalize
+        return (batch_rank(np.zeros((draws, k), np.int64), n) < n).reshape(shape[:-1])
+    cdf = np.asarray(weights, dtype=np.float64).reshape(rows, size).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    flat = cdf.reshape(-1)
+    bins = 1 << min(2 * n, max(1, min(draws * k, _RANK_BLOCK_CELLS) // rows).bit_length() - 1)
+    # cdf <= j / bins iff ceil(cdf * bins) <= j (bins is a power of two), so
+    # the running count of those keys is guide[row, j] as a position in
+    # flat, row * (bins + 1) + j, with guide[row, bins] the row's end
+    keys = np.ceil(cdf * bins).astype(np.intp) + np.arange(rows)[:, None] * (bins + 1)
+    guide = np.bincount(keys.reshape(-1), minlength=rows * (bins + 1)).cumsum()
+    missed = np.empty(draws, dtype=bool)
+    block = max(1, _RANK_BLOCK_CELLS // k)
+    for start in range(0, draws, block):
+        u = rng.random((min(block, draws - start), k))
+        # the same truncation as .astype(np.intp), about 4x faster when
+        # numpy casts inside the multiply
+        key = np.multiply(u, bins, out=np.empty(u.shape, np.intp), casting="unsafe")
+        if rows > 1:  # each row's keys start at row * (bins + 1)
+            key += np.arange(start, start + len(u))[:, None] % rows * (bins + 1)
+        pos = guide[key]
+        late = flat[pos] <= u
+        if late.any():
+            # the word is in (lo, hi]: flat[lo] <= u, and hi is the bin's end
+            lo, hi, v = pos[late], guide[key[late] + 1], u[late]
+            while (hi - lo > 1).any():
+                mid = (lo + hi) >> 1
+                right = flat[mid] <= v
+                lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+            pos[late] = hi
+        pos &= size - 1
+        missed[start:start + len(u)] = batch_rank(pos, n) < n
+    return missed.reshape(shape[:-1])
+
+
 def _p_bad_mc(law: SimonSampleDistribution, count: int, trials: int,
               rng: np.random.Generator) -> float:
     """Share of `trials` draws of count words from the law that do not
@@ -178,34 +225,14 @@ def _p_bad_mc(law: SimonSampleDistribution, count: int, trials: int,
 
     The words are those of ``rng.choice(2^n, (trials, count), p=weights)``,
     bit for bit, with the same checks on the weights, and leave the
-    generator in the same state: the same uniforms are drawn in the same
-    order, a block of rows at a time, and each block is rank-tested before
-    the next is drawn. A uniform u finds its word through a guide table
-    (the indexed search of Chen & Asau, 1974): guide[j] is the first word
-    whose cdf exceeds j / bins, which is u's word unless the cdf also
-    steps inside u's bin; only those few uniforms get a binary search.
+    generator in the same state (see ``misses_rank``).
     """
     weights = law.weights
     if (weights < 0).any():
         raise ValueError("the law has a negative weight")
     if not abs(float(weights.sum()) - 1.0) <= math.sqrt(np.finfo(np.float64).eps):
         raise ValueError("the law's weights do not sum to 1")
-    cdf = law.cdf
-    # bins is a power of two, so u * bins and its floor are exact
-    bins = 1 << min(law.n + 4, 16)
-    guide = cdf.searchsorted(np.arange(bins) / bins, side="right")
-    block = max(1, _RANK_BLOCK_CELLS // count)
-    bad = 0
-    for start in range(0, trials, block):
-        u = rng.random((min(block, trials - start), count))
-        # the same truncation as .astype(np.intp), about 4x faster when
-        # numpy casts inside the multiply
-        bin_of = np.multiply(u, bins, out=np.empty(u.shape, np.intp), casting="unsafe")
-        words = guide[bin_of]
-        late = cdf[words] <= u
-        words[late] = cdf.searchsorted(u[late], side="right")
-        bad += int((batch_rank(words, law.n) < law.n).sum())
-    return bad / trials
+    return int(misses_rank(weights, (trials, 1, count), rng, law.n).sum()) / trials
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,20 @@ def test_search_instance_validates_shapes():
                               g=g, planted_index=0, planted_period=1)
 
 
+@pytest.mark.parametrize("family, g", [([[0, 1, 2, 3], [3, 0, 4, 0]], [0, 0, 0, 0]),
+                                      ([[0, 1, 2, 3], [3, 0, 1, 0]], [0, 0, 0, -1]),
+                                      ([[0, 1, 2, 3], [3, 0, 1, 0]], [0, 5, 0, 0])],
+                         ids=["family-wide", "g-negative", "g-wide"])
+def test_search_instance_rejects_values_outside_l_bits(family, g):
+    """The exact run keeps only the l low bits of every value (its phases
+    are parities of v & value over l-bit labels v), so a wider or negative
+    value is refused; every l-bit value is taken."""
+    inst = search.SearchInstance(n=2, m=1, l=2, family=[[0, 1, 2, 3], [3, 0, 1, 0]], g=[3, 2, 1, 0])
+    assert inst.branch(1).tolist() == [0, 2, 0, 0]
+    with pytest.raises(ValueError, match=r"family and g values must be l-bit, in \[0, 2\^2\)"):
+        search.SearchInstance(n=2, m=1, l=2, family=family, g=g)
+
+
 def test_random_instance_screens_clean():
     for seed in range(6):
         inst = search.random_instance(4, 3, 4, np.random.default_rng(seed))
@@ -324,7 +338,7 @@ def test_shot_draws_match_the_choice_loop(monkeypatch):
         seen.append(words.copy())
         return gf2.batch_rank(words, n)
 
-    monkeypatch.setattr(search, "batch_rank", spy_rank)
+    monkeypatch.setattr(simon, "batch_rank", spy_rank)
     rng = np.random.default_rng(2026)
     zero_weight = drawn = 0
     for _ in range(60):
@@ -348,40 +362,26 @@ def test_shot_draws_match_the_choice_loop(monkeypatch):
     assert zero_weight > 0 and drawn > 1000
 
 
-def test_shot_search_is_searchsorted_piece_by_piece(monkeypatch):
-    # pieces of five draws across rows and iterations; zero weights repeat a
-    # cdf value, and uniforms that land on one count it, as side="right" does
-    rng = np.random.default_rng(12)
-    weights = rng.random((6, 16)) * (rng.random((6, 16)) < 0.7)
-    weights[:, 0] = 0.0
-    weights[:, -1] = 0.5
-    cdf = weights.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    uniforms = rng.random((3, 6, 7))
-    uniforms[0, :, :4] = cdf[:, [0, 3, 8, 14]]
-    monkeypatch.setattr(search, "_DRAW_PIECE", 5)
-    got = search._search_rows(cdf, uniforms)
-    want = np.stack([cdf[row].searchsorted(uniforms[:, row], side="right")
-                     for row in range(6)], axis=1)
-    assert got.dtype == np.int64 and np.array_equal(got, want)
-
-
-def test_shot_search_holds_one_piece(monkeypatch):
-    # 2^18 draws (2 MiB) in pieces of 2^12: a few index arrays of a piece
-    # beside the draws, not of the whole block
-    rng = np.random.default_rng(13)
-    cdf = rng.random((64, 32)).cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    uniforms = rng.random((64, 64, 64))
-    monkeypatch.setattr(search, "_DRAW_PIECE", 1 << 12)
+def test_shot_holds_one_block_of_its_draws():
+    """A shot of 5.1M rank-sample cells (n = 3, m = 12, copies 25) draws and
+    rank-tests them a block at a time: its peak is a few blocks' arrays and
+    the stacked laws, where holding every uniform and word took 16 B a
+    cell (78 MiB)."""
+    rng = np.random.default_rng(14)
+    n, m, copies = 3, 12, 25
+    inst = search.SearchInstance(n=n, m=m, l=n, family=rng.integers(0, 1 << n, size=(1 << m, 1 << n)),
+                                 g=np.zeros(1 << n, dtype=np.int64))
+    r = analysis.grover_iterations(m)
+    aperiodic = (1 << m) - len(inst.screened.periodic_indices)
+    assert r * aperiodic * copies >= 1 << 22
     tracemalloc.start()
     try:
-        held = tracemalloc.get_traced_memory()[0]
-        draws = search._search_rows(cdf, uniforms)
-        peak = tracemalloc.get_traced_memory()[1] - held
+        index = search._sampled_index_shot(inst, copies, r, rng)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= draws.nbytes + draws.nbytes // 8
+    assert 0 <= index < 1 << m
+    assert peak <= 6 << 20
 
 
 def test_sim_q1_recovers_period():

@@ -342,17 +342,109 @@ def test_distributions_number_widely_spread_values():
         assert law.periods == want.periods
 
 
-def test_law_cdf_draws_what_choice_draws():
-    """searchsorted on the cached cdf at rng.random(k) is rng.choice(p=law)."""
-    rng = np.random.default_rng(8)
-    for n in range(1, 7):
-        for table in _mixed_rows(n, rng):
-            law = simon.distribution(table, n)
+class _Feed:
+    """A stand-in generator whose ``random(size)`` serves the given
+    uniforms in order, so a test can place them on cdf steps and bin
+    edges; ``used`` counts those served."""
+
+    def __init__(self, uniforms):
+        self.uniforms, self.used = uniforms.reshape(-1), 0
+
+    def random(self, size):
+        count = int(np.prod(size))
+        self.used += count
+        return self.uniforms[self.used - count:self.used].reshape(size)
+
+
+def _choice_cdf(weights):
+    """Each row's cdf, normalized as ``rng.choice(p=row)`` normalizes it."""
+    cdf = weights.cumsum(axis=1)
+    return cdf / cdf[:, -1:]
+
+
+def _spy_misses_rank(monkeypatch, weights, shape, rng, n):
+    """misses_rank's result and the words it ranked, as one (draws, k)
+    array in rank order."""
+    seen = []
+
+    def spy(words, n):
+        seen.append(np.array(words))
+        return gf2.batch_rank(words, n)
+
+    monkeypatch.setattr(simon, "batch_rank", spy)
+    missed = simon.misses_rank(weights, shape, rng, n)
+    return missed, np.concatenate(seen)
+
+
+def test_misses_rank_draws_what_searchsorted_draws(monkeypatch):
+    """Words equal each row's searchsorted at uniforms placed at random, on
+    the row's cdf values (ties from zero weights included, counted as
+    side="right" counts them) and on bin edges j / 2^b of every width the
+    guide may take, across rows, leading axes and blocks of 1 to 200
+    cells; exactly the uniforms of the shape are drawn, and the result is
+    the rank test of those words."""
+    rng = np.random.default_rng(26)
+    for _ in range(300):
+        n, rows, k = int(rng.integers(1, 7)), int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        lead = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(0, 3))))
+        shape = lead + (rows, k)
+        size = 1 << n
+        weights = rng.random((rows, size)) * (rng.random((rows, size)) < 0.6)
+        weights[:, -1] += rng.random(rows) < 0.5
+        weights[np.arange(rows), rng.integers(size, size=rows)] += 1.0
+        weights /= weights.sum(axis=1, keepdims=True)
+        cdf = _choice_cdf(weights)
+        bits = rng.integers(0, 2 * n + 1, size=shape)
+        edges = np.floor(rng.random(shape) * 2.0 ** bits) / 2.0 ** bits
+        steps = cdf[np.arange(rows)[:, None], rng.integers(size, size=(rows, k))]
+        steps = np.where(steps < 1.0, steps, 0.0)
+        pick = rng.integers(3, size=shape)
+        uniforms = np.where(pick == 0, rng.random(shape), np.where(pick == 1, edges, steps))
+        monkeypatch.setattr(simon, "_RANK_BLOCK_CELLS", int(rng.integers(1, 201)))
+        feed = _Feed(uniforms)
+        missed, words = _spy_misses_rank(monkeypatch, weights, shape, feed, n)
+        want = np.stack([cdf[row].searchsorted(uniforms[..., row, :], side="right")
+                         for row in range(rows)], axis=-2)
+        assert np.array_equal(words, want.reshape(-1, k))
+        assert missed.shape == shape[:-1]
+        assert np.array_equal(missed.reshape(-1), gf2.batch_rank(words, n) < n)
+        assert feed.used == uniforms.size
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_misses_rank_leaves_the_generator_where_random_does(monkeypatch, n):
+    """From a real generator, the words are searchsorted at ``rng.random(shape)``
+    and the next output is the same, whether the draws fill one block,
+    several or a ragged last one."""
+    rng = np.random.default_rng(260 + n)
+    size = 1 << n
+    for cells in (64, 1000, gf2._RANK_BLOCK_CELLS):
+        monkeypatch.setattr(simon, "_RANK_BLOCK_CELLS", cells)
+        for shape in ((5, 3, 7), (2, 1, 3 * n), (3, 4, 1)):
+            weights = rng.random((shape[-2], size)) * (rng.random((shape[-2], size)) < 0.7)
+            weights[:, 0] += 1.0
+            weights /= weights.sum(axis=1, keepdims=True)
             seed = int(rng.integers(1 << 32))
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = law.cdf.searchsorted(a.random(50), side="right")
-            assert np.array_equal(got, b.choice(1 << n, size=50, p=law.weights))
+            _, words = _spy_misses_rank(monkeypatch, weights, shape, a, n)
+            uniforms, cdf = b.random(shape), _choice_cdf(weights)
+            want = np.stack([cdf[row].searchsorted(uniforms[:, row], side="right")
+                             for row in range(shape[-2])], axis=1)
+            assert np.array_equal(words, want.reshape(-1, shape[-1]))
             assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 4), (0, 2, 4), (2, 3, 0)], ids=["no-rows", "no-draws", "no-words"])
+def test_misses_rank_with_nothing_to_draw(shape):
+    """No rows (m = 0, or every branch periodic), no leading draws or no
+    words per draw: nothing is drawn, and k = 0 words span nothing."""
+    rows, n = shape[-2], 3
+    weights = np.full((rows, 1 << n), 1.0 / (1 << n))
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    missed = simon.misses_rank(weights, shape, a, n)
+    assert missed.shape == shape[:-1] and missed.dtype == bool
+    assert missed.all()
+    assert a.random() == b.random()
 
 
 def test_p_bad_estimate_transforms_its_table_once(monkeypatch):
