@@ -540,7 +540,7 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
     periodic = np.zeros(size, dtype=bool)
     periodic[list(scr.periodic_indices)] = True
     aperiodic = np.nonzero(~periodic)[0]
-    laws = [scr.laws[i].weights for i in aperiodic]
+    laws = np.reshape([scr.laws[i].weights for i in aperiodic], (len(aperiodic), 1 << instance.n))
     fired = simon.misses_rank(laws, (r, len(aperiodic), copies), rng, instance.n)
     amp = np.full(size, 1.0 / math.sqrt(size))
     for j in range(r):

@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from . import analysis
-from .gf2 import _RANK_BLOCK_CELLS, PeriodSolution, batch_rank, fwht, fwht_inplace, solve_period
+from .gf2 import (_RANK_BLOCK_CELLS, PeriodSolution, _word_dtype, batch_rank, fwht, fwht_inplace,
+                  solve_period)
 
 MAX_N = 20
 # Cells of one block of class indicators in `distributions` and `sample`:
@@ -161,10 +162,35 @@ def recover(h, count: int, rng: np.random.Generator, n: int | None = None) -> Pe
     return solve_period(sample(table, count, rng, n).tolist(), n)
 
 
+def _bin_tables(cdf: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Guide and word table of a (rows, 2^n) stack of cdfs cut into `bins`
+    bins (a power of two): two flat arrays whose entry for bin j of a row
+    is at row * (bins + 1) + j.
+
+    guide[row, j] is the first word whose cdf exceeds j / bins, as a
+    position in the flattened cdfs; guide[row, bins] is the row's end.
+    table[row, j] is that word where its cdf reaches the bin's right edge
+    (j + 1) / bins, so that every u of the bin draws it (exactly: u * bins
+    and the edges are exact in float64); elsewhere, and in the unused
+    column bins, it is the sentinel 2^n. The table is in the narrowest
+    unsigned dtype that holds 2^n.
+    """
+    rows, size = cdf.shape
+    # cdf <= j / bins iff ceil(cdf * bins) <= j (bins is a power of two), so
+    # the running count of those keys is guide[row, j]
+    keys = np.ceil(cdf * bins).astype(np.intp) + np.arange(rows)[:, None] * (bins + 1)
+    guide = np.bincount(keys.reshape(-1), minlength=rows * (bins + 1)).cumsum()
+    first = guide.reshape(rows, bins + 1)[:, :bins]
+    table = (guide & (size - 1)).astype(_word_dtype(size.bit_length())).reshape(rows, bins + 1)
+    table[:, :bins][cdf.reshape(-1)[first] < np.arange(1, bins + 1) / bins] = size
+    table[:, bins] = size
+    return guide, table.reshape(-1)
+
+
 def misses_rank(weights, shape, rng: np.random.Generator, n: int) -> np.ndarray:
     """Whether k words drawn from each of a stack of laws fail to span
     F_2^n: a (..., rows) bool array for a `shape` of (..., rows, k), where
-    `weights` is the (rows, 2^n) stack.
+    `weights` is the (rows, 2^n) stack, or one (2^n,) law when rows is 1.
 
     The words at [..., row, :] are those of ``rng.choice(2^n, k,
     p=weights[row])`` called in the C order of the leading axes, bit for
@@ -173,27 +199,31 @@ def misses_rank(weights, shape, rng: np.random.Generator, n: int) -> np.ndarray:
     a time, each block rank-tested before the next is drawn. A uniform u
     finds its word through a guide table (the indexed search of Chen &
     Asau, 1974) over the rows' cdfs, normalized as ``choice`` normalizes
-    them: guide[row, j] is the first word whose cdf exceeds j / bins, u's
-    word unless the cdf also steps inside u's bin; only those uniforms get
-    a binary search, between guide[row, j] and guide[row, j + 1]. A Simon
-    law's weights are multiples of 4^-n, so at 4^n bins every step sits on
-    a bin edge; there are fewer where the guide would outgrow one block,
-    or the draws.
+    them, that is resolved once per call into a word per bin
+    (``_bin_tables``): a bin whose first word's cdf reaches the bin's right
+    edge holds that word, so a uniform costs one gather of the word table.
+    Only the uniforms of the other bins, which hold a cdf step, are
+    searched: u draws the bin's first word guide[row, j] if that word's
+    cdf exceeds u, and otherwise a word found by binary search between
+    guide[row, j] and guide[row, j + 1]. A Simon law's weights are
+    multiples of 4^-n, so at 4^n bins every step sits on a bin edge and
+    every bin resolves; there are fewer bins where the guide would outgrow
+    one block, or the draws.
     """
     *lead, rows, k = shape
     size = 1 << n
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (rows, size) and not (rows == 1 and weights.shape == (size,)):
+        raise ValueError(f"weights must be a ({rows}, {size}) stack for a shape of "
+                         f"{tuple(shape)}, got shape {weights.shape}")
     draws = rows * math.prod(lead)
     if not draws * k:  # no uniform to draw and no law to normalize
         return (batch_rank(np.zeros((draws, k), np.int64), n) < n).reshape(shape[:-1])
-    cdf = np.asarray(weights, dtype=np.float64).reshape(rows, size).cumsum(axis=1)
+    cdf = weights.reshape(rows, size).cumsum(axis=1)
     cdf /= cdf[:, -1:]
     flat = cdf.reshape(-1)
     bins = 1 << min(2 * n, max(1, min(draws * k, _RANK_BLOCK_CELLS) // rows).bit_length() - 1)
-    # cdf <= j / bins iff ceil(cdf * bins) <= j (bins is a power of two), so
-    # the running count of those keys is guide[row, j] as a position in
-    # flat, row * (bins + 1) + j, with guide[row, bins] the row's end
-    keys = np.ceil(cdf * bins).astype(np.intp) + np.arange(rows)[:, None] * (bins + 1)
-    guide = np.bincount(keys.reshape(-1), minlength=rows * (bins + 1)).cumsum()
+    guide, table = _bin_tables(cdf, bins)
     missed = np.empty(draws, dtype=bool)
     block = max(1, _RANK_BLOCK_CELLS // k)
     for start in range(0, draws, block):
@@ -203,18 +233,23 @@ def misses_rank(weights, shape, rng: np.random.Generator, n: int) -> np.ndarray:
         key = np.multiply(u, bins, out=np.empty(u.shape, np.intp), casting="unsafe")
         if rows > 1:  # each row's keys start at row * (bins + 1)
             key += np.arange(start, start + len(u))[:, None] % rows * (bins + 1)
-        pos = guide[key]
-        late = flat[pos] <= u
+        words = table[key]
+        late = words == size
         if late.any():
-            # the word is in (lo, hi]: flat[lo] <= u, and hi is the bin's end
-            lo, hi, v = pos[late], guide[key[late] + 1], u[late]
+            # every word before lo = guide[row, j] has cdf <= j / bins <= v,
+            # so lo is v's word if its cdf exceeds v; otherwise v's word is
+            # in (lo, hi], with hi = guide[row, j + 1] past the bin's right
+            # edge (hi = lo gives lo, and never reads before the row)
+            at = np.flatnonzero(late)
+            v, cell = u.reshape(-1)[at], key.reshape(-1)[at]
+            lo = guide[cell]
+            hi = np.where(flat[lo] > v, lo, guide[cell + 1])
             while (hi - lo > 1).any():
                 mid = (lo + hi) >> 1
                 right = flat[mid] <= v
                 lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-            pos[late] = hi
-        pos &= size - 1
-        missed[start:start + len(u)] = batch_rank(pos, n) < n
+            words.reshape(-1)[at] = hi & (size - 1)
+        missed[start:start + len(u)] = batch_rank(words, n) < n
     return missed.reshape(shape[:-1])
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -376,30 +378,43 @@ def _spy_misses_rank(monkeypatch, weights, shape, rng, n):
     return missed, np.concatenate(seen)
 
 
+def _random_stack(rng, rows, n):
+    """A (rows, 2^n) stack of laws with zero weights: either random reals,
+    or integer counts over 2^q for a random q <= 2n, whose cdf steps then
+    sit exactly on the edges of every bin width of at least 2^q."""
+    size = 1 << n
+    p = rng.random((rows, size)) * (rng.random((rows, size)) < 0.6)
+    p[:, -1] += rng.random(rows) < 0.5
+    p[np.arange(rows), rng.integers(size, size=rows)] += 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    if rng.random() < 0.5:
+        return p
+    total = 1 << int(rng.integers(1, 2 * n + 1))
+    return np.array([rng.multinomial(total, row) for row in p]) / total
+
+
 def test_misses_rank_draws_what_searchsorted_draws(monkeypatch):
     """Words equal each row's searchsorted at uniforms placed at random, on
     the row's cdf values (ties from zero weights included, counted as
-    side="right" counts them) and on bin edges j / 2^b of every width the
-    guide may take, across rows, leading axes and blocks of 1 to 200
-    cells; exactly the uniforms of the shape are drawn, and the result is
-    the rank test of those words."""
+    side="right" counts them), on bin edges j / 2^b of every width the
+    guide may take and on the last double below each, across rows whose
+    cdf steps sit at random or exactly on bin edges, leading axes and
+    blocks of 1 to 200 cells; exactly the uniforms of the shape are drawn,
+    and the result is the rank test of those words."""
     rng = np.random.default_rng(26)
     for _ in range(300):
         n, rows, k = int(rng.integers(1, 7)), int(rng.integers(1, 6)), int(rng.integers(1, 8))
         lead = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(0, 3))))
         shape = lead + (rows, k)
         size = 1 << n
-        weights = rng.random((rows, size)) * (rng.random((rows, size)) < 0.6)
-        weights[:, -1] += rng.random(rows) < 0.5
-        weights[np.arange(rows), rng.integers(size, size=rows)] += 1.0
-        weights /= weights.sum(axis=1, keepdims=True)
+        weights = _random_stack(rng, rows, n)
         cdf = _choice_cdf(weights)
-        bits = rng.integers(0, 2 * n + 1, size=shape)
-        edges = np.floor(rng.random(shape) * 2.0 ** bits) / 2.0 ** bits
+        width = 2.0 ** rng.integers(0, 2 * n + 1, size=shape)
+        edges = np.floor(rng.random(shape) * width) / width
+        below = np.nextafter(edges + 1.0 / width, 0.0)
         steps = cdf[np.arange(rows)[:, None], rng.integers(size, size=(rows, k))]
         steps = np.where(steps < 1.0, steps, 0.0)
-        pick = rng.integers(3, size=shape)
-        uniforms = np.where(pick == 0, rng.random(shape), np.where(pick == 1, edges, steps))
+        uniforms = np.choose(rng.integers(4, size=shape), [rng.random(shape), edges, below, steps])
         monkeypatch.setattr(simon, "_RANK_BLOCK_CELLS", int(rng.integers(1, 201)))
         feed = _Feed(uniforms)
         missed, words = _spy_misses_rank(monkeypatch, weights, shape, feed, n)
@@ -409,6 +424,95 @@ def test_misses_rank_draws_what_searchsorted_draws(monkeypatch):
         assert missed.shape == shape[:-1]
         assert np.array_equal(missed.reshape(-1), gf2.batch_rank(words, n) < n)
         assert feed.used == uniforms.size
+
+
+def _simon_stack(rng, rows, n):
+    """The laws of `rows` random tables of n bits, with values of 1 to n
+    bits (the 1-bit ones often periodic)."""
+    tables = rng.integers(0, 1 << rng.integers(1, n + 1, size=(rows, 1)), size=(rows, 1 << n))
+    return np.array([law.weights for law in simon.distributions(tables, n)])
+
+
+def test_bin_tables_resolve_a_bin_iff_all_of_it_draws_one_word():
+    """guide[row, j] is what searchsorted draws at the bin's left edge
+    j / bins, and the bin resolves to that word exactly when the last
+    double below its right edge draws it too, so every u of the bin does;
+    other bins and the unused column hold the sentinel 2^n. Checked on
+    stacks with cdf steps at random and exactly on bin edges, a step on
+    a bin's right edge included, at every bin width up to 4^n."""
+    rng = np.random.default_rng(27)
+    stacks = [(np.array([[0.5, 0.5], [0.3, 0.7]]), 1)]
+    for _ in range(150):
+        n = int(rng.integers(1, 7))
+        stacks.append((_random_stack(rng, int(rng.integers(1, 6)), n), n))
+    for weights, n in stacks:
+        rows, size = weights.shape
+        cdf = _choice_cdf(weights)
+        for bins in 2 ** np.arange(2 * n + 1):
+            guide, table = simon._bin_tables(cdf, int(bins))
+            left = np.arange(bins) / bins
+            below = np.nextafter(left + 1.0 / bins, 0.0)
+            first = np.stack([row.searchsorted(left, side="right") for row in cdf])
+            last = np.stack([row.searchsorted(below, side="right") for row in cdf])
+            assert table.dtype == gf2._word_dtype(n + 1)
+            guide, table = guide.reshape(rows, bins + 1), table.reshape(rows, bins + 1)
+            assert np.array_equal(guide[:, :bins], first + np.arange(rows)[:, None] * size)
+            assert np.array_equal(guide[:, bins], (np.arange(rows) + 1) * size)
+            assert np.array_equal(table[:, :bins], np.where(first == last, first, size))
+            assert (table[:, bins] == size).all()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bin_tables_resolve_every_bin_of_a_simon_law(n):
+    """A Simon law's weights are multiples of 4^-n, so at 4^n bins every
+    cdf step sits on a bin edge and no bin is left to search."""
+    cdf = _choice_cdf(_simon_stack(np.random.default_rng(270 + n), 40, n))
+    _, table = simon._bin_tables(cdf, 4 ** n)
+    assert (table.reshape(40, 4 ** n + 1)[:, :-1] < 1 << n).all()
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_misses_rank_on_shot_shaped_stacks(monkeypatch, n):
+    """From a real generator at the block size the program uses, stacks of
+    100 to 250 laws, Simon laws and others with zero weights, under one
+    or two leading axes: the words are each row's searchsorted at
+    ``rng.random(shape)``, and the next output is the same."""
+    rng = np.random.default_rng(280 + n)
+    for lead in ((2,), (9,), (3, 2)):
+        rows, k = int(rng.integers(100, 251)), int(rng.integers(n, 4 * n))
+        weights = _simon_stack(rng, rows, n)
+        other = rng.random(rows) < 0.3
+        weights[other] = _random_stack(rng, int(other.sum()), n)
+        shape = lead + (rows, k)
+        seed = int(rng.integers(1 << 32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        missed, words = _spy_misses_rank(monkeypatch, weights, shape, a, n)
+        uniforms, cdf = b.random(shape), _choice_cdf(weights)
+        want = np.stack([cdf[row].searchsorted(uniforms[..., row, :], side="right")
+                         for row in range(rows)], axis=-2)
+        assert np.array_equal(words, want.reshape(-1, k))
+        assert np.array_equal(missed.reshape(-1), gf2.batch_rank(words, n) < n)
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("weights, shape", [
+    (np.full((2, 8), 1 / 8), (5, 1, 4)),  # two width-3 laws read as one of width 4
+    (np.full((3, 16), 1 / 16), (5, 2, 4)),
+    (np.full(16, 1 / 16), (5, 2, 4)),
+    (np.full((1, 1, 16), 1 / 16), (5, 1, 4)),
+    (np.full(32, 1 / 32), (5, 2, 4)),
+    (np.zeros(0), (5, 0, 4)),
+], ids=["two-laws-as-one", "three-for-two-rows", "one-law-for-two-rows", "three-axes",
+        "one-long-law-for-two-rows", "no-rows-flat"])
+def test_misses_rank_refuses_a_mis_shaped_stack(weights, shape):
+    """Only a (rows, 2^n) stack, or one (2^n,) law when rows is 1, is
+    taken; any other shape is refused with both shapes named, before
+    anything is drawn."""
+    rng = np.random.default_rng(0)
+    want = f"({shape[-2]}, 16)"
+    with pytest.raises(ValueError, match=re.escape(want) + ".*" + re.escape(str(weights.shape))):
+        simon.misses_rank(weights, shape, rng, 4)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
