@@ -3,6 +3,9 @@ generate seeded instance files.
 
 Reports are deterministic in (config, seed): rerunning the same command
 writes byte-identical output, regardless of the worker count.
+
+The parser is the one declaration of options and handlers: each subcommand
+declares its flags and names its handler, which reads the parsed namespace.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +26,22 @@ from . import analysis, attacks, gf2, primitives, qaa, search, simon
 from .primitives import instance_to_json, save_function_table, save_permutation
 
 ATTACK_KINDS = tuple(attacks.TARGETS)
-# gen instance kind -> (the attack record that draws it, its descriptor kind)
+# gen instance kind -> the attack record that draws it
 GEN_TARGETS = {
-    "em": ("em-q1", "even-mansour"),
-    "fx": ("fx-q2", "fx"),
-    "ifx": ("slide-ifx", "iterated-fx"),
-    "chaskey": ("chaskey", "chaskey-toy"),
-    "beetle": ("beetle", "beetle-toy"),
-    "related-key": ("related-key", "related-key"),
+    "em": "em-q1",
+    "fx": "fx-q2",
+    "ifx": "slide-ifx",
+    "chaskey": "chaskey",
+    "beetle": "beetle",
+    "related-key": "related-key",
 }
 # the size flags each table kind of `gen` reads (a record kind reads its
 # record's defaults)
 GEN_TABLE_SIZES = {"permutation": ("n",), "function-table": ("n", "l")}
 GEN_KINDS = (*GEN_TABLE_SIZES, *GEN_TARGETS)
 # Size flags must be at least 1 when given: the records' defaults read
-# `a.n or 9`, so a 0 would silently run the toy size.
+# `a.n or 9`, so a 0 would silently run the toy size. A subcommand that does
+# not declare a flag reads it as None.
 _SIZE_FLAGS = ("n", "m", "l", "u", "c", "rate", "capacity", "rounds")
 
 
@@ -47,44 +50,18 @@ class CliError(Exception):
     failed width or capacity check)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    subcommand: str
-    kind: str | None = None
-    n: int | None = None
-    m: int | None = None
-    l: int | None = None
-    u: int | None = None
-    c: int | None = None
-    rate: int | None = None
-    capacity: int | None = None
-    rounds: int | None = None
-    backend: str = "sampled"
-    seed: int = 0
-    trials: int = 100
-    workers: int = 1
-    preset: str | None = None
-    data_limit: int | None = None
-    out: str | None = None
-    fmt: str = "json"
-
-
-def _reject_unread_sizes(cfg: RunConfig, reads) -> None:
+def _reject_unread_sizes(cfg: argparse.Namespace, reads) -> None:
     """A size flag that the kind does not read is an error, not a no-op."""
     for flag in _SIZE_FLAGS:
-        if getattr(cfg, flag) is not None and flag not in reads:
+        if getattr(cfg, flag, None) is not None and flag not in reads:
             raise CliError(f"{cfg.subcommand} {cfg.kind} does not read --{flag}")
 
 
-def _attack_parameters(cfg: RunConfig) -> dict:
+def _attack_parameters(cfg: argparse.Namespace) -> dict:
     """Attack parameters with the target's toy defaults filled in. Rejects
     parameter sets whose tables or simulations cannot fit, before any
     instance is drawn."""
-    target = attacks.TARGETS.get(cfg.kind)
-    if target is None:
-        raise CliError(f"unknown attack kind {cfg.kind!r}")
+    target = attacks.TARGETS[cfg.kind]
     _reject_unread_sizes(cfg, {"c", *target.defaults(cfg)})
     p = {"seed": cfg.seed, "backend": cfg.backend, "c": cfg.c, **target.defaults(cfg)}
     shape = target.shape(p)
@@ -118,7 +95,7 @@ def _attack_trial(kind: str, p: dict, trial: int) -> dict:
     return row
 
 
-def cmd_attack(cfg: RunConfig) -> int:
+def cmd_attack(cfg: argparse.Namespace) -> int:
     if cfg.trials < 1:
         raise CliError("trials must be at least 1")
     if cfg.workers < 1:
@@ -172,7 +149,7 @@ def _attack_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
+def cmd_estimate(cfg: argparse.Namespace) -> int:
     if not cfg.preset and (cfg.n is None or cfg.m is None):
         raise CliError("estimate needs --preset or both --n and --m")
     record = attacks.estimate_costs(cfg.n, cfg.m, cfg.data_limit, cfg.preset)
@@ -203,7 +180,7 @@ def _flatten(record: dict, prefix: str = "") -> dict:
     return flat
 
 
-def cmd_verify_bounds(cfg: RunConfig) -> int:
+def cmd_verify_bounds(cfg: argparse.Namespace) -> int:
     if cfg.trials < 1:
         raise CliError("trials must be at least 1")
     if (cfg.n or 0) > simon.MAX_N:
@@ -298,14 +275,13 @@ def cmd_verify_bounds(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(cfg: argparse.Namespace) -> int:
     if not cfg.out:
         raise CliError("gen needs --out")
     if cfg.kind in GEN_TABLE_SIZES:
         _reject_unread_sizes(cfg, GEN_TABLE_SIZES[cfg.kind])
     else:
-        attack_kind, descriptor = GEN_TARGETS[cfg.kind]
-        target = attacks.TARGETS[attack_kind]
+        target = attacks.TARGETS[GEN_TARGETS[cfg.kind]]
         _reject_unread_sizes(cfg, target.defaults(cfg))
     rng = np.random.default_rng(cfg.seed)
     try:
@@ -320,7 +296,7 @@ def cmd_gen(cfg: RunConfig) -> int:
             save_function_table(cfg.out, n, l, table)
         else:
             inst = target.draw(target.defaults(cfg), rng)[0]
-            Path(cfg.out).write_text(instance_to_json(descriptor, cfg.seed, inst) + "\n")
+            Path(cfg.out).write_text(instance_to_json(cfg.seed, inst) + "\n")
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return 0
@@ -352,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("attack", help="run one attack over seeded trials",
                         allow_abbrev=False)
+    sp.set_defaults(run=cmd_attack)
     sp.add_argument("kind", choices=ATTACK_KINDS)
     common(sp, ("n", "m", "u", "c"))
-    sp.add_argument("--backend", choices=("sampled", "exact-circuit", "structured"),
-                    default="sampled")
+    sp.add_argument("--backend", choices=search.BACKENDS, default="sampled")
     sp.add_argument("--rate", type=int)
     sp.add_argument("--capacity", type=int)
     sp.add_argument("--rounds", type=int)
@@ -365,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("estimate", help="cost tables for standard targets",
                         allow_abbrev=False)
+    sp.set_defaults(run=cmd_estimate)
     sp.add_argument("--preset", choices=attacks.ESTIMATE_PRESETS)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
@@ -375,11 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-bounds", help="statistical bound suites",
                         allow_abbrev=False)
+    sp.set_defaults(run=cmd_verify_bounds)
     common(sp, ("n", "c"))
     sp.add_argument("--trials", type=int, default=2000)
 
     sp = sub.add_parser("gen", help="write seeded permutation/instance files",
                         allow_abbrev=False)
+    sp.set_defaults(run=cmd_gen)
     sp.add_argument("kind", choices=GEN_KINDS)
     common(sp, ("n", "m", "l", "u"))
     sp.add_argument("--rate", type=int)
@@ -389,31 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
-    return RunConfig(**fields)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = config_from_args(args)
-    handlers = {
-        "attack": cmd_attack,
-        "estimate": cmd_estimate,
-        "verify-bounds": cmd_verify_bounds,
-        "gen": cmd_gen,
-    }
+    args = build_parser().parse_args(argv)
     try:
         for flag in _SIZE_FLAGS:
-            value = getattr(cfg, flag)
+            value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise CliError(f"--{flag} must be at least 1, got {value}")
-        return handlers[cfg.subcommand](cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return args.run(args)
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

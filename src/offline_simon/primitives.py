@@ -120,6 +120,14 @@ def _answer(y):
     return int(y) if np.ndim(y) == 0 else y
 
 
+def _in_domain(query, bits: int, what: str = "query", width: str = "block"):
+    """The query (an int or an int array), once every entry lies in
+    [0, 2^bits): a table gather would wrap a negative one round."""
+    if not np.all((0 <= query) & (query < 1 << bits)):
+        raise ValueError(f"{what} wider than the {width}")
+    return query
+
+
 # Each construction below is its own online oracle: calling an instance
 # answers one query (an int) or a whole batch (an int64 array) by gathering
 # from its permutation or cipher table.
@@ -135,7 +143,7 @@ class EvenMansourInstance:
     k2: int
 
     def __call__(self, x):
-        return _answer(self.perm.table[x ^ self.k1] ^ self.k2)
+        return _answer(self.perm.table[_in_domain(x, self.n) ^ self.k1] ^ self.k2)
 
 
 @dataclass
@@ -150,7 +158,8 @@ class FxInstance:
     k_out: int
 
     def __call__(self, x):
-        return _answer(self.family.key_table(self.k)[x ^ self.k_in] ^ self.k_out)
+        return _answer(self.family.key_table(self.k)[_in_domain(x, self.n) ^ self.k_in]
+                       ^ self.k_out)
 
 
 @dataclass
@@ -166,6 +175,7 @@ class IterFxInstance:
 
     def __call__(self, x):
         table = self.family.key_table(self.k2)
+        x = _in_domain(x, self.n)
         for _ in range(self.rounds):
             x = table[x ^ self.k1]
         return _answer(x ^ self.k1)
@@ -186,6 +196,7 @@ class ChaskeyToyInstance:
 
     def __call__(self, m1, m2):
         table = self.perm.table
+        m1, m2 = (_in_domain(m, self.n, "message block", "state") for m in (m1, m2))
         return _answer(table[table[self.k ^ m1] ^ m2 ^ self.k1] ^ self.k1)
 
 
@@ -204,8 +215,7 @@ class BeetleToyInstance:
     k2: int
 
     def __call__(self, nonce):
-        if not np.all((0 <= nonce) & (nonce < 1 << self.rate)):
-            raise ValueError("nonce wider than the rate")
+        nonce = _in_domain(nonce, self.rate, "nonce", "rate")
         return _answer(self.perm.table[((self.k1 ^ nonce) << self.capacity) | self.k2])
 
 
@@ -221,6 +231,7 @@ class RelatedKeyOracle:
     msg: int
 
     def __call__(self, delta):
+        delta = _in_domain(delta, self.family.m, "delta", "key")
         if np.ndim(delta) == 0:
             return self.family.encrypt(self.k ^ delta, self.msg)
         return self.family.tables()[self.k ^ delta, self.msg]
@@ -307,18 +318,17 @@ def _hex(v: int) -> str:
     return f"0x{v:x}"
 
 
-def _kind(kind: str) -> tuple[type, tuple[str, ...], dict[str, str]]:
-    if kind not in _KINDS:
-        raise ValueError(f"unknown instance kind {kind!r}")
-    return _KINDS[kind]
-
-
-def instance_to_json(kind: str, seed: int, inst) -> str:
-    """Descriptor carrying kind, widths, the seed, and keys in hex.
+def instance_to_json(seed: int, inst) -> str:
+    """Descriptor carrying kind (read off the instance's class), widths,
+    the seed, and keys in hex.
 
     Tables regenerate from the seed, so descriptors stay small.
     """
-    _, sizes, keys = _kind(kind)
+    for kind, (cls, sizes, keys) in _KINDS.items():
+        if type(inst) is cls:
+            break
+    else:
+        raise ValueError(f"no descriptor kind for {type(inst).__name__}")
     doc = {f: getattr(inst if hasattr(inst, f) else inst.family, f) for f in sizes}
     doc.update(kind=kind, seed=seed, keys={k: _hex(getattr(inst, k)) for k in keys})
     return json.dumps(doc, sort_keys=True)
@@ -330,7 +340,9 @@ def instance_from_json(text: str):
     CLI's size flags must, and each key must lie in [0, 2^w) for w its
     width field."""
     doc = json.loads(text)
-    cls, sizes, keys = _kind(doc["kind"])
+    if doc["kind"] not in _KINDS:
+        raise ValueError(f"unknown instance kind {doc['kind']!r}")
+    cls, sizes, keys = _KINDS[doc["kind"]]
     values = {f: doc[f] for f in sizes}
     for f, value in values.items():
         if value < 1:

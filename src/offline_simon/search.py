@@ -41,7 +41,7 @@ import numpy as np
 from . import analysis, gf2, qsim, simon
 from .gf2 import batch_rank
 
-BACKENDS = ("exact-circuit", "structured", "sampled")
+BACKENDS = ("sampled", "exact-circuit", "structured")
 Q2_ACQUISITION = "q2-superposition-queries"
 Q1_ACQUISITION = "q1-classical-codebook"
 # Every table an attack materializes (a branch family, or the whole cipher
@@ -160,15 +160,6 @@ class ErrorBudget:
     delta_bound: float
     ideal_success: float
     success_lower: float
-
-    def accumulated(self, j: int) -> float:
-        """Output-probability deviation bound after j iterations."""
-        return analysis.qaa_deviation_bound(j, self.delta_bound)
-
-    def interval(self) -> tuple[float, float]:
-        """Two-sided band around the ideal success."""
-        dev = self.accumulated(self.r)
-        return (max(0.0, self.ideal_success - dev), min(1.0, self.ideal_success + dev))
 
 
 def error_budget(n: int, m: int, copies: int, eps: float) -> ErrorBudget:
@@ -363,17 +354,6 @@ class StructuredPrediction:
     branches: tuple[BranchStat, ...]
     flags: tuple[str, ...]
     condition_violated: bool
-
-    @property
-    def success_lower(self) -> float:
-        return self.budget.success_lower
-
-    @property
-    def ideal_success(self) -> float:
-        return self.budget.ideal_success
-
-    def interval(self) -> tuple[float, float]:
-        return self.budget.interval()
 
 
 def structured_predict(instance: SearchInstance, copies: int,

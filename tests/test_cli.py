@@ -367,8 +367,8 @@ def _tables(value):
 def test_gen_file_loads_to_the_drawn_instance(tmp_path, kind):
     out = tmp_path / "inst.json"
     assert run_cli(["gen", kind, "--seed", "5", "--out", str(out)]) == 0
-    target = attacks.TARGETS[cli.GEN_TARGETS[kind][0]]
-    drawn = target.draw(target.defaults(cli.RunConfig("gen", kind)),
+    target = attacks.TARGETS[cli.GEN_TARGETS[kind]]
+    drawn = target.draw(target.defaults(cli.build_parser().parse_args(["gen", kind])),
                         np.random.default_rng(5))[0]
     loaded = instance_from_json(out.read_text())
     assert type(loaded) is type(drawn)
@@ -439,7 +439,7 @@ UNREAD_SIZE_FLAGS = {
 def test_unread_size_flags_cover_every_kind():
     assert sorted(UNREAD_SIZE_FLAGS) == sorted(cli.ATTACK_KINDS)
     for kind, flag in UNREAD_SIZE_FLAGS.items():
-        reads = attacks.TARGETS[kind].defaults(cli.RunConfig("attack", kind))
+        reads = attacks.TARGETS[kind].defaults(cli.build_parser().parse_args(["attack", kind]))
         assert flag[2:] not in {"c", *reads}
 
 
@@ -766,6 +766,16 @@ def test_one_parser_serves_every_call_without_carrying_state(tmp_path):
                        check=True, env=package_env(), timeout=120)
         assert (tmp_path / f"in-process-{i}").read_bytes() == fresh.read_bytes()
     assert (tmp_path / "in-process-4").read_bytes() == (tmp_path / "fresh-0").read_bytes()
+
+
+@pytest.mark.parametrize("argv, handler", [
+    (["attack", "em-q1"], cli.cmd_attack),
+    (["estimate"], cli.cmd_estimate),
+    (["verify-bounds"], cli.cmd_verify_bounds),
+    (["gen", "em"], cli.cmd_gen),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_each_subcommand_parses_to_its_own_handler(argv, handler):
+    assert cli.build_parser().parse_args(argv).run is handler
 
 
 def test_cli_imports_no_process_pool_until_workers_ask_for_one():

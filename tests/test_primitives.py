@@ -142,9 +142,8 @@ def test_beetle_init_layout():
     out = inst(0b0110)
     assert 0 <= out < 1 << 7
     assert out == inst.perm(((0b1010 ^ 0b0110) << 3) | 0b011)
-    for nonce in (1 << 4, -1, np.array([0, 1 << 4]), np.array([-1, 0])):
-        with pytest.raises(ValueError):
-            inst(nonce)
+    with pytest.raises(ValueError, match="nonce wider than the rate"):
+        inst(1 << 4)
 
 
 def test_related_key_query():
@@ -192,6 +191,21 @@ def _oracle_cases(lazy: bool):
         (RelatedKeyOracle(family, key(m), key(n)), reference.related_key_query,
          (np.arange(1 << m),)),
     ]
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["full", "lazy"])
+def test_instance_call_refuses_queries_outside_its_domain(lazy):
+    """Each construction refuses -1 and 2^width in each of its arguments,
+    as an int and inside an array, with ValueError: a table gather would
+    wrap -1 round to the last entry and raise IndexError past the end."""
+    for inst, _, domain in _oracle_cases(lazy):
+        for arg, values in enumerate(domain):
+            top = 1 << int(values.max()).bit_length()
+            for bad in (-1, top, np.array([-1, 0]), np.array([0, top])):
+                query = [0] * len(domain)
+                query[arg] = bad
+                with pytest.raises(ValueError, match=" wider than the "):
+                    inst(*query)
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["full", "lazy"])
@@ -274,7 +288,7 @@ def test_instance_json_roundtrip(kind):
     else:
         from offline_simon.primitives import random_cipher_family
         inst = RelatedKeyOracle(random_cipher_family(5, 5, build_rng), 19, 7)
-    text = instance_to_json(kind, seed, inst)
+    text = instance_to_json(seed, inst)
     doc = json.loads(text)
     assert doc["kind"] == kind and doc["seed"] == seed
     back = instance_from_json(text)
@@ -292,6 +306,11 @@ def test_instance_json_roundtrip(kind):
         assert (back.rate, back.capacity, back.k1, back.k2) == (4, 3, 5, 2)
     else:
         assert (back.k, back.msg) == (inst.k, inst.msg)
+
+
+def test_instance_to_json_refuses_an_instance_of_no_kind():
+    with pytest.raises(ValueError, match="no descriptor kind for Permutation"):
+        instance_to_json(0, random_permutation(3, np.random.default_rng(0)))
 
 
 # Descriptor kind -> (sizes, key field -> its width in those sizes). The

@@ -80,9 +80,7 @@ def test_error_budget_formulas():
     delta = 2.0 ** 3.5 * ((1 + 0.25) / 2) ** 9
     assert budget.delta_bound == pytest.approx(delta, rel=1e-12)
     assert budget.r == analysis.grover_iterations(4)
-    assert budget.accumulated(5) == pytest.approx(4 * 5 * delta)
-    lo, hi = budget.interval()
-    assert 0.0 <= lo <= hi <= 1.0
+    assert budget.success_lower == analysis.qaa_success_lower(2.0**-4, budget.r, budget.delta_bound)
     assert budget.success_lower >= 0.0
 
 
@@ -214,6 +212,7 @@ def test_structured_predict_bounds_branches():
     pred = search.structured_predict(inst, copies=18, trials=512,
                                      rng=np.random.default_rng(4))
     assert not pred.condition_violated
+    assert pred.budget == search.error_budget(inst.n, inst.m, 18, inst.screened.eps)
     periodic = [b for b in pred.branches if b.periodic]
     assert len(periodic) == 1 and periodic[0].index == inst.planted_index
     for b in pred.branches:
@@ -221,8 +220,6 @@ def test_structured_predict_bounds_branches():
             continue
         assert b.p_bad_mc <= b.p_bad_union + 3 * math.sqrt(
             max(b.p_bad_union * (1 - b.p_bad_union), 1e-9) / 512) + 0.05
-    lo, hi = pred.interval()
-    assert 0.0 <= lo <= hi <= 1.0
 
 
 @pytest.mark.parametrize("copies, trials", [(0, 64), (-2, 64), (3, 0), (3, -1)])

@@ -651,6 +651,24 @@ def test_p_bad_mc_draws_what_choice_draws_at_full_blocks(monkeypatch):
             _check_p_bad_mc(monkeypatch, law, count, trials, int(rng.integers(1 << 32)))
 
 
+@pytest.mark.parametrize("n", [16, 17])
+def test_rank_sample_kernels_draw_what_choice_draws_past_16_bits(monkeypatch, n):
+    """The guide's word table holds the sentinel 2^n, so it is uint32 from
+    n = 16, and batch_rank takes uint32 words from n = 17: there too,
+    `sample` and _p_bad_mc draw rng.choice's words bit for bit. A table of
+    8 values keeps each law to 8 class transforms."""
+    rng = np.random.default_rng(500 + n)
+    table = rng.integers(0, 8, size=1 << n)
+    for count in (1, 3 * n + 2):
+        seed = int(rng.integers(1 << 32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(simon.sample(table, count, a, n), per_class_sample(table, count, b, n))
+        assert a.random() == b.random()
+    law = simon.distribution(table, n)
+    for count, trials in ((1, 40), (n, 24), (3 * n + 2, 30)):
+        _check_p_bad_mc(monkeypatch, law, count, trials, int(rng.integers(1 << 32)))
+
+
 @pytest.mark.parametrize("weights", [[0.5, 0.6, -0.1, 0.0], [0.25, 0.25, 0.25, 0.26],
                                      [np.nan, 0.5, 0.5, 0.0]],
                          ids=["negative", "sum-1.01", "nan"])
