@@ -236,7 +236,7 @@ def cmd_verify_bounds(cfg: argparse.Namespace) -> int:
     # inside the accumulated-error interval.
     for m in (2, 4):
         a = 2.0**-m
-        run = qaa.build_and_run_grover(m, 0, rng)
+        run = qaa.build_and_run_grover(m, 0)
         ideal = analysis.amplified_success(a, run.spec.r)
         checks.append({
             "name": f"qaa-exact[a=1/{1 << m}]",

@@ -37,14 +37,14 @@ class Permutation:
             raise ValueError("table is not a bijection")
 
     def __call__(self, x: int) -> int:
-        return int(self.table[x])
+        return int(self.table[_in_domain(x, self.n)])
 
     def inverse(self, y: int) -> int:
         if self._inverse is None:
             inv = np.empty_like(self.table)
             inv[self.table] = np.arange(1 << self.n)
             self._inverse = inv
-        return int(self._inverse[y])
+        return int(self._inverse[_in_domain(y, self.n)])
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
@@ -93,7 +93,7 @@ class BlockCipherFamily:
         return rng.permutation(1 << self.n).astype(np.int64)
 
     def encrypt(self, key: int, x: int) -> int:
-        return int(self.key_table(key)[x])
+        return int(self.key_table(key)[_in_domain(x, self.n)])
 
     def tables(self) -> np.ndarray:
         """The codebook of every key as one (2^m, 2^n) array, row k being

@@ -1,16 +1,16 @@
 """Amplitude amplification: ideal rotation analytics, noisy-check error
-propagation, and exact circuit runs.
+propagation, and exact runs on the index amplitudes.
 
-The amplified iteration is Q = -A S_0 A^(-1) S_chi with A = H on the index
-register. Checking oracles come in two forms: a bit-flip form that XORs the
-predicate into an ancilla, and the phase-flip form obtained by sandwiching
-the ancilla in |->; the derivation doubles the per-call error, and both
-forms are kept so that factor of two stays visible. The noiseless check
-S_chi is ``qsim.apply_phase_oracle`` on the marked set's 0/1 table, and
-every run is on real amplitudes.
-
-Fixed register names: "idx" (search space), "b" (check output), "noise"
-(deliberate-error qubit).
+The amplified iteration is Q = -A S_0 A^(-1) S_chi with A = H on the m-bit
+index register: S_chi flips the sign of the marked amplitudes, and
+-A S_0 A^(-1) is the inversion about the mean, amp -> 2 mean - amp. The
+deliberately noisy check also rotates a noise qubit by Ry(2 beta) on the
+marked rows, so a run holds 2 x 2^m real amplitudes, (noise qubit, index),
+and no simulator state. The check's circuit comes in a bit-flip form that
+XORs the predicate into an output bit and a phase-flip form that sandwiches
+that bit in |->, which doubles the per-call error; both forms, which keep
+that factor of two visible, are in ``tests/reference.py``. The runs here
+are the phase-flip form with its output bit folded into the sign.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, qsim
+from . import analysis
 
 _FLOOR_GUARD = 1e-9
 
@@ -46,7 +46,7 @@ def spec_for(a: float) -> QaaSpec:
 
 
 # ---------------------------------------------------------------------------
-# Exact circuit runs
+# Exact runs
 # ---------------------------------------------------------------------------
 
 
@@ -66,48 +66,43 @@ def _indicator(m: int, marked) -> np.ndarray:
     return table
 
 
-def diffusion(state: qsim.QState, register: str = "idx") -> qsim.QState:
-    """-A S_0 A^(-1) on the register, A = full Hadamard."""
-    qsim.apply_h(state, register)
-    qsim.apply_reflection_about_zero(state, register)
-    qsim.apply_h(state, register)
-    return state.scale(-1.0)
+def _amplified_success(table: np.ndarray, beta: float, j: int) -> float:
+    """Probability of a marked index after j iterations from the uniform
+    index state, the check rotating the noise qubit by Ry(2 beta) on the
+    marked rows (beta = 0: the noiseless check).
 
-
-def grover_state(m: int, marked, j: int) -> qsim.QState:
-    """Exact state after j iterations on the index register alone."""
-    table = _indicator(m, marked)
-    state = qsim.init_plus(qsim.RegisterLayout(("idx", m)))
+    Each iteration applies -Ry(2 beta) to the marked rows, the sandwich's
+    sign times the rotation, then inverts each noise value's amplitudes
+    about their mean.
+    """
+    rows = np.flatnonzero(table)
+    c, s = math.cos(beta), math.sin(beta)
+    amp = np.zeros((2, len(table)))
+    amp[0] = 1.0 / math.sqrt(len(table))
     for _ in range(j):
-        qsim.apply_phase_oracle(state, table, "idx")
-        diffusion(state)
-    return state
+        a0, a1 = amp[0, rows], amp[1, rows]
+        rotated = c * a0 - s * a1
+        amp[1, rows] = -(s * a0 + c * a1)
+        amp[0, rows] = -rotated
+        np.subtract(2.0 * amp.mean(axis=1, keepdims=True), amp, out=amp)
+    return float(np.einsum("ki,ki->i", amp, amp)[rows].sum())
 
 
 @dataclass(frozen=True)
 class GroverRun:
-    outcome: int
     success: float
     spec: QaaSpec
 
 
-def build_and_run_grover(m: int, check, rng: np.random.Generator) -> GroverRun:
-    """Amplify, measure the index register once, report the exact success.
+def build_and_run_grover(m: int, check) -> GroverRun:
+    """Amplify for the schedule's r iterations; report the exact success.
 
     check is a marked value or a nonempty collection of values, each in
-    [0, 2^m); ValueError otherwise, before any state is built.
+    [0, 2^m); ValueError otherwise.
     """
     table = _indicator(m, check)
     spec = spec_for(int(table.sum()) / float(1 << m))
-    state = grover_state(m, check, spec.r)
-    success = float(qsim.marginal(state, "idx")[table == 1].sum())
-    outcome, _ = qsim.measure(state, "idx", rng)
-    return GroverRun(outcome, success, spec)
-
-
-# ---------------------------------------------------------------------------
-# Noisy checking oracles
-# ---------------------------------------------------------------------------
+    return GroverRun(_amplified_success(table, 0.0, spec.r), spec)
 
 
 def bit_flip_error(beta: float) -> float:
@@ -116,41 +111,9 @@ def bit_flip_error(beta: float) -> float:
     return 2.0 * abs(math.sin(beta / 2.0))
 
 
-def noisy_check_bit(state: qsim.QState, marked, beta: float) -> qsim.QState:
-    """Bit-flip check with injected error: XOR the predicate into "b", then
-    rotate the "noise" qubit by Ry(2 beta) on marked components.
-
-    The per-call deviation is bounded by bit_flip_error(beta); the derived
-    phase-flip form carries the doubled budget 2 * bit_flip_error(beta).
-    (The sandwich error is (delta_0 - delta_1)/sqrt(2) over orthogonal
-    ancilla branches, so the doubled budget is a bound the tests verify,
-    not a value they can saturate.)"""
-    table = _indicator(state.layout.width("idx"), marked)
-    qsim.apply_oracle_xor(state, table, "idx", "b")
-    if beta != 0.0:
-        qsim.apply_controlled_ry(state, "noise", 2.0 * beta, "idx", table)
-    return state
-
-
-def phase_flip_check(state: qsim.QState, marked, beta: float) -> qsim.QState:
-    """Phase-flip form of the same check: |-> sandwich on "b"."""
-    qsim.apply_x(state, "b")
-    qsim.apply_h(state, "b")
-    noisy_check_bit(state, marked, beta)
-    qsim.apply_h(state, "b")
-    qsim.apply_x(state, "b")
-    return state
-
-
 def run_grover_noisy(m: int, marked, beta: float, j: int) -> float:
-    """Success probability after j iterations with the noisy check inside
-    the phase-flip sandwich; compare against analysis.amplified_success
-    +- 4 j eps."""
-    table = _indicator(m, marked)
-    layout = qsim.RegisterLayout(("idx", m), ("b", 1), ("noise", 1))
-    state = qsim.init_zero(layout)
-    qsim.apply_h(state, "idx")
-    for _ in range(j):
-        phase_flip_check(state, marked, beta)
-        diffusion(state)
-    return float(qsim.marginal(state, "idx")[table == 1].sum())
+    """Success probability after j iterations with the noisy check in its
+    phase-flip form; compare against analysis.amplified_success +- 4 j eps.
+    The per-call deviation of the bit-flip form is bounded by
+    bit_flip_error(beta), the phase-flip form's by twice that."""
+    return _amplified_success(_indicator(m, marked), beta, j)

@@ -1,17 +1,15 @@
 """Exact state-vector simulation over named bit registers.
 
-Ground truth for every quantum claim in this package at tiny sizes: flat
-float64 amplitudes, Hadamard layers via the Walsh-Hadamard transform, and
-classical reversible maps applied as basis permutations. Every gate here is
-real (H, +-1 phases, permutations, the reflection, Ry), so amplitudes are
-real only: a kernel given a complex state, or ``QState.scale`` given a
-non-real factor, raises ValueError before the state is touched. The qubit
-budget is capped (default 26, override with OFFLINE_SIMON_QUBIT_CAP) so a
-runaway layout fails fast instead of allocating gigabytes.
+Flat float64 amplitudes, Hadamard layers via the Walsh-Hadamard transform,
+and classical reversible maps applied as basis permutations. Every gate
+here is real (H, permutations, the reflection), so amplitudes are real
+only: a kernel given a complex state, or ``QState.scale`` given a non-real
+factor, raises ValueError before the state is touched. The qubit budget is
+capped (default 26, override with OFFLINE_SIMON_QUBIT_CAP) so a runaway
+layout fails fast instead of allocating gigabytes.
 
-A state starts as ``init_zero`` (|0...0>) or ``init_plus`` (|+...+>, every
-register already through H). The kernels work in place on the state's one
-amplitude array, through reshaped views of it:
+A state starts as ``init_zero`` (|0...0>). The kernels work in place on
+the state's one amplitude array, through reshaped views of it:
 
 * ``apply_h`` runs ``gf2.fwht_inplace``: one matrix product with a +-1
   Sylvester matrix per factor of at most five qubits, on the register's
@@ -22,16 +20,15 @@ amplitude array, through reshaped views of it:
   amplitudes is copied aside and gathered back through an index built from
   the small truth table, so a call allocates well under 1 MiB whatever the
   state size and never a full-length index.
-* ``apply_phase_oracle`` is the one diagonal kernel: the bit-flip oracle
-  with its output bit held in |->, where the bit only ever acts as a phase,
-  so one broadcast multiply of the register view by the truth table's
-  signs, (-1)^f(x). With the output register in its Hadamard basis, a
-  whole XOR query takes this form too, (-1)^(v . f(x)) for its label v.
-* ``apply_controlled_ry`` and ``measure`` write through register views.
+* ``apply_reflection_about_zero`` writes through the register view.
 
-The exact search backend holds no ``QState``: it runs on ``search``'s label
-blocks. The simulator serves ``verify-bounds`` (``qaa``'s Grover runs) and
-the reference circuits the tests check that backend against.
+No code in the package runs a ``QState``: the exact search backend runs on
+``search``'s label blocks, and ``verify-bounds``' Grover checks on ``qaa``'s
+index amplitudes. What is left here is what the benchmark's tracer patches,
+with its helpers, and ``qubit_cap``; it leaves the package once the tracer
+stops naming it. The tests' reference circuits run on it, with the
+|+...+> start, the phase oracle, the controlled rotation and the
+measurement that only they use (``tests/reference.py``).
 
 ``marginal`` sums the squares straight off the register view, so it
 allocates nothing of the state's size; ``distance`` sums the squared
@@ -59,7 +56,15 @@ _TILE = 1 << 14
 
 
 def qubit_cap() -> int:
-    return int(os.environ.get(CAP_ENV_VAR, DEFAULT_QUBIT_CAP))
+    """The qubit budget: OFFLINE_SIMON_QUBIT_CAP if set, else 26;
+    ValueError naming the variable if it is not an integer."""
+    value = os.environ.get(CAP_ENV_VAR)
+    if value is None:
+        return DEFAULT_QUBIT_CAP
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 class RegisterLayout:
@@ -125,13 +130,6 @@ def init_zero(layout: RegisterLayout) -> QState:
     psi = np.zeros(_size(layout))
     psi[0] = 1.0
     return QState(layout, psi)
-
-
-def init_plus(layout: RegisterLayout) -> QState:
-    """All-qubit |+...+> state, H on every register of ``init_zero``;
-    rejects layouts over the qubit cap."""
-    size = _size(layout)
-    return QState(layout, np.full(size, 1.0 / math.sqrt(size)))
 
 
 def _register_view(state: QState, *names: str) -> np.ndarray:
@@ -253,32 +251,6 @@ def apply_oracle_xor(state: QState, f, in_reg, out_reg: str) -> QState:
     return _xor_table(state, f, in_regs, out_reg)
 
 
-def apply_phase_oracle(state: QState, f, in_reg) -> QState:
-    """Phase map |x> -> (-1)^f(x) |x>, in place: ``apply_oracle_xor`` into
-    an output bit held in |->, which the map leaves in |-> (phase kickback),
-    so the bit need not be simulated.
-
-    in_reg and f as for ``apply_oracle_xor``, with f's values in {0, 1}; a
-    short table or another value raises ValueError before the state is
-    touched. The signs are reshaped onto the register axes of the state's
-    view and multiplied in, so nothing of the state's size is allocated.
-    """
-    in_regs = _input_regs(in_reg)
-    if len(set(in_regs)) != len(in_regs):
-        raise ValueError("input registers must be distinct")
-    layout = state.layout
-    table = _checked_table(layout, f, in_regs, 1)
-    signs = (1.0 - 2.0 * table).reshape([1 << layout.width(name) for name in in_regs])
-    # the view's register axes follow the layout, the packing follows in_regs
-    order = sorted(range(len(in_regs)), key=lambda k: -layout.shift(in_regs[k]))
-    signs = signs.transpose(order)
-    view = _register_view(state, *in_regs)
-    shape = [1] * view.ndim
-    shape[1::2] = signs.shape
-    view *= signs.reshape(shape)
-    return state
-
-
 def apply_indexed_oracle(state: QState, family, idx_reg: str, in_reg: str, out_reg: str) -> QState:
     """Basis map |i>|x>|y> -> |i>|x>|y ^ F(i, x)>.
 
@@ -295,54 +267,12 @@ def apply_reflection_about_zero(state: QState, register: str) -> QState:
     return state
 
 
-def apply_controlled_ry(state: QState, target: str, angle: float, control: str,
-                        table) -> QState:
-    """Ry(angle) on a 1-qubit register where the control register's value
-    has table[value] = 1: the deliberate-noise knob for checking-error
-    tests. table is a 0/1 table over the control's values; a short table or
-    another value raises ValueError before the state is touched."""
-    layout = state.layout
-    if layout.width(target) != 1:
-        raise ValueError("rotation target must be a 1-qubit register")
-    if control == target:
-        raise ValueError("rotation control cannot be its target")
-    rows = np.flatnonzero(_checked_table(layout, table, (control,), 1))
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    view = _register_view(state, target, control)
-    # the view's register axes are 1 and 3, the higher register first
-    t_axis = 1 if layout.shift(target) > layout.shift(control) else 3
-    zero = [slice(None)] * view.ndim
-    zero[4 - t_axis] = rows
-    one = list(zero)
-    zero[t_axis], one[t_axis] = 0, 1
-    zero, one = tuple(zero), tuple(one)
-    a0, a1 = view[zero], view[one]
-    rotated = c * a0 - s * a1
-    view[one] = s * a0 + c * a1
-    view[zero] = rotated
-    return state
-
-
 def marginal(state: QState, register: str) -> np.ndarray:
     """Born-rule distribution of the register's value: the squares summed
     straight off the register view, so nothing of the state's size is
     allocated."""
     view = _register_view(state, register)
     return np.einsum("aib,aib->i", view, view)
-
-
-def measure(state: QState, register: str, rng: np.random.Generator) -> tuple[int, QState]:
-    """Sample the register, collapse, renormalize."""
-    probs = marginal(state, register)
-    total = probs.sum()
-    if total < 1e-12:
-        raise ValueError("measuring a zero-norm branch")
-    outcome = int(rng.choice(len(probs), p=probs / total))
-    view = _register_view(state, register)
-    view[:, :outcome, :] = 0
-    view[:, outcome + 1:, :] = 0
-    view[:, outcome, :] /= math.sqrt(probs[outcome])
-    return outcome, state
 
 
 def distance(s1: QState, s2: QState) -> float:

@@ -11,12 +11,21 @@ basis, held as registers or run label tuple by label tuple, the
 stage-by-stage Walsh-Hadamard transform that the in-place kernels
 replaced (and the bound a float transform keeps to the exact one), the
 per-key family draw, the per-class sampler and the call-by-call carve
-families that the numpy gathers replaced.
+families that the numpy gathers replaced, and the Grover circuit, with its
+noisy check's output bit and noise qubit simulated as qubits, that
+``qaa``'s runs on the index amplitudes replaced. The simulator kernels
+that only these circuits use (``init_plus``, ``apply_phase_oracle``,
+``apply_controlled_ry``, ``measure``) live here too.
 """
+
+import math
 
 import numpy as np
 
-from offline_simon import analysis, qaa, qsim, search
+from offline_simon import analysis, qsim, search
+from offline_simon.qaa import _indicator
+from offline_simon.qsim import (QState, RegisterLayout, _checked_table, _input_regs,
+                                _register_view, _size, marginal)
 from offline_simon.gf2 import fwht
 from offline_simon.primitives import (BeetleToyInstance, ChaskeyToyInstance,
                                       EvenMansourInstance, FxInstance, IterFxInstance,
@@ -95,6 +104,148 @@ def exhaustive_ifx_search(inst: IterFxInstance) -> list[tuple[int, int]]:
     return hits
 
 
+# The simulator kernels only the reference circuits use: the |+...+> start,
+# the phase oracle, the controlled rotation and the measurement.
+
+
+def init_plus(layout: RegisterLayout) -> QState:
+    """All-qubit |+...+> state, H on every register of ``init_zero``;
+    rejects layouts over the qubit cap."""
+    size = _size(layout)
+    return QState(layout, np.full(size, 1.0 / math.sqrt(size)))
+
+
+def apply_phase_oracle(state: QState, f, in_reg) -> QState:
+    """Phase map |x> -> (-1)^f(x) |x>, in place: ``apply_oracle_xor`` into
+    an output bit held in |->, which the map leaves in |-> (phase kickback),
+    so the bit need not be simulated.
+
+    in_reg and f as for ``apply_oracle_xor``, with f's values in {0, 1}; a
+    short table or another value raises ValueError before the state is
+    touched. The signs are reshaped onto the register axes of the state's
+    view and multiplied in, so nothing of the state's size is allocated.
+    """
+    in_regs = _input_regs(in_reg)
+    if len(set(in_regs)) != len(in_regs):
+        raise ValueError("input registers must be distinct")
+    layout = state.layout
+    table = _checked_table(layout, f, in_regs, 1)
+    signs = (1.0 - 2.0 * table).reshape([1 << layout.width(name) for name in in_regs])
+    # the view's register axes follow the layout, the packing follows in_regs
+    order = sorted(range(len(in_regs)), key=lambda k: -layout.shift(in_regs[k]))
+    signs = signs.transpose(order)
+    view = _register_view(state, *in_regs)
+    shape = [1] * view.ndim
+    shape[1::2] = signs.shape
+    view *= signs.reshape(shape)
+    return state
+
+
+def apply_controlled_ry(state: QState, target: str, angle: float, control: str,
+                        table) -> QState:
+    """Ry(angle) on a 1-qubit register where the control register's value
+    has table[value] = 1: the deliberate-noise knob for checking-error
+    tests. table is a 0/1 table over the control's values; a short table or
+    another value raises ValueError before the state is touched."""
+    layout = state.layout
+    if layout.width(target) != 1:
+        raise ValueError("rotation target must be a 1-qubit register")
+    if control == target:
+        raise ValueError("rotation control cannot be its target")
+    rows = np.flatnonzero(_checked_table(layout, table, (control,), 1))
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    view = _register_view(state, target, control)
+    # the view's register axes are 1 and 3, the higher register first
+    t_axis = 1 if layout.shift(target) > layout.shift(control) else 3
+    zero = [slice(None)] * view.ndim
+    zero[4 - t_axis] = rows
+    one = list(zero)
+    zero[t_axis], one[t_axis] = 0, 1
+    zero, one = tuple(zero), tuple(one)
+    a0, a1 = view[zero], view[one]
+    rotated = c * a0 - s * a1
+    view[one] = s * a0 + c * a1
+    view[zero] = rotated
+    return state
+
+
+def measure(state: QState, register: str, rng: np.random.Generator) -> tuple[int, QState]:
+    """Sample the register, collapse, renormalize."""
+    probs = marginal(state, register)
+    total = probs.sum()
+    if total < 1e-12:
+        raise ValueError("measuring a zero-norm branch")
+    outcome = int(rng.choice(len(probs), p=probs / total))
+    view = _register_view(state, register)
+    view[:, :outcome, :] = 0
+    view[:, outcome + 1:, :] = 0
+    view[:, outcome, :] /= math.sqrt(probs[outcome])
+    return outcome, state
+
+
+# The Grover circuit that qaa's runs on the index amplitudes replaced,
+# with its check in both forms: the bit-flip form XORs the predicate into
+# "b", the phase-flip form sandwiches "b" in |->.
+
+
+def diffusion(state: qsim.QState, register: str = "idx") -> qsim.QState:
+    """-A S_0 A^(-1) on the register, A = full Hadamard."""
+    qsim.apply_h(state, register)
+    qsim.apply_reflection_about_zero(state, register)
+    qsim.apply_h(state, register)
+    return state.scale(-1.0)
+
+
+def grover_state(m: int, marked, j: int) -> qsim.QState:
+    """Exact state after j iterations on the index register alone."""
+    table = _indicator(m, marked)
+    state = init_plus(qsim.RegisterLayout(("idx", m)))
+    for _ in range(j):
+        apply_phase_oracle(state, table, "idx")
+        diffusion(state)
+    return state
+
+
+def noisy_check_bit(state: qsim.QState, marked, beta: float) -> qsim.QState:
+    """Bit-flip check with injected error: XOR the predicate into "b", then
+    rotate the "noise" qubit by Ry(2 beta) on marked components.
+
+    The per-call deviation is bounded by bit_flip_error(beta); the derived
+    phase-flip form carries the doubled budget 2 * bit_flip_error(beta).
+    (The sandwich error is (delta_0 - delta_1)/sqrt(2) over orthogonal
+    ancilla branches, so the doubled budget is a bound the tests verify,
+    not a value they can saturate.)"""
+    table = _indicator(state.layout.width("idx"), marked)
+    qsim.apply_oracle_xor(state, table, "idx", "b")
+    if beta != 0.0:
+        apply_controlled_ry(state, "noise", 2.0 * beta, "idx", table)
+    return state
+
+
+def phase_flip_check(state: qsim.QState, marked, beta: float) -> qsim.QState:
+    """Phase-flip form of the same check: |-> sandwich on "b"."""
+    qsim.apply_x(state, "b")
+    qsim.apply_h(state, "b")
+    noisy_check_bit(state, marked, beta)
+    qsim.apply_h(state, "b")
+    qsim.apply_x(state, "b")
+    return state
+
+
+def run_grover_noisy(m: int, marked, beta: float, j: int) -> float:
+    """Success probability after j iterations with the noisy check inside
+    the phase-flip sandwich; compare against analysis.amplified_success
+    +- 4 j eps."""
+    table = _indicator(m, marked)
+    layout = qsim.RegisterLayout(("idx", m), ("b", 1), ("noise", 1))
+    state = qsim.init_zero(layout)
+    qsim.apply_h(state, "idx")
+    for _ in range(j):
+        phase_flip_check(state, marked, beta)
+        diffusion(state)
+    return float(qsim.marginal(state, "idx")[table == 1].sum())
+
+
 def exact_layout(n: int, l: int, copies: int, m: int = 0) -> qsim.RegisterLayout:
     """The registers of the whole exact circuit but its check's output bit,
     highest bits first: the index, the x registers, the y registers."""
@@ -110,7 +261,7 @@ def prepare_database(state: qsim.QState, table, copies: int) -> None:
     copy over its (x, y) registers."""
     phases = search._parity_table(table, state.layout.width("y0"))
     for k in range(copies):
-        qsim.apply_phase_oracle(state, phases, (f"x{k}", f"y{k}"))
+        apply_phase_oracle(state, phases, (f"x{k}", f"y{k}"))
 
 
 def apply_rank_phase(state: qsim.QState, n: int, copies: int) -> None:
@@ -119,7 +270,7 @@ def apply_rank_phase(state: qsim.QState, n: int, copies: int) -> None:
     xs = [f"x{k}" for k in range(copies)]
     for name in xs:
         qsim.apply_h(state, name)
-    qsim.apply_phase_oracle(state, search._rank_predicate(n, copies), xs)
+    apply_phase_oracle(state, search._rank_predicate(n, copies), xs)
     for name in xs:
         qsim.apply_h(state, name)
 
@@ -146,16 +297,16 @@ def label_tuple_marginal(instance, labels, r: int) -> np.ndarray:
     layout = qsim.RegisterLayout(("idx", m), *[(f"x{k}", n) for k in range(copies)])
     g_parity = [np.bitwise_count(instance.g & v) & 1 for v in labels]
     f_parity = [np.bitwise_count(instance.family.reshape(-1) & v) & 1 for v in labels]
-    state = qsim.init_plus(layout)
+    state = init_plus(layout)
     for k in range(copies):
-        qsim.apply_phase_oracle(state, g_parity[k], f"x{k}")
+        apply_phase_oracle(state, g_parity[k], f"x{k}")
     for _ in range(r):
         for k in range(copies):
-            qsim.apply_phase_oracle(state, f_parity[k], ("idx", f"x{k}"))
+            apply_phase_oracle(state, f_parity[k], ("idx", f"x{k}"))
         apply_rank_phase(state, n, copies)
         for k in range(copies):
-            qsim.apply_phase_oracle(state, f_parity[k], ("idx", f"x{k}"))
-        qaa.diffusion(state)
+            apply_phase_oracle(state, f_parity[k], ("idx", f"x{k}"))
+        diffusion(state)
     return qsim.marginal(state, "idx")
 
 
@@ -200,7 +351,7 @@ def ancilla_index_distribution(instance, copies: int, r: int) -> np.ndarray:
         apply_rank_xor(state, n, copies)
         for k in range(copies):
             qsim.apply_indexed_oracle(state, instance.family, "idx", f"x{k}", f"y{k}")
-        qaa.diffusion(state)
+        diffusion(state)
     return qsim.marginal(state, "idx")
 
 

@@ -140,10 +140,9 @@ def test_period_recovery_rate_floor():
 
 
 def test_amplification_exact_and_noisy():
-    rng = np.random.default_rng(500)
     worst_exact = 0.0
     for m, a in ((2, 0.25), (4, 0.0625)):
-        run = qaa.build_and_run_grover(m, 0, rng)
+        run = qaa.build_and_run_grover(m, 0)
         worst_exact = max(worst_exact, abs(run.success - analysis.amplified_success(a, run.spec.r)))
     beta = 0.05
     eps = qaa.bit_flip_error(beta)

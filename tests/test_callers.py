@@ -1,12 +1,16 @@
 """Every public name in the package has a caller outside the tests.
 
 A function, class or method that only tests reach is either dead or a test
-oracle; oracles live in tests/reference.py. A name passes when src/ or
-perfbench/ refers to it in code: as a name, an attribute, an imported name,
-or a string constant that is exactly the name (as the tracer's patch lists
-name what they wrap). Words in comments and docstrings do not count, and
-neither does the definition itself, nor an attribute read off a module
-from outside the package (``np.linalg.norm`` is no caller of a ``norm``).
+oracle; oracles live in tests/reference.py. A name passes when code that is
+itself live refers to it: as a name, an attribute, an imported name, or a
+string constant that is exactly the name (as the tracer's patch lists name
+what they wrap). Live code is module-level code, the bodies of private
+definitions, all of perfbench/, the bodies of the ALLOWED names, and the
+bodies of public names that pass, found by iterating to a fixed point, so
+a chain of dead definitions fails whole rather than one link at a time.
+Words in comments and docstrings do not count, and neither does the
+definition itself, nor an attribute read off a module from outside the
+package (``np.linalg.norm`` is no caller of a ``norm``).
 """
 
 import ast
@@ -25,18 +29,34 @@ ALLOWED = {
 }
 
 
-def public_definitions():
-    """(module path, dotted name, line) of every public top-level function
-    and class, and of every public method of those classes."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            yield path, node.name, node.lineno
-            if isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                        yield path, f"{node.name}.{sub.name}", sub.lineno
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def definition_code(tree: ast.Module):
+    """(dotted name, line, nodes) of every public top-level function and
+    class, and of every public method of those classes, with the nodes of
+    its code; then (None, 0, nodes) for the rest: module-level code and
+    private definitions. A class's code is its header and its body but its
+    public methods."""
+    rest = []
+    for node in tree.body:
+        if not _is_def(node) or node.name.startswith("_"):
+            rest.append(node)
+            continue
+        if not isinstance(node, ast.ClassDef):
+            yield node.name, node.lineno, [node]
+            continue
+        own = [*node.decorator_list, *node.bases, *node.keywords]
+        for sub in node.body:
+            if not _is_def(sub):
+                own.append(sub)
+            elif sub.name.startswith("_"):
+                rest.append(sub)
+            else:
+                yield f"{node.name}.{sub.name}", sub.lineno, [sub]
+        yield node.name, node.lineno, own
+    yield None, 0, rest
 
 
 def _docstrings(tree: ast.AST) -> set[int]:
@@ -76,10 +96,14 @@ def code_references(tree: ast.AST) -> set[str]:
     read off a module from outside the package, imported names and their
     aliases, and identifier-shaped string constants that are not
     docstrings."""
-    docstrings = _docstrings(tree)
-    foreign = _foreign_imports(tree)
+    return _references([tree], _docstrings(tree), _foreign_imports(tree))
+
+
+def _references(nodes, docstrings: set[int], foreign: set[str]) -> set[str]:
+    """``code_references`` of the given nodes of a module whose docstrings
+    and foreign imports are given."""
     refs = set()
-    for node in ast.walk(tree):
+    for node in (sub for top in nodes for sub in ast.walk(top)):
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -95,25 +119,51 @@ def code_references(tree: ast.AST) -> set[str]:
     return refs
 
 
-def uncalled_names() -> dict[str, str]:
-    """Dotted name -> "module:line" of each public definition that no code
-    in src/ or perfbench/ refers to."""
-    refs = set()
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        refs |= code_references(ast.parse(path.read_text()))
-    return {name: f"{path.name}:{lineno}" for path, name, lineno in public_definitions()
-            if name.rsplit(".", 1)[-1] not in refs}
+def uncalled_names(package: dict[str, str], outside: list[str],
+                   allowed=ALLOWED) -> dict[str, str]:
+    """Dotted name -> "module:line" of each public definition in the
+    package's sources (file name -> text) that no live code refers to;
+    `outside` (perfbench's sources) is live throughout."""
+    live = set().union(*(code_references(ast.parse(text)) for text in outside))
+    public = {}
+    for file, text in package.items():
+        tree = ast.parse(text)
+        docstrings, foreign = _docstrings(tree), _foreign_imports(tree)
+        for name, lineno, nodes in definition_code(tree):
+            refs = _references(nodes, docstrings, foreign)
+            if name is None:
+                live |= refs
+            else:
+                public[name] = (f"{file}:{lineno}", refs)
+    for name in set(allowed) & set(public):
+        live |= public[name][1]
+    reached, grown = set(), True
+    while grown:
+        grown = False
+        for name, (_, refs) in public.items():
+            if name not in reached and name.rsplit(".", 1)[-1] in live:
+                reached.add(name)
+                live |= refs
+                grown = True
+    return {name: where for name, (where, _) in public.items() if name not in reached}
+
+
+def repo_uncalled_names() -> dict[str, str]:
+    """``uncalled_names`` over src/ and perfbench/."""
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    outside = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    return uncalled_names(package, outside)
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    uncalled = uncalled_names()
+    uncalled = repo_uncalled_names()
     extra = sorted(f"{where} {name}" for name, where in uncalled.items() if name not in ALLOWED)
     assert not extra, "only the tests reach: " + ", ".join(extra)
 
 
 def test_every_allowed_name_is_defined_and_still_uncalled():
     # a name that gains a caller leaves the allowlist
-    assert set(ALLOWED) <= set(uncalled_names())
+    assert set(ALLOWED) <= set(repo_uncalled_names())
 
 
 def test_comments_and_docstrings_are_not_callers():
@@ -139,3 +189,30 @@ def test_attributes_of_foreign_modules_are_not_callers():
     assert not {"linalg", "real"} & refs
     refs = code_references(ast.parse("import numpy as np\nnp.linalg.norm(v)\n"))
     assert "norm" not in refs and "linalg" not in refs
+
+
+def test_a_dead_chain_is_reported_whole():
+    # head calls link, link calls tail; only dead code calls head
+    dead = ('def head():\n    return link()\n\n'
+            'def link():\n    return tail()\n\n'
+            'def tail():\n    return 1\n')
+    assert set(uncalled_names({"dead.py": dead}, [], {})) == {"head", "link", "tail"}
+    live = dead + 'VALUE = head()\n'
+    assert uncalled_names({"dead.py": live}, [], {}) == {}
+    assert uncalled_names({"dead.py": dead}, ["head"], {}) == {}
+    assert set(uncalled_names({"dead.py": dead}, [], {"head": "kept"})) == {"head"}
+
+
+def test_private_definitions_and_class_code_are_live_as_stated():
+    source = ('class Kept:\n'
+              '    size: Width = 1\n'
+              '    def __init__(self):\n        self.run = helper\n'
+              '    def method(self):\n        return other()\n\n'
+              'class Width:\n    pass\n\n'
+              'def helper():\n    return Kept()\n\n'
+              'def other():\n    return 2\n\n'
+              'def _private():\n    return orphan_target()\n\n'
+              'def orphan_target():\n    return 3\n')
+    # __init__ is private, so helper is reached, then Kept and its class
+    # code (Width); method and other have no live caller
+    assert set(uncalled_names({"m.py": source}, [], {})) == {"Kept.method", "other"}

@@ -162,6 +162,13 @@ def test_exact_backend_capacity_gate(capsys, monkeypatch):
     assert "qubits" in capsys.readouterr().err
 
 
+def test_a_non_integer_qubit_cap_exits_2_naming_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("OFFLINE_SIMON_QUBIT_CAP", "abc")
+    assert run_cli(["attack", "fx-q2", "--backend", "exact-circuit", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: OFFLINE_SIMON_QUBIT_CAP must be an integer, got 'abc'" in err
+
+
 def test_estimate_text_default(capsys):
     assert run_cli(["estimate", "--preset", "desx"]) == 0
     out = capsys.readouterr().out

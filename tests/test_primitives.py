@@ -208,6 +208,22 @@ def test_instance_call_refuses_queries_outside_its_domain(lazy):
                     inst(*query)
 
 
+@pytest.mark.parametrize("m", [4, primitives.FULL_TABLE_KEY_LIMIT + 1], ids=["full", "lazy"])
+def test_permutation_and_family_refuse_inputs_outside_the_block(m):
+    """A permutation, its inverse and a family's encrypt refuse -1 and 2^n
+    with ValueError: the gather would wrap -1 round to the last entry and
+    raise IndexError past the end."""
+    n = 3
+    perm = random_permutation(n, np.random.default_rng(12))
+    family = BlockCipherFamily(m, n, seed=13)
+    assert (family._full is None) == (m > primitives.FULL_TABLE_KEY_LIMIT)
+    for call in (perm, perm.inverse, lambda x: family.encrypt(1, x)):
+        assert call(0) == call(np.int64(0))
+        for bad in (-1, 1 << n, np.int64(-1), np.int64(1 << n)):
+            with pytest.raises(ValueError, match="query wider than the block"):
+                call(bad)
+
+
 @pytest.mark.parametrize("lazy", [False, True], ids=["full", "lazy"])
 def test_instance_call_is_the_scalar_oracle(lazy):
     """Each construction's call answers an int query with the int, and an

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from offline_simon import analysis, qaa, qsim
+import reference
+from offline_simon import analysis, cli, qaa, qsim
 
 
 def test_spec_schedule_matches_closed_form():
@@ -22,18 +23,54 @@ def test_spec_handles_exact_integer_ratio():
 
 @pytest.mark.parametrize("m", [2, 4])
 def test_exact_grover_matches_sine_formula(m):
-    """The simulated amplified success equals sin^2((2r+1) theta) exactly."""
+    """The amplified success equals sin^2((2r+1) theta) exactly."""
     a = 2.0**-m
-    rng = np.random.default_rng(0)
-    run = qaa.build_and_run_grover(m, 3 % (1 << m), rng)
+    run = qaa.build_and_run_grover(m, 3 % (1 << m))
     assert run.success == pytest.approx(analysis.amplified_success(a, run.spec.r), abs=1e-9)
 
 
 def test_exact_grover_multi_target():
-    rng = np.random.default_rng(1)
-    run = qaa.build_and_run_grover(4, {1, 6, 9}, rng)
+    run = qaa.build_and_run_grover(4, {1, 6, 9})
     a = 3 / 16
     assert run.success == pytest.approx(analysis.amplified_success(a, run.spec.r), abs=1e-9)
+
+
+def _circuit_success(m, marked, j):
+    """The marked probability of the reference circuit's state after j
+    iterations, read as the circuit run read it."""
+    table = qaa._indicator(m, marked)
+    return float(qsim.marginal(reference.grover_state(m, marked, j), "idx")[table == 1].sum())
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_noiseless_run_is_bit_equal_to_the_circuit_at_the_verify_bounds_shapes(m):
+    run = qaa.build_and_run_grover(m, 0)
+    assert run.success == _circuit_success(m, 0, run.spec.r)
+
+
+@pytest.mark.parametrize("m,marked", [*((m, 0) for m in range(2, 9)), (4, {1, 6, 9}),
+                                      (6, {1, 6, 9, 33, 60})])
+def test_noiseless_run_matches_the_circuit(m, marked):
+    run = qaa.build_and_run_grover(m, marked)
+    assert abs(run.success - _circuit_success(m, marked, run.spec.r)) <= 1e-15
+
+
+@pytest.mark.parametrize("m,marked,beta", [(3, 5, 0.0), (3, 5, 0.05), (3, 5, 0.3),
+                                           (4, {2, 5, 11}, 0.2)])
+def test_noisy_run_matches_the_circuit(m, marked, beta):
+    for j in range(1, 9):
+        got = qaa.run_grover_noisy(m, marked, beta, j)
+        assert abs(got - reference.run_grover_noisy(m, marked, beta, j)) <= 1e-14
+
+
+def test_verify_bounds_builds_no_simulator_state(monkeypatch, capsys):
+    def refuse(layout):
+        raise AssertionError("verify-bounds built a simulator state")
+
+    monkeypatch.setattr(qsim, "_size", refuse)
+    assert cli.main(["verify-bounds", "--trials", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "qaa-exact[a=1/4]" in out and "qaa-noisy-interval" in out
 
 
 def test_grover_state_progression():
@@ -41,7 +78,7 @@ def test_grover_state_progression():
     m = 6
     probs = []
     for j in range(analysis.grover_iterations(m) + 1):
-        state = qaa.grover_state(m, 5, j)
+        state = reference.grover_state(m, 5, j)
         probs.append(qsim.marginal(state, "idx")[5])
     assert all(b > a for a, b in zip(probs, probs[1:]))
     assert probs[-1] > 0.99
@@ -52,19 +89,18 @@ def test_grover_state_progression():
                               "int-minus-one", "int-eight"])
 def test_marked_values_outside_the_index_register_are_refused(marked):
     # numpy indexing would read -1 as 7 and fail on 8 only part way through
-    rng = np.random.default_rng(2)
     with pytest.raises(ValueError, match="empty|outside"):
-        qaa.build_and_run_grover(3, marked, rng)
-    with pytest.raises(ValueError, match="empty|outside"):
-        qaa.grover_state(3, marked, 1)
+        qaa.build_and_run_grover(3, marked)
     with pytest.raises(ValueError, match="empty|outside"):
         qaa.run_grover_noisy(3, marked, 0.05, 1)
+    with pytest.raises(ValueError, match="empty|outside"):
+        reference.grover_state(3, marked, 1)
     for beta in (0.0, 0.05):
         state = qsim.init_zero(qsim.RegisterLayout(("idx", 3), ("b", 1), ("noise", 1)))
         qsim.apply_h(state, "idx")
         psi, before = state.psi, state.psi.copy()
         with pytest.raises(ValueError, match="empty|outside"):
-            qaa.noisy_check_bit(state, marked, beta)
+            reference.noisy_check_bit(state, marked, beta)
         assert state.psi is psi
         assert np.array_equal(state.psi, before)
 
@@ -79,7 +115,7 @@ def test_noiseless_check_is_exact_phase_flip():
     layout = qsim.RegisterLayout(("idx", m), ("b", 1), ("noise", 1))
     state = qsim.init_zero(layout)
     qsim.apply_h(state, "idx")
-    qaa.phase_flip_check(state, {5}, 0.0)
+    reference.phase_flip_check(state, {5}, 0.0)
     # amplitude of idx=5 flipped sign, others untouched, ancillas restored
     for v in range(1 << m):
         expect = -1.0 if v == 5 else 1.0
@@ -110,8 +146,8 @@ def test_single_call_deviation_budgets():
     clean = qsim.init_zero(layout)
     qsim.apply_h(clean, "idx")
     noisy = clean.copy()
-    qaa.noisy_check_bit(clean, {marked}, 0.0)
-    qaa.noisy_check_bit(noisy, {marked}, beta)
+    reference.noisy_check_bit(clean, {marked}, 0.0)
+    reference.noisy_check_bit(noisy, {marked}, beta)
     dev_bit = qsim.distance(clean, noisy)
     # the deviation lives on the marked component of a uniform state
     assert dev_bit <= eps / math.sqrt(1 << m) + 1e-12
@@ -119,8 +155,8 @@ def test_single_call_deviation_budgets():
     clean = qsim.init_zero(layout)
     qsim.apply_h(clean, "idx")
     noisy = clean.copy()
-    qaa.phase_flip_check(clean, {marked}, 0.0)
-    qaa.phase_flip_check(noisy, {marked}, beta)
+    reference.phase_flip_check(clean, {marked}, 0.0)
+    reference.phase_flip_check(noisy, {marked}, beta)
     dev_phase = qsim.distance(clean, noisy)
     print(f"dev_bit={dev_bit:.6f} dev_phase={dev_phase:.6f} eps={eps:.6f}")
     assert dev_phase <= 2 * eps / math.sqrt(1 << m) + 1e-12
@@ -132,6 +168,6 @@ def test_diffusion_is_inversion_about_mean():
     state.psi = rng.standard_normal(8)
     state.psi /= np.linalg.norm(state.psi)
     before = state.psi.copy()
-    qaa.diffusion(state)
+    reference.diffusion(state)
     mean = before.mean()
     assert np.allclose(state.psi, 2 * mean - before, atol=1e-12)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from offline_simon import qaa, qsim, search
-from reference import fwht_error_bound, register_value, stacking_fwht
+from offline_simon import qsim, search
+from reference import (apply_controlled_ry, apply_phase_oracle, diffusion, fwht_error_bound,
+                       init_plus, measure, register_value, stacking_fwht)
 
 
 def uniform_state(*regs):
@@ -32,11 +33,11 @@ def test_init_plus_is_h_on_every_register_of_init_zero(monkeypatch):
     want = qsim.init_zero(layout)
     for name, _ in layout.registers:
         qsim.apply_h(want, name)
-    got = qsim.init_plus(layout)
+    got = init_plus(layout)
     assert got.psi.dtype == np.float64
     assert np.allclose(got.psi, want.psi, rtol=0, atol=1e-15)
     monkeypatch.setenv(qsim.CAP_ENV_VAR, "5")
-    for init in (qsim.init_zero, qsim.init_plus):
+    for init in (qsim.init_zero, init_plus):
         with pytest.raises(ValueError, match="layout needs 6 qubits, cap is 5"):
             init(layout)
 
@@ -133,7 +134,7 @@ def test_indexed_oracle_selects_branch():
 
 def test_phase_and_reflection():
     state = uniform_state(("a", 2))
-    qsim.apply_phase_oracle(state, [0, 0, 1, 0], "a")
+    apply_phase_oracle(state, [0, 0, 1, 0], "a")
     assert np.array_equal(state.psi, [0.5, 0.5, -0.5, 0.5])
     state2 = uniform_state(("a", 2))
     qsim.apply_reflection_about_zero(state2, "a")
@@ -144,7 +145,7 @@ def test_phase_and_reflection():
 def test_grover_step_by_hand():
     # one Grover iteration on 2 qubits finds the marked item exactly
     state = uniform_state(("idx", 2))
-    qsim.apply_phase_oracle(state, [0, 0, 0, 1], "idx")
+    apply_phase_oracle(state, [0, 0, 0, 1], "idx")
     qsim.apply_h(state, "idx")
     qsim.apply_reflection_about_zero(state, "idx")
     qsim.apply_h(state, "idx")
@@ -157,10 +158,10 @@ def test_marginal_and_measure():
     state = uniform_state(("a", 2), ("b", 1))
     marg = qsim.marginal(state, "a")
     assert np.allclose(marg, np.full(4, 0.25))
-    word, collapsed = qsim.measure(state, "b", rng)
+    word, collapsed = measure(state, "b", rng)
     assert word in (0, 1)
     assert np.linalg.norm(collapsed.psi) == pytest.approx(1.0)
-    again, _ = qsim.measure(collapsed, "b", rng)
+    again, _ = measure(collapsed, "b", rng)
     assert again == word
 
 
@@ -169,7 +170,7 @@ def test_controlled_ry_rotates_only_marked():
     state = qsim.init_zero(layout)
     qsim.apply_h(state, "x")
     beta = 0.3
-    qsim.apply_controlled_ry(state, "noise", 2 * beta, "x", [0, 1])
+    apply_controlled_ry(state, "noise", 2 * beta, "x", [0, 1])
     # |0> component untouched, |1> component rotated by Ry(2 beta)
     amp00 = state.psi[0b00]
     amp10 = state.psi[0b10]
@@ -200,7 +201,7 @@ def test_random_circuit_preserves_norm(width, seed):
         elif op == 1:
             qsim.apply_x(state, "r", mask=int(rng.integers(1 << width)))
         else:
-            qsim.apply_phase_oracle(state, table, "r")
+            apply_phase_oracle(state, table, "r")
     assert np.linalg.norm(state.psi) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -330,7 +331,7 @@ def test_controlled_ry_is_bit_identical_to_the_mask_kernel(target, control, pred
     table = np.zeros(1 << state.layout.width(control), dtype=np.int64)
     table[list(predicate)] = 1
     want = _ref_controlled_ry(state.psi, state.layout, target, 0.7, control, table)
-    qsim.apply_controlled_ry(state, target, 0.7, control, table)
+    apply_controlled_ry(state, target, 0.7, control, table)
     assert np.array_equal(state.psi, want)
 
 
@@ -342,7 +343,7 @@ def test_controlled_ry_rejects_a_bad_call_before_touching_the_state(target, cont
     state = _random_state(9)
     psi, before = state.psi, state.psi.copy()
     with pytest.raises(ValueError):
-        qsim.apply_controlled_ry(state, target, 0.7, control, table)
+        apply_controlled_ry(state, target, 0.7, control, table)
     assert state.psi is psi
     assert np.array_equal(state.psi, before)
 
@@ -351,7 +352,7 @@ def test_controlled_ry_rejects_a_bad_call_before_touching_the_state(target, cont
 def test_measure_collapse_is_bit_identical_to_the_zeroed_copy(register):
     state = _random_state(10)
     before = state.psi.copy()
-    outcome, _ = qsim.measure(state, register, np.random.default_rng(11))
+    outcome, _ = measure(state, register, np.random.default_rng(11))
     view = _ref_view(before, state.layout, register)
     # the Born weights in marginal's arithmetic, the squares summed off the
     # register view (test_marginal_matches_the_squared_moduli checks them)
@@ -405,7 +406,7 @@ def test_phase_oracle_matches_the_basis_loop(in_regs):
     table = np.random.default_rng(12).integers(0, 2, size=1 << bits)
     state = _random_state(13)
     want = _ref_phase_oracle(state.psi, layout, table, in_regs)
-    qsim.apply_phase_oracle(state, table, in_regs if len(in_regs) > 1 else in_regs[0])
+    apply_phase_oracle(state, table, in_regs if len(in_regs) > 1 else in_regs[0])
     assert np.array_equal(state.psi, want)
 
 
@@ -416,7 +417,7 @@ def test_phase_oracle_rejects_a_bad_table_before_touching_the_state(table):
     state = _random_state(7, layout)
     psi, before = state.psi, state.psi.copy()
     with pytest.raises(ValueError):
-        qsim.apply_phase_oracle(state, table, "x")
+        apply_phase_oracle(state, table, "x")
     assert state.psi is psi
     assert np.array_equal(state.psi, before)
 
@@ -424,7 +425,7 @@ def test_phase_oracle_rejects_a_bad_table_before_touching_the_state(table):
 def test_phase_oracle_rejects_a_repeated_register():
     state = _random_state(7, qsim.RegisterLayout(("x", 2), ("y", 2)))
     with pytest.raises(ValueError, match="distinct"):
-        qsim.apply_phase_oracle(state, np.zeros(16, dtype=np.int64), ["x", "x"])
+        apply_phase_oracle(state, np.zeros(16, dtype=np.int64), ["x", "x"])
 
 
 def _peak_extra_bytes(op, state):
@@ -458,7 +459,7 @@ def test_phase_oracle_allocates_nothing_of_state_size():
     # a multiply in place: only numpy's casting buffer, against a 2 MiB state
     state = _random_state(14)
     table = np.arange(128) % 3 == 1
-    extra = _peak_extra_bytes(lambda s: qsim.apply_phase_oracle(s, table, ("x1", "x0")), state)
+    extra = _peak_extra_bytes(lambda s: apply_phase_oracle(s, table, ("x1", "x0")), state)
     assert extra <= state.psi.nbytes // 8
 
 
@@ -503,7 +504,7 @@ def test_xor_query_is_a_parity_phase_in_the_output_hadamard_basis(in_regs, out_r
     qsim.apply_h(want, out_reg)
     qsim.apply_oracle_xor(want, table, in_regs, out_reg)
     qsim.apply_h(want, out_reg)
-    qsim.apply_phase_oracle(got, search._parity_table(table, width), in_regs + (out_reg,))
+    apply_phase_oracle(got, search._parity_table(table, width), in_regs + (out_reg,))
     assert got.psi.dtype == np.float64
     assert np.abs(got.psi - want.psi).max() <= 1e-12
 
@@ -514,18 +515,18 @@ KERNEL_OPS = {
     "oracle-xor": lambda s: qsim.apply_oracle_xor(s, np.arange(8) % 4, "x0", "idx"),
     "indexed-oracle": lambda s: qsim.apply_indexed_oracle(s, np.arange(64).reshape(4, 16) % 8,
                                                           "idx", "y0", "x0"),
-    "phase-oracle": lambda s: qsim.apply_phase_oracle(s, np.arange(128) % 2, ("x0", "x1")),
+    "phase-oracle": lambda s: apply_phase_oracle(s, np.arange(128) % 2, ("x0", "x1")),
     "reflection": lambda s: qsim.apply_reflection_about_zero(s, "x1"),
-    "controlled-ry": lambda s: qsim.apply_controlled_ry(s, "b", 0.3, "idx", [0, 0, 1, 0]),
-    "measure": lambda s: qsim.measure(s, "y1", np.random.default_rng(0)),
+    "controlled-ry": lambda s: apply_controlled_ry(s, "b", 0.3, "idx", [0, 0, 1, 0]),
+    "measure": lambda s: measure(s, "y1", np.random.default_rng(0)),
     "scale": lambda s: s.scale(-1.0),
-    "diffusion": lambda s: qaa.diffusion(s, "x0"),
+    "diffusion": lambda s: diffusion(s, "x0"),
 }
 
 
 @pytest.mark.parametrize("op", KERNEL_OPS.values(), ids=KERNEL_OPS.keys())
 def test_kernels_keep_a_real_state_real(op):
-    state = qsim.init_plus(KERNEL_LAYOUT)
+    state = init_plus(KERNEL_LAYOUT)
     psi = state.psi
     op(state)
     assert state.psi is psi and state.psi.dtype == np.float64
@@ -534,7 +535,7 @@ def test_kernels_keep_a_real_state_real(op):
 @pytest.mark.parametrize("op", [*KERNEL_OPS.values(), lambda s: qsim.marginal(s, "mid")],
                          ids=[*KERNEL_OPS.keys(), "marginal"])
 def test_kernels_refuse_a_complex_state_before_touching_it(op):
-    state = qsim.init_plus(KERNEL_LAYOUT)
+    state = init_plus(KERNEL_LAYOUT)
     state.psi = state.psi * (1 + 1j)
     psi, before = state.psi, state.psi.copy()
     with pytest.raises(ValueError, match="real"):

@@ -12,8 +12,8 @@ import pytest
 from offline_simon import analysis, gf2, qsim, search, simon
 from offline_simon.gf2 import Gf2Basis
 from reference import (ancilla_index_distribution, apply_rank_phase, exact_check, exact_layout,
-                       label_tuple_index_distribution, label_tuple_marginal, prepare_database,
-                       restoration_distance)
+                       init_plus, label_tuple_index_distribution, label_tuple_marginal, measure,
+                       prepare_database, restoration_distance)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
@@ -172,6 +172,14 @@ def test_exact_backend_respects_qubit_cap(monkeypatch):
                            rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("value", ["abc", "2.5", ""])
+def test_a_non_integer_qubit_cap_is_refused_by_name(monkeypatch, value):
+    monkeypatch.setenv("OFFLINE_SIMON_QUBIT_CAP", value)
+    with pytest.raises(ValueError, match="OFFLINE_SIMON_QUBIT_CAP must be an integer"):
+        search.check_capacity(2, 2, 2, 2, "exact-circuit")
+    search.check_capacity(2, 2, 2, 2, "sampled")   # only the exact backend reads the cap
+
+
 @pytest.mark.parametrize("find", [search.alg_exp_q1, search.alg_poly_q2])
 def test_sampled_search_refuses_a_shot_over_the_cell_cap(monkeypatch, find):
     # 201 iterations x 2^16 branches x 39 default copies: a 3.8 GiB block
@@ -264,7 +272,7 @@ def test_branch_test_exact_restoration():
     inst = tiny_instance()
     rng = np.random.default_rng(7)
     state, dist = exact_check(inst.branch(inst.planted_index), inst.n, inst.l, 2)
-    outcome, _ = qsim.measure(state, "b", rng)
+    outcome, _ = measure(state, "b", rng)
     assert outcome in (0, 1)
     assert dist >= 0.0
     scr = search.screen(inst)
@@ -684,7 +692,7 @@ def test_phase_check_damage_within_the_doubled_budget():
     for i in range(1 << inst.m):
         if i == inst.planted_index:
             continue
-        state = qsim.init_plus(exact_layout(n, l, copies))
+        state = init_plus(exact_layout(n, l, copies))
         prepare_database(state, inst.branch(i), copies)
         ideal = state.copy()
         apply_rank_phase(state, n, copies)
