@@ -617,10 +617,8 @@ def attack_beetle(inst: BeetleToyInstance, k: int, c: int | None = None,
 def _related_key_shape(p: dict) -> Shape:
     n, u = p["n"], p["u"]
     if not 1 <= u < n:
-        raise ValueError("need 1 <= u < key width")
-    if 2 * n > search.TABLE_ENTRY_CAP_LOG2:
-        raise ValueError(f"cipher family needs 2^{2 * n} entries, "
-                         f"cap is 2^{search.TABLE_ENTRY_CAP_LOG2}")
+        third = f" (a third of key width {n})" if u == round(n / 3) else ""
+        raise ValueError(f"need 1 <= u < key width {n}, got u = {u}{third}")
     return Shape(u, n - u, n, (n,))
 
 
@@ -634,16 +632,16 @@ RELATED_KEY = Target(
     defaults=lambda a: {"n": a.n or 9, "u": a.u or round((a.n or 9) / 3)},
     shape=_related_key_shape,
     draw=lambda p, rng: (
-        RelatedKeyOracle(primitives.random_cipher_family(p["n"], p["n"], rng),
+        RelatedKeyOracle(p["n"], p["n"], primitives.random_cipher_seed(rng),
                          int(rng.integers(1 << (p["n"] - p["u"]), 1 << p["n"])),
                          int(rng.integers(1 << p["n"]))),
         p["u"]),
-    carve=lambda oracle, u, _: _window_carve(oracle.family.tables()[None, :, oracle.msg], u, 0,
-                                             oracle, oracle.k, oracle.family.n),
+    carve=lambda oracle, u, _: _window_carve(oracle.column[None], u, 0, oracle, oracle.k,
+                                             oracle.n),
     assemble=lambda cut, j, period: [{"k": (period << cut.s_inst.m) | j}] if period else [],
     probes=lambda cut: (_window(cut.s_inst.n, cut.s_inst.m),),
     check_cost=lambda cut: 1 << cut.s_inst.n,
-    codebook=lambda oracle, rng: (_window(oracle.family.m, 0),),
+    codebook=lambda oracle, rng: (_window(oracle.m, 0),),
 )
 
 
@@ -653,7 +651,7 @@ def attack_related_key(oracle: RelatedKeyOracle, u: int | None = None,
     """Full-key recovery from 2^(key/3) related-key queries: Grover over the
     low two thirds of the key, period recovery for the high third."""
     if u is None:
-        u = round(oracle.family.m / 3)
+        u = round(oracle.m / 3)
     return run_attack(RELATED_KEY, oracle, u, c, backend, rng)
 
 

@@ -5,6 +5,12 @@ Chaskey-style MAC, a Beetle-style sponge init, related-key oracles).
 Everything is table-based and seeded. Block and key widths are desk-scale
 (full tables are materialized up to 12-bit keys; larger key spaces use a
 seeded on-demand variant that derives each key's permutation lazily).
+
+The related-key oracle draws no cipher family. It encrypts one fixed message
+under every key, and in the ideal-cipher model the keys' permutations are
+independent and uniform, so that one column of the cipher, E_key(msg) over
+all 2^m keys, is exactly 2^m independent uniform n-bit words. The oracle
+draws those words, from its seed and message, and nothing else.
 """
 
 from __future__ import annotations
@@ -109,9 +115,23 @@ class BlockCipherFamily:
         return self._full
 
 
+def random_cipher_seed(rng: np.random.Generator) -> int:
+    """A seeded cipher's seed, drawn once from rng."""
+    return int(rng.integers(0, 2**63 - 1))
+
+
 def random_cipher_family(m: int, n: int, rng: np.random.Generator) -> BlockCipherFamily:
     """Seeded cipher family; the seed is drawn once from rng."""
-    return BlockCipherFamily(m, n, int(rng.integers(0, 2**63 - 1)))
+    return BlockCipherFamily(m, n, random_cipher_seed(rng))
+
+
+def key_column(m: int, n: int, seed: int, msg: int) -> np.ndarray:
+    """E_key(msg) for every m-bit key of the seeded ideal cipher on n-bit
+    blocks: 2^m independent uniform n-bit words (see RelatedKeyOracle)."""
+    _check_width(m, "key width")
+    _check_width(n, "block width")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, m, n, msg]))
+    return rng.integers(0, 1 << n, size=1 << m, dtype=np.int64)
 
 
 def _answer(y):
@@ -223,18 +243,28 @@ class BeetleToyInstance:
 class RelatedKeyOracle:
     """Encrypts a fixed message under k ^ delta for attacker-chosen delta.
 
-    One delta is answered from that key's table alone, so a lazy family
-    derives one key; an array of them gathers from every key's table."""
+    `column` holds E_key(msg) for each of the 2^m keys of the ideal cipher
+    on n-bit blocks seeded by `seed`. The keys' permutations are independent
+    and uniform, so their values at one message are independent and uniform
+    too: the column has the law of 2^m independent uniform words
+    (`key_column`), and the 2^n - 1 columns no query reads are not drawn.
+    The column is derived from the seed and the message on construction
+    (so a copy with another message holds that message's column, drawn
+    apart from this one's), and a delta, or an array of them, is answered by
+    one gather from it."""
 
-    family: BlockCipherFamily
+    n: int
+    m: int
+    seed: int
     k: int
     msg: int
+    column: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.column = key_column(self.m, self.n, self.seed, self.msg)
 
     def __call__(self, delta):
-        delta = _in_domain(delta, self.family.m, "delta", "key")
-        if np.ndim(delta) == 0:
-            return self.family.encrypt(self.k ^ delta, self.msg)
-        return self.family.tables()[self.k ^ delta, self.msg]
+        return _answer(self.column[self.k ^ _in_domain(delta, self.m, "delta", "key")])
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +331,9 @@ def _load_table_file(path: str | Path, expect_l: bool) -> tuple[int, int | None,
 
 # Descriptor kind -> (instance class, size fields, key field -> the size
 # field that is its width). The table object is not stored: it rebuilds from
-# the seed by its field, a `perm` of width n (or rate + capacity) or an
-# (m, n) `family`. A related-key oracle's sizes are its family's: its key
-# is m bits wide and its message n.
+# the seed by its field, a `perm` of width n (or rate + capacity), an
+# (m, n) `family` or a related-key oracle's cipher `seed` (its column
+# derives from that), whose key is m bits wide and its message n.
 _KINDS = {
     "even-mansour": (EvenMansourInstance, ("n",), {"k1": "n", "k2": "n"}),
     "fx": (FxInstance, ("n", "m"), {"k": "m", "k_in": "n", "k_out": "n"}),
@@ -329,7 +359,7 @@ def instance_to_json(seed: int, inst) -> str:
             break
     else:
         raise ValueError(f"no descriptor kind for {type(inst).__name__}")
-    doc = {f: getattr(inst if hasattr(inst, f) else inst.family, f) for f in sizes}
+    doc = {f: getattr(inst, f) for f in sizes}
     doc.update(kind=kind, seed=seed, keys={k: _hex(getattr(inst, k)) for k in keys})
     return json.dumps(doc, sort_keys=True)
 
@@ -353,10 +383,12 @@ def instance_from_json(text: str):
             raise ValueError(f"key {k} = {doc['keys'][k]} outside [0, 2^{width}) "
                              f"with {width} = {doc[width]}")
     rng = np.random.default_rng(doc["seed"])
-    names = [f.name for f in fields(cls)]
+    names = [f.name for f in fields(cls) if f.init]
     if "perm" in names:
         width = doc["n"] if "n" in doc else doc["rate"] + doc["capacity"]
         values["perm"] = random_permutation(width, rng)
-    else:
+    elif "family" in names:
         values["family"] = random_cipher_family(doc["m"], doc["n"], rng)
+    else:
+        values["seed"] = random_cipher_seed(rng)
     return cls(**{f: values[f] for f in names})

@@ -44,9 +44,11 @@ from .gf2 import batch_rank
 BACKENDS = ("sampled", "exact-circuit", "structured")
 Q2_ACQUISITION = "q2-superposition-queries"
 Q1_ACQUISITION = "q1-classical-codebook"
-# Every table an attack materializes (a branch family, or the whole cipher
-# family the related-key carve reads) must fit comfortably in memory; 2^22
-# words is the ceiling for a toy run.
+# Every table an attack materializes must fit comfortably in memory; 2^22
+# words is the ceiling for a toy run. check_capacity applies it to the branch
+# family, which bounds the tables the carves read too, to within a factor of
+# two: the related-key family is its oracle's 2^n-word cipher column,
+# rearranged.
 TABLE_ENTRY_CAP_LOG2 = 22
 # A sampled shot draws r * 2^m * copies rank-sample words. It holds one
 # block of them at a time (see simon.misses_rank), so the cap bounds a

@@ -59,7 +59,9 @@ def beetle_init(inst: BeetleToyInstance, nonce: int) -> int:
 
 
 def related_key_query(oracle: RelatedKeyOracle, delta: int) -> int:
-    return oracle.family.encrypt(oracle.k ^ delta, oracle.msg)
+    if not 0 <= delta < (1 << oracle.m):
+        raise ValueError("delta wider than the key")
+    return int(oracle.column[oracle.k ^ delta])
 
 
 def brute_collision_prob(table, n: int, t: int) -> float:
@@ -76,11 +78,8 @@ def exhaustive_related_key_search(oracle: RelatedKeyOracle, probes: int = 4) -> 
     deltas = list(range(probes))
     targets = [related_key_query(oracle, d) for d in deltas]
     hits = []
-    for key in range(1 << oracle.family.m):
-        if all(
-            oracle.family.encrypt(key ^ d, oracle.msg) == t
-            for d, t in zip(deltas, targets)
-        ):
+    for key in range(1 << oracle.m):
+        if all(int(oracle.column[key ^ d]) == t for d, t in zip(deltas, targets)):
             hits.append(key)
     return hits
 
@@ -453,9 +452,8 @@ def scalar_carve_family(kind: str, inst, u: int | None) -> np.ndarray:
         rows = [[inst.perm((((a << u) | x) << cpty) | b) for x in range(1 << u)]
                 for a in range(1 << hi) for b in range(1 << cpty)]
     elif kind == "related-key":
-        m = inst.family.m - u
-        rows = [[inst.family.encrypt((x << m) | j, inst.msg) for x in range(1 << u)]
-                for j in range(1 << m)]
+        m = inst.m - u
+        rows = [[int(inst.column[(x << m) | j]) for x in range(1 << u)] for j in range(1 << m)]
     elif kind == "slide-ifx":
         size = 1 << inst.n
         codebook = [ifx_encrypt(inst, x) for x in range(size)]

@@ -17,6 +17,7 @@ from offline_simon.primitives import (
     IterFxInstance,
     RelatedKeyOracle,
     random_cipher_family,
+    random_cipher_seed,
     random_permutation,
 )
 from reference import (exhaustive_ifx_search, exhaustive_related_key_search,
@@ -69,7 +70,7 @@ def build_beetle(rng, rate=6, capacity=4):
 
 def build_related_key(rng, kw=6, n=6, u=2):
     return RelatedKeyOracle(
-        family=random_cipher_family(kw, n, rng),
+        n=n, m=kw, seed=random_cipher_seed(rng),
         k=int(rng.integers(1 << (kw - u), 1 << kw)),
         msg=int(rng.integers(0, 1 << n)))
 
@@ -252,7 +253,7 @@ def test_fx_q1_rejects_zero_window_part():
 
 def test_related_key_rejects_zero_high_part():
     rng = np.random.default_rng(0)
-    oracle = RelatedKeyOracle(family=random_cipher_family(6, 6, rng), k=7, msg=0)
+    oracle = RelatedKeyOracle(n=6, m=6, seed=random_cipher_seed(rng), k=7, msg=0)
     with pytest.raises(DegenerateInstanceError):
         attacks.run_attack(attacks.RELATED_KEY, oracle, 2, None, "structured", rng)
 
@@ -304,10 +305,10 @@ CARVE_SIZES = {
 @pytest.mark.parametrize("lazy", [False, True], ids=["full", "lazy"])
 @pytest.mark.parametrize("kind", sorted(CARVE_SIZES))
 def test_carved_family_is_the_call_by_call_family(monkeypatch, kind, lazy):
-    """Each carve's gather from the permutation or the family's tables
-    gives the family one primitive call per entry gives, as a C-ordered
-    int64 array of its own; with the key-table limit lowered, also over
-    lazily derived cipher families."""
+    """Each carve's gather from the permutation, the family's tables or the
+    related-key column gives the family one primitive call per entry gives,
+    as a C-ordered int64 array of its own; with the key-table limit
+    lowered, also over lazily derived cipher families."""
     if lazy:
         monkeypatch.setattr(primitives, "FULL_TABLE_KEY_LIMIT", 1)
     target = attacks.TARGETS[kind]
@@ -318,10 +319,11 @@ def test_carved_family_is_the_call_by_call_family(monkeypatch, kind, lazy):
         for _ in range(3):
             inst, *rest = target.draw(p, rng)
             u = rest[0] if rest else None
-            if not hasattr(inst, "perm"):
+            if hasattr(inst, "family"):
                 assert (inst.family._full is None) == lazy
             family = target.carve(inst, u, 0).family
-            source = inst.perm.table if hasattr(inst, "perm") else inst.family.tables()
+            source = (inst.perm.table if hasattr(inst, "perm") else inst.column
+                      if hasattr(inst, "column") else inst.family.tables())
             assert family.dtype == np.int64 and family.flags.c_contiguous
             assert not np.shares_memory(family, source)
             assert np.array_equal(family, scalar_carve_family(kind, inst, u))
@@ -347,7 +349,7 @@ def _planted_window_split(kind, inst, u):
         return (((inst.k1 >> u) << cpty) | inst.k2, inst.k1 & ((1 << u) - 1),
                 1 << (inst.rate - u + cpty))
     if kind == "related-key":
-        m = inst.family.m - u
+        m = inst.m - u
         return inst.k & ((1 << m) - 1), inst.k >> m, 1 << m
     w = inst.n - u
     if kind == "fx-q1":

@@ -507,7 +507,11 @@ def test_console_script_is_installed():
 # c2 digests of em-q1, fx-q1, chaskey and beetle: those were re-recorded
 # when the attack began to take its period candidates from the search's
 # own recovery (an ambiguous low-copy recovery then proposes its keys in
-# another order, so T moved in one trial or two). The digests depend on
+# another order, so T moved in one trial or two), and for the related-key
+# digests that moved when its oracle began to draw only the one cipher
+# column it answers from (the c2 one here, and its shape and exact-backend
+# digests below): the same law of cipher words, other words drawn, while
+# its defaults and structured digests kept every byte. The digests depend on
 # numpy's Generator streams (PCG64 and its integers/choice algorithms): a
 # numpy release that changes those streams changes every digest.
 GOLDEN_ATTACK_DIGESTS = {
@@ -530,7 +534,7 @@ GOLDEN_ATTACK_DIGESTS = {
     ("c2", "fx-q1"): "71eefb64a7f40584033ac2a709288c4a030597e678341fe63fcd54d5ac4978d8",
     ("c2", "chaskey"): "63fc30b940b670653f32452322d71d48550fbb6766873d91afc4005fcc7b1160",
     ("c2", "beetle"): "ac41ecbb253617f2a49abd0a694b08290fe24dae61dc1cc48b9fa70917f4fa4a",
-    ("c2", "related-key"): "7b247d0192d17139fbc6920e451670d18a8a2de08baf8f5c9439957fdd5e18bf",
+    ("c2", "related-key"): "57805e21acaf0b36389d89cfc5f0db80eee6c43d7ee1760c8466559c2b67b53b",
     ("c2", "slide-ifx"): "f3781631d49fe42b6ecd00c2590c54a7d55105d977b488d5ee6338b08bf3cf68",
 }
 GOLDEN_CONFIGS = {"defaults": [], "structured": ["--backend", "structured"],
@@ -546,7 +550,7 @@ GOLDEN_SHAPE_DIGESTS = {
     "chaskey --n 6 --u 4": "8dca16c126fb6a68d84f3fb3e5987420a0881f4192e043a9ef6cf5bd664b2198",
     "beetle --rate 4 --capacity 3 --u 2":
         "97a246d13bbb2d4aea99afe24c284db8ef10d93d6159049ab625d8ec196771ff",
-    "related-key --n 7 --u 2": "ec5a5bcb7002ff6ed42a041518499f0bcae34b84aa8addb6a6a98fcb42022772",
+    "related-key --n 7 --u 2": "0a23e2f3b4e0e45a57d0ceaaa53b8343219eb80f42371902930051bbf8c45947",
     "slide-ifx --n 4 --m 2 --rounds 2":
         "2937f61ddc0be6d7f1922da7dd5d46e9c6baca929991029a69f99fb3b30203b3",
 }
@@ -561,7 +565,7 @@ GOLDEN_EXACT_DIGESTS = {
     "beetle --rate 2 --capacity 1 --u 1 --c 1":
         "7e3c28ec65ea43f92f73a85403060974fbae04341f7a26fdca0a710e3aee125c",
     "related-key --n 4 --u 2 --c 1":
-        "58358991dd0d8226d39e5086ab6b2ea2d9b7ee73fb00c08acde5c9f8b1a74ffd",
+        "dc8b818b56bd3e4077cd23c77bebc0997cd6e9c84dbe09e5aa86fbe5173a0b62",
     "fx-q1 --n 3 --m 1 --u 2 --c 1":
         "369e3f44ce9e1a7bde9ad41e3f7fecfcb2b88b9876b8caf25ceb51ea0dd37608",
 }
@@ -616,18 +620,46 @@ def test_exact_capacity_counts_fx_q2_copies_per_block_bit(capsys, monkeypatch):
     assert "needs 32 qubits" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", ["12", "13"])
-def test_related_key_bounds_its_cipher_family_before_any_draw(capsys, monkeypatch, n):
-    # the carve reads the whole (2^n keys, 2^n messages) family: 2^24
-    # words at n = 12, over the 2^22 cap
+@pytest.mark.parametrize("n, error", [
+    ("22", "error: a sampled shot needs 172163072 rank-sample cells"),
+    ("23", "error: family table needs 2^23 entries, cap is 2^22"),
+], ids=["22", "23"])
+def test_related_key_bounds_its_cipher_family_before_any_draw(capsys, monkeypatch, n, error):
+    # the carve reads one 2^n-word cipher column, the table of its m + n = n
+    # bit family: u = 7 at n = 22 passes the table cap and breaks the shot
+    # cap (m = 15), and n = 23 breaks the table cap
     def no_draw(*args, **kwargs):
         raise AssertionError("an instance was drawn")
 
-    monkeypatch.setattr(primitives, "random_cipher_family", no_draw)
+    monkeypatch.setattr(primitives, "random_cipher_seed", no_draw)
+    monkeypatch.setattr(primitives, "key_column", no_draw)
     assert run_cli(["attack", "related-key", "--n", n, "--trials", "1"]) == 2
-    err = capsys.readouterr().err
-    assert f"cipher family needs 2^{2 * int(n)} entries" in err
-    assert f"cap is 2^{search.TABLE_ENTRY_CAP_LOG2}" in err
+    assert error in capsys.readouterr().err
+
+
+def test_related_key_runs_where_a_whole_cipher_family_would_not_fit(tmp_path):
+    # a whole cipher family at n = 12 (2^12 keys x 2^12 messages) would be
+    # 2^24 words, over the 2^22 cap; the column the oracle holds is 2^12
+    out = tmp_path / "run.json"
+    assert run_cli(["attack", "related-key", "--n", "12", "--trials", "1",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["verified"] == 1
+
+
+def test_related_key_draws_no_cipher_family(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("related-key built a cipher family")
+
+    monkeypatch.setattr(BlockCipherFamily, "__init__", refuse)
+    assert run_cli(["attack", "related-key", "--trials", "2",
+                    "--out", str(tmp_path / "run.json")]) == 0
+
+
+def test_related_key_names_the_window_it_refuses(capsys):
+    # no --u: the window defaults to a third of the key width, 0 at --n 1
+    assert run_cli(["attack", "related-key", "--n", "1", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: need 1 <= u < key width 1, got u = 0 (a third of key width 1)\n")
 
 
 @pytest.mark.parametrize("backend", ["sampled", "structured"])

@@ -17,6 +17,7 @@ from offline_simon.primitives import (
     RelatedKeyOracle,
     instance_from_json,
     instance_to_json,
+    key_column,
     load_function_table,
     load_permutation,
     random_permutation,
@@ -147,28 +148,53 @@ def test_beetle_init_layout():
 
 
 def test_related_key_query():
-    fam = BlockCipherFamily(4, 4, seed=3)
-    oracle = RelatedKeyOracle(fam, 0b1001, 0b0110)
+    oracle = RelatedKeyOracle(4, 4, seed=3, k=0b1001, msg=0b0110)
+    column = key_column(4, 4, 3, 0b0110)
     for delta in range(1 << 4):
-        assert oracle(delta) == fam.encrypt(0b1001 ^ delta, 0b0110)
+        assert oracle(delta) == column[0b1001 ^ delta]
 
 
-def test_related_key_int_query_derives_one_key_of_a_lazy_family():
-    """One delta on a lazy family is answered from that key's table alone:
-    the table of every key is not built. The reference runs on a twin
-    family rebuilt from the seed."""
-    m = primitives.FULL_TABLE_KEY_LIMIT + 1
-    oracle = RelatedKeyOracle(BlockCipherFamily(m, 4, seed=5), 0b1_0110_0101_1001, 0b0110)
-    twin = replace(oracle, family=BlockCipherFamily(m, 4, seed=5))
-    assert oracle(3) == reference.related_key_query(twin, 3)
-    assert oracle.family._full is None
-    assert list(oracle.family._cache) == [oracle.k ^ 3]
+def test_related_key_oracle_holds_one_word_per_key():
+    """The oracle holds its column, 2^m int64 words of n bits, and no other
+    table, at the CLI defaults, at a key width other than the block width
+    and at one past FULL_TABLE_KEY_LIMIT (where a cipher family would be
+    lazy). A copy re-keyed to another key keeps the column; one with
+    another message holds that message's column."""
+    for m, n in [(9, 9), (6, 4), (primitives.FULL_TABLE_KEY_LIMIT + 1, 4)]:
+        oracle = RelatedKeyOracle(n, m, seed=5, k=1, msg=0)
+        tables = [v for v in vars(oracle).values() if isinstance(v, np.ndarray)]
+        assert len(tables) == 1 and tables[0] is oracle.column
+        assert oracle.column.shape == (1 << m,) and oracle.column.dtype == np.int64
+        assert 0 <= oracle.column.min() and oracle.column.max() < 1 << n
+        assert np.array_equal(replace(oracle, k=2).column, oracle.column)
+        assert np.array_equal(replace(oracle, msg=1).column, key_column(m, n, 5, 1))
+
+
+def _chi_square(cells, bins):
+    counts = np.bincount(cells.ravel(), minlength=bins)
+    expected = cells.size / bins
+    return ((counts - expected) ** 2 / expected).sum()
+
+
+def test_key_column_words_are_uniform():
+    """The law of one message's column under independent uniform keyed
+    permutations: words uniform, and the words of two keys independent.
+    Pooled over 2000 seeded columns at m = n = 4, the 32000 words pass a
+    chi-square test of the uniform law on 16 values (15 degrees of freedom,
+    refused above 37.70, the 0.1% tail), and the 16000 pairs of keys 2i and
+    2i + 1 one of the uniform law on 256 pairs (255 degrees of freedom,
+    refused above 330.5, the 0.1% tail). A column that never repeats a word
+    (one permutation) fails the second: its 16 equal pairs stay empty."""
+    columns = np.stack([key_column(4, 4, seed, seed % 16) for seed in range(2000)])
+    assert _chi_square(columns, 16) < 37.70
+    assert _chi_square((columns[:, 0::2] << 4) | columns[:, 1::2], 256) < 330.5
 
 
 def _oracle_cases(lazy: bool):
     """(instance, scalar reference oracle, its full query domain) for each
     construction; the cipher families are lazy (key width above
-    FULL_TABLE_KEY_LIMIT) or fully materialized."""
+    FULL_TABLE_KEY_LIMIT) or fully materialized, and the related-key
+    oracle's column spans the same key width."""
     rng = np.random.default_rng(12)
     m = primitives.FULL_TABLE_KEY_LIMIT + 1 if lazy else 4
     n = 3 if lazy else 5
@@ -188,7 +214,7 @@ def _oracle_cases(lazy: bool):
         (chaskey, reference.chaskey_tag, (m1, m2)),
         (BeetleToyInstance(4, 3, random_permutation(7, rng), key(4), key(3)),
          reference.beetle_init, (np.arange(16),)),
-        (RelatedKeyOracle(family, key(m), key(n)), reference.related_key_query,
+        (RelatedKeyOracle(n, m, 21, key(m), key(n)), reference.related_key_query,
          (np.arange(1 << m),)),
     ]
 
@@ -237,6 +263,8 @@ def test_instance_call_is_the_scalar_oracle(lazy):
             fam = inst.family
             assert (fam._full is None) == lazy
             twin = replace(inst, family=BlockCipherFamily(fam.m, fam.n, fam.seed))
+        elif hasattr(inst, "column"):
+            twin = replace(inst)
         queries = list(zip(*(a.tolist() for a in domain)))
         want = [oracle(twin, *query) for query in queries]
         got = inst(*domain)
@@ -302,8 +330,8 @@ def test_instance_json_roundtrip(kind):
     elif kind == "beetle-toy":
         inst = BeetleToyInstance(4, 3, random_permutation(7, build_rng), 5, 2)
     else:
-        from offline_simon.primitives import random_cipher_family
-        inst = RelatedKeyOracle(random_cipher_family(5, 5, build_rng), 19, 7)
+        from offline_simon.primitives import random_cipher_seed
+        inst = RelatedKeyOracle(5, 5, random_cipher_seed(build_rng), 19, 7)
     text = instance_to_json(seed, inst)
     doc = json.loads(text)
     assert doc["kind"] == kind and doc["seed"] == seed
@@ -321,7 +349,31 @@ def test_instance_json_roundtrip(kind):
     elif kind == "beetle-toy":
         assert (back.rate, back.capacity, back.k1, back.k2) == (4, 3, 5, 2)
     else:
-        assert (back.k, back.msg) == (inst.k, inst.msg)
+        assert (back.n, back.m, back.seed, back.k, back.msg) \
+            == (inst.n, inst.m, inst.seed, inst.k, inst.msg)
+        assert np.array_equal(back.column, inst.column)
+
+
+@pytest.mark.parametrize("n, m, u", [(9, 9, 3), (4, 6, 2)], ids=["defaults", "kw6-n4"])
+def test_related_key_descriptor_answers_every_delta_as_drawn(n, m, u):
+    """A related-key oracle drawn as `attack related-key` draws it (its
+    cipher seed first, then k and msg) and rebuilt from its descriptor answers
+    every delta alike, at the CLI defaults and at a key width other than
+    the block width."""
+    from offline_simon import attacks
+
+    seed = 41
+    rng = np.random.default_rng(seed)
+    if n == m:
+        oracle, _ = attacks.RELATED_KEY.draw({"n": n, "u": u}, rng)
+    else:
+        oracle = RelatedKeyOracle(n, m, primitives.random_cipher_seed(rng),
+                                  int(rng.integers(1 << m)), int(rng.integers(1 << n)))
+    back = instance_from_json(instance_to_json(seed, oracle))
+    deltas = np.arange(1 << m)
+    assert (back.n, back.m, back.k, back.msg) == (n, m, oracle.k, oracle.msg)
+    assert np.array_equal(back(deltas), oracle(deltas))
+    assert all(back(d) == oracle(d) for d in range(1 << m))
 
 
 def test_instance_to_json_refuses_an_instance_of_no_kind():
@@ -330,7 +382,7 @@ def test_instance_to_json_refuses_an_instance_of_no_kind():
 
 
 # Descriptor kind -> (sizes, key field -> its width in those sizes). The
-# related-key family has a 5-bit key over 4-bit messages, so its two key
+# related-key oracle has a 5-bit key over 4-bit messages, so its two key
 # fields take different widths.
 KEY_WIDTHS = {
     "even-mansour": ({"n": 4}, {"k1": 4, "k2": 4}),
@@ -377,3 +429,5 @@ def test_width_overflow_rejected():
         random_permutation(40, rng)
     with pytest.raises(ValueError):
         BlockCipherFamily(40, 4, seed=0)
+    with pytest.raises(ValueError):
+        RelatedKeyOracle(4, 40, seed=0, k=0, msg=0)
