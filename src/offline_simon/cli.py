@@ -46,8 +46,8 @@ _SIZE_FLAGS = ("n", "m", "l", "u", "c", "rate", "capacity", "rounds")
 
 
 class CliError(Exception):
-    """Bad configuration, reported as exit code 2 (as is the ValueError of a
-    failed width or capacity check)."""
+    """Bad configuration, reported as exit code 2 (as are the ValueError of a
+    failed width or capacity check and the OSError of an unwritable --out)."""
 
 
 def _reject_unread_sizes(cfg: argparse.Namespace, reads) -> None:
@@ -64,13 +64,20 @@ def _attack_parameters(cfg: argparse.Namespace) -> dict:
     target = attacks.TARGETS[cfg.kind]
     _reject_unread_sizes(cfg, {"c", *target.defaults(cfg)})
     p = {"seed": cfg.seed, "backend": cfg.backend, "c": cfg.c, **target.defaults(cfg)}
-    shape = target.shape(p)
+    shape = _shape(target, p)
     p["l"] = shape.l
-    for w in shape.widths:
-        gf2._check_width(w)
     search.check_capacity(shape.n, shape.m, shape.l,
                           target.copies(p["c"], shape.n, shape.m, shape.l), p["backend"])
     return p
+
+
+def _shape(target: attacks.Target, p: dict) -> attacks.Shape:
+    """The target's search shape at sizes p, once its windows and every
+    primitive width they imply are in range."""
+    shape = target.shape(p)
+    for w in shape.widths:
+        gf2._check_width(w)
+    return shape
 
 
 def _attack_trial(kind: str, p: dict, trial: int) -> dict:
@@ -283,22 +290,21 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
     else:
         target = attacks.TARGETS[GEN_TARGETS[cfg.kind]]
         _reject_unread_sizes(cfg, target.defaults(cfg))
+        # the sizes `attack` accepts, checked before the instance is drawn
+        _shape(target, target.defaults(cfg))
     rng = np.random.default_rng(cfg.seed)
-    try:
-        if cfg.kind == "permutation":
-            save_permutation(cfg.out, primitives.random_permutation(cfg.n or 8, rng))
-        elif cfg.kind == "function-table":
-            n, l = cfg.n or 8, cfg.l or cfg.n or 8
-            # the loader's width rule, checked before 2^n values are drawn
-            gf2._check_width(n)
-            gf2._check_width(l, "output width")
-            table = rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)
-            save_function_table(cfg.out, n, l, table)
-        else:
-            inst = target.draw(target.defaults(cfg), rng)[0]
-            Path(cfg.out).write_text(instance_to_json(cfg.seed, inst) + "\n")
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if cfg.kind == "permutation":
+        save_permutation(cfg.out, primitives.random_permutation(cfg.n or 8, rng))
+    elif cfg.kind == "function-table":
+        n, l = cfg.n or 8, cfg.l or cfg.n or 8
+        # the loader's width rule, checked before 2^n values are drawn
+        gf2._check_width(n)
+        gf2._check_width(l, "output width")
+        table = rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)
+        save_function_table(cfg.out, n, l, table)
+    else:
+        inst = target.draw(target.defaults(cfg), rng)[0]
+        Path(cfg.out).write_text(instance_to_json(cfg.seed, inst) + "\n")
     return 0
 
 
@@ -376,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None and value < 1:
                 raise CliError(f"--{flag} must be at least 1, got {value}")
         return args.run(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,10 @@
 constructions the attacks target (Even-Mansour, FX, iterated FX, a two-block
 Chaskey-style MAC, a Beetle-style sponge init, related-key oracles).
 
-Everything is table-based and seeded. Block and key widths are desk-scale
-(full tables are materialized up to 12-bit keys; larger key spaces use a
-seeded on-demand variant that derives each key's permutation lazily).
+Everything is table-based and seeded. Block and key widths are desk-scale:
+a cipher family is one (2^m, 2^n) table, drawn from its seed at its first
+read, so an instance that is only described (by `gen`, or a descriptor
+load) draws none.
 
 The related-key oracle draws no cipher family. It encrypts one fixed message
 under every key, and in the ideal-cipher model the keys' permutations are
@@ -17,13 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .gf2 import _check_width
-
-FULL_TABLE_KEY_LIMIT = 12
 
 
 @dataclass
@@ -62,10 +62,10 @@ def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
 class BlockCipherFamily:
     """A family of independent random permutations indexed by an m-bit key.
 
-    For key widths up to FULL_TABLE_KEY_LIMIT the whole (2^m, 2^n) table is
-    materialized; beyond that, per-key permutations are derived lazily from
-    the seed so memory stays bounded. Both variants are deterministic in
-    (seed, m, n).
+    The family is one (2^m, 2^n) table, deterministic in (seed, m, n) and
+    drawn at its first read (`tables`, `key_table` or `encrypt`): building
+    a family allocates nothing, and copies of an instance that share the
+    family share the one table.
     """
 
     def __init__(self, m: int, n: int, seed: int):
@@ -74,45 +74,28 @@ class BlockCipherFamily:
         self.m = m
         self.n = n
         self.seed = seed
-        self._cache: dict[int, np.ndarray] = {}
-        self._full: np.ndarray | None = None
-        if m <= FULL_TABLE_KEY_LIMIT:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, m, n]))
-            # one shuffle per row in place: the rows, and the generator state
-            # after them, are those of one rng.permutation(2^n) per key
-            full = np.tile(np.arange(1 << n, dtype=np.int64), (1 << m, 1))
-            self._full = rng.permuted(full, axis=1, out=full)
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, self.m, self.n]))
+        # one shuffle per row in place: the rows, and the generator state
+        # after them, are those of one rng.permutation(2^n) per key
+        full = np.tile(np.arange(1 << self.n, dtype=np.int64), (1 << self.m, 1))
+        return rng.permuted(full, axis=1, out=full)
 
     def key_table(self, key: int) -> np.ndarray:
         """The full codebook of E_key as an array of 2^n ints."""
         if not 0 <= key < (1 << self.m):
             raise ValueError("key out of range")
-        if self._full is not None:
-            return self._full[key]
-        if key not in self._cache:
-            self._cache[key] = self._derive(key)
-        return self._cache[key]
-
-    def _derive(self, key: int) -> np.ndarray:
-        """E_key of a family too wide to materialize, from the seed."""
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, self.m, self.n, key]))
-        return rng.permutation(1 << self.n).astype(np.int64)
+        return self._table[key]
 
     def encrypt(self, key: int, x: int) -> int:
         return int(self.key_table(key)[_in_domain(x, self.n)])
 
     def tables(self) -> np.ndarray:
         """The codebook of every key as one (2^m, 2^n) array, row k being
-        key_table(k); callers must not write to it. A lazy family derives
-        the keys it has not cached into the array and from then on keeps the
-        array in place of its per-key cache, so it holds one copy of each
-        key's table, as when every key has been asked for one by one."""
-        if self._full is None:
-            full = np.empty((1 << self.m, 1 << self.n), dtype=np.int64)
-            for key in range(1 << self.m):
-                full[key] = self._cache[key] if key in self._cache else self._derive(key)
-            self._full, self._cache = full, {}
-        return self._full
+        key_table(k); callers must not write to it."""
+        return self._table
 
 
 def random_cipher_seed(rng: np.random.Generator) -> int:

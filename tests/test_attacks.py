@@ -304,13 +304,12 @@ CARVE_SIZES = {
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["full", "lazy"])
 @pytest.mark.parametrize("kind", sorted(CARVE_SIZES))
-def test_carved_family_is_the_call_by_call_family(monkeypatch, kind, lazy):
+def test_carved_family_is_the_call_by_call_family(kind, lazy):
     """Each carve's gather from the permutation, the family's tables or the
     related-key column gives the family one primitive call per entry gives,
-    as a C-ordered int64 array of its own; with the key-table limit
-    lowered, also over lazily derived cipher families."""
-    if lazy:
-        monkeypatch.setattr(primitives, "FULL_TABLE_KEY_LIMIT", 1)
+    as a C-ordered int64 array of its own. A draw leaves its cipher family
+    undrawn; its table is drawn before the carve, or (lazy) by the carve's
+    own first read, as in a trial."""
     target = attacks.TARGETS[kind]
     rng = np.random.default_rng(sorted(CARVE_SIZES).index(kind))
     for sizes in CARVE_SIZES[kind]:
@@ -320,13 +319,39 @@ def test_carved_family_is_the_call_by_call_family(monkeypatch, kind, lazy):
             inst, *rest = target.draw(p, rng)
             u = rest[0] if rest else None
             if hasattr(inst, "family"):
-                assert (inst.family._full is None) == lazy
+                assert "_table" not in vars(inst.family)
+                if not lazy:
+                    inst.family.tables()
             family = target.carve(inst, u, 0).family
             source = (inst.perm.table if hasattr(inst, "perm") else inst.column
                       if hasattr(inst, "column") else inst.family.tables())
             assert family.dtype == np.int64 and family.flags.c_contiguous
             assert not np.shares_memory(family, source)
             assert np.array_equal(family, scalar_carve_family(kind, inst, u))
+
+
+@pytest.mark.parametrize("kind", ["fx-q1", "slide-ifx"])
+def test_a_trial_draws_its_cipher_family_once(monkeypatch, kind):
+    """Each key proposal is checked on a copy re-keyed with
+    dataclasses.replace, which shares the family and so its table: a trial
+    shuffles the table once, at the carve's first read."""
+    target = attacks.TARGETS[kind]
+    p = target.defaults(SimpleNamespace(n=None, m=None, u=None, rounds=None))
+    seeds = []
+    real = np.random.default_rng
+
+    def capture(seed=None):
+        if isinstance(seed, np.random.SeedSequence):
+            seeds.append(list(seed.entropy))
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", capture)
+    rng = real(3)
+    inst, *rest = target.draw(p, rng)
+    assert seeds == []
+    report = getattr(attacks, target.entry)(inst, *rest, None, "sampled", rng)
+    assert report.verified
+    assert seeds == [[inst.family.seed, p["m"], p["n"]]]
 
 
 def carve_cases(kind):
@@ -358,7 +383,7 @@ def _planted_window_split(kind, inst, u):
     return key & ((1 << w) - 1), key >> w, 1 << w
 
 
-def test_builders_plant_the_derived_key_material():
+def test_builders_plant_the_key_split_each_attack_recovers():
     """Each chosen-window carve plants the key split its attack derives, at
     both CARVE_SIZES shapes, and its planted branch has the planted period;
     the slide carve plants (1, k1) at the round key."""

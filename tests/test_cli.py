@@ -464,6 +464,55 @@ def test_attack_rejects_size_flags_its_kind_does_not_read(tmp_path, capsys, monk
     assert not out.exists()
 
 
+# each window `attack` refuses, `gen` refuses with the same message, before
+# it draws or writes anything
+@pytest.mark.parametrize("argv", [
+    ["em-q1", "--n", "5", "--u", "9"],
+    ["chaskey", "--n", "4", "--u", "7"],
+    ["beetle", "--rate", "3", "--u", "6"],
+    ["related-key", "--n", "4", "--u", "4"],
+    ["related-key", "--n", "3", "--u", "5"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_gen_refuses_the_windows_attack_refuses(tmp_path, capsys, monkeypatch, argv):
+    def no_draw(*args):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(cli, "_attack_trial", no_draw)
+    assert run_cli(["attack", *argv, "--trials", "1"]) == 2
+    error = capsys.readouterr().err
+    assert error.startswith("error: need 1 <= ")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    kind = {record: kind for kind, record in cli.GEN_TARGETS.items()}[argv[0]]
+    out = tmp_path / "inst.json"
+    assert run_cli(["gen", kind, *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == error
+    assert not out.exists()
+
+
+def test_gen_describes_an_instance_whose_table_would_not_fit(tmp_path):
+    # the 2^12 x 2^24 family table would take 512 GiB; the descriptor
+    # needs its seed only, and loading it draws no table either
+    out = tmp_path / "inst.json"
+    assert run_cli(["gen", "fx", "--m", "12", "--n", "24", "--out", str(out)]) == 0
+    loaded = instance_from_json(out.read_text())
+    assert (loaded.m, loaded.n) == (12, 24)
+    assert "_table" not in vars(loaded.family)
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "em-q1", "--trials", "3"],
+    ["estimate", "--preset", "desx"],
+    ["verify-bounds", "--trials", "1"],
+    ["gen", "em"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_an_unwritable_out_exits_2_with_an_error(tmp_path, capsys, argv, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and str(out) in err and err.count("\n") == 1
+
+
 def test_gen_rejects_oversized(capsys):
     assert run_cli(["gen", "permutation", "--n", "40", "--out", "/tmp/nope.txt"]) == 2
     capsys.readouterr()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -52,17 +53,17 @@ def test_cipher_family_deterministic_and_bijective():
     assert fam1.encrypt(3, 7) != BlockCipherFamily(4, 5, seed=100).encrypt(3, 7) or True
 
 
-def test_cipher_family_lazy_path_matches_nothing_shared():
-    # key width above the full-table limit exercises the lazy path
-    fam = BlockCipherFamily(13, 4, seed=5)
-    t = fam.key_table(1 << 12)
-    assert np.array_equal(np.sort(t), np.arange(1 << 4))
+def _drawn(family: BlockCipherFamily) -> bool:
+    """Whether the family's table has been drawn (by a first read)."""
+    return "_table" in vars(family)
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (3, 4), (3, 6), (9, 9), (12, 4), (4, 12), (2, 1)])
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 4), (3, 6), (9, 9), (12, 4), (4, 12), (2, 1),
+                                  (13, 2), (16, 1)])
 def test_family_table_is_the_per_key_draw(monkeypatch, m, n):
-    """The in-place shuffle gives the table of one rng.permutation per key,
-    bit for bit, and leaves the family's generator where that draw did."""
+    """The in-place shuffle, made at the first read, gives the table of one
+    rng.permutation per key, bit for bit, at every key width, and leaves
+    the family's generator where that draw did."""
     drawn = []
 
     def capture(*args):
@@ -70,31 +71,33 @@ def test_family_table_is_the_per_key_draw(monkeypatch, m, n):
         return drawn[-1]
 
     real = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", capture)
     fam = BlockCipherFamily(m, n, seed=1234 + m)
+    monkeypatch.setattr(np.random, "default_rng", capture)
+    got = fam.tables()
     monkeypatch.undo()
     rng = np.random.default_rng(np.random.SeedSequence([1234 + m, m, n]))
     want = stacked_family_table(m, n, rng)
-    got = fam.tables()
     assert got.dtype == np.int64 and got.flags.c_contiguous
     assert np.array_equal(got, want)
     assert all(np.array_equal(fam.key_table(k), want[k]) for k in (0, (1 << m) - 1))
     assert len(drawn) == 1 and drawn[0].random() == rng.random()
 
 
-def test_lazy_family_tables_replace_its_per_key_cache(monkeypatch):
-    monkeypatch.setattr(primitives, "FULL_TABLE_KEY_LIMIT", 2)
+def test_family_draws_nothing_until_its_first_read():
+    """Building a family allocates no table (the 2^10 x 2^12 one would
+    take 32 MiB), and a key read draws the whole table that tables() then
+    returns."""
+    tracemalloc.start()
+    try:
+        fam = BlockCipherFamily(10, 12, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and not _drawn(fam)
     fam = BlockCipherFamily(4, 5, seed=77)
-    assert fam._full is None
-    early = fam.key_table(9).copy()
-    tables = fam.tables()
-    assert fam._full is tables and fam._cache == {}
-    assert tables.shape == (16, 32) and tables.dtype == np.int64
-    assert np.array_equal(tables[9], early)
-    for key in range(16):
-        rng = np.random.default_rng(np.random.SeedSequence([77, 4, 5, key]))
-        assert np.array_equal(tables[key], rng.permutation(32))
-        assert np.array_equal(fam.key_table(key), tables[key])
+    row = fam.key_table(9)
+    assert _drawn(fam) and np.shares_memory(row, fam.tables())
+    assert fam.tables() is fam.tables()
 
 
 def test_em_encrypt_shape():
@@ -157,10 +160,9 @@ def test_related_key_query():
 def test_related_key_oracle_holds_one_word_per_key():
     """The oracle holds its column, 2^m int64 words of n bits, and no other
     table, at the CLI defaults, at a key width other than the block width
-    and at one past FULL_TABLE_KEY_LIMIT (where a cipher family would be
-    lazy). A copy re-keyed to another key keeps the column; one with
-    another message holds that message's column."""
-    for m, n in [(9, 9), (6, 4), (primitives.FULL_TABLE_KEY_LIMIT + 1, 4)]:
+    and at key width 13. A copy re-keyed to another key keeps the column;
+    one with another message holds that message's column."""
+    for m, n in [(9, 9), (6, 4), (13, 4)]:
         oracle = RelatedKeyOracle(n, m, seed=5, k=1, msg=0)
         tables = [v for v in vars(oracle).values() if isinstance(v, np.ndarray)]
         assert len(tables) == 1 and tables[0] is oracle.column
@@ -192,13 +194,16 @@ def test_key_column_words_are_uniform():
 
 def _oracle_cases(lazy: bool):
     """(instance, scalar reference oracle, its full query domain) for each
-    construction; the cipher families are lazy (key width above
-    FULL_TABLE_KEY_LIMIT) or fully materialized, and the related-key
-    oracle's column spans the same key width."""
+    construction. The cipher family is drawn before the cases are
+    returned, or (lazy) left for the instances' first call to draw, at
+    key width 13; the related-key oracle's column spans the same key
+    width."""
     rng = np.random.default_rng(12)
-    m = primitives.FULL_TABLE_KEY_LIMIT + 1 if lazy else 4
+    m = 13 if lazy else 4
     n = 3 if lazy else 5
     family = BlockCipherFamily(m, n, seed=21)
+    if not lazy:
+        family.tables()
 
     def key(bits):
         return int(rng.integers(1 << bits))
@@ -234,15 +239,17 @@ def test_instance_call_refuses_queries_outside_its_domain(lazy):
                     inst(*query)
 
 
-@pytest.mark.parametrize("m", [4, primitives.FULL_TABLE_KEY_LIMIT + 1], ids=["full", "lazy"])
-def test_permutation_and_family_refuse_inputs_outside_the_block(m):
+@pytest.mark.parametrize("lazy", [False, True], ids=["full", "lazy"])
+def test_permutation_and_family_refuse_inputs_outside_the_block(lazy):
     """A permutation, its inverse and a family's encrypt refuse -1 and 2^n
     with ValueError: the gather would wrap -1 round to the last entry and
-    raise IndexError past the end."""
+    raise IndexError past the end. The family's table is drawn before, or
+    (lazy, at key width 13) by the first encrypt."""
     n = 3
     perm = random_permutation(n, np.random.default_rng(12))
-    family = BlockCipherFamily(m, n, seed=13)
-    assert (family._full is None) == (m > primitives.FULL_TABLE_KEY_LIMIT)
+    family = BlockCipherFamily(13 if lazy else 4, n, seed=13)
+    if not lazy:
+        family.tables()
     for call in (perm, perm.inverse, lambda x: family.encrypt(1, x)):
         assert call(0) == call(np.int64(0))
         for bad in (-1, 1 << n, np.int64(-1), np.int64(1 << n)):
@@ -255,13 +262,16 @@ def test_instance_call_is_the_scalar_oracle(lazy):
     """Each construction's call answers an int query with the int, and an
     int64 array of queries with the int64 array of answers, that its scalar
     oracle gives query by query, over the whole query domain (every
-    (m1, m2) pair for the MAC). The reference runs on a twin whose family
-    is rebuilt from the seed, so no key table is shared with the call."""
-    for inst, oracle, domain in _oracle_cases(lazy):
+    (m1, m2) pair for the MAC), whether its family's table was drawn
+    before or (lazy) is drawn by the call. The reference runs on a twin
+    whose family is rebuilt from the seed, so no key table is shared with
+    the call."""
+    cases = _oracle_cases(lazy)
+    assert _drawn(cases[1][0].family) != lazy
+    for inst, oracle, domain in cases:
         twin = inst
         if hasattr(inst, "family"):
             fam = inst.family
-            assert (fam._full is None) == lazy
             twin = replace(inst, family=BlockCipherFamily(fam.m, fam.n, fam.seed))
         elif hasattr(inst, "column"):
             twin = replace(inst)
