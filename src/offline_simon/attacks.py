@@ -19,7 +19,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import analysis, primitives, search
+from . import analysis, primitives, search, simon
 from .primitives import (
     BeetleToyInstance,
     ChaskeyToyInstance,
@@ -88,7 +88,7 @@ def _screen_or_raise(instance: search.SearchInstance, target: Target) -> search.
     if scr.periodic_indices != (i0,):
         raise DegenerateInstanceError(
             f"{target.kind}: periodic branches {scr.periodic_indices}, expected ({i0},)")
-    periods = scr.laws[i0].periods
+    periods = simon._periods(scr.collisions[i0])
     full = (1 << instance.n) - 1
     if instance.planted_period:
         if periods != (instance.planted_period,):

@@ -308,6 +308,18 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
     return 0
 
 
+def _check_out(out: str | None) -> None:
+    """Raise now the OSError that writing `out` after the run would raise,
+    creating and truncating nothing: a file already there is only opened."""
+    if not out:
+        return
+    try:
+        os.close(os.open(out, os.O_WRONLY))
+    except FileNotFoundError:
+        if not Path(out).parent.is_dir():
+            raise
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -381,6 +393,7 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise CliError(f"--{flag} must be at least 1, got {value}")
+        _check_out(args.out)
         return args.run(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,11 +23,11 @@ Every backend then recovers the period of the one branch it returns (the
 first measured shot, or the screen's one periodic branch), once per search.
 
 Every backend starts from the instance's screen, which transforms all 2^m
-branch tables in one ``simon.distributions`` pass and keeps each branch's
-Simon law. A sampled shot draws its rank samples from those laws and
-rank-tests them through ``simon.misses_rank``, the kernel of the p_bad
-Monte Carlo too: one call per shot, over the stacked laws of every
-aperiodic branch.
+branch tables in one ``simon.distributions`` pass and keeps the branches'
+Simon laws and collision spectra as the two (2^m, 2^n) stacks it returns.
+A sampled shot draws its rank samples from the rows of the aperiodic
+branches and rank-tests them through ``simon.misses_rank``, the kernel of
+the p_bad Monte Carlo too: one call per shot, over that one gather.
 """
 
 from __future__ import annotations
@@ -110,26 +110,27 @@ class SearchInstance:
 
 @dataclass(frozen=True)
 class ScreenResult:
-    """Exact branch classification of an instance, with each branch's Simon
-    law (and through it the collision spectrum) for the backends to reuse."""
+    """Exact branch classification of an instance, with the branches' Simon
+    laws and collision spectra (row i is branch i's) for the backends to reuse."""
 
     periodic_indices: tuple[int, ...]
     branch_eps: np.ndarray
     eps: float
     condition_violated: bool
     multi_marked: bool
-    laws: tuple[simon.SimonSampleDistribution, ...]
+    weights: np.ndarray
+    collisions: np.ndarray
 
 
 def screen(instance: SearchInstance) -> ScreenResult:
-    """Classify every branch: periodic or not (its law's ``periods`` name the
-    periods), per-branch collision maxima, and the condition value (the
-    largest off-branch collision probability).
+    """Classify every branch: periodic or not (a collision of 1 off t = 0
+    names a period), per-branch collision maxima, and the condition value
+    (the largest off-branch collision probability).
 
     All 2^m branch tables go through ``simon.distributions`` in one call, and
-    the classification is read off the (2^m, 2^n) collision array at once."""
-    laws = simon.distributions(instance.family ^ instance.g, instance.n)
-    off = np.array([law.collisions[1:] for law in laws])
+    the classification is read off the (2^m, 2^n) collision stack at once."""
+    weights, collisions = simon.distributions(instance.family ^ instance.g, instance.n)
+    off = collisions[:, 1:]
     periodic = (off == 1.0).any(axis=1)
     eps_branch = off.max(axis=1, where=off < 1.0, initial=0.0)
     eps = float(eps_branch[~periodic].max(initial=0.0))
@@ -140,7 +141,8 @@ def screen(instance: SearchInstance) -> ScreenResult:
         eps=eps,
         condition_violated=(eps > 0.5) or len(periodic_indices) != 1,
         multi_marked=len(periodic_indices) > 1,
-        laws=laws,
+        weights=weights,
+        collisions=collisions,
     )
 
 
@@ -372,12 +374,12 @@ def structured_predict(instance: SearchInstance, copies: int,
     scr = instance.screened
     budget = error_budget(instance.n, instance.m, copies, scr.eps)
     stats = []
-    for i, law in enumerate(scr.laws):
-        if law.periods:
+    for i, (weights, collisions) in enumerate(zip(scr.weights, scr.collisions)):
+        if i in scr.periodic_indices:
             stats.append(BranchStat(i, True, float(scr.branch_eps[i]), None, None))
             continue
-        union = analysis.p_bad_union_bound(law.collisions, copies)
-        p_bad_mc = simon._p_bad_mc(law, copies, trials, rng)
+        union = analysis.p_bad_union_bound(collisions, copies)
+        p_bad_mc = simon._p_bad_mc(weights, copies, trials, rng)
         stats.append(BranchStat(i, False, float(scr.branch_eps[i]), p_bad_mc, union))
     return StructuredPrediction(
         budget=budget,
@@ -513,17 +515,16 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
     iteration.
 
     All draws come first, iteration by iteration in branch order: one
-    ``simon.misses_rank`` call over the stacked laws of the aperiodic
-    branches draws the very words that ``rng.choice(2^n, copies,
-    p=law.weights)`` would give call by call, and rank-tests them a block
+    ``simon.misses_rank`` call over the aperiodic branches' rows of the
+    screen's weights draws the very words that ``rng.choice(2^n, copies,
+    p=weights[i])`` would give call by call, and rank-tests them a block
     at a time, which decides every sign."""
     size = 1 << instance.m
     scr = instance.screened
     periodic = np.zeros(size, dtype=bool)
     periodic[list(scr.periodic_indices)] = True
     aperiodic = np.nonzero(~periodic)[0]
-    laws = np.reshape([scr.laws[i].weights for i in aperiodic], (len(aperiodic), 1 << instance.n))
-    fired = simon.misses_rank(laws, (r, len(aperiodic), copies), rng, instance.n)
+    fired = simon.misses_rank(scr.weights[aperiodic], (r, len(aperiodic), copies), rng, instance.n)
     amp = np.full(size, 1.0 / math.sqrt(size))
     for j in range(r):
         signs = np.where(periodic, -1.0, 1.0)

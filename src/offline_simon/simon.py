@@ -12,7 +12,8 @@ Pr[u . t = 0] = (1 + Pr_x[h(x ^ t) = h(x)]) / 2 of Kaplan et al., CRYPTO
 2016), so one class-indicator transform per table gives the periods, the
 condition value eps and the union bound as well. ``distributions`` makes
 that pass over a whole stack of tables at once (every branch of a search
-instance); ``distribution`` is its one-table case.
+instance), into one read-only stack of laws and one of collision spectra;
+``distribution`` is its one-table case.
 """
 
 from __future__ import annotations
@@ -53,20 +54,25 @@ class SimonSampleDistribution:
     """Exact law of the measured vector u for one round on h, with
     Pr_x[h(x ^ t) = h(x)] for every t (the law's Walsh transform)."""
 
-    n: int
     weights: np.ndarray
     collisions: np.ndarray
 
     @cached_property
     def periods(self) -> tuple[int, ...]:
         """Nonzero t with h(x ^ t) = h(x) for all x."""
-        return tuple(int(t) for t in np.nonzero(self.collisions == 1.0)[0] if t != 0)
+        return _periods(self.collisions)
+
+
+def _periods(collisions: np.ndarray) -> tuple[int, ...]:
+    """The periods of h, off its collision spectrum: the t > 0 of collision 1."""
+    return tuple((np.flatnonzero(collisions[1:] == 1.0) + 1).tolist())
 
 
 def distribution(h, n: int | None = None) -> SimonSampleDistribution:
     """weights(u) = 2^-2n * sum_a |sum_{x: h(x)=a} (-1)^(u.x)|^2."""
     table, n = _as_table(h, n)
-    return distributions(table[None], n)[0]
+    weights, collisions = distributions(table[None], n)
+    return SimonSampleDistribution(weights[0], collisions[0])
 
 
 def _squared_spectra(codes: np.ndarray, start: int, stop: int, size: int) -> np.ndarray:
@@ -82,8 +88,9 @@ def _squared_spectra(codes: np.ndarray, start: int, stop: int, size: int) -> np.
     return block
 
 
-def distributions(tables, n: int | None = None) -> tuple[SimonSampleDistribution, ...]:
-    """The law of every row of a (rows, 2^n) stack of tables, from one pass.
+def distributions(tables, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The law of every row of a (rows, 2^n) stack of tables, from one pass:
+    a read-only (rows, 2^n) stack of weights and one of their collisions.
 
     Classes are numbered across all rows by one ``np.unique`` over keys
     offset by row, so a block of class indicators may span rows. Every
@@ -113,7 +120,8 @@ def distributions(tables, n: int | None = None) -> tuple[SimonSampleDistribution
         weights[own[runs]] += np.add.reduceat(block, runs, axis=0)
     weights /= float(size * size)
     collisions = fwht(weights)
-    return tuple(SimonSampleDistribution(n, w, c) for w, c in zip(weights, collisions))
+    weights.flags.writeable = collisions.flags.writeable = False
+    return weights, collisions
 
 
 def sample(h, count: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -253,21 +261,21 @@ def misses_rank(weights, shape, rng: np.random.Generator, n: int) -> np.ndarray:
     return missed.reshape(shape[:-1])
 
 
-def _p_bad_mc(law: SimonSampleDistribution, count: int, trials: int,
+def _p_bad_mc(weights: np.ndarray, count: int, trials: int,
               rng: np.random.Generator) -> float:
-    """Share of `trials` draws of count words from the law that do not
-    span F_2^n (the rank test's false-positive rate, by Monte Carlo).
+    """Share of `trials` draws of count words from the law `weights` that
+    do not span F_2^n (the rank test's false-positive rate, by Monte Carlo).
 
     The words are those of ``rng.choice(2^n, (trials, count), p=weights)``,
     bit for bit, with the same checks on the weights, and leave the
     generator in the same state (see ``misses_rank``).
     """
-    weights = law.weights
     if (weights < 0).any():
         raise ValueError("the law has a negative weight")
     if not abs(float(weights.sum()) - 1.0) <= math.sqrt(np.finfo(np.float64).eps):
         raise ValueError("the law's weights do not sum to 1")
-    return int(misses_rank(weights, (trials, 1, count), rng, law.n).sum()) / trials
+    n = len(weights).bit_length() - 1
+    return int(misses_rank(weights, (trials, 1, count), rng, n).sum()) / trials
 
 
 @dataclass(frozen=True)
@@ -293,7 +301,7 @@ def p_bad_estimate(h, c: int, trials: int, rng: np.random.Generator, n: int | No
     if dist.periods:
         raise ValueError("h is periodic; p_bad is defined for aperiodic h")
     count = c * n
-    est = _p_bad_mc(dist, count, trials, rng)
+    est = _p_bad_mc(dist.weights, count, trials, rng)
     half = 1.96 * math.sqrt(max(est * (1.0 - est), 1e-12) / trials)
     probs = dist.collisions
     eps = float(probs[1:].max()) if len(probs) > 1 else 0.0

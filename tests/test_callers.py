@@ -11,9 +11,18 @@ a chain of dead definitions fails whole rather than one link at a time.
 Words in comments and docstrings do not count, and neither does the
 definition itself, nor an attribute read off a module from outside the
 package (``np.linalg.norm`` is no caller of a ``norm``).
+
+A reference names no owner, so it is a caller of a public definition only
+when nothing else in the package defines the same bare name: no other
+definition, private ones included, no class attribute or field, and no
+``self.<name>`` assignment (``report.as_dict()`` cannot say whose
+``as_dict`` it reads, nor ``budget.copies`` that it reads a field and not
+``Target.copies``). A bare name that is defined more than once is listed in
+AMBIGUOUS, with the public definitions its references reach and why.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,6 +35,21 @@ ALLOWED = {
     "load_permutation": "reads the permutation files `gen permutation` writes",
     "load_function_table": "reads the table files `gen function-table` writes",
     "instance_from_json": "reads the instance descriptors `gen <kind>` writes",
+}
+
+# Bare name -> {dotted name: the reference that reaches it} for every bare
+# name of a public definition that the package defines more than once; a
+# public definition left out of its name's entry is reached by no reference.
+AMBIGUOUS = {
+    "as_dict": {
+        "AttackReport.as_dict": "cli._attack_trial serializes each attack trial's report",
+        "Report.as_dict": "AttackReport.as_dict extends it; perfbench's exact-circuit workload reads it",
+    },
+    "copies": {"Target.copies": "cli._attack_parameters and attacks.run_attack size the search"},
+    "grover_iterations": {
+        "grover_iterations": "search.error_budget and check_capacity count the iterations",
+    },
+    "rank": {"Gf2Basis.rank": "gf2.solve_period reads basis.rank"},
 }
 
 
@@ -119,11 +143,46 @@ def _references(nodes, docstrings: set[int], foreign: set[str]) -> set[str]:
     return refs
 
 
+def _bare(name: str) -> str:
+    return name.rsplit(".", 1)[-1]
+
+
+def _defined_names(tree: ast.AST):
+    """Every name a module defines that an attribute read can reach: its
+    functions and classes, public or not, at any depth, the names assigned
+    in class bodies (fields and class attributes), and ``self.<name>``
+    assignments."""
+    for node in ast.walk(tree):
+        if _is_def(node):
+            yield node.name
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    targets = ([sub.target] if isinstance(sub, ast.AnnAssign)
+                               else sub.targets if isinstance(sub, ast.Assign) else [])
+                    yield from (t.id for t in targets if isinstance(t, ast.Name))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.attr
+
+
+def ambiguous_names(package: dict[str, str]) -> dict[str, set[str]]:
+    """Bare name -> dotted names of the public definitions that carry it,
+    for each bare name of a public definition that the package's sources
+    define more than once."""
+    trees = [ast.parse(text) for text in package.values()]
+    public = [name for tree in trees for name, _, _ in definition_code(tree) if name]
+    counts = Counter(name for tree in trees for name in _defined_names(tree))
+    return {_bare(name): {n for n in public if _bare(n) == _bare(name)}
+            for name in public if counts[_bare(name)] > 1}
+
+
 def uncalled_names(package: dict[str, str], outside: list[str],
-                   allowed=ALLOWED) -> dict[str, str]:
+                   allowed=ALLOWED, ambiguous=AMBIGUOUS) -> dict[str, str]:
     """Dotted name -> "module:line" of each public definition in the
     package's sources (file name -> text) that no live code refers to;
-    `outside` (perfbench's sources) is live throughout."""
+    `outside` (perfbench's sources) is live throughout. A reference to a
+    bare name that the package defines more than once reaches only the
+    definitions listed under it in `ambiguous`."""
     live = set().union(*(code_references(ast.parse(text)) for text in outside))
     public = {}
     for file, text in package.items():
@@ -135,13 +194,16 @@ def uncalled_names(package: dict[str, str], outside: list[str],
                 live |= refs
             else:
                 public[name] = (f"{file}:{lineno}", refs)
+    shared = ambiguous_names(package)
     for name in set(allowed) & set(public):
         live |= public[name][1]
     reached, grown = set(), True
     while grown:
         grown = False
         for name, (_, refs) in public.items():
-            if name not in reached and name.rsplit(".", 1)[-1] in live:
+            bare = _bare(name)
+            if (name not in reached and bare in live
+                    and (bare not in shared or name in ambiguous.get(bare, ()))):
                 reached.add(name)
                 live |= refs
                 grown = True
@@ -216,3 +278,42 @@ def test_private_definitions_and_class_code_are_live_as_stated():
     # __init__ is private, so helper is reached, then Kept and its class
     # code (Width); method and other have no live caller
     assert set(uncalled_names({"m.py": source}, [], {})) == {"Kept.method", "other"}
+
+
+def test_every_shared_bare_name_is_listed():
+    """AMBIGUOUS names exactly the bare names of public definitions that
+    the package defines more than once, and lists only definitions that
+    carry them."""
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    shared = ambiguous_names(package)
+    assert set(AMBIGUOUS) == set(shared)
+    for bare, reached in AMBIGUOUS.items():
+        assert set(reached) <= shared[bare]
+
+
+def test_a_shared_method_name_reaches_only_the_listed_definitions():
+    # two classes carry `run`; a read of `run` cannot say whose it is
+    source = ('class Fast:\n    def run(self):\n        return 1\n\n'
+              'class Slow:\n    def run(self):\n        return 2\n\n'
+              '    def stop(self):\n        return 3\n\n'
+              'VALUE = Fast().run(), Slow().stop()\n')
+    package = {"m.py": source}
+    assert ambiguous_names(package) == {"run": {"Fast.run", "Slow.run"}}
+    assert set(uncalled_names(package, [], {}, {})) == {"Fast.run", "Slow.run"}
+    listed = {"run": {"Fast.run": "VALUE calls it"}}
+    assert set(uncalled_names(package, [], {}, listed)) == {"Slow.run"}
+    # a name that one definition carries still passes on its bare read
+    assert "Slow.stop" not in uncalled_names(package, [], {}, {})
+
+
+def test_a_field_read_is_no_caller_of_a_method_of_its_name():
+    # Budget.lower is a field and Plan.lower a dead property; so is the
+    # function `rate`, whose name an instance attribute also takes
+    source = ('class Budget:\n    lower: float = 0.0\n\n'
+              'class Plan:\n    @property\n    def lower(self):\n        return 1\n\n'
+              'class Meter:\n    def __init__(self):\n        self.rate = 2\n\n'
+              'def rate():\n    return 3\n\n'
+              'VALUE = Budget().lower, Meter().rate, Plan\n')
+    package = {"m.py": source}
+    assert ambiguous_names(package) == {"lower": {"Plan.lower"}, "rate": {"rate"}}
+    assert set(uncalled_names(package, [], {}, {})) == {"Plan.lower", "rate"}

@@ -513,6 +513,34 @@ def test_an_unwritable_out_exits_2_with_an_error(tmp_path, capsys, argv, where):
     assert err.startswith("error: [Errno ") and str(out) in err and err.count("\n") == 1
 
 
+def test_attack_checks_out_before_its_first_trial(monkeypatch, tmp_path, capsys):
+    """An --out under a missing directory fails before any trial runs (or
+    any of verify-bounds' draws); a path the check passes is neither created
+    nor truncated until the report is written."""
+    calls, seen = [], []
+    attack_trial, default_rng = cli._attack_trial, np.random.default_rng
+    monkeypatch.setattr(cli, "_attack_trial", lambda *args: calls.append(args))
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: calls.append(args))
+    missing = tmp_path / "missing" / "x.json"
+    assert run_cli(["attack", "em-q1", "--trials", "3", "--out", str(missing)]) == 2
+    assert run_cli(["verify-bounds", "--trials", "1", "--out", str(missing)]) == 2
+    assert not calls
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n" * 2
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+
+    def trial(kind, p, t):
+        seen.append([out.read_text() if out.exists() else None for out in (kept, fresh)])
+        return attack_trial(kind, p, t)
+
+    monkeypatch.setattr(cli, "_attack_trial", trial)
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("kept\n")
+    for out in (kept, fresh):
+        assert run_cli(["attack", "em-q1", "--trials", "2", "--out", str(out)]) == 0
+    assert seen == [["kept\n", None]] * 2 + [[kept.read_text(), None]] * 2
+    assert kept.read_text() == fresh.read_text() != "kept\n"
+
+
 def test_gen_rejects_oversized(capsys):
     assert run_cli(["gen", "permutation", "--n", "40", "--out", "/tmp/nope.txt"]) == 2
     capsys.readouterr()
@@ -792,8 +820,9 @@ def test_attack_transforms_each_branch_once(monkeypatch, tmp_path, kind, backend
     """Every branch of a searched instance goes through the class-indicator
     transform exactly once: all 2^m branch tables in one simon.distributions
     call, and no simon.distribution call on any of them. The screen's laws
-    serve the backend too."""
-    stacks, singles, searched = [], [], []
+    serve the backend too, as its stacks: a trial builds no per-branch
+    SimonSampleDistribution."""
+    stacks, singles, searched, built = [], [], [], []
     distributions, distribution = simon.distributions, simon.distribution
     alg_q1, alg_q2 = search.alg_exp_q1, search.alg_poly_q2
 
@@ -805,12 +834,18 @@ def test_attack_transforms_each_branch_once(monkeypatch, tmp_path, kind, backend
         singles.append(np.array(h, dtype=np.int64))
         return distribution(h, n)
 
+    def spy_law(*args):
+        built.append(args)
+        return law(*args)
+
     def spy(alg):
         def run(instance, *args, **kwargs):
             searched.append(instance)
             return alg(instance, *args, **kwargs)
         return run
 
+    law = simon.SimonSampleDistribution
+    monkeypatch.setattr(simon, "SimonSampleDistribution", spy_law)
     monkeypatch.setattr(simon, "distributions", spy_distributions)
     monkeypatch.setattr(simon, "distribution", spy_distribution)
     monkeypatch.setattr(search, "alg_exp_q1", spy(alg_q1))
@@ -818,6 +853,7 @@ def test_attack_transforms_each_branch_once(monkeypatch, tmp_path, kind, backend
     assert run_cli(["attack", kind, "--trials", "2", "--backend", backend,
                     "--out", str(tmp_path / "r.json")]) == 0
     assert len(searched) == 2
+    assert not built
     for inst in searched:
         branches = inst.family ^ inst.g
         assert sum(np.array_equal(tables, branches) for tables in stacks) == 1

@@ -50,7 +50,8 @@ def test_cipher_family_deterministic_and_bijective():
         t1, t2 = fam1.key_table(key), fam2.key_table(key)
         assert np.array_equal(t1, t2)
         assert np.array_equal(np.sort(t1), np.arange(1 << 5))
-    assert fam1.encrypt(3, 7) != BlockCipherFamily(4, 5, seed=100).encrypt(3, 7) or True
+    # another seed draws another family
+    assert not np.array_equal(fam1.tables(), BlockCipherFamily(4, 5, seed=100).tables())
 
 
 def _drawn(family: BlockCipherFamily) -> bool:

@@ -57,9 +57,29 @@ def test_random_instance_screens_clean():
         inst = search.random_instance(4, 3, 4, np.random.default_rng(seed))
         scr = search.screen(inst)
         assert scr.periodic_indices == (inst.planted_index,)
-        assert scr.laws[inst.planted_index].periods == (inst.planted_period,)
+        assert simon._periods(scr.collisions[inst.planted_index]) == (inst.planted_period,)
         assert not scr.condition_violated
         assert 0.0 <= scr.eps <= 0.5
+
+
+@pytest.mark.parametrize("n, m, l", [(1, 0, 1), (2, 3, 2), (3, 6, 4), (5, 2, 6)])
+def test_screen_keeps_each_branch_law_as_a_read_only_row(n, m, l):
+    """Row i of the screen's weights and collisions is, bit for bit, what
+    simon.distribution gives branch i alone, and neither stack can be
+    written."""
+    rng = np.random.default_rng(40 + n + m)
+    inst = search.SearchInstance(n=n, m=m, l=l, family=rng.integers(0, 1 << l, size=(1 << m, 1 << n)),
+                                 g=rng.integers(0, 1 << l, size=1 << n))
+    scr = search.screen(inst)
+    assert scr.weights.shape == scr.collisions.shape == (1 << m, 1 << n)
+    for i in range(1 << m):
+        alone = simon.distribution(inst.branch(i), n)
+        assert scr.weights[i].tobytes() == alone.weights.tobytes()
+        assert scr.collisions[i].tobytes() == alone.collisions.tobytes()
+        assert (i in scr.periodic_indices) == bool(alone.periods)
+    for stack in (scr.weights, scr.collisions):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0] = 0.5
 
 
 def test_screen_flags_equal_split_violation():
@@ -254,16 +274,16 @@ def test_search_rejects_zero_shots(backend):
 
 def test_branch_test_structured_and_sampled():
     """The period check of one branch as the structured and sampled
-    backends make it: the screen's law classifies the branch (with the
-    union bound on p_bad when it is aperiodic), and a rank test on fresh
-    samples fires on the periodic one."""
+    backends make it: the screen's collision spectra classify the branch
+    (with the union bound on p_bad when it is aperiodic), and a rank test
+    on fresh samples fires on the periodic one."""
     inst = medium_instance()
     rng = np.random.default_rng(6)
-    laws = inst.screened.laws
-    assert laws[inst.planted_index].periods
-    bad = laws[(inst.planted_index + 1) % (1 << inst.m)]
-    assert not bad.periods
-    assert analysis.p_bad_union_bound(bad.collisions, 18) < 0.01
+    collisions = inst.screened.collisions
+    assert simon._periods(collisions[inst.planted_index])
+    bad = collisions[(inst.planted_index + 1) % (1 << inst.m)]
+    assert not simon._periods(bad)
+    assert analysis.p_bad_union_bound(bad, 18) < 0.01
     words = simon.sample(inst.branch(inst.planted_index), 18, rng, inst.n)
     assert gf2.batch_rank(words.reshape(1, -1), inst.n)[0] < inst.n
 
@@ -315,12 +335,12 @@ def _choice_loop_shot(instance, copies, r, rng):
     n = instance.n
     size = 1 << instance.m
     scr = instance.screened
-    periodic = np.array([bool(law.periods) for law in scr.laws], dtype=bool)
+    periodic = np.array([bool(simon._periods(row)) for row in scr.collisions], dtype=bool)
     aperiodic = np.nonzero(~periodic)[0]
     draws = np.empty((r, len(aperiodic), copies), dtype=np.int64)
     for j in range(r):
         for slot, i in enumerate(aperiodic):
-            draws[j, slot] = rng.choice(1 << n, size=copies, p=scr.laws[i].weights)
+            draws[j, slot] = rng.choice(1 << n, size=copies, p=scr.weights[i])
     fired = gf2.batch_rank(draws.reshape(r * len(aperiodic), copies), n) < n
     fired = fired.reshape(r, len(aperiodic))
     amp = np.full(size, 1.0 / math.sqrt(size))
@@ -361,8 +381,8 @@ def test_shot_draws_match_the_choice_loop(monkeypatch):
         assert got == want
         assert len(seen) == 1 and np.array_equal(seen[0], want_draws)
         assert got_rng.random() == want_rng.random()
-        laws = [law for law in inst.screened.laws if not law.periods]
-        zero_weight += sum(int((law.weights == 0.0).sum()) for law in laws)
+        scr = inst.screened
+        zero_weight += int((np.delete(scr.weights, scr.periodic_indices, axis=0) == 0.0).sum())
         drawn += want_draws.size
     assert zero_weight > 0 and drawn > 1000
 

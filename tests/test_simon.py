@@ -310,7 +310,8 @@ def _mixed_rows(n, rng):
 def test_distributions_match_each_row_bit_for_bit(monkeypatch, n):
     """One pass over a stack of tables gives every row the law, collision
     spectrum and periods that the row gets alone, also when class-indicator
-    blocks span rows, split a row, and end on a short block."""
+    blocks span rows, split a row, and end on a short block; both stacks
+    are read-only."""
     rng = np.random.default_rng(100 + n)
     tables = _mixed_rows(n, rng)
     alone = [simon.distribution(table, n) for table in tables]
@@ -320,13 +321,14 @@ def test_distributions_match_each_row_bit_for_bit(monkeypatch, n):
     ragged = 0
     for chunk in range(1, 8):
         monkeypatch.setattr(simon, "_CHUNK_CELLS", chunk << n)
-        laws = simon.distributions(tables, n)
-        assert len(laws) == len(tables)
-        for table, law, one in zip(tables, laws, alone):
-            assert law.weights.tobytes() == one.weights.tobytes()
-            assert law.collisions.tobytes() == one.collisions.tobytes()
-            assert law.periods == one.periods
-            assert np.array_equal(law.weights, brute_law(table, n))
+        weights, collisions = simon.distributions(tables, n)
+        assert weights.shape == collisions.shape == tables.shape
+        assert not weights.flags.writeable and not collisions.flags.writeable
+        for table, w, c, one in zip(tables, weights, collisions, alone):
+            assert w.tobytes() == one.weights.tobytes()
+            assert c.tobytes() == one.collisions.tobytes()
+            assert simon._periods(c) == one.periods
+            assert np.array_equal(w, brute_law(table, n))
         cuts = np.arange(chunk, total, chunk)
         spans_rows = any(end % chunk for end in ends[:-1])
         splits_row = any(((cuts > a) & (cuts < b)).any() for a, b in zip(starts, ends))
@@ -339,9 +341,9 @@ def test_distributions_number_widely_spread_values():
     relabelling of them to small ones."""
     big = np.array([[-(1 << 62), 1 << 62, 0, 0], [5, 5, 1 << 62, -(1 << 62)]])
     small = np.array([[0, 2, 1, 1], [1, 1, 2, 0]])
-    for law, want in zip(simon.distributions(big, 2), simon.distributions(small, 2)):
-        assert law.weights.tobytes() == want.weights.tobytes()
-        assert law.periods == want.periods
+    (weights, collisions), want = simon.distributions(big, 2), simon.distributions(small, 2)
+    assert weights.tobytes() == want[0].tobytes()
+    assert [simon._periods(c) for c in collisions] == [simon._periods(c) for c in want[1]]
 
 
 class _Feed:
@@ -430,7 +432,7 @@ def _simon_stack(rng, rows, n):
     """The laws of `rows` random tables of n bits, with values of 1 to n
     bits (the 1-bit ones often periodic)."""
     tables = rng.integers(0, 1 << rng.integers(1, n + 1, size=(rows, 1)), size=(rows, 1 << n))
-    return np.array([law.weights for law in simon.distributions(tables, n)])
+    return simon.distributions(tables, n)[0].copy()
 
 
 def test_bin_tables_resolve_a_bin_iff_all_of_it_draws_one_word():
@@ -582,12 +584,13 @@ def test_p_bad_estimate_transforms_its_table_once(monkeypatch):
     assert shapes == [(len(np.unique(table)), 1 << n), (1, 1 << n)]
 
 
-def _choice_p_bad_mc(law, count, trials, rng):
+def _choice_p_bad_mc(weights, count, trials, rng):
     """The _p_bad_mc that guide-table draws replaced: one rng.choice of the
     whole (trials, count) block, ranked by the first-word kernel. Returns the
     estimate and the draws."""
-    draws = rng.choice(1 << law.n, size=(trials, count), p=law.weights)
-    return int((first_word_batch_rank(draws, law.n) < law.n).sum()) / trials, draws
+    n = len(weights).bit_length() - 1
+    draws = rng.choice(1 << n, size=(trials, count), p=weights)
+    return int((first_word_batch_rank(draws, n) < n).sum()) / trials, draws
 
 
 def _laws(n, rng):
@@ -598,12 +601,12 @@ def _laws(n, rng):
     period = int(rng.integers(1, size))
     tables = [rng.integers(0, size, size=size), simon.random_periodic_function(n, n, period, rng),
               np.zeros(size, dtype=np.int64), (np.arange(size) == 0).astype(np.int64)]
-    laws = [simon.distribution(table, n) for table in tables]
+    laws = [simon.distribution(table, n).weights for table in tables]
     spread = rng.random(size) * (rng.random(size) < 0.7)
     spread[rng.integers(size)] += 1.0
     two = np.where(rng.random(size) < 0.5, 1.0, 3.0)
     for w in (spread, np.ones(size), two, np.eye(size)[rng.integers(size)], np.eye(size)[-1]):
-        laws.append(simon.SimonSampleDistribution(n, w / w.sum(), np.zeros(size)))
+        laws.append(w / w.sum())
     return laws
 
 
@@ -664,7 +667,7 @@ def test_rank_sample_kernels_draw_what_choice_draws_past_16_bits(monkeypatch, n)
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         assert np.array_equal(simon.sample(table, count, a, n), per_class_sample(table, count, b, n))
         assert a.random() == b.random()
-    law = simon.distribution(table, n)
+    law = simon.distribution(table, n).weights
     for count, trials in ((1, 40), (n, 24), (3 * n + 2, 30)):
         _check_p_bad_mc(monkeypatch, law, count, trials, int(rng.integers(1 << 32)))
 
@@ -675,6 +678,5 @@ def test_rank_sample_kernels_draw_what_choice_draws_past_16_bits(monkeypatch, n)
 def test_p_bad_mc_rejects_what_choice_rejects(weights):
     """A negative weight, weights not summing to 1 and a NaN raise, as
     rng.choice(p=...) raised."""
-    law = simon.SimonSampleDistribution(2, np.array(weights), np.zeros(4))
     with pytest.raises(ValueError):
-        simon._p_bad_mc(law, 2, 10, np.random.default_rng(0))
+        simon._p_bad_mc(np.array(weights), 2, 10, np.random.default_rng(0))
