@@ -33,12 +33,12 @@ LOG2_4_3 = math.log2(4.0 / 3.0)
 def collision_probabilities(table, n: int) -> np.ndarray:
     """Pr_x[h(x ^ t) = h(x)] for every t, as a length-2^n array: the Walsh
     transform of the Simon law of h (exact; see the module docstring)."""
-    return simon.distribution(table, n).collisions
+    return simon.distribution(table, n)[1]
 
 
 def find_periods(table, n: int) -> list[int]:
     """Nonzero t with h(x ^ t) = h(x) for all x (a subgroup minus zero)."""
-    return list(simon.distribution(table, n).periods)
+    return list(simon._periods(simon.distribution(table, n)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +93,10 @@ def grover_iterations(m: int) -> int:
     return int(math.floor((math.pi / 4.0) * (2.0 ** (m / 2.0))))
 
 
-def grover_theta(a: float) -> float:
-    """theta with sin^2(theta) = a, the rotation angle per iteration."""
-    return math.asin(math.sqrt(a))
-
-
 def amplified_success(a: float, r: int) -> float:
-    """Exact success probability sin^2((2r+1) theta) of r noiseless rounds."""
-    return math.sin((2 * r + 1) * grover_theta(a)) ** 2
+    """Exact success probability sin^2((2r+1) theta) of r noiseless rounds,
+    theta the rotation angle per iteration: sin^2(theta) = a."""
+    return math.sin((2 * r + 1) * math.asin(math.sqrt(a))) ** 2
 
 
 def grover_ideal_success(m: int, r: int | None = None) -> float:

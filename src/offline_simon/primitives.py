@@ -347,31 +347,58 @@ def instance_to_json(seed: int, inst) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _field(doc: dict, name: str, label: str | None = None):
+    """doc[name]; ValueError naming the field (as `label`) if it is missing."""
+    if name not in doc:
+        raise ValueError(f"descriptor has no field {label or name!r}")
+    return doc[name]
+
+
+def _integer_field(doc: dict, name: str) -> int:
+    """doc[name] as an int; ValueError naming the field if it is missing or
+    not an integer (a bool is not one)."""
+    value = _field(doc, name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} = {value!r} must be an integer")
+    return value
+
+
 def instance_from_json(text: str):
     """Rebuild an instance from its descriptor (deterministic in the seed).
-    Each size field (a width or a round count) must be at least 1, as the
-    CLI's size flags must, and each key must lie in [0, 2^w) for w its
-    width field."""
+    Each size field (a width or a round count) must be an integer of at
+    least 1, as the CLI's size flags must, the seed an integer, and each key
+    a hex string in [0, 2^w) for w its width field; a descriptor that is not
+    a JSON object, or lacks a field, is refused by name too (ValueError)."""
     doc = json.loads(text)
-    if doc["kind"] not in _KINDS:
-        raise ValueError(f"unknown instance kind {doc['kind']!r}")
-    cls, sizes, keys = _KINDS[doc["kind"]]
-    values = {f: doc[f] for f in sizes}
+    if not isinstance(doc, dict):
+        raise ValueError(f"a descriptor must be a JSON object, got {type(doc).__name__}")
+    kind = _field(doc, "kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    cls, sizes, keys = _KINDS[kind]
+    values = {f: _integer_field(doc, f) for f in sizes}
     for f, value in values.items():
         if value < 1:
             raise ValueError(f"{f} = {value} must be at least 1")
+    hexes = _field(doc, "keys")
+    if not isinstance(hexes, dict):
+        raise ValueError("keys must be a JSON object")
     for k, width in keys.items():
-        values[k] = int(doc["keys"][k], 16)
-        if not 0 <= values[k] < 1 << doc[width]:
-            raise ValueError(f"key {k} = {doc['keys'][k]} outside [0, 2^{width}) "
-                             f"with {width} = {doc[width]}")
-    rng = np.random.default_rng(doc["seed"])
+        key = _field(hexes, k, f"keys.{k}")
+        try:
+            values[k] = int(key, 16)
+        except (TypeError, ValueError):
+            raise ValueError(f"key {k} = {key!r} is not a hex string") from None
+        if not 0 <= values[k] < 1 << values[width]:
+            raise ValueError(f"key {k} = {key} outside [0, 2^{width}) "
+                             f"with {width} = {values[width]}")
+    rng = np.random.default_rng(_integer_field(doc, "seed"))
     names = [f.name for f in fields(cls) if f.init]
     if "perm" in names:
-        width = doc["n"] if "n" in doc else doc["rate"] + doc["capacity"]
+        width = values["n"] if "n" in values else values["rate"] + values["capacity"]
         values["perm"] = random_permutation(width, rng)
     elif "family" in names:
-        values["family"] = random_cipher_family(doc["m"], doc["n"], rng)
+        values["family"] = random_cipher_family(values["m"], values["n"], rng)
     else:
         values["seed"] = random_cipher_seed(rng)
     return cls(**{f: values[f] for f in names})

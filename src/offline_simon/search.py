@@ -147,35 +147,6 @@ def screen(instance: SearchInstance) -> ScreenResult:
 
 
 # ---------------------------------------------------------------------------
-# Error budget
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """The analytic noise accounting for one full search run."""
-
-    n: int
-    m: int
-    copies: int
-    eps: float
-    r: int
-    a: float
-    delta_bound: float
-    ideal_success: float
-    success_lower: float
-
-
-def error_budget(n: int, m: int, copies: int, eps: float) -> ErrorBudget:
-    r = analysis.grover_iterations(m)
-    a = 1.0 if m == 0 else 2.0**-m
-    delta = analysis.restoration_bound(n, copies, eps)
-    ideal = analysis.grover_ideal_success(m, r)
-    lower = analysis.qaa_success_lower(a, r, delta)
-    return ErrorBudget(n, m, copies, eps, r, a, delta, ideal, lower)
-
-
-# ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
@@ -336,57 +307,6 @@ def _flags(m: int, copies: int, scr: ScreenResult) -> list[str]:
     if scr.multi_marked:
         flags.append("multi-marked")
     return flags
-
-
-# ---------------------------------------------------------------------------
-# Structured prediction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BranchStat:
-    index: int
-    periodic: bool
-    eps: float
-    p_bad_mc: float | None
-    p_bad_union: float | None
-
-
-@dataclass(frozen=True)
-class StructuredPrediction:
-    budget: ErrorBudget
-    branches: tuple[BranchStat, ...]
-    flags: tuple[str, ...]
-    condition_violated: bool
-
-
-def structured_predict(instance: SearchInstance, copies: int,
-                       trials: int = 2048, rng: np.random.Generator | None = None) -> StructuredPrediction:
-    """Analytic run prediction: exact branch classification, Monte Carlo
-    p_bad per aperiodic branch with the union-bound cross-check, and the
-    amplification error budget."""
-    if copies < 1:
-        raise ValueError("copies must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    scr = instance.screened
-    budget = error_budget(instance.n, instance.m, copies, scr.eps)
-    stats = []
-    for i, (weights, collisions) in enumerate(zip(scr.weights, scr.collisions)):
-        if i in scr.periodic_indices:
-            stats.append(BranchStat(i, True, float(scr.branch_eps[i]), None, None))
-            continue
-        union = analysis.p_bad_union_bound(collisions, copies)
-        p_bad_mc = simon._p_bad_mc(weights, copies, trials, rng)
-        stats.append(BranchStat(i, False, float(scr.branch_eps[i]), p_bad_mc, union))
-    return StructuredPrediction(
-        budget=budget,
-        branches=tuple(stats),
-        flags=tuple(_flags(instance.m, copies, scr)),
-        condition_violated=scr.condition_violated,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +471,8 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
     if rng is None:
         rng = np.random.default_rng(0)
     scr = instance.screened
-    budget = error_budget(instance.n, instance.m, copies, scr.eps)
+    r = analysis.grover_iterations(instance.m)
+    delta = analysis.restoration_bound(instance.n, copies, scr.eps)
     # Both acquisitions yield the same offline database (the codebook fixes
     # the superposition state exactly); only the online counters differ.
     if online_counts is None:
@@ -560,8 +481,8 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
     counters = Counters(
         classical_online=classical_online,
         quantum_online=quantum_online,
-        f_queries=2 * copies * budget.r,
-        grover_iterations=budget.r,
+        f_queries=2 * copies * r,
+        grover_iterations=r,
     )
 
     if backend == "structured":
@@ -571,10 +492,10 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
         if instance.m == 0:
             index_probs = np.array([1.0])
         else:
-            index_probs = _exact_index_distribution(instance, copies, budget.r)
+            index_probs = _exact_index_distribution(instance, copies, r)
         outcomes = rng.choice(len(index_probs), size=shots, p=index_probs / index_probs.sum())
     else:
-        outcomes = [_sampled_index_shot(instance, copies, budget.r, rng) for _ in range(shots)]
+        outcomes = [_sampled_index_shot(instance, copies, r, rng) for _ in range(shots)]
 
     index = int(outcomes[0]) if len(outcomes) else None
     solution = recovered = correct = None
@@ -590,8 +511,9 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
     success_rate = hits / shots if instance.planted_index is not None and shots else None
     report = Report(
         backend=backend, n=instance.n, m=instance.m, l=instance.l, c=copies,
-        u=instance.u, counters=counters, eps=scr.eps, delta_bound=budget.delta_bound,
-        ideal_success=budget.ideal_success, success_lower=budget.success_lower,
+        u=instance.u, counters=counters, eps=scr.eps, delta_bound=delta,
+        ideal_success=analysis.grover_ideal_success(instance.m, r),
+        success_lower=analysis.qaa_success_lower(2.0**-instance.m, r, delta),
         recovered=recovered, correct=correct,
         condition_violated=scr.condition_violated, flags=_flags(instance.m, copies, scr),
         acquisition=acquisition, measured_index=index if shots else None,

@@ -13,14 +13,14 @@ Pr[u . t = 0] = (1 + Pr_x[h(x ^ t) = h(x)]) / 2 of Kaplan et al., CRYPTO
 condition value eps and the union bound as well. ``distributions`` makes
 that pass over a whole stack of tables at once (every branch of a search
 instance), into one read-only stack of laws and one of collision spectra;
-``distribution`` is its one-table case.
+``distribution`` is its one-table case and returns the same pair, the
+stacks' row 0, so every caller reads one law shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,8 +40,8 @@ def _as_table(h, n: int | None, ndim: int = 1) -> tuple[np.ndarray, int]:
     table = np.asarray(h, dtype=np.int64)
     if table.ndim != ndim:
         raise ValueError(f"table must be a {ndim}-D array")
-    if n is None:
-        n = int(table.shape[-1]).bit_length() - 1
+    if n is None:  # an empty table reads as n = 0 and fails the size check
+        n = max(0, int(table.shape[-1]).bit_length() - 1)
     if table.shape[-1] != 1 << n:
         raise ValueError(f"table must have 2^{n} entries")
     if n > MAX_N:
@@ -49,30 +49,18 @@ def _as_table(h, n: int | None, ndim: int = 1) -> tuple[np.ndarray, int]:
     return table, n
 
 
-@dataclass(frozen=True)
-class SimonSampleDistribution:
-    """Exact law of the measured vector u for one round on h, with
-    Pr_x[h(x ^ t) = h(x)] for every t (the law's Walsh transform)."""
-
-    weights: np.ndarray
-    collisions: np.ndarray
-
-    @cached_property
-    def periods(self) -> tuple[int, ...]:
-        """Nonzero t with h(x ^ t) = h(x) for all x."""
-        return _periods(self.collisions)
-
-
 def _periods(collisions: np.ndarray) -> tuple[int, ...]:
     """The periods of h, off its collision spectrum: the t > 0 of collision 1."""
     return tuple((np.flatnonzero(collisions[1:] == 1.0) + 1).tolist())
 
 
-def distribution(h, n: int | None = None) -> SimonSampleDistribution:
-    """weights(u) = 2^-2n * sum_a |sum_{x: h(x)=a} (-1)^(u.x)|^2."""
+def distribution(h, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The law of one table and its collision spectrum, row 0 of
+    ``distributions``: weights(u) = 2^-2n * sum_a |sum_{x: h(x)=a} (-1)^(u.x)|^2
+    and collisions(t) = Pr_x[h(x ^ t) = h(x)], both read-only."""
     table, n = _as_table(h, n)
     weights, collisions = distributions(table[None], n)
-    return SimonSampleDistribution(weights[0], collisions[0])
+    return weights[0], collisions[0]
 
 
 def _squared_spectra(codes: np.ndarray, start: int, stop: int, size: int) -> np.ndarray:
@@ -297,13 +285,12 @@ def p_bad_estimate(h, c: int, trials: int, rng: np.random.Generator, n: int | No
         raise ValueError("c must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    dist = distribution(table, n)
-    if dist.periods:
+    weights, probs = distribution(table, n)
+    if _periods(probs):
         raise ValueError("h is periodic; p_bad is defined for aperiodic h")
     count = c * n
-    est = _p_bad_mc(dist.weights, count, trials, rng)
+    est = _p_bad_mc(weights, count, trials, rng)
     half = 1.96 * math.sqrt(max(est * (1.0 - est), 1e-12) / trials)
-    probs = dist.collisions
     eps = float(probs[1:].max()) if len(probs) > 1 else 0.0
     return PBadEstimate(
         estimate=est,

@@ -142,14 +142,15 @@ def test_period_recovery_rate_floor():
 def test_amplification_exact_and_noisy():
     worst_exact = 0.0
     for m, a in ((2, 0.25), (4, 0.0625)):
-        run = qaa.build_and_run_grover(m, 0)
-        worst_exact = max(worst_exact, abs(run.success - analysis.amplified_success(a, run.spec.r)))
+        r = analysis.grover_iterations(m)
+        success = qaa.run_grover(m, 0, 0.0, r)
+        worst_exact = max(worst_exact, abs(success - analysis.amplified_success(a, r)))
     beta = 0.05
     eps = qaa.bit_flip_error(beta)
     worst_margin = math.inf
     noisy_ok = True
     for j in range(1, 9):
-        got = qaa.run_grover_noisy(3, 5, beta, j)
+        got = qaa.run_grover(3, 5, beta, j)
         dev = abs(got - analysis.amplified_success(2.0**-3, j))
         noisy_ok = noisy_ok and dev <= 4 * j * eps + 1e-12
         worst_margin = min(worst_margin, 4 * j * eps - dev)
@@ -167,7 +168,7 @@ def test_orthogonal_sample_law():
         n = int(rng.integers(1, 9))
         l = int(rng.integers(1, 9))
         table = rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)
-        weights = simon.distribution(table, n).weights
+        weights = simon.distribution(table, n)[0]
         pc = np.array([bin(x).count("1") for x in range(1 << n)])
         us = np.arange(1 << n)
         for t in range(1, 1 << n):

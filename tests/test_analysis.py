@@ -82,6 +82,19 @@ def test_grover_iteration_forms_agree():
         assert analysis.grover_iterations(m) == via_theta
 
 
+def test_grover_iterations_is_the_theta_schedule():
+    """The one schedule equals floor(pi / (4 theta)) for a = sin^2(theta) =
+    2^-m at every m from 1 to 24, the form verify-bounds used to take its r
+    from. At m = 1, a = 1/2 gives pi / (4 theta) = 1 exactly, which float
+    arcsin puts just below 1: the theta form needs its 1e-9 guard there, and
+    only there."""
+    for m in range(1, 25):
+        ratio = math.pi / (4 * math.asin(2 ** (-m / 2)))
+        assert analysis.grover_iterations(m) == math.floor(ratio + 1e-9)
+        if m > 1:
+            assert analysis.grover_iterations(m) == math.floor(ratio)
+
+
 def test_grover_iterations_m1_uses_power_form():
     # the arcsin form hits a float artifact at m=1; the schedule must not
     assert analysis.grover_iterations(1) == 1

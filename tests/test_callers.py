@@ -2,9 +2,10 @@
 
 A function, class or method that only tests reach is either dead or a test
 oracle; oracles live in tests/reference.py. A name passes when code that is
-itself live refers to it: as a name, an attribute, an imported name, or a
-string constant that is exactly the name (as the tracer's patch lists name
-what they wrap). Live code is module-level code, the bodies of private
+itself live refers to it: as a name, an attribute read (a write such as
+``plan.lower = 2`` calls nothing), an imported name, or a string constant
+that is exactly the name (as the tracer's patch lists name what they
+wrap). Live code is module-level code, the bodies of private
 definitions, all of perfbench/, the bodies of the ALLOWED names, and the
 bodies of public names that pass, found by iterating to a fixed point, so
 a chain of dead definitions fails whole rather than one link at a time.
@@ -16,8 +17,8 @@ A reference names no owner, so it is a caller of a public definition only
 when nothing else in the package defines the same bare name: no other
 definition, private ones included, no class attribute or field, and no
 ``self.<name>`` assignment (``report.as_dict()`` cannot say whose
-``as_dict`` it reads, nor ``budget.copies`` that it reads a field and not
-``Target.copies``). A bare name that is defined more than once is listed in
+``as_dict`` it reads, nor ``budget.lower`` that it reads a field and not
+a ``Plan.lower`` method). A bare name that is defined more than once is listed in
 AMBIGUOUS, with the public definitions its references reach and why.
 """
 
@@ -31,7 +32,6 @@ PACKAGE = ROOT / "src" / "offline_simon"
 # Names kept without a caller, each for a stated reason.
 ALLOWED = {
     "classical_em_attack": "the classical D*T = 2^n baseline the tradeoff curve is to be set against",
-    "structured_predict": "the exact per-branch prediction the exact p_bad work extends",
     "load_permutation": "reads the permutation files `gen permutation` writes",
     "load_function_table": "reads the table files `gen function-table` writes",
     "instance_from_json": "reads the instance descriptors `gen <kind>` writes",
@@ -45,9 +45,9 @@ AMBIGUOUS = {
         "AttackReport.as_dict": "cli._attack_trial serializes each attack trial's report",
         "Report.as_dict": "AttackReport.as_dict extends it; perfbench's exact-circuit workload reads it",
     },
-    "copies": {"Target.copies": "cli._attack_parameters and attacks.run_attack size the search"},
     "grover_iterations": {
-        "grover_iterations": "search.error_budget and check_capacity count the iterations",
+        "grover_iterations": "search._run_offline, check_capacity and verify-bounds "
+                             "count the iterations",
     },
     "rank": {"Gf2Basis.rank": "gf2.solve_period reads basis.rank"},
 }
@@ -116,10 +116,10 @@ def _root(node: ast.Attribute) -> ast.AST:
 
 
 def code_references(tree: ast.AST) -> set[str]:
-    """The identifiers a module's code refers to: names, attributes not
-    read off a module from outside the package, imported names and their
-    aliases, and identifier-shaped string constants that are not
-    docstrings."""
+    """The identifiers a module's code refers to: names, attributes read
+    (not written) and not off a module from outside the package, imported
+    names and their aliases, and identifier-shaped string constants that
+    are not docstrings."""
     return _references([tree], _docstrings(tree), _foreign_imports(tree))
 
 
@@ -130,7 +130,7 @@ def _references(nodes, docstrings: set[int], foreign: set[str]) -> set[str]:
     for node in (sub for top in nodes for sub in ast.walk(top)):
         if isinstance(node, ast.Name):
             refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             root = _root(node)
             if not (isinstance(root, ast.Name) and root.id in foreign):
                 refs.add(node.attr)
@@ -317,3 +317,15 @@ def test_a_field_read_is_no_caller_of_a_method_of_its_name():
     package = {"m.py": source}
     assert ambiguous_names(package) == {"lower": {"Plan.lower"}, "rate": {"rate"}}
     assert set(uncalled_names(package, [], {}, {})) == {"Plan.lower", "rate"}
+
+
+def test_an_attribute_write_is_no_caller():
+    # Plan.lower is a dead property; a write of budget.lower, inside live
+    # code or out, reads nothing
+    source = ('class Plan:\n    @property\n    def lower(self):\n        return 1\n\n'
+              'def tune(budget):\n    budget.lower = 2\n    del budget.lower\n\n'
+              'VALUE = tune, Plan\n')
+    package = {"m.py": source}
+    assert "lower" not in code_references(ast.parse(source))
+    assert set(uncalled_names(package, [], {}, {})) == {"Plan.lower"}
+    assert set(uncalled_names({"m.py": source + 'READ = Plan().lower\n'}, [], {}, {})) == set()

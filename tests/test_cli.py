@@ -819,10 +819,8 @@ def test_attack_screens_each_carve_once(monkeypatch, tmp_path, kind):
 def test_attack_transforms_each_branch_once(monkeypatch, tmp_path, kind, backend):
     """Every branch of a searched instance goes through the class-indicator
     transform exactly once: all 2^m branch tables in one simon.distributions
-    call, and no simon.distribution call on any of them. The screen's laws
-    serve the backend too, as its stacks: a trial builds no per-branch
-    SimonSampleDistribution."""
-    stacks, singles, searched, built = [], [], [], []
+    call, and no simon.distribution call on any of them."""
+    stacks, singles, searched = [], [], []
     distributions, distribution = simon.distributions, simon.distribution
     alg_q1, alg_q2 = search.alg_exp_q1, search.alg_poly_q2
 
@@ -834,18 +832,12 @@ def test_attack_transforms_each_branch_once(monkeypatch, tmp_path, kind, backend
         singles.append(np.array(h, dtype=np.int64))
         return distribution(h, n)
 
-    def spy_law(*args):
-        built.append(args)
-        return law(*args)
-
     def spy(alg):
         def run(instance, *args, **kwargs):
             searched.append(instance)
             return alg(instance, *args, **kwargs)
         return run
 
-    law = simon.SimonSampleDistribution
-    monkeypatch.setattr(simon, "SimonSampleDistribution", spy_law)
     monkeypatch.setattr(simon, "distributions", spy_distributions)
     monkeypatch.setattr(simon, "distribution", spy_distribution)
     monkeypatch.setattr(search, "alg_exp_q1", spy(alg_q1))
@@ -853,7 +845,6 @@ def test_attack_transforms_each_branch_once(monkeypatch, tmp_path, kind, backend
     assert run_cli(["attack", kind, "--trials", "2", "--backend", backend,
                     "--out", str(tmp_path / "r.json")]) == 0
     assert len(searched) == 2
-    assert not built
     for inst in searched:
         branches = inst.family ^ inst.g
         assert sum(np.array_equal(tables, branches) for tables in stacks) == 1

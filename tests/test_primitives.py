@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -432,6 +433,41 @@ def test_instance_from_json_takes_sizes_of_at_least_one(kind, size):
         doc = {"kind": kind, "seed": 3, **sizes, size: value, "keys": dict.fromkeys(widths, "0x0")}
         with pytest.raises(ValueError, match=f"{size} = {value} must be at least 1"):
             instance_from_json(json.dumps(doc))
+
+
+def _malformed(**changes):
+    """A valid iterated-fx descriptor with fields replaced (None drops one)."""
+    doc = {"kind": "iterated-fx", "seed": 3, "n": 4, "m": 3, "rounds": 2,
+           "keys": {"k1": "0x1", "k2": "0x2"}}
+    doc.update(changes)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+@pytest.mark.parametrize("text, message", [
+    (_malformed(keys=None), "no field 'keys'"),
+    (_malformed(kind=None), "no field 'kind'"),
+    (_malformed(seed=None), "no field 'seed'"),
+    (_malformed(rounds=None), "no field 'rounds'"),
+    (_malformed(keys={"k1": "0x1"}), "no field 'keys.k2'"),
+    (_malformed(n="4"), "n = '4' must be an integer"),
+    (_malformed(n=4.5), "n = 4.5 must be an integer"),
+    (_malformed(rounds=True), "rounds = True must be an integer"),
+    (_malformed(seed=1.5), "seed = 1.5 must be an integer"),
+    (_malformed(kind=["fx"]), "unknown instance kind"),
+    (_malformed(keys=["0x1", "0x2"]), "keys must be a JSON object"),
+    (_malformed(keys={"k1": "zz", "k2": "0x2"}), "key k1 = 'zz' is not a hex string"),
+    (_malformed(keys={"k1": 1, "k2": "0x2"}), "key k1 = 1 is not a hex string"),
+    (_malformed(keys={"k1": "0x1", "k2": None}), "key k2 = None is not a hex string"),
+    (json.dumps([{"kind": "fx"}]), "must be a JSON object, got list"),
+    (json.dumps("fx"), "must be a JSON object, got str"),
+], ids=["no-keys", "no-kind", "no-seed", "no-size", "no-key", "string-size", "float-size",
+        "bool-size", "float-seed", "list-kind", "list-keys", "non-hex-key", "int-key",
+        "null-key", "list-document", "string-document"])
+def test_instance_from_json_refuses_malformed_descriptors_by_field(text, message):
+    # each was a KeyError or TypeError, or (a bool size) read as 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        instance_from_json(text)
+    assert instance_from_json(_malformed()).rounds == 2
 
 
 def test_width_overflow_rejected():

@@ -7,32 +7,27 @@ import reference
 from offline_simon import analysis, cli, qaa, qsim
 
 
-def test_spec_schedule_matches_closed_form():
-    for m in range(2, 21):
-        a = 2.0**-m
-        spec = qaa.spec_for(a)
-        assert spec.r == math.floor(math.pi / (4 * math.asin(math.sqrt(a))))
-        assert spec.theta == pytest.approx(math.asin(math.sqrt(a)))
-
-
-def test_spec_handles_exact_integer_ratio():
-    # a = 1/2 gives pi/(4 theta) = 1 exactly; float noise must not floor to 0
-    assert qaa.spec_for(0.5).r == 1
-    assert qaa.spec_for(2.0**-1 * (1 - 1e-12)).r == 1
+def _iterations(m, marked):
+    """floor(pi / (4 theta)) for the marked share a = sin^2(theta) of the
+    m-bit index register: the optimal schedule for several marked values."""
+    a = int(qaa._indicator(m, marked).sum()) / (1 << m)
+    return math.floor(math.pi / (4 * math.asin(math.sqrt(a))))
 
 
 @pytest.mark.parametrize("m", [2, 4])
 def test_exact_grover_matches_sine_formula(m):
     """The amplified success equals sin^2((2r+1) theta) exactly."""
     a = 2.0**-m
-    run = qaa.build_and_run_grover(m, 3 % (1 << m))
-    assert run.success == pytest.approx(analysis.amplified_success(a, run.spec.r), abs=1e-9)
+    r = analysis.grover_iterations(m)
+    success = qaa.run_grover(m, 3 % (1 << m), 0.0, r)
+    assert success == pytest.approx(analysis.amplified_success(a, r), abs=1e-9)
 
 
 def test_exact_grover_multi_target():
-    run = qaa.build_and_run_grover(4, {1, 6, 9})
+    r = _iterations(4, {1, 6, 9})
+    success = qaa.run_grover(4, {1, 6, 9}, 0.0, r)
     a = 3 / 16
-    assert run.success == pytest.approx(analysis.amplified_success(a, run.spec.r), abs=1e-9)
+    assert success == pytest.approx(analysis.amplified_success(a, r), abs=1e-9)
 
 
 def _circuit_success(m, marked, j):
@@ -44,22 +39,22 @@ def _circuit_success(m, marked, j):
 
 @pytest.mark.parametrize("m", [2, 4])
 def test_noiseless_run_is_bit_equal_to_the_circuit_at_the_verify_bounds_shapes(m):
-    run = qaa.build_and_run_grover(m, 0)
-    assert run.success == _circuit_success(m, 0, run.spec.r)
+    r = analysis.grover_iterations(m)
+    assert qaa.run_grover(m, 0, 0.0, r) == _circuit_success(m, 0, r)
 
 
 @pytest.mark.parametrize("m,marked", [*((m, 0) for m in range(2, 9)), (4, {1, 6, 9}),
                                       (6, {1, 6, 9, 33, 60})])
 def test_noiseless_run_matches_the_circuit(m, marked):
-    run = qaa.build_and_run_grover(m, marked)
-    assert abs(run.success - _circuit_success(m, marked, run.spec.r)) <= 1e-15
+    r = _iterations(m, marked)
+    assert abs(qaa.run_grover(m, marked, 0.0, r) - _circuit_success(m, marked, r)) <= 1e-15
 
 
 @pytest.mark.parametrize("m,marked,beta", [(3, 5, 0.0), (3, 5, 0.05), (3, 5, 0.3),
                                            (4, {2, 5, 11}, 0.2)])
 def test_noisy_run_matches_the_circuit(m, marked, beta):
     for j in range(1, 9):
-        got = qaa.run_grover_noisy(m, marked, beta, j)
+        got = qaa.run_grover(m, marked, beta, j)
         assert abs(got - reference.run_grover_noisy(m, marked, beta, j)) <= 1e-14
 
 
@@ -90,9 +85,9 @@ def test_grover_state_progression():
 def test_marked_values_outside_the_index_register_are_refused(marked):
     # numpy indexing would read -1 as 7 and fail on 8 only part way through
     with pytest.raises(ValueError, match="empty|outside"):
-        qaa.build_and_run_grover(3, marked)
+        qaa.run_grover(3, marked, 0.0, 1)
     with pytest.raises(ValueError, match="empty|outside"):
-        qaa.run_grover_noisy(3, marked, 0.05, 1)
+        qaa.run_grover(3, marked, 0.05, 1)
     with pytest.raises(ValueError, match="empty|outside"):
         reference.grover_state(3, marked, 1)
     for beta in (0.0, 0.05):
@@ -129,7 +124,7 @@ def test_noisy_deviation_within_linear_budget():
     eps = qaa.bit_flip_error(beta)
     a = 2.0**-m
     for j in range(1, 9):
-        got = qaa.run_grover_noisy(m, marked, beta, j)
+        got = qaa.run_grover(m, marked, beta, j)
         dev = abs(got - analysis.amplified_success(a, j))
         print(f"j={j} deviation={dev:.6f} allowance={4 * j * eps:.6f}")
         assert dev <= 4 * j * eps + 1e-12

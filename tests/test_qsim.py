@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from offline_simon import qsim, search
+from offline_simon import analysis, qsim, search
 from reference import (apply_controlled_ry, apply_phase_oracle, diffusion, fwht_error_bound,
                        init_plus, measure, register_value, stacking_fwht)
 
@@ -467,7 +467,7 @@ def test_exact_index_distribution_allocates_one_block_array():
     # a 19-qubit circuit: 35 label blocks of 2^10 float64 amplitudes (280 KiB)
     inst = search.random_instance(2, 2, 2, np.random.default_rng(39))
     copies = 4
-    r = search.error_budget(inst.n, inst.m, copies, inst.screened.eps).r
+    r = analysis.grover_iterations(inst.m)
     blocks = len(search._label_blocks(inst.l, copies)[1])
     block_bytes = 8 * blocks << (inst.m + copies * inst.n)
     search._exact_index_distribution(inst, copies, r)  # builds the cached tables
@@ -481,7 +481,7 @@ def test_exact_index_distribution_holds_one_chunk_of_blocks(monkeypatch):
     # measured), not the 280 KiB of all 35 blocks
     inst = search.random_instance(2, 2, 2, np.random.default_rng(39))
     copies = 4
-    r = search.error_budget(inst.n, inst.m, copies, inst.screened.eps).r
+    r = analysis.grover_iterations(inst.m)
     chunk_cells = 4 << (inst.m + copies * inst.n)
     monkeypatch.setattr(search, "_BLOCK_CELLS", chunk_cells)
     search._exact_index_distribution(inst, copies, r)  # builds the cached tables

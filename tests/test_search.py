@@ -73,10 +73,10 @@ def test_screen_keeps_each_branch_law_as_a_read_only_row(n, m, l):
     scr = search.screen(inst)
     assert scr.weights.shape == scr.collisions.shape == (1 << m, 1 << n)
     for i in range(1 << m):
-        alone = simon.distribution(inst.branch(i), n)
-        assert scr.weights[i].tobytes() == alone.weights.tobytes()
-        assert scr.collisions[i].tobytes() == alone.collisions.tobytes()
-        assert (i in scr.periodic_indices) == bool(alone.periods)
+        weights, collisions = simon.distribution(inst.branch(i), n)
+        assert scr.weights[i].tobytes() == weights.tobytes()
+        assert scr.collisions[i].tobytes() == collisions.tobytes()
+        assert (i in scr.periodic_indices) == bool(simon._periods(collisions))
     for stack in (scr.weights, scr.collisions):
         with pytest.raises(ValueError, match="read-only"):
             stack[0, 0] = 0.5
@@ -96,18 +96,23 @@ def test_screen_flags_equal_split_violation():
 
 
 def test_error_budget_formulas():
-    budget = search.error_budget(6, 4, 18, 0.25)
-    delta = 2.0 ** 3.5 * ((1 + 0.25) / 2) ** 9
-    assert budget.delta_bound == pytest.approx(delta, rel=1e-12)
-    assert budget.r == analysis.grover_iterations(4)
-    assert budget.success_lower == analysis.qaa_success_lower(2.0**-4, budget.r, budget.delta_bound)
-    assert budget.success_lower >= 0.0
+    inst = medium_instance()
+    _, rep = search.alg_poly_q2(inst, copies=18, backend="structured")
+    assert rep.eps == inst.screened.eps
+    delta = 2.0 ** 3.5 * ((1 + rep.eps) / 2) ** 9
+    r = rep.counters.grover_iterations
+    assert rep.delta_bound == pytest.approx(delta, rel=1e-12)
+    assert r == analysis.grover_iterations(4)
+    assert rep.success_lower == analysis.qaa_success_lower(2.0**-4, r, rep.delta_bound)
+    assert rep.success_lower >= 0.0
 
 
 def test_error_budget_m0_has_no_amplification():
-    budget = search.error_budget(4, 0, 12, 0.5)
-    assert budget.r == 0
-    assert budget.ideal_success == 1.0
+    inst = search.random_instance(4, 0, 4, np.random.default_rng(0))
+    _, rep = search.alg_poly_q2(inst, copies=12, backend="structured")
+    assert rep.counters.grover_iterations == 0
+    assert rep.ideal_success == 1.0
+    assert rep.success_lower == 1.0
 
 
 def test_counter_contract_q2():
@@ -233,28 +238,6 @@ def test_exact_and_sampled_roughly_agree():
     _, sampled = search.alg_poly_q2(inst, copies=2, backend="sampled",
                                     rng=np.random.default_rng(3), shots=400)
     assert abs(exact.success_rate - sampled.success_rate) < 0.15
-
-
-def test_structured_predict_bounds_branches():
-    inst = medium_instance()
-    pred = search.structured_predict(inst, copies=18, trials=512,
-                                     rng=np.random.default_rng(4))
-    assert not pred.condition_violated
-    assert pred.budget == search.error_budget(inst.n, inst.m, 18, inst.screened.eps)
-    periodic = [b for b in pred.branches if b.periodic]
-    assert len(periodic) == 1 and periodic[0].index == inst.planted_index
-    for b in pred.branches:
-        if b.periodic:
-            continue
-        assert b.p_bad_mc <= b.p_bad_union + 3 * math.sqrt(
-            max(b.p_bad_union * (1 - b.p_bad_union), 1e-9) / 512) + 0.05
-
-
-@pytest.mark.parametrize("copies, trials", [(0, 64), (-2, 64), (3, 0), (3, -1)])
-def test_structured_predict_rejects_bad_counts(copies, trials):
-    with pytest.raises(ValueError):
-        search.structured_predict(tiny_instance(), copies=copies, trials=trials,
-                                  rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("backend", search.BACKENDS)
@@ -468,16 +451,6 @@ def test_flags_c_too_small():
     assert "c-too-small" in rep.flags
 
 
-def test_structured_predict_pinned():
-    # recorded with the per-row Gf2Basis loop; the batched rank must agree
-    pred = search.structured_predict(medium_instance(), copies=7, trials=512,
-                                     rng=np.random.default_rng(4))
-    assert [b.p_bad_mc for b in pred.branches] == [
-        0.484375, 0.451171875, 0.46875, 0.462890625, 0.431640625, 0.494140625,
-        0.423828125, 0.427734375, 0.42578125, 0.4140625, 0.419921875, 0.42578125,
-        None, 0.455078125, 0.46875, 0.435546875]
-
-
 @pytest.mark.parametrize("n, copies", [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4), (4, 3)])
 def test_rank_predicate_table_matches_basis_rule(n, copies):
     table = search._rank_predicate(n, copies)
@@ -557,7 +530,7 @@ def test_exact_index_distribution_pinned():
     # marginal is 31/128, 38/128, 23/128, 36/128, and the phase form, with
     # no 1/sqrt(2) scaling of an output qubit, gives those bits exactly
     inst = tiny_instance()
-    r = search.error_budget(inst.n, inst.m, 2, inst.screened.eps).r
+    r = analysis.grover_iterations(inst.m)
     got = search._exact_index_distribution(inst, 2, r)
     assert np.array_equal(got, np.array([31, 38, 23, 36]) / 128)
 
@@ -568,7 +541,7 @@ def test_exact_run_is_the_same_bits_chunk_by_chunk(monkeypatch):
     # runs once over all of them
     inst = search.random_instance(2, 2, 2, np.random.default_rng(39))
     copies = 4
-    r = search.error_budget(inst.n, inst.m, copies, inst.screened.eps).r
+    r = analysis.grover_iterations(inst.m)
     whole = search._exact_index_distribution(inst, copies, r)
     monkeypatch.setattr(search, "_BLOCK_CELLS", 3 << (inst.m + copies * inst.n))
     assert np.array_equal(search._exact_index_distribution(inst, copies, r), whole)
@@ -620,7 +593,7 @@ def test_only_zero_free_blocks_transform_every_copy(monkeypatch):
     # and only they reach the transform at 2^(copies * n) cells
     inst = search.random_instance(3, 2, 3, np.random.default_rng([1, 2]))
     copies = 3
-    r = search.error_budget(inst.n, inst.m, copies, inst.screened.eps).r
+    r = analysis.grover_iterations(inst.m)
     rows = Counter()
     fwht_inplace = gf2.fwht_inplace
 

@@ -35,17 +35,17 @@ def test_distribution_matches_exact_circuit(data):
     table = np.array(
         [data.draw(st.integers(min_value=0, max_value=(1 << l) - 1))
          for _ in range(1 << n)], dtype=np.int64)
-    dist = simon.distribution(table, n)
+    weights, _ = simon.distribution(table, n)
     circuit = circuit_u_distribution(table, n, l)
-    assert np.allclose(dist.weights, circuit, atol=1e-9)
-    assert dist.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(weights, circuit, atol=1e-9)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distribution_n1_closed_forms():
-    injective = simon.distribution(np.array([0, 1]), 1)
-    assert np.allclose(injective.weights, [0.5, 0.5])
-    constant = simon.distribution(np.array([1, 1]), 1)
-    assert np.allclose(constant.weights, [1.0, 0.0])
+    injective, _ = simon.distribution(np.array([0, 1]), 1)
+    assert np.allclose(injective, [0.5, 0.5])
+    constant, _ = simon.distribution(np.array([1, 1]), 1)
+    assert np.allclose(constant, [1.0, 0.0])
 
 
 def test_periodic_distribution_is_orthogonal_supported():
@@ -54,12 +54,12 @@ def test_periodic_distribution_is_orthogonal_supported():
     periods = analysis.find_periods(table, 3)
     assert periods
     s = periods[0]
-    dist = simon.distribution(table, 3)
+    weights, _ = simon.distribution(table, 3)
     for u in range(8):
         if bin(u & s).count("1") % 2 == 1:
-            assert dist.weights[u] == pytest.approx(0.0, abs=1e-12)
+            assert weights[u] == pytest.approx(0.0, abs=1e-12)
     assert brute_collision_prob(table, 3, s) == 1.0
-    assert prob_orthogonal(dist.weights, 3, s) == pytest.approx(1.0, abs=1e-12)
+    assert prob_orthogonal(weights, 3, s) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.data())
@@ -71,19 +71,19 @@ def test_orthogonality_claim(data):
         [data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
          for _ in range(1 << n)], dtype=np.int64)
     t = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    dist = simon.distribution(table, n)
+    weights, _ = simon.distribution(table, n)
     collision = brute_collision_prob(table, n, t)
-    assert prob_orthogonal(dist.weights, n, t) == pytest.approx((1 + collision) / 2, abs=1e-10)
+    assert prob_orthogonal(weights, n, t) == pytest.approx((1 + collision) / 2, abs=1e-10)
 
 
 def test_sample_agrees_with_distribution():
     rng = np.random.default_rng(7)
     table = np.array([3, 0, 2, 0, 3, 1, 1, 2], dtype=np.int64)
-    dist = simon.distribution(table, 3)
+    weights, _ = simon.distribution(table, 3)
     draws = simon.sample(table, 4000, rng, 3)
     assert draws.dtype == np.int64 and draws.shape == (4000,)
     freq = np.bincount(draws, minlength=8) / 4000
-    assert np.abs(freq - dist.weights).max() < 0.05
+    assert np.abs(freq - weights).max() < 0.05
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -238,6 +238,12 @@ def test_p_bad_estimate_rejects_bad_counts(c, trials):
 def test_width_cap():
     with pytest.raises(ValueError):
         simon.distribution(np.zeros(1 << 21, dtype=np.int64), 21)
+    # an empty table has no width: refused as a size, not by a negative shift
+    for call in (lambda: simon.distribution(np.zeros(0, dtype=np.int64)),
+                 lambda: simon.distributions(np.zeros((2, 0), dtype=np.int64)),
+                 lambda: simon.p_bad_estimate([], 1, 1, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match=r"table must have 2\^0 entries"):
+            call()
 
 
 def test_p_bad_estimate_pinned():
@@ -285,10 +291,10 @@ def test_law_and_collisions_exact_across_ragged_chunks(monkeypatch):
             continue
         spanned += 1
         monkeypatch.setattr(simon, "_CHUNK_CELLS", chunk << n)
-        dist = simon.distribution(table, n)
-        assert np.array_equal(dist.weights, brute_law(table, n))
+        weights, collisions = simon.distribution(table, n)
+        assert np.array_equal(weights, brute_law(table, n))
         counts = [brute_collision_prob(table, n, t) for t in range(1 << n)]
-        assert np.array_equal(dist.collisions, counts)
+        assert np.array_equal(collisions, counts)
         assert np.array_equal(analysis.collision_probabilities(table, n), counts)
         expect = [t for t in range(1, 1 << n) if counts[t] == 1.0]
         assert analysis.find_periods(table, n) == expect
@@ -324,10 +330,10 @@ def test_distributions_match_each_row_bit_for_bit(monkeypatch, n):
         weights, collisions = simon.distributions(tables, n)
         assert weights.shape == collisions.shape == tables.shape
         assert not weights.flags.writeable and not collisions.flags.writeable
-        for table, w, c, one in zip(tables, weights, collisions, alone):
-            assert w.tobytes() == one.weights.tobytes()
-            assert c.tobytes() == one.collisions.tobytes()
-            assert simon._periods(c) == one.periods
+        for table, w, c, (one_w, one_c) in zip(tables, weights, collisions, alone):
+            assert w.tobytes() == one_w.tobytes()
+            assert c.tobytes() == one_c.tobytes()
+            assert simon._periods(c) == simon._periods(one_c)
             assert np.array_equal(w, brute_law(table, n))
         cuts = np.arange(chunk, total, chunk)
         spans_rows = any(end % chunk for end in ends[:-1])
@@ -601,7 +607,7 @@ def _laws(n, rng):
     period = int(rng.integers(1, size))
     tables = [rng.integers(0, size, size=size), simon.random_periodic_function(n, n, period, rng),
               np.zeros(size, dtype=np.int64), (np.arange(size) == 0).astype(np.int64)]
-    laws = [simon.distribution(table, n).weights for table in tables]
+    laws = [simon.distribution(table, n)[0] for table in tables]
     spread = rng.random(size) * (rng.random(size) < 0.7)
     spread[rng.integers(size)] += 1.0
     two = np.where(rng.random(size) < 0.5, 1.0, 3.0)
@@ -667,7 +673,7 @@ def test_rank_sample_kernels_draw_what_choice_draws_past_16_bits(monkeypatch, n)
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         assert np.array_equal(simon.sample(table, count, a, n), per_class_sample(table, count, b, n))
         assert a.random() == b.random()
-    law = simon.distribution(table, n).weights
+    law = simon.distribution(table, n)[0]
     for count, trials in ((1, 40), (n, 24), (3 * n + 2, 30)):
         _check_p_bad_mc(monkeypatch, law, count, trials, int(rng.integers(1 << 32)))
 
