@@ -1,4 +1,4 @@
-"""Error budgets and cost estimates for the offline period-finding family.
+"""Error budgets, exact Grover runs and cost tables for offline period finding.
 
 Collision spectra come from the Simon sample law (``simon.distribution``):
 by the orthogonality lemma Pr[u . t = 0] = (1 + Pr_x[h(x ^ t) = h(x)]) / 2
@@ -11,6 +11,17 @@ The bounds here are the analytic ones the simulators are tested against:
 the linear-algebra failure bound for plain period recovery, the
 database-restoration bound for the checking oracle, and the
 amplitude-amplification error propagation bound.
+
+The Grover runs apply Q = -A S_0 A^(-1) S_chi with A = H on the m-bit index
+register: S_chi flips the sign of the marked amplitudes, and -A S_0 A^(-1)
+is the inversion about the mean, amp -> 2 mean - amp. The deliberately noisy
+check also rotates a noise qubit by Ry(2 beta) on the marked rows, so a run
+holds 2 x 2^m real amplitudes, (noise qubit, index), and no simulator state.
+The check's circuit comes in a bit-flip form that XORs the predicate into an
+output bit and a phase-flip form that sandwiches that bit in |->, which
+doubles the per-call error; both forms, which keep that factor of two
+visible, are in ``tests/reference.py``. The runs here are the phase-flip
+form with its output bit folded into the sign.
 """
 
 from __future__ import annotations
@@ -82,7 +93,7 @@ def default_copies(m: int, dim: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Amplitude amplification budgets
+# Amplitude amplification: budgets and exact runs
 # ---------------------------------------------------------------------------
 
 
@@ -99,14 +110,6 @@ def amplified_success(a: float, r: int) -> float:
     return math.sin((2 * r + 1) * math.asin(math.sqrt(a))) ** 2
 
 
-def grover_ideal_success(m: int, r: int | None = None) -> float:
-    if m == 0:
-        return 1.0
-    if r is None:
-        r = grover_iterations(m)
-    return amplified_success(2.0**-m, r)
-
-
 def qaa_deviation_bound(j: int, eps: float) -> float:
     """Output-distribution deviation after j rounds with eps-noisy oracles."""
     return 4.0 * j * eps
@@ -117,8 +120,56 @@ def qaa_success_lower(a: float, r: int, eps: float) -> float:
     return max(0.0, max(1.0 - a, a) - qaa_deviation_bound(r, eps))
 
 
+def bit_flip_error(beta: float) -> float:
+    """Per-call deviation of the deliberately noisy check: ||Ry(2b)-I|| =
+    2 sin(b/2) on the marked subspace."""
+    return 2.0 * abs(math.sin(beta / 2.0))
+
+
+def _indicator(m: int, marked) -> np.ndarray:
+    """0/1 table over the m-bit index register of the marked values;
+    ValueError if none is marked or one lies outside [0, 2^m)."""
+    if isinstance(marked, (int, np.integer)):
+        marked = (marked,)
+    values = [int(v) for v in marked]
+    if not values:
+        raise ValueError("the marked set is empty")
+    outside = sorted(v for v in values if not 0 <= v < 1 << m)
+    if outside:
+        raise ValueError(f"marked values {outside} lie outside [0, {1 << m})")
+    table = np.zeros(1 << m, dtype=np.int64)
+    table[values] = 1
+    return table
+
+
+def run_grover(m: int, marked, beta: float, j: int) -> float:
+    """Probability of a marked index after j iterations from the uniform
+    index state, the check rotating the noise qubit by Ry(2 beta) on the
+    marked rows (beta = 0: the noiseless run, sin^2((2j+1) theta)).
+
+    marked is a value or a nonempty collection of values, each in [0, 2^m);
+    ValueError otherwise. Each iteration applies -Ry(2 beta) to the marked
+    rows, the sandwich's sign times the rotation, then inverts each noise
+    value's amplitudes about their mean. Compare against
+    amplified_success +- 4 j eps: the per-call deviation of the bit-flip
+    form is bounded by bit_flip_error(beta), the phase-flip form's by twice
+    that.
+    """
+    rows = np.flatnonzero(_indicator(m, marked))
+    c, s = math.cos(beta), math.sin(beta)
+    amp = np.zeros((2, 1 << m))
+    amp[0] = 1.0 / math.sqrt(1 << m)
+    for _ in range(j):
+        a0, a1 = amp[0, rows], amp[1, rows]
+        rotated = c * a0 - s * a1
+        amp[1, rows] = -(s * a0 + c * a1)
+        amp[0, rows] = -rotated
+        np.subtract(2.0 * amp.mean(axis=1, keepdims=True), amp, out=amp)
+    return float(np.einsum("ki,ki->i", amp, amp)[rows].sum())
+
+
 # ---------------------------------------------------------------------------
-# Cost estimator
+# Cost tables
 # ---------------------------------------------------------------------------
 
 
@@ -174,58 +225,103 @@ def fx_q1_costs(n: int, m: int) -> dict:
     return {"setting": "Q1", "n": n, "m": m, "data_log2": d, "time_log2": t}
 
 
-def chaskey_costs(n: int = 128, data_cap_log2: int = 48, circuit_log2: int = 19) -> dict:
-    """Chaskey under its 2^48 data cap; time counts permutation-circuit gates."""
+def chaskey_costs() -> dict:
+    """Chaskey (n = 128) under its 2^48 data cap; time counts
+    permutation-circuit gates, 2^19 per circuit."""
     return {
         "setting": "Q1",
-        "n": n,
-        "data_log2": data_cap_log2,
-        "time_log2": (n - data_cap_log2) / 2.0 + circuit_log2,
+        "n": 128,
+        "data_log2": 48,
+        "time_log2": (128 - 48) / 2.0 + 19,
     }
 
 
-def sponge_costs(width: int) -> dict:
-    """Balanced split for a width-bit sponge state: data 2^(width/3)."""
-    u = width // 3
+def balanced_costs(field: str, bits: int) -> dict:
+    """Balanced Q1 split over a bits-bit secret (a sponge's state width, a
+    related key): data 2^(bits/3), the rest amplified. `field` names the
+    secret's size in the row."""
+    u = bits // 3
     return {
         "setting": "Q1",
-        "width": width,
+        field: bits,
         "data_log2": u,
-        "time_log2": math.ceil((width - u) / 2.0),
-    }
-
-
-def related_key_costs(key_bits: int) -> dict:
-    """Balanced related-key split over a key_bits-bit key."""
-    u = key_bits // 3
-    return {
-        "setting": "Q1",
-        "key_bits": key_bits,
-        "data_log2": u,
-        "time_log2": math.ceil((key_bits - u) / 2.0),
+        "time_log2": math.ceil((bits - u) / 2.0),
     }
 
 
 def published_figures() -> dict:
-    """Cost table for the standard targets, all derived from the formulas."""
+    """Cost table for the standard targets, keyed by the names `estimate
+    --preset` takes, all derived from the formulas."""
     return {
         "desx": {
             "q2": fx_q2_costs(64, 56),
             "q1": fx_q1_costs(64, 56),
         },
-        "prince-fx": {
+        "prince": {
             "q2": fx_q2_costs(64, 64),
             "q1": fx_q1_costs(64, 64),
         },
-        "pride-fx": {
+        "pride": {
             "q2": fx_q2_costs(64, 64),
             "q1": fx_q1_costs(64, 64),
         },
         "chaskey": {"q1": chaskey_costs()},
-        "beetle-light": {"q1": sponge_costs(144)},
-        "beetle-secure": {"q1": sponge_costs(256)},
-        "saturnin": {"q1": related_key_costs(256)},
+        "beetle-light": {"q1": balanced_costs("width", 144)},
+        "beetle-secure": {"q1": balanced_costs("width", 256)},
+        "saturnin16": {"q1": balanced_costs("key_bits", 256)},
     }
+
+
+# Widest n or m an estimate takes: twice the widest preset (256 bits), and
+# far below where 2^((n + m) / 2) iterations overflow a float (n + m > 2046).
+ESTIMATE_MAX_BITS = 512
+
+
+def estimate_costs(n: int | None = None, m: int | None = None,
+                   data_limit_log2: int | None = None,
+                   preset: str | None = None) -> dict:
+    """Cost-table rows for a named target or raw (n, m) parameters.
+
+    The generic path reports every form of the copy constant, the query
+    count, and both the Q2 and (data-limited) Q1 iteration counts. A preset
+    fixes its own sizes, so it takes none of n, m and data_limit_log2; n and
+    m are at most ESTIMATE_MAX_BITS, and the data limit is a window of at
+    most the whole 2^n domain."""
+    if preset is not None:
+        if (n, m, data_limit_log2) != (None, None, None):
+            raise ValueError("a preset fixes its own sizes; it takes no n, m or data limit")
+        figures = published_figures()
+        if preset not in figures:
+            raise ValueError(f"unknown preset {preset!r}; have {sorted(figures)}")
+        return {"preset": preset, **figures[preset]}
+    if n is None or m is None:
+        raise ValueError("need n and m (or a preset)")
+    for name, bits in (("n", n), ("m", m)):
+        if not 1 <= bits <= ESTIMATE_MAX_BITS:
+            raise ValueError(f"{name} must be in [1, {ESTIMATE_MAX_BITS}], got {bits}")
+    if data_limit_log2 is not None and not 0 <= data_limit_log2 <= n:
+        raise ValueError(f"data limit must be in [0, n={n}], got {data_limit_log2}")
+    record = {
+        "n": n,
+        "m": m,
+        "c_rounded": c_rounded(m, n),
+        "c_precise": c_precise(m, n),
+        "c_paper": c_paper(m, n),
+        "c_proof_stated": c_proof_stated(m, n),
+        "queries": query_count(m),
+        "grover_iterations_q2": grover_iterations(m),
+        "time_log2_q2": m / 2 + 1,
+    }
+    if data_limit_log2 is not None:
+        u = data_limit_log2
+        record.update({
+            "u": u,
+            "d_log2": u,
+            "grover_iterations_q1": grover_iterations(n + m - u),
+            "t_log2_q1": (n + m - u) / 2,
+            "dt2_log2": u + (n + m - u),
+        })
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -729,68 +729,3 @@ def attack_slide_ifx(inst: IterFxInstance, c: int | None = None,
 
 TARGETS = {t.kind: t for t in (EM_Q1, FX_Q2, FX_Q1, CHASKEY, BEETLE, RELATED_KEY, SLIDE_IFX)}
 
-
-# ---------------------------------------------------------------------------
-# Cost estimates
-# ---------------------------------------------------------------------------
-
-ESTIMATE_PRESETS = ("desx", "prince", "pride", "chaskey", "beetle-light",
-                    "beetle-secure", "saturnin16")
-# Widest n or m an estimate takes: twice the widest preset (256 bits), and
-# far below where 2^((n + m) / 2) iterations overflow a float (n + m > 2046).
-ESTIMATE_MAX_BITS = 512
-
-_PRESET_ALIASES = {
-    "prince": "prince-fx",
-    "pride": "pride-fx",
-    "saturnin16": "saturnin",
-}
-
-
-def estimate_costs(n: int | None = None, m: int | None = None,
-                   data_limit_log2: int | None = None,
-                   preset: str | None = None) -> dict:
-    """Cost-table rows for a named target or raw (n, m) parameters.
-
-    The generic path reports every form of the copy constant, the query
-    count, and both the Q2 and (data-limited) Q1 iteration counts. A preset
-    fixes its own sizes, so it takes none of n, m and data_limit_log2; n and
-    m are at most ESTIMATE_MAX_BITS, and the data limit is a window of at
-    most the whole 2^n domain."""
-    if preset is not None:
-        if (n, m, data_limit_log2) != (None, None, None):
-            raise ValueError("a preset fixes its own sizes; it takes no n, m or data limit")
-        figures = analysis.published_figures()
-        key = _PRESET_ALIASES.get(preset, preset)
-        if key not in figures:
-            known = sorted(set(ESTIMATE_PRESETS) | set(figures))
-            raise ValueError(f"unknown preset {preset!r}; have {known}")
-        return {"preset": preset, **figures[key]}
-    if n is None or m is None:
-        raise ValueError("need n and m (or a preset)")
-    for name, bits in (("n", n), ("m", m)):
-        if not 1 <= bits <= ESTIMATE_MAX_BITS:
-            raise ValueError(f"{name} must be in [1, {ESTIMATE_MAX_BITS}], got {bits}")
-    if data_limit_log2 is not None and not 0 <= data_limit_log2 <= n:
-        raise ValueError(f"data limit must be in [0, n={n}], got {data_limit_log2}")
-    record = {
-        "n": n,
-        "m": m,
-        "c_rounded": analysis.c_rounded(m, n),
-        "c_precise": analysis.c_precise(m, n),
-        "c_paper": analysis.c_paper(m, n),
-        "c_proof_stated": analysis.c_proof_stated(m, n),
-        "queries": analysis.query_count(m),
-        "grover_iterations_q2": analysis.grover_iterations(m),
-        "time_log2_q2": m / 2 + 1,
-    }
-    if data_limit_log2 is not None:
-        u = data_limit_log2
-        record.update({
-            "u": u,
-            "d_log2": u,
-            "grover_iterations_q1": analysis.grover_iterations(n + m - u),
-            "t_log2_q1": (n + m - u) / 2,
-            "dt2_log2": u + (n + m - u),
-        })
-    return record

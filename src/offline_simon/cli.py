@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, attacks, gf2, primitives, qaa, search, simon
+from . import analysis, attacks, gf2, primitives, search, simon
 from .primitives import instance_to_json, save_function_table, save_permutation
 
 ATTACK_KINDS = tuple(attacks.TARGETS)
@@ -159,7 +159,7 @@ def _attack_csv(rows: list[dict]) -> str:
 def cmd_estimate(cfg: argparse.Namespace) -> int:
     if not cfg.preset and (cfg.n is None or cfg.m is None):
         raise CliError("estimate needs --preset or both --n and --m")
-    record = attacks.estimate_costs(cfg.n, cfg.m, cfg.data_limit, cfg.preset)
+    record = analysis.estimate_costs(cfg.n, cfg.m, cfg.data_limit, cfg.preset)
     if cfg.fmt == "json":
         text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     elif cfg.fmt == "csv":
@@ -243,7 +243,7 @@ def cmd_verify_bounds(cfg: argparse.Namespace) -> int:
     # inside the accumulated-error interval.
     for m in (2, 4):
         r = analysis.grover_iterations(m)
-        success = qaa.run_grover(m, 0, 0.0, r)
+        success = analysis.run_grover(m, 0, 0.0, r)
         ideal = analysis.amplified_success(2.0**-m, r)
         checks.append({
             "name": f"qaa-exact[a=1/{1 << m}]",
@@ -252,11 +252,11 @@ def cmd_verify_bounds(cfg: argparse.Namespace) -> int:
             "ok": abs(success - ideal) <= 1e-9,
         })
     beta = 0.05
-    eps = qaa.bit_flip_error(beta)
+    eps = analysis.bit_flip_error(beta)
     worst = 0.0
     ok = True
     for j in range(1, 9):
-        got = qaa.run_grover(3, 5, beta, j)
+        got = analysis.run_grover(3, 5, beta, j)
         dev = abs(got - analysis.amplified_success(2.0**-3, j))
         bound = analysis.qaa_deviation_bound(j, eps)
         worst = max(worst, dev - bound)
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("estimate", help="cost tables for standard targets",
                         allow_abbrev=False)
     sp.set_defaults(run=cmd_estimate)
-    sp.add_argument("--preset", choices=attacks.ESTIMATE_PRESETS)
+    sp.add_argument("--preset", choices=tuple(analysis.published_figures()))
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--data-limit", dest="data_limit", type=int)

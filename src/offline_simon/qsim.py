@@ -23,12 +23,12 @@ the state's one amplitude array, through reshaped views of it:
 * ``apply_reflection_about_zero`` writes through the register view.
 
 No code in the package runs a ``QState``: the exact search backend runs on
-``search``'s label blocks, and ``verify-bounds``' Grover checks on ``qaa``'s
-index amplitudes. What is left here is what the benchmark's tracer patches,
-with its helpers, and ``qubit_cap``; it leaves the package once the tracer
-stops naming it. The tests' reference circuits run on it, with the
-|+...+> start, the phase oracle, the controlled rotation and the
-measurement that only they use (``tests/reference.py``).
+``search``'s label blocks, and ``verify-bounds``' Grover checks on the
+index amplitudes of ``analysis.run_grover``. What is left here is what the
+benchmark's tracer patches, with its helpers, and ``qubit_cap``; it leaves
+the package once the tracer stops naming it. The tests' reference circuits
+run on it, with the |+...+> start, the phase oracle, the controlled
+rotation and the measurement that only they use (``tests/reference.py``).
 
 ``marginal`` sums the squares straight off the register view, so it
 allocates nothing of the state's size; ``distance`` sums the squared

@@ -114,7 +114,6 @@ class ScreenResult:
     laws and collision spectra (row i is branch i's) for the backends to reuse."""
 
     periodic_indices: tuple[int, ...]
-    branch_eps: np.ndarray
     eps: float
     condition_violated: bool
     multi_marked: bool
@@ -124,8 +123,8 @@ class ScreenResult:
 
 def screen(instance: SearchInstance) -> ScreenResult:
     """Classify every branch: periodic or not (a collision of 1 off t = 0
-    names a period), per-branch collision maxima, and the condition value
-    (the largest off-branch collision probability).
+    names a period), and the condition value (the largest off-zero
+    collision probability of an aperiodic branch).
 
     All 2^m branch tables go through ``simon.distributions`` in one call, and
     the classification is read off the (2^m, 2^n) collision stack at once."""
@@ -137,7 +136,6 @@ def screen(instance: SearchInstance) -> ScreenResult:
     periodic_indices = tuple(np.flatnonzero(periodic).tolist())
     return ScreenResult(
         periodic_indices=periodic_indices,
-        branch_eps=eps_branch,
         eps=eps,
         condition_violated=(eps > 0.5) or len(periodic_indices) != 1,
         multi_marked=len(periodic_indices) > 1,
@@ -512,7 +510,7 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
     report = Report(
         backend=backend, n=instance.n, m=instance.m, l=instance.l, c=copies,
         u=instance.u, counters=counters, eps=scr.eps, delta_bound=delta,
-        ideal_success=analysis.grover_ideal_success(instance.m, r),
+        ideal_success=analysis.amplified_success(2.0**-instance.m, r),
         success_lower=analysis.qaa_success_lower(2.0**-instance.m, r, delta),
         recovered=recovered, correct=correct,
         condition_violated=scr.condition_violated, flags=_flags(instance.m, copies, scr),

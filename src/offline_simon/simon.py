@@ -42,10 +42,10 @@ def _as_table(h, n: int | None, ndim: int = 1) -> tuple[np.ndarray, int]:
         raise ValueError(f"table must be a {ndim}-D array")
     if n is None:  # an empty table reads as n = 0 and fails the size check
         n = max(0, int(table.shape[-1]).bit_length() - 1)
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"n must be in [0, {MAX_N}], got {n}")
     if table.shape[-1] != 1 << n:
         raise ValueError(f"table must have 2^{n} entries")
-    if n > MAX_N:
-        raise ValueError(f"n must be at most {MAX_N}")
     return table, n
 
 

@@ -13,7 +13,7 @@ replaced (and the bound a float transform keeps to the exact one), the
 per-key family draw, the per-class sampler and the call-by-call carve
 families that the numpy gathers replaced, and the Grover circuit, with its
 noisy check's output bit and noise qubit simulated as qubits, that
-``qaa``'s runs on the index amplitudes replaced. The simulator kernels
+``analysis.run_grover``'s runs on the index amplitudes replaced. The simulator kernels
 that only these circuits use (``init_plus``, ``apply_phase_oracle``,
 ``apply_controlled_ry``, ``measure``) live here too.
 """
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from offline_simon import analysis, qsim, search
-from offline_simon.qaa import _indicator
+from offline_simon.analysis import _indicator
 from offline_simon.qsim import (QState, RegisterLayout, _checked_table, _input_regs,
                                 _register_view, _size, marginal)
 from offline_simon.gf2 import fwht
@@ -182,7 +182,7 @@ def measure(state: QState, register: str, rng: np.random.Generator) -> tuple[int
     return outcome, state
 
 
-# The Grover circuit that qaa's runs on the index amplitudes replaced,
+# The Grover circuit that analysis.run_grover's index amplitudes replaced,
 # with its check in both forms: the bit-flip form XORs the predicate into
 # "b", the phase-flip form sandwiches "b" in |->.
 

@@ -17,7 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from offline_simon import analysis, attacks, cli, qaa, search, simon
+from offline_simon import analysis, attacks, cli, search, simon
 from reference import brute_collision_prob, restoration_distance
 
 SCHEMA = json.loads(
@@ -143,14 +143,14 @@ def test_amplification_exact_and_noisy():
     worst_exact = 0.0
     for m, a in ((2, 0.25), (4, 0.0625)):
         r = analysis.grover_iterations(m)
-        success = qaa.run_grover(m, 0, 0.0, r)
+        success = analysis.run_grover(m, 0, 0.0, r)
         worst_exact = max(worst_exact, abs(success - analysis.amplified_success(a, r)))
     beta = 0.05
-    eps = qaa.bit_flip_error(beta)
+    eps = analysis.bit_flip_error(beta)
     worst_margin = math.inf
     noisy_ok = True
     for j in range(1, 9):
-        got = qaa.run_grover(3, 5, beta, j)
+        got = analysis.run_grover(3, 5, beta, j)
         dev = abs(got - analysis.amplified_success(2.0**-3, j))
         noisy_ok = noisy_ok and dev <= 4 * j * eps + 1e-12
         worst_margin = min(worst_margin, 4 * j * eps - dev)
@@ -212,18 +212,18 @@ def test_cost_anchor_reproduction():
     figs = analysis.published_figures()
     checks = {
         "desx-queries": abs(figs["desx"]["q2"]["online_queries"] - 135) <= 1,
-        "prince-queries": abs(figs["prince-fx"]["q2"]["online_queries"] - 155) <= 1,
-        "pride-queries": abs(figs["pride-fx"]["q2"]["online_queries"] - 155) <= 1,
+        "prince-queries": abs(figs["prince"]["q2"]["online_queries"] - 155) <= 1,
+        "pride-queries": abs(figs["pride"]["q2"]["online_queries"] - 155) <= 1,
         "c-single": abs(analysis.c_paper(64, 64) - 2.5) < 0.1,
         "c-double": abs(analysis.c_paper(128, 64) - 5.0) < 0.1,
         "chaskey-time": figs["chaskey"]["q1"]["time_log2"] == 59.0,
         "beetle-light-data": figs["beetle-light"]["q1"]["data_log2"] == 48,
         "beetle-secure-data": figs["beetle-secure"]["q1"]["data_log2"] == 85,
-        "saturnin-data": figs["saturnin"]["q1"]["data_log2"] == 85,
+        "saturnin-data": figs["saturnin16"]["q1"]["data_log2"] == 85,
         # time figures below hold only under the labeled convention
         # (two cipher circuits per undecorated amplification step)
         "desx-time-convention": figs["desx"]["q2"]["time_log2"] == 29.0,
-        "prince-time-convention": figs["prince-fx"]["q2"]["time_log2"] == 33.0,
+        "prince-time-convention": figs["prince"]["q2"]["time_log2"] == 33.0,
     }
     ok = all(checks.values())
     failed = [k for k, v in checks.items() if not v]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from offline_simon import analysis, simon
+from offline_simon import analysis, cli, simon
 from offline_simon.primitives import EvenMansourInstance, random_permutation
 from reference import brute_collision_prob
 
@@ -100,14 +100,14 @@ def test_grover_iterations_m1_uses_power_form():
     assert analysis.grover_iterations(1) == 1
 
 
-def test_grover_ideal_success_closed_form():
+def test_amplified_success_closed_form():
     for m in (2, 3, 6):
         r = analysis.grover_iterations(m)
         theta = math.asin(2.0 ** (-m / 2))
-        assert analysis.grover_ideal_success(m) == pytest.approx(
-            math.sin((2 * r + 1) * theta) ** 2, abs=1e-12)
         assert analysis.amplified_success(2.0**-m, r) == pytest.approx(
-            analysis.grover_ideal_success(m), abs=1e-12)
+            math.sin((2 * r + 1) * theta) ** 2, abs=1e-12)
+    # m = 0: one index, no iteration, certain success, as the search reports it
+    assert analysis.amplified_success(1.0, analysis.grover_iterations(0)) == 1.0
 
 
 def test_qaa_deviation_bound_linear():
@@ -161,12 +161,29 @@ def test_fx_cost_anchors():
 
 def test_target_cost_anchors():
     assert analysis.chaskey_costs()["time_log2"] == 59.0
-    assert analysis.sponge_costs(144)["data_log2"] == 48
-    assert analysis.sponge_costs(256)["data_log2"] == 85
-    assert analysis.related_key_costs(256)["data_log2"] == 85
+    assert analysis.balanced_costs("width", 144)["data_log2"] == 48
+    assert analysis.balanced_costs("width", 256)["data_log2"] == 85
+    assert analysis.balanced_costs("key_bits", 256)["data_log2"] == 85
     figures = analysis.published_figures()
     assert figures["desx"]["q2"]["online_queries"] == 135
     assert figures["beetle-light"]["q1"]["data_log2"] == 48
+
+
+def test_presets_are_the_cli_names():
+    """The cost table is keyed by the names `estimate --preset` takes, and
+    the API and the CLI take those names and no others."""
+    names = ("desx", "prince", "pride", "chaskey", "beetle-light", "beetle-secure", "saturnin16")
+    assert tuple(analysis.published_figures()) == names
+    parser = cli.build_parser()
+    for name in names:
+        assert parser.parse_args(["estimate", "--preset", name]).preset == name
+        assert analysis.estimate_costs(preset=name)["preset"] == name
+    for alias in ("prince-fx", "pride-fx", "saturnin"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["estimate", "--preset", alias])
+        with pytest.raises(ValueError) as err:
+            analysis.estimate_costs(preset=alias)
+        assert str(err.value) == f"unknown preset {alias!r}; have {sorted(names)}"
 
 
 # classical reference attack

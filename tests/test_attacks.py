@@ -472,25 +472,25 @@ def test_attack_report_serialization():
 
 
 def test_estimate_presets_hit_published_anchors():
-    desx = attacks.estimate_costs(preset="desx")
+    desx = analysis.estimate_costs(preset="desx")
     assert desx["preset"] == "desx"
     assert desx["q2"]["online_queries"] == 135
     assert desx["q2"]["time_log2"] == 29.0
     assert (desx["q1"]["data_log2"], desx["q1"]["time_log2"]) == (42, 40)
 
-    prince = attacks.estimate_costs(preset="prince")
+    prince = analysis.estimate_costs(preset="prince")
     assert prince["q2"]["online_queries"] == 155
     assert prince["q2"]["time_log2"] == 33.0
-    assert attacks.estimate_costs(preset="pride")["q2"] == prince["q2"]
+    assert analysis.estimate_costs(preset="pride")["q2"] == prince["q2"]
 
-    assert attacks.estimate_costs(preset="chaskey")["q1"]["time_log2"] == 59.0
-    assert attacks.estimate_costs(preset="beetle-light")["q1"]["data_log2"] == 48
-    assert attacks.estimate_costs(preset="beetle-secure")["q1"]["data_log2"] == 85
-    assert attacks.estimate_costs(preset="saturnin16")["q1"]["data_log2"] == 85
+    assert analysis.estimate_costs(preset="chaskey")["q1"]["time_log2"] == 59.0
+    assert analysis.estimate_costs(preset="beetle-light")["q1"]["data_log2"] == 48
+    assert analysis.estimate_costs(preset="beetle-secure")["q1"]["data_log2"] == 85
+    assert analysis.estimate_costs(preset="saturnin16")["q1"]["data_log2"] == 85
 
 
 def test_estimate_generic_path():
-    row = attacks.estimate_costs(n=8, m=4, data_limit_log2=4)
+    row = analysis.estimate_costs(n=8, m=4, data_limit_log2=4)
     assert row["queries"] == analysis.query_count(4)
     assert row["time_log2_q2"] == 3.0
     assert row["dt2_log2"] == 12
@@ -500,19 +500,19 @@ def test_estimate_generic_path():
 
 def test_estimate_rejects_bad_input():
     with pytest.raises(ValueError):
-        attacks.estimate_costs(preset="enigma")
+        analysis.estimate_costs(preset="enigma")
     with pytest.raises(ValueError):
-        attacks.estimate_costs(n=8)
+        analysis.estimate_costs(n=8)
     for limit in (-1, 9):
         with pytest.raises(ValueError, match="data limit"):
-            attacks.estimate_costs(8, 4, limit)
+            analysis.estimate_costs(8, 4, limit)
     for sizes in ({"n": 5}, {"m": 5}, {"data_limit_log2": 3}):
         with pytest.raises(ValueError, match="preset"):
-            attacks.estimate_costs(preset="desx", **sizes)
-    assert attacks.estimate_costs(8, 4, 0)["t_log2_q1"] == 6.0
-    assert attacks.estimate_costs(8, 4, 8)["t_log2_q1"] == 2.0
-    top = attacks.ESTIMATE_MAX_BITS
+            analysis.estimate_costs(preset="desx", **sizes)
+    assert analysis.estimate_costs(8, 4, 0)["t_log2_q1"] == 6.0
+    assert analysis.estimate_costs(8, 4, 8)["t_log2_q1"] == 2.0
+    top = analysis.ESTIMATE_MAX_BITS
     for n, m in ((0, 4), (8, 0), (top + 1, 4), (8, top + 1)):
         with pytest.raises(ValueError, match=rf"must be in \[1, {top}\]"):
-            attacks.estimate_costs(n, m)
-    assert attacks.estimate_costs(top, top, 0)["dt2_log2"] == 2 * top
+            analysis.estimate_costs(n, m)
+    assert analysis.estimate_costs(top, top, 0)["dt2_log2"] == 2 * top

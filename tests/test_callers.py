@@ -9,6 +9,8 @@ wrap). Live code is module-level code, the bodies of private
 definitions, all of perfbench/, the bodies of the ALLOWED names, and the
 bodies of public names that pass, found by iterating to a fixed point, so
 a chain of dead definitions fails whole rather than one link at a time.
+Each attack target's ``entry`` counts as a reference from live code: the
+CLI looks its attack function up by that name, built at run time.
 Words in comments and docstrings do not count, and neither does the
 definition itself, nor an attribute read off a module from outside the
 package (``np.linalg.norm`` is no caller of a ``norm``).
@@ -26,6 +28,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+from offline_simon import attacks
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "offline_simon"
 
@@ -35,6 +39,15 @@ ALLOWED = {
     "load_permutation": "reads the permutation files `gen permutation` writes",
     "load_function_table": "reads the table files `gen function-table` writes",
     "instance_from_json": "reads the instance descriptors `gen <kind>` writes",
+}
+
+# Public names that only the string constants of perfbench's tracer keep
+# alive: its patch lists name them, and nothing else that is live refers to
+# them. They go when the tracer stops naming them (ROADMAP item 17).
+TRACER_ONLY = {
+    "QState.copy", "apply_h", "apply_indexed_oracle", "apply_oracle_xor",
+    "apply_reflection_about_zero", "apply_x", "init_zero", "marginal", "distance",
+    "collision_probabilities",
 }
 
 # Bare name -> {dotted name: the reference that reaches it} for every bare
@@ -115,15 +128,16 @@ def _root(node: ast.Attribute) -> ast.AST:
     return node
 
 
-def code_references(tree: ast.AST) -> set[str]:
+def code_references(tree: ast.AST, strings: bool = True) -> set[str]:
     """The identifiers a module's code refers to: names, attributes read
     (not written) and not off a module from outside the package, imported
-    names and their aliases, and identifier-shaped string constants that
-    are not docstrings."""
-    return _references([tree], _docstrings(tree), _foreign_imports(tree))
+    names and their aliases, and, if `strings`, identifier-shaped string
+    constants that are not docstrings."""
+    return _references([tree], _docstrings(tree), _foreign_imports(tree), strings)
 
 
-def _references(nodes, docstrings: set[int], foreign: set[str]) -> set[str]:
+def _references(nodes, docstrings: set[int], foreign: set[str],
+                strings: bool = True) -> set[str]:
     """``code_references`` of the given nodes of a module whose docstrings
     and foreign imports are given."""
     refs = set()
@@ -137,7 +151,7 @@ def _references(nodes, docstrings: set[int], foreign: set[str]) -> set[str]:
         elif isinstance(node, ast.alias):
             refs.update(part for name in (node.name, node.asname) if name
                         for part in name.split("."))
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier() and id(node) not in docstrings):
             refs.add(node.value)
     return refs
@@ -177,13 +191,16 @@ def ambiguous_names(package: dict[str, str]) -> dict[str, set[str]]:
 
 
 def uncalled_names(package: dict[str, str], outside: list[str],
-                   allowed=ALLOWED, ambiguous=AMBIGUOUS) -> dict[str, str]:
+                   allowed=ALLOWED, ambiguous=AMBIGUOUS, entries=(),
+                   outside_strings: bool = True) -> dict[str, str]:
     """Dotted name -> "module:line" of each public definition in the
     package's sources (file name -> text) that no live code refers to;
-    `outside` (perfbench's sources) is live throughout. A reference to a
-    bare name that the package defines more than once reaches only the
-    definitions listed under it in `ambiguous`."""
-    live = set().union(*(code_references(ast.parse(text)) for text in outside))
+    `outside` (perfbench's sources, whose string constants count only if
+    `outside_strings`) and the names in `entries` are live throughout. A
+    reference to a bare name that the package defines more than once
+    reaches only the definitions listed under it in `ambiguous`."""
+    live = set(entries).union(*(code_references(ast.parse(text), outside_strings)
+                                for text in outside))
     public = {}
     for file, text in package.items():
         tree = ast.parse(text)
@@ -210,11 +227,13 @@ def uncalled_names(package: dict[str, str], outside: list[str],
     return {name: where for name, (where, _) in public.items() if name not in reached}
 
 
-def repo_uncalled_names() -> dict[str, str]:
-    """``uncalled_names`` over src/ and perfbench/."""
+def repo_uncalled_names(tracer_strings: bool = True) -> dict[str, str]:
+    """``uncalled_names`` over src/ and perfbench/ (its string constants
+    only if `tracer_strings`), with every attack target's entry live."""
     package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     outside = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    return uncalled_names(package, outside)
+    entries = {target.entry for target in attacks.TARGETS.values()}
+    return uncalled_names(package, outside, entries=entries, outside_strings=tracer_strings)
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -226,6 +245,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 def test_every_allowed_name_is_defined_and_still_uncalled():
     # a name that gains a caller leaves the allowlist
     assert set(ALLOWED) <= set(repo_uncalled_names())
+
+
+def test_only_the_listed_names_live_on_the_tracer_strings_alone():
+    """Without perfbench's string constants, exactly the TRACER_ONLY names
+    lose their last caller; the attack entry points keep theirs."""
+    assert set(repo_uncalled_names(tracer_strings=False)) - set(repo_uncalled_names()) \
+        == TRACER_ONLY
+
+
+def test_an_entry_name_is_a_caller():
+    # run_it is looked up by a name built at run time, and calls helper
+    source = 'def run_it():\n    return helper()\n\ndef helper():\n    return 1\n'
+    assert set(uncalled_names({"m.py": source}, [], {})) == {"run_it", "helper"}
+    assert uncalled_names({"m.py": source}, [], {}, entries={"run_it"}) == {}
+    # a string constant outside the package counts only when strings do
+    outside = ['PATCH = "run_it"\n']
+    assert uncalled_names({"m.py": source}, outside, {}) == {}
+    assert set(uncalled_names({"m.py": source}, outside, {},
+                              outside_strings=False)) == {"run_it", "helper"}
 
 
 def test_comments_and_docstrings_are_not_callers():

@@ -241,6 +241,88 @@ def test_verify_bounds_golden_report(tmp_path, capsys):
             hashlib.sha256(printed.encode()).hexdigest()) == GOLDEN_VERIFY_BOUNDS
 
 
+# SHA-256 of `estimate <args> --out FILE`: every preset in every format,
+# and the generic (n, m) path over a small grid with no data limit, a limit
+# of 0 and a limit of n. Recorded while the estimator and its aliases lived
+# in `attacks`, so every estimate kept its bytes when they moved.
+GOLDEN_ESTIMATE_DIGESTS = {
+    ("--preset", "desx", "--format", "text"):
+        "0e34ba85156549909b555063ba191cca7c54f822edeb92f67ba821da154090c9",
+    ("--preset", "desx", "--format", "csv"):
+        "eaf9e41a4a5d255c562c69b15c663abff7aee6e1969fe1b8584fdf878e1aa698",
+    ("--preset", "desx", "--format", "json"):
+        "655b03bda36765911333e7695db05d454669ab986a1118f81584aa6c4c42ed96",
+    ("--preset", "prince", "--format", "text"):
+        "42da8976e8caff7bdc053dd3de7ee0764b57db3964415c04cad4cc9c39398fc4",
+    ("--preset", "prince", "--format", "csv"):
+        "f1e7df37dc08ee517b1cdf1853699a8efe4cf4ad8f7978a30d05c1d1b08623d7",
+    ("--preset", "prince", "--format", "json"):
+        "35bd3268f989d25d2b8bf2d161b300f2b5a4d4bcfcdf8cf66a5cd6588f42b677",
+    ("--preset", "pride", "--format", "text"):
+        "fd8a3044e7e1646970bdb8ee53a8fabb1037d044c5721b8c78de44ad15290b3a",
+    ("--preset", "pride", "--format", "csv"):
+        "bfba1fa94834ad1992bba7104dd9697deaf5daa98a3361ad89facd501eb7ce04",
+    ("--preset", "pride", "--format", "json"):
+        "60ad8f9fe11eca4a54f929708541db11bcfa2f9b9b0e090d2348b90f962ce84e",
+    ("--preset", "chaskey", "--format", "text"):
+        "1942dadba9895fb155d500451a54a68fff64bdf70eb51ea7c2bc4c42fe25a6b1",
+    ("--preset", "chaskey", "--format", "csv"):
+        "f8305ebf353ac266c7eb78b8d80dbe55033eab7c310b6059d6edca2d4d26b2e5",
+    ("--preset", "chaskey", "--format", "json"):
+        "3d999eec10571a86c4fdef77133fe73d9acf9b8b2fc5b246287025c1268d38c8",
+    ("--preset", "beetle-light", "--format", "text"):
+        "8d55bcd526c989417c0f52575410fe1950bbd62397718f776e5b882b83e936ab",
+    ("--preset", "beetle-light", "--format", "csv"):
+        "aa1ddb4b704f6421709f2bb7b5f40768abbe1edf0ee0e3540e9840f355f90792",
+    ("--preset", "beetle-light", "--format", "json"):
+        "5af41c95da5562d6fa84277267f81775cae277616c71e6c683c1cdb3293bfcca",
+    ("--preset", "beetle-secure", "--format", "text"):
+        "2df59735ad252e7d81cd72d618e5be88978e974c8b722c96807fb55b9cb4e0ed",
+    ("--preset", "beetle-secure", "--format", "csv"):
+        "30553e5bf795320d37f30dc1dd141e800e02b57942068002becd22caab306e4b",
+    ("--preset", "beetle-secure", "--format", "json"):
+        "492f2537c2135a7195ca840dd546d146b8e8bcf8b501ca5c5c3856878efc59b5",
+    ("--preset", "saturnin16", "--format", "text"):
+        "1b3912c0d49ae445075b8758c3d383b50b481c5f275166354cf15a1d05a8452d",
+    ("--preset", "saturnin16", "--format", "csv"):
+        "23609f3983832520bcdb4abef17bb4b10ec1a8b000ed8c0ed51e3ff80011a636",
+    ("--preset", "saturnin16", "--format", "json"):
+        "457c7dedf3e2ce969572be4369742220bc92d6e691e993a67ffd1127d9a38fbf",
+    ("--n", "1", "--m", "1", "--format", "json"):
+        "8111af874685f14783df20fe65fe6ca8af2852661fa15d2492a3f1b05b78cd3d",
+    ("--n", "1", "--m", "1", "--data-limit", "0", "--format", "json"):
+        "2eda05271198ba7cadc962413450deb4d9334574ed66a95595e984e9efd1bbd4",
+    ("--n", "1", "--m", "1", "--data-limit", "1", "--format", "json"):
+        "36e6c80c83c20f324d1afe1686939dfc1e2b34a8ce78a0f269822dfb0b52e838",
+    ("--n", "8", "--m", "4", "--format", "json"):
+        "603fa64f0ba7ea002832de2053e4a22b023c61da30aacf7040974c50a71b15b6",
+    ("--n", "8", "--m", "4", "--data-limit", "0", "--format", "json"):
+        "e992ca755ef273c1edecf268019d5616ee8b573d059ec2cefbd90a422886cc12",
+    ("--n", "8", "--m", "4", "--data-limit", "8", "--format", "json"):
+        "a9d25f54d56704a3da96388eb7ec372e75fac9f6d260886442a9ec68208e5ca5",
+    ("--n", "64", "--m", "56", "--format", "json"):
+        "9ae75562ce772e7b88cf09aad0da8ae9f28056c139ef086afb536ae0e83abdbe",
+    ("--n", "64", "--m", "56", "--data-limit", "0", "--format", "json"):
+        "e18113db1cc512c8bfe8855fcb53c13c1d33ea32d534530186da0602542ae116",
+    ("--n", "64", "--m", "56", "--data-limit", "64", "--format", "json"):
+        "0479c61a1676d1eff93a9c0b3166de2a7057c1f78b1db44b89af905905d39c45",
+    ("--n", "512", "--m", "512", "--format", "json"):
+        "61ae411c3886a7635e621f8124ca6876aaba5d7491981ebfc803bca1c90cb916",
+    ("--n", "512", "--m", "512", "--data-limit", "0", "--format", "json"):
+        "e0f3f8f021cd5d86f3631e75d009d4efc5feaaa377111bbc00ca0361e4e51591",
+    ("--n", "512", "--m", "512", "--data-limit", "512", "--format", "json"):
+        "586e2bcfe56d6b45991082d5aafba5fb2163ded39e6d96d8bb4b3e3ae171ec53",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_ESTIMATE_DIGESTS),
+                         ids=lambda args: "_".join(args).replace("--", ""))
+def test_estimate_golden_report(tmp_path, args):
+    out = tmp_path / "est"
+    assert run_cli(["estimate", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ESTIMATE_DIGESTS[args]
+
+
 def test_verify_bounds_flags_small_c(capsys):
     assert run_cli(["verify-bounds", "--trials", "80", "--c", "1", "--n", "8"]) == 0
     out = capsys.readouterr().out

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import reference
-from offline_simon import analysis, cli, qaa, qsim
+from offline_simon import analysis, cli, qsim
 
 
 def _iterations(m, marked):
     """floor(pi / (4 theta)) for the marked share a = sin^2(theta) of the
     m-bit index register: the optimal schedule for several marked values."""
-    a = int(qaa._indicator(m, marked).sum()) / (1 << m)
+    a = int(analysis._indicator(m, marked).sum()) / (1 << m)
     return math.floor(math.pi / (4 * math.asin(math.sqrt(a))))
 
 
@@ -19,13 +19,13 @@ def test_exact_grover_matches_sine_formula(m):
     """The amplified success equals sin^2((2r+1) theta) exactly."""
     a = 2.0**-m
     r = analysis.grover_iterations(m)
-    success = qaa.run_grover(m, 3 % (1 << m), 0.0, r)
+    success = analysis.run_grover(m, 3 % (1 << m), 0.0, r)
     assert success == pytest.approx(analysis.amplified_success(a, r), abs=1e-9)
 
 
 def test_exact_grover_multi_target():
     r = _iterations(4, {1, 6, 9})
-    success = qaa.run_grover(4, {1, 6, 9}, 0.0, r)
+    success = analysis.run_grover(4, {1, 6, 9}, 0.0, r)
     a = 3 / 16
     assert success == pytest.approx(analysis.amplified_success(a, r), abs=1e-9)
 
@@ -33,28 +33,28 @@ def test_exact_grover_multi_target():
 def _circuit_success(m, marked, j):
     """The marked probability of the reference circuit's state after j
     iterations, read as the circuit run read it."""
-    table = qaa._indicator(m, marked)
+    table = analysis._indicator(m, marked)
     return float(qsim.marginal(reference.grover_state(m, marked, j), "idx")[table == 1].sum())
 
 
 @pytest.mark.parametrize("m", [2, 4])
 def test_noiseless_run_is_bit_equal_to_the_circuit_at_the_verify_bounds_shapes(m):
     r = analysis.grover_iterations(m)
-    assert qaa.run_grover(m, 0, 0.0, r) == _circuit_success(m, 0, r)
+    assert analysis.run_grover(m, 0, 0.0, r) == _circuit_success(m, 0, r)
 
 
 @pytest.mark.parametrize("m,marked", [*((m, 0) for m in range(2, 9)), (4, {1, 6, 9}),
                                       (6, {1, 6, 9, 33, 60})])
 def test_noiseless_run_matches_the_circuit(m, marked):
     r = _iterations(m, marked)
-    assert abs(qaa.run_grover(m, marked, 0.0, r) - _circuit_success(m, marked, r)) <= 1e-15
+    assert abs(analysis.run_grover(m, marked, 0.0, r) - _circuit_success(m, marked, r)) <= 1e-15
 
 
 @pytest.mark.parametrize("m,marked,beta", [(3, 5, 0.0), (3, 5, 0.05), (3, 5, 0.3),
                                            (4, {2, 5, 11}, 0.2)])
 def test_noisy_run_matches_the_circuit(m, marked, beta):
     for j in range(1, 9):
-        got = qaa.run_grover(m, marked, beta, j)
+        got = analysis.run_grover(m, marked, beta, j)
         assert abs(got - reference.run_grover_noisy(m, marked, beta, j)) <= 1e-14
 
 
@@ -85,9 +85,9 @@ def test_grover_state_progression():
 def test_marked_values_outside_the_index_register_are_refused(marked):
     # numpy indexing would read -1 as 7 and fail on 8 only part way through
     with pytest.raises(ValueError, match="empty|outside"):
-        qaa.run_grover(3, marked, 0.0, 1)
+        analysis.run_grover(3, marked, 0.0, 1)
     with pytest.raises(ValueError, match="empty|outside"):
-        qaa.run_grover(3, marked, 0.05, 1)
+        analysis.run_grover(3, marked, 0.05, 1)
     with pytest.raises(ValueError, match="empty|outside"):
         reference.grover_state(3, marked, 1)
     for beta in (0.0, 0.05):
@@ -101,8 +101,8 @@ def test_marked_values_outside_the_index_register_are_refused(marked):
 
 
 def test_bit_flip_error_value():
-    assert qaa.bit_flip_error(0.0) == 0.0
-    assert qaa.bit_flip_error(0.2) == pytest.approx(2 * math.sin(0.1))
+    assert analysis.bit_flip_error(0.0) == 0.0
+    assert analysis.bit_flip_error(0.2) == pytest.approx(2 * math.sin(0.1))
 
 
 def test_noiseless_check_is_exact_phase_flip():
@@ -121,10 +121,10 @@ def test_noiseless_check_is_exact_phase_flip():
 def test_noisy_deviation_within_linear_budget():
     """Deviation after j noisy rounds stays within 4 j eps (printed per j)."""
     m, marked, beta = 3, 5, 0.1
-    eps = qaa.bit_flip_error(beta)
+    eps = analysis.bit_flip_error(beta)
     a = 2.0**-m
     for j in range(1, 9):
-        got = qaa.run_grover(m, marked, beta, j)
+        got = analysis.run_grover(m, marked, beta, j)
         dev = abs(got - analysis.amplified_success(a, j))
         print(f"j={j} deviation={dev:.6f} allowance={4 * j * eps:.6f}")
         assert dev <= 4 * j * eps + 1e-12
@@ -135,7 +135,7 @@ def test_single_call_deviation_budgets():
     by at most 2 eps. The factor-2 budget is not saturated (the sandwich
     averages the two ancilla branches), so only the inequality is claimed."""
     m, marked, beta = 3, 5, 0.3
-    eps = qaa.bit_flip_error(beta)
+    eps = analysis.bit_flip_error(beta)
 
     layout = qsim.RegisterLayout(("idx", m), ("b", 1), ("noise", 1))
     clean = qsim.init_zero(layout)

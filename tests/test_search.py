@@ -677,7 +677,7 @@ def test_phase_form_matches_the_ancilla_circuit(make, copies, r):
 
 def test_phase_check_damage_within_the_doubled_budget():
     """On each aperiodic branch the phase-form check moves the database by
-    at most twice the bit-flip restoration bound, the budget qaa names for
+    at most twice the bit-flip restoration bound, the budget analysis names for
     the phase-flip form."""
     inst = tiny_instance()
     n, l, copies = inst.n, inst.l, 2

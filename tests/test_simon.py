@@ -238,6 +238,16 @@ def test_p_bad_estimate_rejects_bad_counts(c, trials):
 def test_width_cap():
     with pytest.raises(ValueError):
         simon.distribution(np.zeros(1 << 21, dtype=np.int64), 21)
+    # a width outside [0, MAX_N] is refused by name, before any shift by it
+    table, rng = np.zeros(2, dtype=np.int64), np.random.default_rng(0)
+    for n in (-1, -5, simon.MAX_N + 1):
+        for call in (lambda: simon.distribution(table, n),
+                     lambda: simon.distributions(table[None], n),
+                     lambda: simon.sample(table, 1, rng, n),
+                     lambda: simon.recover(table, 1, rng, n),
+                     lambda: simon.p_bad_estimate(table, 1, 1, rng, n)):
+            with pytest.raises(ValueError, match=rf"n must be in \[0, 20\], got {n}$"):
+                call()
     # an empty table has no width: refused as a size, not by a negative shift
     for call in (lambda: simon.distribution(np.zeros(0, dtype=np.int64)),
                  lambda: simon.distributions(np.zeros((2, 0), dtype=np.int64)),
