@@ -67,8 +67,8 @@ def simon_failure_bound(n: int, samples: int, eps: float = 0.5) -> float:
     return min(1.0, (2.0**n) * ((1.0 + eps) / 2.0) ** samples)
 
 
-def simon_success_lower(n: int, samples: int, eps: float = 0.5) -> float:
-    return max(0.0, 1.0 - simon_failure_bound(n, samples, eps))
+def simon_success_lower(n: int, samples: int) -> float:
+    return max(0.0, 1.0 - simon_failure_bound(n, samples))
 
 
 def restoration_bound(n: int, copies: int, eps: float) -> float:

@@ -4,9 +4,9 @@ Flat float64 amplitudes, Hadamard layers via the Walsh-Hadamard transform,
 and classical reversible maps applied as basis permutations. Every gate
 here is real (H, permutations, the reflection), so amplitudes are real
 only: a kernel given a complex state, or ``QState.scale`` given a non-real
-factor, raises ValueError before the state is touched. The qubit budget is
-capped (default 26, override with OFFLINE_SIMON_QUBIT_CAP) so a runaway
-layout fails fast instead of allocating gigabytes.
+factor, raises ValueError before the state is touched. A layout wider
+than ``search.qubit_cap``, the exact backend's budget, is refused before
+anything is allocated.
 
 A state starts as ``init_zero`` (|0...0>). The kernels work in place on
 the state's one amplitude array, through reshaped views of it:
@@ -22,10 +22,10 @@ the state's one amplitude array, through reshaped views of it:
   state size and never a full-length index.
 * ``apply_reflection_about_zero`` writes through the register view.
 
-No code in the package runs a ``QState``: the exact search backend runs on
-``search``'s label blocks, and ``verify-bounds``' Grover checks on the
-index amplitudes of ``analysis.run_grover``. What is left here is what the
-benchmark's tracer patches, with its helpers, and ``qubit_cap``; it leaves
+No code in the package runs or imports this module: the exact search
+backend runs on ``search``'s label blocks, and ``verify-bounds``' Grover
+checks on the index amplitudes of ``analysis.run_grover``. What is left
+here is what the benchmark's tracer patches, with its helpers; it leaves
 the package once the tracer stops naming it. The tests' reference circuits
 run on it, with the |+...+> start, the phase oracle, the controlled
 rotation and the measurement that only they use (``tests/reference.py``).
@@ -41,30 +41,16 @@ most significant bits of the basis index.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2 import fwht_inplace
+from .search import qubit_cap
 
-DEFAULT_QUBIT_CAP = 26
-CAP_ENV_VAR = "OFFLINE_SIMON_QUBIT_CAP"
 # Amplitudes per tile of the in-place permutations: a tile, its copy and
 # its int64 gather index stay under 1 MiB.
 _TILE = 1 << 14
-
-
-def qubit_cap() -> int:
-    """The qubit budget: OFFLINE_SIMON_QUBIT_CAP if set, else 26;
-    ValueError naming the variable if it is not an integer."""
-    value = os.environ.get(CAP_ENV_VAR)
-    if value is None:
-        return DEFAULT_QUBIT_CAP
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 class RegisterLayout:

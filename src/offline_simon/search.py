@@ -22,6 +22,10 @@ Three backends share one report shape:
 Every backend then recovers the period of the one branch it returns (the
 first measured shot, or the screen's one periodic branch), once per search.
 
+``check_capacity`` holds every limit a search is checked against, the
+exact run's qubit budget (``qubit_cap``, which ``qsim``'s layouts read
+too) among them.
+
 Every backend starts from the instance's screen, which transforms all 2^m
 branch tables in one ``simon.distributions`` pass and keeps the branches'
 Simon laws and collision spectra as the two (2^m, 2^n) stacks it returns.
@@ -32,14 +36,15 @@ the p_bad Monte Carlo too: one call per shot, over that one gather.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import analysis, gf2, qsim, simon
-from .gf2 import batch_rank
+from . import analysis, gf2, simon
 
 BACKENDS = ("sampled", "exact-circuit", "structured")
 Q2_ACQUISITION = "q2-superposition-queries"
@@ -54,12 +59,12 @@ TABLE_ENTRY_CAP_LOG2 = 22
 # block of them at a time (see simon.misses_rank), so the cap bounds a
 # shot's draw work, not its memory.
 SHOT_CELL_CAP_LOG2 = 26
+# The exact backend's qubit budget, unless CAP_ENV_VAR overrides it.
+DEFAULT_QUBIT_CAP = 26
+CAP_ENV_VAR = "OFFLINE_SIMON_QUBIT_CAP"
 # Amplitudes per chunk of the exact run's label blocks (8 MiB of float64):
 # a chunk's gathered per-copy factors are no more.
 _BLOCK_CELLS = 1 << 20
-# New rows per piece of a _label_blocks step (8 bytes per row for each of
-# the piece's index arrays).
-_LABEL_PIECE_ROWS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +213,7 @@ def _rank_predicate(n: int, copies: int) -> np.ndarray:
     for start in range(0, size, block):
         packed = np.arange(start, min(size, start + block), dtype=np.int64)
         words = (packed[:, None] >> shifts) & mask
-        table[start:start + block] = batch_rank(words, n) < n
+        table[start:start + block] = gf2.batch_rank(words, n) < n
     table.flags.writeable = False
     return table
 
@@ -219,36 +224,20 @@ def _label_blocks(l: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
     copies) array of nondecreasing labels in lexicographic order, and the
     number of label tuples each one stands for, copies! over the product
     of its multiplicities' factorials: C(2^l + copies - 1, copies) blocks
-    whose counts sum to 2^(l * copies). Built once per (l, copies), one
-    copy at a time, and read-only.
-
-    Each step extends every row by each label from its last one up, into
-    arrays allocated once at their final size, a piece of at most
-    _LABEL_PIECE_ROWS new rows at a time: the build holds the last step's
-    rows, the new ones and one piece's index arrays."""
-    size = 1 << l
-    labels = np.arange(size, dtype=np.int64)[:, None]
-    run = np.ones(size, dtype=np.int64)  # trailing equal labels of each row
-    factorials = np.ones(size, dtype=np.int64)  # product of the multiplicities' factorials
-    step = max(1, _LABEL_PIECE_ROWS // size)  # old rows per piece, size new rows or fewer each
+    whose counts sum to 2^(l * copies). Built once per (l, copies), from
+    itertools' combinations with replacement, and read-only; each count is
+    copies! divided, column by column, by the length of the run of equal
+    labels ending there: the build holds its output and two bytes a row."""
+    blocks = math.comb((1 << l) + copies - 1, copies)
+    rows = itertools.combinations_with_replacement(range(1 << l), copies)
+    labels = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                         count=blocks * copies).reshape(blocks, copies)
+    counts = np.full(blocks, math.factorial(copies), dtype=np.int64)
+    run = np.ones(blocks, dtype=np.uint8)  # at most copies, and copies! fits an int64
     for k in range(1, copies):
-        last = labels[:, -1]
-        reps = size - last
-        ends = np.cumsum(reps)
-        grown = np.empty((int(ends[-1]), k + 1), dtype=np.int64)
-        grown_run = np.empty(len(grown), dtype=np.int64)
-        grown_factorials = np.empty(len(grown), dtype=np.int64)
-        for r0 in range(0, len(labels), step):
-            r1 = min(len(labels), r0 + step)
-            lo, hi = int(ends[r0] - reps[r0]), int(ends[r1 - 1])
-            rows = np.repeat(np.arange(r0, r1), reps[r0:r1])
-            offsets = np.arange(hi - lo) - np.repeat(ends[r0:r1] - reps[r0:r1] - lo, reps[r0:r1])
-            grown[lo:hi, :k] = labels[rows]
-            np.add(last[rows], offsets, out=grown[lo:hi, k])
-            grown_run[lo:hi] = np.where(offsets == 0, run[rows] + 1, 1)
-            np.multiply(factorials[rows], grown_run[lo:hi], out=grown_factorials[lo:hi])
-        labels, run, factorials = grown, grown_run, grown_factorials
-    counts = np.floor_divide(math.factorial(copies), factorials, out=factorials)
+        run *= labels[:, k] == labels[:, k - 1]
+        run += 1
+        counts //= run
     labels.flags.writeable = counts.flags.writeable = False
     return labels, counts
 
@@ -260,6 +249,16 @@ def qubit_footprint(m: int, copies: int, n: int, l: int) -> int:
     2^(m + copies * n) amplitudes per multiset of the y labels, never more
     than 2^(footprint - 1) amplitudes in all."""
     return m + copies * (n + l) + 1
+
+
+def qubit_cap() -> int:
+    """The qubit budget: OFFLINE_SIMON_QUBIT_CAP if set, else 26;
+    ValueError naming the variable if it is not an integer."""
+    value = os.environ.get(CAP_ENV_VAR, str(DEFAULT_QUBIT_CAP))
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def check_capacity(n: int, m: int, l: int, copies: int, backend: str) -> None:
@@ -282,7 +281,7 @@ def check_capacity(n: int, m: int, l: int, copies: int, backend: str) -> None:
             raise ValueError(f"a sampled shot needs {cells} rank-sample cells "
                              f"(iterations x 2^{m} x copies), cap is 2^{SHOT_CELL_CAP_LOG2}")
     elif backend == "exact-circuit":
-        needed, cap = qubit_footprint(m, copies, n, l), qsim.qubit_cap()
+        needed, cap = qubit_footprint(m, copies, n, l), qubit_cap()
         if needed > cap:
             raise ValueError(f"exact backend needs {needed} qubits, cap is {cap}")
 
@@ -352,7 +351,9 @@ def _exact_index_distribution(instance: SearchInstance, copies: int, r: int) -> 
 def _block_norms(instance: SearchInstance, copies: int, r: int) -> np.ndarray:
     """The squared norm on each index of the final state of each label
     block, the rows of ``_label_blocks(l, copies)``: a (blocks, 2^m) array
-    whose rows each sum to 1 (see ``_exact_index_distribution``)."""
+    whose rows each sum to 1 when r >= 1 (see ``_exact_index_distribution``).
+    At r = 0 no check normalizes the spectra, and a row sums to
+    2^(n * live); ``_run_offline`` never asks, as r = 0 only at m = 0."""
     n, l, m = instance.n, instance.l, instance.m
     labels = _label_blocks(l, copies)[0]
 
@@ -544,17 +545,14 @@ def alg_exp_q1(instance: SearchInstance, copies: int | None = None,
     return _run_offline(instance, copies, backend, rng, Q1_ACQUISITION, shots, online_counts)
 
 
-def random_instance(n: int, m: int, l: int, rng: np.random.Generator,
-                    period: int | None = None, planted_index: int | None = None,
-                    max_tries: int = 200) -> SearchInstance:
-    """Random search instance: one branch hides a planted period, the rest
-    are aperiodic. Re-rolls until the screen confirms exactly one periodic
-    branch with the off-branch collision condition satisfied."""
-    if period is None:
-        period = int(rng.integers(1, 1 << n))
-    if planted_index is None:
-        planted_index = int(rng.integers(0, 1 << m))
-    for _ in range(max_tries):
+def random_instance(n: int, m: int, l: int, rng: np.random.Generator) -> SearchInstance:
+    """Random search instance: one random branch hides a random period, the
+    rest are aperiodic. Re-rolls, at most 200 times, until the screen
+    confirms exactly one periodic branch with the off-branch collision
+    condition satisfied."""
+    period = int(rng.integers(1, 1 << n))
+    planted_index = int(rng.integers(0, 1 << m))
+    for _ in range(200):
         g = rng.integers(0, 1 << l, size=1 << n).astype(np.int64)
         family = rng.integers(0, 1 << l, size=(1 << m, 1 << n)).astype(np.int64)
         periodic = simon.random_periodic_function(n, l, period, rng)

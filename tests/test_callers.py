@@ -13,7 +13,9 @@ Each attack target's ``entry`` counts as a reference from live code: the
 CLI looks its attack function up by that name, built at run time.
 Words in comments and docstrings do not count, and neither does the
 definition itself, nor an attribute read off a module from outside the
-package (``np.linalg.norm`` is no caller of a ``norm``).
+package (``np.linalg.norm`` is no caller of a ``norm``), nor a name that
+an enclosing function binds, as a parameter or an assignment target
+(``def f(scale): return scale`` is no caller of a ``scale`` method).
 
 A reference names no owner, so it is a caller of a public definition only
 when nothing else in the package defines the same bare name: no other
@@ -45,7 +47,7 @@ ALLOWED = {
 # alive: its patch lists name them, and nothing else that is live refers to
 # them. They go when the tracer stops naming them (ROADMAP item 17).
 TRACER_ONLY = {
-    "QState.copy", "apply_h", "apply_indexed_oracle", "apply_oracle_xor",
+    "QState.copy", "QState.scale", "apply_h", "apply_indexed_oracle", "apply_oracle_xor",
     "apply_reflection_about_zero", "apply_x", "init_zero", "marginal", "distance",
     "collision_probabilities",
 }
@@ -64,6 +66,9 @@ AMBIGUOUS = {
     },
     "rank": {"Gf2Basis.rank": "gf2.solve_period reads basis.rank"},
 }
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _is_def(node) -> bool:
@@ -136,12 +141,41 @@ def code_references(tree: ast.AST, strings: bool = True) -> set[str]:
     return _references([tree], _docstrings(tree), _foreign_imports(tree), strings)
 
 
+def _bound_names(func) -> set[str]:
+    """The names a function or lambda binds itself: its parameters and the
+    targets it assigns, outside any function nested in it."""
+    args = func.args
+    names = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if arg}
+    todo = list(func.body) if isinstance(func.body, list) else [func.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _walk_unbound(node, bound: frozenset = frozenset()):
+    """``ast.walk`` in depth-first order, leaving out each name that an
+    enclosing function binds: a parameter or local is no caller of a
+    definition of the same name."""
+    if isinstance(node, _SCOPES):
+        bound = bound | _bound_names(node)
+    if isinstance(node, ast.Name) and node.id in bound:
+        return
+    yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _walk_unbound(child, bound)
+
+
 def _references(nodes, docstrings: set[int], foreign: set[str],
                 strings: bool = True) -> set[str]:
     """``code_references`` of the given nodes of a module whose docstrings
     and foreign imports are given."""
     refs = set()
-    for node in (sub for top in nodes for sub in ast.walk(top)):
+    for node in (sub for top in nodes for sub in _walk_unbound(top)):
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -289,6 +323,20 @@ def test_attributes_of_foreign_modules_are_not_callers():
     assert not {"linalg", "real"} & refs
     refs = code_references(ast.parse("import numpy as np\nnp.linalg.norm(v)\n"))
     assert "norm" not in refs and "linalg" not in refs
+
+
+def test_a_local_of_a_public_name_is_no_caller():
+    # f's parameter and g's local share Q.scale's bare name; h reads the
+    # global name, lam's parameter hides it in the lambda's body only
+    source = ('class Q:\n    def scale(self):\n        return 1\n\n'
+              'def f(scale):\n    return scale\n\n'
+              'def g():\n    scale = 2\n    return [scale for _ in range(scale)]\n\n'
+              'lam = lambda scale: scale\n'
+              'VALUE = f, g, lam, Q\n')
+    assert "scale" not in code_references(ast.parse(source))
+    assert set(uncalled_names({"m.py": source}, [], {})) == {"Q.scale"}
+    for reader in ('def h():\n    return scale\n', 'def h(n=scale):\n    return n\n'):
+        assert uncalled_names({"m.py": source + reader + 'USE = h\n'}, [], {}) == {}
 
 
 def test_a_dead_chain_is_reported_whole():

@@ -18,6 +18,7 @@ from offline_simon.primitives import (
     EvenMansourInstance,
     Permutation,
     instance_from_json,
+    load_function_table,
     load_permutation,
 )
 
@@ -373,6 +374,28 @@ def test_gen_instance_roundtrip(tmp_path):
     assert isinstance(inst, EvenMansourInstance)
     assert inst.n == 7
     assert sorted(inst.perm.table.tolist()) == list(range(128))
+
+
+# SHA-256 of `gen function-table --seed 5 [sizes]` output, recorded before
+# `search` took over the qubit cap; with --n alone, l defaults to n.
+GOLDEN_FUNCTION_TABLE_DIGESTS = {
+    ("--n", "4", "--l", "3"): "a2fcce4390bb26fe10bb293a5a7a3c09735f6499593783a7324fb2c77a4444fd",
+    ("--n", "4"): "804220988bbee7070976219f84554bd04ddb03a01d3b7c8be7e6df5097c45b9d",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_FUNCTION_TABLE_DIGESTS),
+                         ids=lambda args: "_".join(args).replace("--", ""))
+def test_gen_function_table_golden(tmp_path, args):
+    out = tmp_path / "fn.txt"
+    assert run_cli(["gen", "function-table", *args, "--seed", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FUNCTION_TABLE_DIGESTS[args]
+    n = int(args[1])
+    l = int(args[3]) if len(args) > 2 else n
+    drawn = np.random.default_rng(5).integers(0, 1 << l, size=1 << n, dtype=np.int64)
+    got_n, got_l, table = load_function_table(out)
+    assert (got_n, got_l) == (n, l)
+    assert table.dtype == np.int64 and np.array_equal(table, drawn)
 
 
 def test_gen_rejects_function_table_its_loader_rejects(tmp_path, capsys):
@@ -973,6 +996,24 @@ def test_one_parser_serves_every_call_without_carrying_state(tmp_path):
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_each_subcommand_parses_to_its_own_handler(argv, handler):
     assert cli.build_parser().parse_args(argv).run is handler
+
+
+def test_no_command_loads_the_simulator(tmp_path):
+    """The CLI, the attacks and every backend run without `qsim`: the
+    qubit cap the exact backend checks is `search`'s own."""
+    runs = [["attack", "em-q1", "--trials", "1"],
+            ["attack", "em-q1", "--n", "4", "--u", "2", "--c", "1", "--trials", "1",
+             "--backend", "exact-circuit"],
+            ["attack", "em-q1", "--trials", "1", "--backend", "structured"]]
+    code = ("import sys, offline_simon.cli as cli\n"
+            "print('offline_simon.qsim' in sys.modules)\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    assert cli.main([*argv, '--out', {str(tmp_path)!r} + f'/run-{{i}}.json']) == 0\n"
+            "print('offline_simon.qsim' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env(), timeout=120, check=True)
+    assert proc.stdout.split() == ["False", "False"]
+    assert len(list(tmp_path.glob("run-*.json"))) == len(runs)
 
 
 def test_cli_imports_no_process_pool_until_workers_ask_for_one():

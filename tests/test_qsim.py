@@ -22,7 +22,7 @@ def test_init_zero_and_cap(monkeypatch):
     state = qsim.init_zero(qsim.RegisterLayout(("a", 2), ("b", 1)))
     assert state.psi.shape == (8,)
     assert state.psi[0] == 1.0
-    monkeypatch.setenv(qsim.CAP_ENV_VAR, "4")
+    monkeypatch.setenv(search.CAP_ENV_VAR, "4")
     assert qsim.qubit_cap() == 4
     with pytest.raises(ValueError):
         qsim.init_zero(qsim.RegisterLayout(("a", 5)))
@@ -36,7 +36,7 @@ def test_init_plus_is_h_on_every_register_of_init_zero(monkeypatch):
     got = init_plus(layout)
     assert got.psi.dtype == np.float64
     assert np.allclose(got.psi, want.psi, rtol=0, atol=1e-15)
-    monkeypatch.setenv(qsim.CAP_ENV_VAR, "5")
+    monkeypatch.setenv(search.CAP_ENV_VAR, "5")
     for init in (qsim.init_zero, init_plus):
         with pytest.raises(ValueError, match="layout needs 6 qubits, cap is 5"):
             init(layout)

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -203,6 +204,27 @@ def test_a_non_integer_qubit_cap_is_refused_by_name(monkeypatch, value):
     with pytest.raises(ValueError, match="OFFLINE_SIMON_QUBIT_CAP must be an integer"):
         search.check_capacity(2, 2, 2, 2, "exact-circuit")
     search.check_capacity(2, 2, 2, 2, "sampled")   # only the exact backend reads the cap
+
+
+def test_the_qubit_cap_is_defined_in_search_alone():
+    # qsim checks its layouts against search's cap; search imports no qsim
+    names = {"qubit_cap", "CAP_ENV_VAR", "DEFAULT_QUBIT_CAP"}
+    owners = {}
+    for path in sorted(Path(search.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node] if isinstance(node, ast.FunctionDef) else [])
+            for target in targets:
+                name = getattr(target, "id", getattr(target, "name", None))
+                if name in names:
+                    owners.setdefault(name, []).append(path.name)
+        if path.name == "search.py":
+            imported = {alias.name for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+            assert "qsim" not in imported
+    assert owners == {name: ["search.py"] for name in names}
+    assert qsim.qubit_cap is search.qubit_cap
 
 
 @pytest.mark.parametrize("find", [search.alg_exp_q1, search.alg_poly_q2])
@@ -483,21 +505,9 @@ def test_label_blocks_are_the_multisets_with_their_tuple_counts(l, copies):
     assert counts.tolist() == [want[key] for key in sorted(want)]
 
 
-@pytest.mark.parametrize("l, copies", [(1, 6), (2, 4), (3, 3), (4, 2)])
-def test_label_blocks_are_the_same_piece_by_piece(monkeypatch, l, copies):
-    # pieces of three new rows, where one old row grows by up to 2^l
-    search._label_blocks.cache_clear()
-    monkeypatch.setattr(search, "_LABEL_PIECE_ROWS", 3)
-    labels, counts = search._label_blocks(l, copies)
-    search._label_blocks.cache_clear()
-    want = Counter(tuple(sorted(t)) for t in itertools.product(range(1 << l), repeat=copies))
-    assert [tuple(row) for row in labels.tolist()] == sorted(want)
-    assert counts.tolist() == [want[key] for key in sorted(want)]
-
-
 def test_label_blocks_build_within_twice_their_size():
     # (11, 2), the widest labels under the qubit cap: 48 MiB of labels and
-    # counts, built in place in pieces (66 MiB traced at the peak)
+    # counts (52 MiB traced at the peak)
     search._label_blocks.cache_clear()
     tracemalloc.start()
     try:
@@ -653,6 +663,20 @@ def _multi_marked_instance():
     inst = search.SearchInstance(n=3, m=2, l=3, family=family, g=g)
     assert inst.screened.multi_marked
     return inst
+
+
+@pytest.mark.parametrize("backend", ["structured", "sampled"])
+def test_two_periodic_branches_flag_multi_marked(backend):
+    inst = _multi_marked_instance()
+    assert inst.screened.periodic_indices == (1, 2)
+    index, rep = search.alg_poly_q2(inst, backend=backend, rng=np.random.default_rng(0))
+    doc = rep.as_dict()
+    assert "multi-marked" in doc["flags"] and doc["condition_violated"] is True
+    if backend == "structured":
+        # no one branch to name: no index, no recovery
+        assert index is None and doc["measured_index"] is None and doc["recovered"] is None
+    else:
+        assert doc["measured_index"] == index
 
 
 @pytest.mark.parametrize("make, copies, r", [
