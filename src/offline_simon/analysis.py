@@ -203,7 +203,8 @@ def query_count(m: int) -> int:
 
 
 def fx_q2_costs(n: int, m: int) -> dict:
-    """Superposition-query attack on FX: cn queries, 2^(m/2+1) time."""
+    """Superposition-query attack on FX: cn queries, 2^(m/2+1) time, which
+    counts two cipher circuits per undecorated amplification step."""
     return {
         "setting": "Q2",
         "n": n,

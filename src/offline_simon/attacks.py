@@ -128,8 +128,9 @@ def _window(u: int, shift: int) -> np.ndarray:
     return np.arange(1 << u, dtype=np.int64) << shift
 
 
-def _codebook(inst, rng=None) -> tuple[np.ndarray]:
-    """Every n-bit input of the target: its full codebook."""
+def _codebook(inst, rng) -> tuple[np.ndarray]:
+    """Every n-bit input of the target: its full codebook (a `Target.codebook`
+    that draws nothing from rng)."""
     return (_window(inst.n, 0),)
 
 
@@ -267,7 +268,7 @@ class Target:
 
 
 def run_attack(target: Target, inst, u: int | None, c: int | None,
-               backend: str, rng: np.random.Generator | None) -> AttackReport:
+               backend: str, rng: np.random.Generator) -> AttackReport:
     """Problem 3 of Leander-May, "Grover meets Simon" (ASIACRYPT 2017), on
     one target instance:
 
@@ -288,8 +289,6 @@ def run_attack(target: Target, inst, u: int | None, c: int | None,
     rng is consumed by the search (its shots, then its one recovery) and,
     for some targets, the verification, in that order.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     for window in range(target.windows):
         try:
             s_inst = target.carve(inst, u, window)
@@ -357,9 +356,8 @@ EM_Q1 = Target(
 )
 
 
-def attack_em_q1(inst: EvenMansourInstance, u: int, c: int | None = None,
-                 backend: str = "sampled",
-                 rng: np.random.Generator | None = None) -> AttackReport:
+def attack_em_q1(inst: EvenMansourInstance, u: int, c: int | None, backend: str,
+                 rng: np.random.Generator) -> AttackReport:
     """Whitening-key recovery from 2^u chosen plaintexts: Grover over the
     low k1 bits against the collected window, then period recovery for the
     high bits, then k2 = E(0) ^ P(k1)."""
@@ -436,8 +434,8 @@ FX_Q2 = Target(
 )
 
 
-def attack_fx_q2(inst: FxInstance, c: int | None = None, backend: str = "sampled",
-                 rng: np.random.Generator | None = None) -> AttackReport:
+def attack_fx_q2(inst: FxInstance, c: int | None, backend: str,
+                 rng: np.random.Generator) -> AttackReport:
     """Full (k, k_in, k_out) recovery with superposition queries: Grover over
     the cipher key against the paired online function, then the quotient
     period plus a low-bit probe for k_in, then k_out = FX(0) ^ E_k(k_in)."""
@@ -481,9 +479,8 @@ FX_Q1 = Target(
 )
 
 
-def attack_fx_q1(inst: FxInstance, u: int, c: int | None = None,
-                 backend: str = "sampled",
-                 rng: np.random.Generator | None = None) -> AttackReport:
+def attack_fx_q1(inst: FxInstance, u: int, c: int | None, backend: str,
+                 rng: np.random.Generator) -> AttackReport:
     """Classical-query FX attack: collect the 2^u window, Grover jointly over
     (k, low k_in bits), recover the high k_in bits as the branch period."""
     return run_attack(FX_Q1, inst, u, c, backend, rng)
@@ -548,9 +545,8 @@ CHASKEY = Target(
 )
 
 
-def attack_chaskey(inst: ChaskeyToyInstance, u: int, c: int | None = None,
-                   backend: str = "sampled",
-                   rng: np.random.Generator | None = None) -> AttackReport:
+def attack_chaskey(inst: ChaskeyToyInstance, u: int, c: int | None, backend: str,
+                   rng: np.random.Generator) -> AttackReport:
     """Recover K1 and then K by peeling the last permutation call: run the
     Even-Mansour attack on tag(m1, .) for a fixed m1, walking m1 = 0, 1, ...
     past any first block whose derived instance fails the screen."""
@@ -600,9 +596,8 @@ BEETLE = Target(
 )
 
 
-def attack_beetle(inst: BeetleToyInstance, k: int, c: int | None = None,
-                  backend: str = "sampled",
-                  rng: np.random.Generator | None = None) -> AttackReport:
+def attack_beetle(inst: BeetleToyInstance, k: int, c: int | None, backend: str,
+                  rng: np.random.Generator) -> AttackReport:
     """Recover K1 || K2 from the initialization leakage of 2^k consecutive
     nonces: Grover over (high K1 bits, K2), period recovery for K1's low
     bits."""
@@ -645,13 +640,11 @@ RELATED_KEY = Target(
 )
 
 
-def attack_related_key(oracle: RelatedKeyOracle, u: int | None = None,
-                       c: int | None = None, backend: str = "sampled",
-                       rng: np.random.Generator | None = None) -> AttackReport:
-    """Full-key recovery from 2^(key/3) related-key queries: Grover over the
-    low two thirds of the key, period recovery for the high third."""
-    if u is None:
-        u = round(oracle.m / 3)
+def attack_related_key(oracle: RelatedKeyOracle, u: int, c: int | None, backend: str,
+                       rng: np.random.Generator) -> AttackReport:
+    """Full-key recovery from 2^u related-key queries: Grover over the low
+    key bits, period recovery for the high u (a third of the key at the
+    CLI's default)."""
     return run_attack(RELATED_KEY, oracle, u, c, backend, rng)
 
 
@@ -710,7 +703,7 @@ SLIDE_IFX = Target(
     carve=lambda inst, _, __: slide_search_instance(inst),
     assemble=_slide_assemble,
     # the consistency check already covers the full codebook
-    probes=lambda cut: _codebook(cut.inst),
+    probes=lambda cut: (_window(cut.inst.n, 0),),
     check_cost=lambda cut: (1 << cut.inst.n) * cut.inst.rounds,
     codebook=_codebook,
     ledger=_slide_ledger,
@@ -719,9 +712,8 @@ SLIDE_IFX = Target(
 )
 
 
-def attack_slide_ifx(inst: IterFxInstance, c: int | None = None,
-                     backend: str = "sampled",
-                     rng: np.random.Generator | None = None) -> AttackReport:
+def attack_slide_ifx(inst: IterFxInstance, c: int | None, backend: str,
+                     rng: np.random.Generator) -> AttackReport:
     """Recover (k1, k2) of the iterated-FX cipher from its full codebook:
     Grover over the round-key guess, slide period (1, k1) from the winner."""
     return run_attack(SLIDE_IFX, inst, None, c, backend, rng)

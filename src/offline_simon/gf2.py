@@ -139,17 +139,14 @@ def solve_period(samples: Sequence[int], n: int) -> PeriodSolution:
         (s,) = null
         return PeriodSolution("unique", s, r, (s,))
     # Enumerate the nonzero candidates only when the count is small enough
-    # to be useful to a caller; otherwise just report the basis.
-    dim = n - r
-    if dim <= 12:
-        cands = []
-        for mask in range(1, 1 << dim):
-            v = 0
-            for i in range(dim):
-                if (mask >> i) & 1:
-                    v ^= null[i]
-            cands.append(v)
-        return PeriodSolution("ambiguous", None, r, tuple(sorted(cands)))
+    # to be useful to a caller; otherwise just report the basis. The span
+    # doubles once per basis vector, whose independence makes its words
+    # distinct, so 0 sorts first.
+    if n - r <= 12:
+        span = np.zeros(1, dtype=np.int64)
+        for v in null:
+            span = np.concatenate([span, span ^ v])
+        return PeriodSolution("ambiguous", None, r, tuple(np.sort(span)[1:].tolist()))
     return PeriodSolution("ambiguous", None, r, tuple(null))
 
 

@@ -455,20 +455,16 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
     return int(rng.choice(size, p=probs))
 
 
-def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
-                 rng: np.random.Generator | None, acquisition: str, shots: int,
+def _run_offline(instance: SearchInstance, copies: int, backend: str,
+                 rng: np.random.Generator, acquisition: str, shots: int,
                  online_counts: tuple[int, int] | None = None) -> tuple[int | None, Report]:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if copies is None:
-        copies = analysis.default_copies(instance.m, instance.n)
     if copies < 1:
         raise ValueError("copies must be at least 1")
     check_capacity(instance.n, instance.m, instance.l, copies, backend)
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     scr = instance.screened
     r = analysis.grover_iterations(instance.m)
     delta = analysis.restoration_bound(instance.n, copies, scr.eps)
@@ -522,9 +518,8 @@ def _run_offline(instance: SearchInstance, copies: int | None, backend: str,
     return index, report
 
 
-def alg_poly_q2(instance: SearchInstance, copies: int | None = None,
-                backend: str = "sampled", rng: np.random.Generator | None = None,
-                shots: int = 1,
+def alg_poly_q2(instance: SearchInstance, copies: int, backend: str,
+                rng: np.random.Generator, shots: int = 1,
                 online_counts: tuple[int, int] | None = None) -> tuple[int | None, Report]:
     """Search with superposition access to g: the database costs `copies`
     quantum online queries and the offline phase never queries g again.
@@ -536,9 +531,8 @@ def alg_poly_q2(instance: SearchInstance, copies: int | None = None,
     return _run_offline(instance, copies, backend, rng, Q2_ACQUISITION, shots, online_counts)
 
 
-def alg_exp_q1(instance: SearchInstance, copies: int | None = None,
-               backend: str = "sampled", rng: np.random.Generator | None = None,
-               shots: int = 1,
+def alg_exp_q1(instance: SearchInstance, copies: int, backend: str,
+               rng: np.random.Generator, shots: int = 1,
                online_counts: tuple[int, int] | None = None) -> tuple[int | None, Report]:
     """Search with classical access to g: the whole codebook is collected
     (2^n classical queries), the offline phase is identical to the Q2 run."""

@@ -35,18 +35,17 @@ MAX_N = 20
 _CHUNK_CELLS = 1 << 22
 
 
-def _as_table(h, n: int | None, ndim: int = 1) -> tuple[np.ndarray, int]:
-    """h as int64 with its width; ndim=2 takes a (rows, 2^n) stack of tables."""
+def _as_table(h, n: int, ndim: int = 1) -> np.ndarray:
+    """h as int64, checked to have 2^n entries; ndim=2 takes a (rows, 2^n)
+    stack of tables."""
     table = np.asarray(h, dtype=np.int64)
     if table.ndim != ndim:
         raise ValueError(f"table must be a {ndim}-D array")
-    if n is None:  # an empty table reads as n = 0 and fails the size check
-        n = max(0, int(table.shape[-1]).bit_length() - 1)
     if not 0 <= n <= MAX_N:
         raise ValueError(f"n must be in [0, {MAX_N}], got {n}")
     if table.shape[-1] != 1 << n:
         raise ValueError(f"table must have 2^{n} entries")
-    return table, n
+    return table
 
 
 def _periods(collisions: np.ndarray) -> tuple[int, ...]:
@@ -54,12 +53,11 @@ def _periods(collisions: np.ndarray) -> tuple[int, ...]:
     return tuple((np.flatnonzero(collisions[1:] == 1.0) + 1).tolist())
 
 
-def distribution(h, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def distribution(h, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The law of one table and its collision spectrum, row 0 of
     ``distributions``: weights(u) = 2^-2n * sum_a |sum_{x: h(x)=a} (-1)^(u.x)|^2
     and collisions(t) = Pr_x[h(x ^ t) = h(x)], both read-only."""
-    table, n = _as_table(h, n)
-    weights, collisions = distributions(table[None], n)
+    weights, collisions = distributions(_as_table(h, n)[None], n)
     return weights[0], collisions[0]
 
 
@@ -76,7 +74,7 @@ def _squared_spectra(codes: np.ndarray, start: int, stop: int, size: int) -> np.
     return block
 
 
-def distributions(tables, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def distributions(tables, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The law of every row of a (rows, 2^n) stack of tables, from one pass:
     a read-only (rows, 2^n) stack of weights and one of their collisions.
 
@@ -86,7 +84,7 @@ def distributions(tables, n: int | None = None) -> tuple[np.ndarray, np.ndarray]
     exact in float64 in any order: each row's law is bit for bit the one a
     table alone would get.
     """
-    tables, n = _as_table(tables, n, ndim=2)
+    tables = _as_table(tables, n, ndim=2)
     count, size = tables.shape
     low = int(tables.min())
     span = int(tables.max()) - low + 1
@@ -112,7 +110,7 @@ def distributions(tables, n: int | None = None) -> tuple[np.ndarray, np.ndarray]
     return weights, collisions
 
 
-def sample(h, count: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+def sample(h, count: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """count i.i.d. draws of u, as int64; conditions on the output value first.
 
     Only the preimage classes actually hit get a Walsh transform, so widths
@@ -123,7 +121,7 @@ def sample(h, count: int, rng: np.random.Generator, n: int | None = None) -> np.
     each slice searches its class's cdf, normalized as ``choice`` normalizes
     it.
     """
-    table, n = _as_table(h, n)
+    table = _as_table(h, n)
     size = 1 << n
     xs = rng.integers(0, size, size=count)
     if not count:
@@ -150,9 +148,9 @@ def sample(h, count: int, rng: np.random.Generator, n: int | None = None) -> np.
     return out
 
 
-def recover(h, count: int, rng: np.random.Generator, n: int | None = None) -> PeriodSolution:
+def recover(h, count: int, rng: np.random.Generator, n: int) -> PeriodSolution:
     """Draw count samples of u and solve u.s = 0 for the period."""
-    table, n = _as_table(h, n)
+    table = _as_table(h, n)
     if count < 1:
         raise ValueError("count must be at least 1")
     return solve_period(sample(table, count, rng, n).tolist(), n)
@@ -278,9 +276,9 @@ class PBadEstimate:
     trials: int
 
 
-def p_bad_estimate(h, c: int, trials: int, rng: np.random.Generator, n: int | None = None) -> PBadEstimate:
+def p_bad_estimate(h, c: int, trials: int, rng: np.random.Generator, n: int) -> PBadEstimate:
     """Rate at which c*n samples from an aperiodic h miss full rank."""
-    table, n = _as_table(h, n)
+    table = _as_table(h, n)
     if c < 1:
         raise ValueError("c must be at least 1")
     if trials < 1:

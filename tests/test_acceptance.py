@@ -50,7 +50,8 @@ def test_exact_backend_against_analytic_window(committed_instance):
     _, exact = search.alg_poly_q2(inst, copies=2, backend="exact-circuit",
                                   rng=np.random.default_rng([39, 11]), shots=SHOTS)
     elapsed = time.perf_counter() - t0
-    _, structured = search.alg_poly_q2(inst, copies=2, backend="structured")
+    _, structured = search.alg_poly_q2(inst, copies=2, backend="structured",
+                                       rng=np.random.default_rng(0))
     rate = exact.success_rate
     lower, ideal = structured.success_lower, structured.ideal_success
     sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / SHOTS)

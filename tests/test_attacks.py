@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from offline_simon import analysis, attacks, primitives
+from offline_simon import analysis, attacks, cli, primitives, search, simon
 from offline_simon.attacks import DegenerateInstanceError
 from offline_simon.primitives import (
     BeetleToyInstance,
@@ -92,7 +93,7 @@ def expect_majority(reports, threshold):
 
 def test_em_q1_attack():
     reports = [
-        run_redrawing(build_em, lambda i, r: attacks.attack_em_q1(i, 3, rng=r), seed)
+        run_redrawing(build_em, lambda i, r: attacks.attack_em_q1(i, 3, None, "sampled", r), seed)
         for seed in range(10)
     ]
     winner = expect_majority(reports, 6)
@@ -108,14 +109,14 @@ def test_em_q1_recovers_low_k1_with_zero_high_part():
     # the periodic branch collapses to a constant; recovery still works
     rng = np.random.default_rng(77)
     inst = EvenMansourInstance(n=7, perm=random_permutation(7, rng), k1=5, k2=81)
-    rep = attacks.attack_em_q1(inst, 3, rng=rng)
+    rep = attacks.attack_em_q1(inst, 3, None, "sampled", rng)
     assert rep.verified
     assert rep.keys == {"k1": 5, "k2": 81}
 
 
 def test_fx_q2_attack():
     reports = [
-        run_redrawing(build_fx, lambda i, r: attacks.attack_fx_q2(i, rng=r), seed)
+        run_redrawing(build_fx, lambda i, r: attacks.attack_fx_q2(i, None, "sampled", r), seed)
         for seed in range(12)
     ]
     winner = expect_majority(reports, 7)
@@ -131,7 +132,7 @@ def test_fx_q1_attack():
     reports = [
         run_redrawing(
             lambda r: build_fx(r, n=6, m=3, k_in_lo=8),
-            lambda i, r: attacks.attack_fx_q1(i, 3, rng=r), seed)
+            lambda i, r: attacks.attack_fx_q1(i, 3, None, "sampled", r), seed)
         for seed in range(10)
     ]
     winner = expect_majority(reports, 7)
@@ -143,7 +144,8 @@ def test_fx_q1_attack():
 
 def test_chaskey_attack():
     reports = [
-        run_redrawing(build_chaskey, lambda i, r: attacks.attack_chaskey(i, 3, rng=r), seed)
+        run_redrawing(build_chaskey,
+                      lambda i, r: attacks.attack_chaskey(i, 3, None, "sampled", r), seed)
         for seed in range(8)
     ]
     winner = expect_majority(reports, 5)
@@ -154,14 +156,15 @@ def test_chaskey_attack():
 def test_chaskey_attack_zero_keys():
     rng = np.random.default_rng(13)
     inst = ChaskeyToyInstance(n=8, perm=random_permutation(8, rng), k=0, k1=0)
-    rep = attacks.attack_chaskey(inst, 3, rng=rng)
+    rep = attacks.attack_chaskey(inst, 3, None, "sampled", rng)
     assert rep.verified
     assert rep.keys == {"k": 0, "k1": 0}
 
 
 def test_beetle_attack():
     reports = [
-        run_redrawing(build_beetle, lambda i, r: attacks.attack_beetle(i, 3, rng=r), seed)
+        run_redrawing(build_beetle,
+                      lambda i, r: attacks.attack_beetle(i, 3, None, "sampled", r), seed)
         for seed in range(8)
     ]
     winner = expect_majority(reports, 5)
@@ -174,7 +177,7 @@ def test_beetle_attack_constant_branch():
     rng = np.random.default_rng(21)
     inst = BeetleToyInstance(rate=6, capacity=4, perm=random_permutation(10, rng),
                              k1=0b101000, k2=9)
-    rep = attacks.attack_beetle(inst, 3, rng=rng)
+    rep = attacks.attack_beetle(inst, 3, None, "sampled", rng)
     assert rep.verified
     assert rep.keys == {"k1": 0b101000, "k2": 9}
 
@@ -182,7 +185,7 @@ def test_beetle_attack_constant_branch():
 def test_related_key_attack():
     reports = [
         run_redrawing(build_related_key,
-                      lambda i, r: attacks.attack_related_key(i, 2, rng=r), seed)
+                      lambda i, r: attacks.attack_related_key(i, 2, None, "sampled", r), seed)
         for seed in range(10)
     ]
     winner = expect_majority(reports, 6)
@@ -197,7 +200,7 @@ def test_related_key_matches_exhaustive():
         hits = exhaustive_related_key_search(oracle)
         assert oracle.k in hits
         try:
-            rep = attacks.attack_related_key(oracle, 2, rng=rng)
+            rep = attacks.attack_related_key(oracle, 2, None, "sampled", rng)
         except DegenerateInstanceError:
             continue
         if rep.verified:
@@ -206,7 +209,8 @@ def test_related_key_matches_exhaustive():
 
 def test_slide_attack():
     reports = [
-        run_redrawing(build_slide, lambda i, r: attacks.attack_slide_ifx(i, rng=r), seed)
+        run_redrawing(build_slide,
+                      lambda i, r: attacks.attack_slide_ifx(i, None, "sampled", r), seed)
         for seed in range(8)
     ]
     winner = expect_majority(reports, 5)
@@ -221,7 +225,7 @@ def test_slide_matches_exhaustive():
     for _ in range(REDRAWS):
         inst = build_slide(rng)
         try:
-            rep = attacks.attack_slide_ifx(inst, rng=rng)
+            rep = attacks.attack_slide_ifx(inst, None, "sampled", rng)
         except DegenerateInstanceError:
             continue
         break
@@ -258,19 +262,16 @@ def test_related_key_rejects_zero_high_part():
         attacks.run_attack(attacks.RELATED_KEY, oracle, 2, None, "structured", rng)
 
 
-def test_related_key_window_defaults_to_a_third_of_the_key():
-    """`attack_related_key` without u queries a 2^3 window at key width 9."""
-    rng = np.random.default_rng(6)
-    for _ in range(REDRAWS):
-        try:
-            rep = attacks.attack_related_key(build_related_key(rng, kw=9, n=9, u=3), rng=rng)
-            break
-        except DegenerateInstanceError:
-            continue
-    else:
-        raise AssertionError("no clean instance found")
-    assert rep.d_online == 1 << 3
-    assert rep.search_report.counters.classical_online == 1 << 3
+def test_related_key_window_defaults_to_a_third_of_the_key(tmp_path):
+    """Without --u, related-key queries a 2^3 window at key width 9: the
+    window's one default is `RELATED_KEY.defaults`."""
+    out = tmp_path / "run.json"
+    assert cli.main(["attack", "related-key", "--n", "9", "--trials", "1",
+                     "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["parameters"]["u"] == 3
+    assert doc["trials"][0]["D"] == 1 << 3
+    assert doc["trials"][0]["counters"]["classical_online"] == 1 << 3
 
 
 def test_window_width_validation():
@@ -456,9 +457,26 @@ def test_chaskey_draws_its_pairs_whatever_the_outcome():
     assert found_rng.random() == missed_rng.random()
 
 
+def test_the_library_takes_its_run_inputs_from_the_caller():
+    """Copies, backend, rng and width have their defaults in the CLI parser
+    and the target records alone: no public function of the library fills
+    one in."""
+    defaulted = [
+        f"{module.__name__}.{name}({param.name})"
+        for module in (attacks, search, simon)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__
+        and not name.startswith("_")
+        for param in inspect.signature(fn).parameters.values()
+        if param.name in {"rng", "copies", "backend", "n"}
+        and param.default is not inspect.Parameter.empty
+    ]
+    assert defaulted == []
+
+
 def test_attack_report_serialization():
     rng = np.random.default_rng(41)
-    rep = attacks.attack_em_q1(build_em(rng), 3, rng=rng)
+    rep = attacks.attack_em_q1(build_em(rng), 3, None, "sampled", rng)
     doc = rep.as_dict()
     for key in ("target", "verified", "planted_match", "D", "T", "Q", "M",
                 "adaptive", "tradeoff", "notes", "backend", "counters"):

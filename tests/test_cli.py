@@ -679,7 +679,8 @@ def test_console_script_is_installed():
     if exe:
         commands.append([exe, *args])
     for command in commands:
-        proc = subprocess.run(command, capture_output=True, text=True, timeout=60)
+        proc = subprocess.run(command, capture_output=True, text=True, timeout=60,
+                              env=package_env())
         assert proc.returncode == 0
         assert "q2.online_queries = 135" in proc.stdout
 

@@ -240,6 +240,34 @@ def test_solve_period_finds_planted(data):
         assert s in sol.candidates
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_period_candidates_are_the_orthogonal_words(data):
+    # ambiguous: every nonzero s orthogonal to all samples, sorted, while
+    # there are at most 2^12 - 1 of them; past that, the nullspace basis
+    n = data.draw(st.integers(min_value=2, max_value=16))
+    samples = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                                 max_size=n))
+    sol = solve_period(samples, n)
+    s = np.arange(1, 1 << n)
+    even = np.ones(len(s), dtype=bool)
+    for u in samples:
+        even &= np.bitwise_count(s & u) % 2 == 0
+    orthogonal = s[even].tolist()
+    dim = n - sol.rank
+    if dim < 2:
+        assert sol.candidates == tuple(orthogonal)
+        return
+    assert sol.kind == "ambiguous"
+    if dim <= 12:
+        assert sol.candidates == tuple(orthogonal)
+    else:
+        basis = Gf2Basis(n)
+        basis.extend(samples)
+        assert sol.candidates == tuple(basis.nullspace())
+        assert len(orthogonal) == (1 << dim) - 1
+
+
 def test_width_limits():
     with pytest.raises(ValueError):
         Gf2Basis(MAX_WIDTH + 1)

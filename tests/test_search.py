@@ -98,7 +98,8 @@ def test_screen_flags_equal_split_violation():
 
 def test_error_budget_formulas():
     inst = medium_instance()
-    _, rep = search.alg_poly_q2(inst, copies=18, backend="structured")
+    _, rep = search.alg_poly_q2(inst, copies=18, backend="structured",
+                                rng=np.random.default_rng(0))
     assert rep.eps == inst.screened.eps
     delta = 2.0 ** 3.5 * ((1 + rep.eps) / 2) ** 9
     r = rep.counters.grover_iterations
@@ -110,7 +111,8 @@ def test_error_budget_formulas():
 
 def test_error_budget_m0_has_no_amplification():
     inst = search.random_instance(4, 0, 4, np.random.default_rng(0))
-    _, rep = search.alg_poly_q2(inst, copies=12, backend="structured")
+    _, rep = search.alg_poly_q2(inst, copies=12, backend="structured",
+                                rng=np.random.default_rng(0))
     assert rep.counters.grover_iterations == 0
     assert rep.ideal_success == 1.0
     assert rep.success_lower == 1.0
@@ -118,7 +120,8 @@ def test_error_budget_m0_has_no_amplification():
 
 def test_counter_contract_q2():
     inst = medium_instance()
-    _, rep = search.alg_poly_q2(inst, copies=18, backend="structured")
+    _, rep = search.alg_poly_q2(inst, copies=18, backend="structured",
+                                rng=np.random.default_rng(0))
     c = rep.counters
     assert (c.classical_online, c.quantum_online) == (0, 18)
     assert c.f_queries == 108
@@ -128,7 +131,8 @@ def test_counter_contract_q2():
 
 def test_counter_contract_q1():
     inst = medium_instance()
-    _, rep = search.alg_exp_q1(inst, copies=18, backend="structured")
+    _, rep = search.alg_exp_q1(inst, copies=18, backend="structured",
+                               rng=np.random.default_rng(0))
     c = rep.counters
     assert (c.classical_online, c.quantum_online) == (64, 0)
     assert c.f_queries == 108
@@ -139,16 +143,17 @@ def test_counter_contract_q1():
 def test_online_counts_override():
     inst = medium_instance()
     _, rep = search.alg_exp_q1(inst, copies=18, backend="structured",
-                               online_counts=(1 << 6, 0))
+                               rng=np.random.default_rng(0), online_counts=(1 << 6, 0))
     assert rep.counters.classical_online == 64
     _, rep = search.alg_exp_q1(inst, copies=18, backend="structured",
-                               online_counts=(5, 7))
+                               rng=np.random.default_rng(0), online_counts=(5, 7))
     assert (rep.counters.classical_online, rep.counters.quantum_online) == (5, 7)
 
 
 def test_structured_returns_planted_index():
     inst = medium_instance()
-    good, rep = search.alg_poly_q2(inst, backend="structured")
+    good, rep = search.alg_poly_q2(inst, analysis.default_copies(inst.m, inst.n), "structured",
+                                   np.random.default_rng(0))
     assert good == inst.planted_index
     assert rep.recovered == {"index": f"0x{inst.planted_index:x}",
                              "period": f"0x{inst.planted_period:x}"}
@@ -186,7 +191,8 @@ def test_report_deterministic():
 def test_backend_validation():
     inst = tiny_instance()
     with pytest.raises(ValueError):
-        search.alg_poly_q2(inst, backend="magic")
+        search.alg_poly_q2(inst, analysis.default_copies(inst.m, inst.n), "magic",
+                           np.random.default_rng(0))
 
 
 def test_exact_backend_respects_qubit_cap(monkeypatch):
@@ -239,7 +245,7 @@ def test_sampled_search_refuses_a_shot_over_the_cell_cap(monkeypatch, find):
                                  family=rng.integers(0, 64, size=(1 << 16, 8)),
                                  g=rng.integers(0, 64, size=8))
     with pytest.raises(ValueError, match=r"cap is 2\^26"):
-        find(inst, backend="sampled", rng=rng)
+        find(inst, analysis.default_copies(inst.m, inst.n), "sampled", rng)
 
 
 def test_exact_backend_runs_tiny():
@@ -457,7 +463,8 @@ def test_search_recovers_one_period_whatever_the_shot_count(monkeypatch):
 
     monkeypatch.setattr(simon, "recover", spy)
     inst = medium_instance()
-    idx, rep = search.alg_poly_q2(inst, copies=8, rng=np.random.default_rng(3), shots=5)
+    idx, rep = search.alg_poly_q2(inst, copies=8, backend="sampled",
+                                  rng=np.random.default_rng(3), shots=5)
     assert len(calls) == 1
     assert np.array_equal(calls[0], inst.branch(idx))
     assert rep.recovered["index"] == f"0x{idx:x}"
@@ -469,7 +476,8 @@ def test_search_recovers_one_period_whatever_the_shot_count(monkeypatch):
 
 def test_flags_c_too_small():
     inst = medium_instance()
-    _, rep = search.alg_poly_q2(inst, copies=2, backend="structured")
+    _, rep = search.alg_poly_q2(inst, copies=2, backend="structured",
+                                rng=np.random.default_rng(0))
     assert "c-too-small" in rep.flags
 
 
@@ -643,7 +651,7 @@ def test_exact_run_is_real_phases_only(monkeypatch):
     monkeypatch.setattr(qsim, "_xor_table", refuse)
     monkeypatch.setattr(gf2, "fwht_inplace", spy)
     inst = tiny_instance()
-    search.alg_poly_q2(inst, copies=2, backend="exact-circuit")
+    search.alg_poly_q2(inst, copies=2, backend="exact-circuit", rng=np.random.default_rng(0))
     assert dtypes and all(dtype == np.float64 for dtype in dtypes)
 
 
@@ -669,7 +677,8 @@ def _multi_marked_instance():
 def test_two_periodic_branches_flag_multi_marked(backend):
     inst = _multi_marked_instance()
     assert inst.screened.periodic_indices == (1, 2)
-    index, rep = search.alg_poly_q2(inst, backend=backend, rng=np.random.default_rng(0))
+    index, rep = search.alg_poly_q2(inst, analysis.default_copies(inst.m, inst.n), backend,
+                                    np.random.default_rng(0))
     doc = rep.as_dict()
     assert "multi-marked" in doc["flags"] and doc["condition_violated"] is True
     if backend == "structured":

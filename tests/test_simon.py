@@ -248,10 +248,10 @@ def test_width_cap():
                      lambda: simon.p_bad_estimate(table, 1, 1, rng, n)):
             with pytest.raises(ValueError, match=rf"n must be in \[0, 20\], got {n}$"):
                 call()
-    # an empty table has no width: refused as a size, not by a negative shift
-    for call in (lambda: simon.distribution(np.zeros(0, dtype=np.int64)),
-                 lambda: simon.distributions(np.zeros((2, 0), dtype=np.int64)),
-                 lambda: simon.p_bad_estimate([], 1, 1, np.random.default_rng(0))):
+    # an empty table is refused as a size at n = 0, not by a negative shift
+    for call in (lambda: simon.distribution(np.zeros(0, dtype=np.int64), 0),
+                 lambda: simon.distributions(np.zeros((2, 0), dtype=np.int64), 0),
+                 lambda: simon.p_bad_estimate([], 1, 1, np.random.default_rng(0), 0)):
         with pytest.raises(ValueError, match=r"table must have 2\^0 entries"):
             call()
 
