@@ -26,9 +26,13 @@ first measured shot, or the screen's one periodic branch), once per search.
 exact run's qubit budget (``qubit_cap``, which ``qsim``'s layouts read
 too) among them.
 
-Every backend starts from the instance's screen, which transforms all 2^m
-branch tables in one ``simon.distributions`` pass and keeps the branches'
-Simon laws and collision spectra as the two (2^m, 2^n) stacks it returns.
+Every backend starts from the instance's screen, which takes all 2^m
+branch tables through one ``simon.distributions`` pass and keeps the
+branches' Simon laws and collision spectra as the two (2^m, 2^n) stacks it
+returns. The pass counts each branch's equal-value pairs and transforms
+the count once, so a branch of 2^n inputs costs sum_a min(|C_a|^2, 2^n)
+over its output classes C_a: at most 2^(3n/2), and a few times 2^n for the
+near-injective branches of a cipher.
 A sampled shot draws its rank samples from the rows of the aperiodic
 branches and rank-tests them through ``simon.misses_rank``, the kernel of
 the p_bad Monte Carlo too: one call per shot, over that one gather.

@@ -9,12 +9,16 @@ no state vectors are needed at widths up to 20 bits.
 The law and the collision spectrum are one Fourier pair: the Walsh transform
 of the law is t -> Pr_x[h(x ^ t) = h(x)] (the orthogonality lemma
 Pr[u . t = 0] = (1 + Pr_x[h(x ^ t) = h(x)]) / 2 of Kaplan et al., CRYPTO
-2016), so one class-indicator transform per table gives the periods, the
-condition value eps and the union bound as well. ``distributions`` makes
-that pass over a whole stack of tables at once (every branch of a search
-instance), into one read-only stack of laws and one of collision spectra;
-``distribution`` is its one-table case and returns the same pair, the
-stacks' row 0, so every caller reads one law shape.
+2016), so the periods, the condition value eps and the union bound come
+with the law. And the collision spectrum is a count of equal-value pairs
+(x, x ^ t), so the law is one transform of that count per table, not one
+per output class: a table costs its pair count, each class at most 2^n.
+``distributions`` makes that pass over a whole stack of tables at once
+(every branch of a search instance), into one read-only stack of laws and
+one of collision spectra; ``distribution`` is its one-table case and
+returns the same pair, the stacks' row 0, so every caller reads one law
+shape. ``sample`` still transforms the indicator of each class it draws
+from, since it draws inside the classes.
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ MAX_N = 20
 # 32 MiB of float64 whatever the number of output classes (the transform's
 # temporaries take a few times that).
 _CHUNK_CELLS = 1 << 22
+# Cells of one chunk of the pair count in `distributions`: equal-value pairs
+# enumerated, or (x, x ^ t) cells compared (2 MiB per int64 temporary).
+_PAIR_CELLS = 1 << 18
+# A row of at most this many (x, x ^ t) cells, 4^n (n <= 5), counts its
+# pairs by comparing them all: that costs less than sorting its values.
+_COMPARE_CELLS = 1 << 10
 
 
 def _as_table(h, n: int, ndim: int = 1) -> np.ndarray:
@@ -74,36 +84,119 @@ def _squared_spectra(codes: np.ndarray, start: int, stop: int, size: int) -> np.
     return block
 
 
-def distributions(tables, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The law of every row of a (rows, 2^n) stack of tables, from one pass:
-    a read-only (rows, 2^n) stack of weights and one of their collisions.
+def _pair_chunks(after: np.ndarray):
+    """The pairs (p, q) with p < q <= p + after[p], as two int64 arrays in
+    order of p, _PAIR_CELLS pairs at a time or fewer (more only when one p
+    starts more); a p with after[p] <= 0 starts none."""
+    live = np.flatnonzero(after > 0)
+    ahead = after[live].cumsum()
+    begin = 0
+    while begin < len(live):
+        done = int(ahead[begin - 1]) if begin else 0
+        end = max(begin + 1, int(ahead.searchsorted(done + _PAIR_CELLS, side="right")))
+        runs = after[live[begin:end]]
+        first = np.repeat(live[begin:end], runs)
+        yield first, first + np.arange(1, len(first) + 1) - np.repeat(runs.cumsum() - runs, runs)
+        begin = end
 
-    Classes are numbered across all rows by one ``np.unique`` over keys
-    offset by row, so a block of class indicators may span rows. Every
-    squared spectrum is an integer below 4^n and each weight a sum of them,
-    exact in float64 in any order: each row's law is bit for bit the one a
-    table alone would get.
+
+def _pair_counts(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The equal-value pairs of every row of a (rows, 2^n) stack of tables,
+    by offset, and the squared spectra of the classes too large to pair.
+
+    pairs[row, t] = #{(x, x'): h(x) = h(x'), x ^ x' = t}, as float64, over the
+    classes of k members with k^2 <= 2^n; each larger class costs one
+    class-indicator transform of its 2^n cells instead (``_squared_spectra``),
+    and the second array sums those transforms per row (None when no class
+    is that large). So a row costs sum_a min(|C_a|^2, 2^n), at most 2^(3n/2).
+
+    A row of at most _COMPARE_CELLS (x, x ^ t) cells compares them all, so
+    counts the pairs of every class, and the second array is None.
+    Wider rows sort their values, offset by row, once: each class is then a
+    run of the sorted inputs, the row's 2^n pairs (x, x) go to t = 0
+    without being enumerated, and each class's other pairs are enumerated
+    _PAIR_CELLS at a time (``_pair_chunks``) and counted with one
+    ``np.bincount`` at row * 2^n + (x ^ x').
     """
-    tables = _as_table(tables, n, ndim=2)
     count, size = tables.shape
+    pairs = np.zeros((count, size))
+    if size * size <= _COMPARE_CELLS:
+        partner = np.arange(size) ^ np.arange(size)[:, None]  # [t, x] = x ^ t
+        ones = np.ones(size)
+        step = max(1, _PAIR_CELLS // (size * size))
+        for r0 in range(0, count, step):
+            rows = tables[r0:r0 + step]
+            # a float product sums the matches faster than a bool sum does
+            same = (rows[:, partner] == rows[:, None, :]).astype(np.float64)
+            np.matmul(same, ones, out=pairs[r0:r0 + step])
+        return pairs, None
+    if not count:  # no value to offset by
+        return pairs, None
     low = int(tables.min())
     span = int(tables.max()) - low + 1
     if span * count >= 1 << 63:
         # values too spread to offset row by row: number them first
         _, ranks = np.unique(tables, return_inverse=True)
         tables, low, span = ranks.reshape(count, size), 0, int(ranks.max()) + 1
-    keys = tables - low + np.arange(count, dtype=np.int64)[:, None] * span
-    classes, codes = np.unique(keys, return_inverse=True)
+    keys = (tables - low + np.arange(count, dtype=np.int64)[:, None] * span).reshape(-1)
+    # row p >> n holds sorted input p; the order within a class is free
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    members = np.diff(starts, append=len(keys))
+    # at n = 8-14 this picks the faster form at every power-of-two class size
+    dense = members * members > size
+    xs = order & (size - 1)
+    # the later members of its class each sorted input pairs with (none in
+    # a dense class)
+    after = np.repeat(np.where(dense, 0, starts + members), members) - 1 - np.arange(len(keys))
+    flat = pairs.reshape(-1)
+    for first, second in _pair_chunks(after):
+        lo = first[0] >> n << n
+        cells = np.bincount((first >> n << n | xs[first] ^ xs[second]) - lo,
+                            minlength=(first[-1] >> n << n) + size - lo)
+        flat[lo:lo + len(cells)] += 2 * cells  # (x, x') and (x', x)
+    # every input pairs with itself, in its own class
+    pairs[:, 0] = size - np.bincount(starts[dense] >> n, members[dense], minlength=count)
+    if not dense.any():
+        return pairs, None
+    codes = np.full(len(keys), -1, dtype=np.int64)
+    codes[order] = np.repeat(np.where(dense, np.cumsum(dense) - 1, -1), members)
     codes = codes.reshape(count, size)
-    owner = classes // span  # the row of each class, nondecreasing
-    weights = np.zeros((count, size))
+    owner = starts[dense] >> n  # the row of each dense class, nondecreasing
+    spectra = np.zeros((count, size))
     chunk = max(1, _CHUNK_CELLS // size)
-    for start in range(0, len(classes), chunk):
-        stop = min(len(classes), start + chunk)
+    for start in range(0, len(owner), chunk):
+        stop = min(len(owner), start + chunk)
         block = _squared_spectra(codes[owner[start]:owner[stop - 1] + 1], start, stop, size)
         own = owner[start:stop]
         runs = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
-        weights[own[runs]] += np.add.reduceat(block, runs, axis=0)
+        spectra[own[runs]] += np.add.reduceat(block, runs, axis=0)
+    return pairs, spectra
+
+
+def distributions(tables, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law of every row of a (rows, 2^n) stack of tables, from one pass:
+    a read-only (rows, 2^n) stack of weights and one of their collisions.
+
+    A row's law is the Walsh transform of its equal-value pair count, over
+    4^n: sum_a |sum_{x in C_a} (-1)^(u.x)|^2 = sum_t P(t) (-1)^(u.t), with
+    P(t) the pairs (x, x') of one class with x ^ x' = t (see
+    ``_pair_counts``). One transform per row, plus one per class too large
+    to pair, whose squared spectrum joins the sum. Every count and squared
+    spectrum is an integer of at most 4^n, exact in float64 in any order:
+    each row's law is bit for bit the one a table alone would get, and the
+    sum of its classes' squared spectra.
+    """
+    tables = _as_table(tables, n, ndim=2)
+    size = tables.shape[1]
+    weights, spectra = _pair_counts(tables, n)
+    fwht_inplace(weights, size)
+    if spectra is not None:
+        weights += spectra
     weights /= float(size * size)
     collisions = fwht(weights)
     weights.flags.writeable = collisions.flags.writeable = False

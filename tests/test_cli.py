@@ -754,6 +754,15 @@ GOLDEN_EXACT_DIGESTS = {
 }
 
 
+# One trial at a width where the screen has 2^12-input branches (the
+# carve's (n, m) = (12, 2)), recorded before the screen counted each
+# branch's equal-value pairs, when it transformed every output class.
+GOLDEN_WIDE_DIGESTS = {
+    "em-q1 --n 14 --u 12 --trials 1 --seed 3":
+        "cd11f07037ab4288159e78c805e8c0a02b358aedfc3793e7ee1cc4d773611ce5",
+}
+
+
 @pytest.mark.parametrize("config,kind", sorted(GOLDEN_ATTACK_DIGESTS))
 def test_attack_golden_report(tmp_path, config, kind):
     out = tmp_path / "run.json"
@@ -776,6 +785,13 @@ def test_attack_golden_report_on_the_exact_backend(tmp_path, args):
     assert run_cli(["attack", *args.split(), "--backend", "exact-circuit", "--trials", "3",
                     "--seed", "11", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EXACT_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_WIDE_DIGESTS))
+def test_attack_golden_report_at_a_wide_shape(tmp_path, args):
+    out = tmp_path / "run.json"
+    assert run_cli(["attack", *args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_WIDE_DIGESTS[args]
 
 
 @pytest.mark.parametrize("kind", cli.ATTACK_KINDS)

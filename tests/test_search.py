@@ -5,12 +5,13 @@ import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from offline_simon import analysis, gf2, qsim, search, simon
+from offline_simon import analysis, attacks, gf2, qsim, search, simon
 from offline_simon.gf2 import Gf2Basis
 from reference import (ancilla_index_distribution, apply_rank_phase, exact_check, exact_layout,
                        init_plus, label_tuple_index_distribution, label_tuple_marginal, measure,
@@ -94,6 +95,26 @@ def test_screen_flags_equal_split_violation():
     scr = search.screen(inst)
     assert scr.multi_marked
     assert scr.condition_violated
+
+
+def test_a_wide_screen_holds_a_few_tables():
+    """The screen of `attack em-q1 --n 16 --u 14`'s carve, (n, m) = (14, 2),
+    traces at most 16 copies of its 512 KiB family table: its laws and
+    collisions come from the equal-value pairs, chunk by chunk, with no
+    block of class indicators (the per-class transforms traced 67 MiB)."""
+    target = attacks.TARGETS["em-q1"]
+    flags = dict.fromkeys(("n", "m", "u", "rate", "capacity", "rounds")) | {"n": 16, "u": 14}
+    inst, u = target.draw(target.defaults(SimpleNamespace(**flags)), np.random.default_rng(3))
+    carve = target.carve(inst, u, 0)
+    assert (carve.n, carve.m) == (14, 2)
+    tracemalloc.start()
+    try:
+        scr = search.screen(carve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scr.periodic_indices
+    assert peak <= 16 * carve.family.nbytes
 
 
 def test_error_budget_formulas():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -284,24 +285,47 @@ def brute_law(table, n):
     return total / float(1 << (2 * n))
 
 
+def _spy_pair_chunks(monkeypatch):
+    """Record the first members of every chunk of pairs ``_pair_counts``
+    enumerates, as a list the caller reads after the call."""
+    chunks, pair_chunks = [], simon._pair_chunks
+
+    def spy(after):
+        for first, second in pair_chunks(after):
+            chunks.append(first)
+            yield first, second
+
+    monkeypatch.setattr(simon, "_pair_chunks", spy)
+    return chunks
+
+
 def test_law_and_collisions_exact_across_ragged_chunks(monkeypatch):
+    """Sorted-pair counts cut into chunks that end short of their cap give
+    the exact law and collision spectrum at every width (the comparison of
+    all (x, x ^ t) cells is off, so every row enumerates its pairs)."""
     rng = np.random.default_rng(77)
     tables = []
-    for n in range(2, 7):
+    # n = 7 too: many narrower tables have too few sorted pairs to cut a
+    # chunk short (an l = 1 table has none: both its classes are transformed)
+    for n in range(2, 8):
         for l in range(1, n + 1):
             tables.append((n, rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)))
         period = int(rng.integers(1, 1 << n))
         tables.append((n, simon.random_periodic_function(n, n, period, rng)))
+    monkeypatch.setattr(simon, "_COMPARE_CELLS", 0)
+    chunks = _spy_pair_chunks(monkeypatch)
     spanned = 0
     for n, table in tables:
-        classes = len(np.unique(table))
-        # the first chunk size that leaves a short last chunk
-        chunk = next((c for c in range(2, classes) if classes % c), None)
-        if chunk is None:
+        for chunk in range(2, 8):
+            monkeypatch.setattr(simon, "_PAIR_CELLS", chunk)
+            chunks.clear()
+            weights, collisions = simon.distribution(table, n)
+            sizes = [len(first) for first in chunks]
+            if len(sizes) > 1 and min(sizes) < chunk:
+                break
+        else:
             continue
         spanned += 1
-        monkeypatch.setattr(simon, "_CHUNK_CELLS", chunk << n)
-        weights, collisions = simon.distribution(table, n)
         assert np.array_equal(weights, brute_law(table, n))
         counts = [brute_collision_prob(table, n, t) for t in range(1 << n)]
         assert np.array_equal(collisions, counts)
@@ -325,31 +349,124 @@ def _mixed_rows(n, rng):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_distributions_match_each_row_bit_for_bit(monkeypatch, n):
     """One pass over a stack of tables gives every row the law, collision
-    spectrum and periods that the row gets alone, also when class-indicator
-    blocks span rows, split a row, and end on a short block; both stacks
-    are read-only."""
+    spectrum and periods that the row gets alone, also when the pair count's
+    chunks span rows, split a row, and end short of their cap, on both of
+    its forms (all (x, x ^ t) cells of a row compared, a chunk of rows at a
+    time, or the sorted pairs enumerated); both stacks are read-only."""
     rng = np.random.default_rng(100 + n)
     tables = _mixed_rows(n, rng)
     alone = [simon.distribution(table, n) for table in tables]
-    counts = np.array([len(np.unique(table)) for table in tables])
-    ends = np.cumsum(counts)
-    starts, total = ends - counts, int(ends[-1])
-    ragged = 0
+    chunks = _spy_pair_chunks(monkeypatch)
+    ragged_rows = ragged_pairs = 0
     for chunk in range(1, 8):
-        monkeypatch.setattr(simon, "_CHUNK_CELLS", chunk << n)
-        weights, collisions = simon.distributions(tables, n)
-        assert weights.shape == collisions.shape == tables.shape
-        assert not weights.flags.writeable and not collisions.flags.writeable
-        for table, w, c, (one_w, one_c) in zip(tables, weights, collisions, alone):
-            assert w.tobytes() == one_w.tobytes()
-            assert c.tobytes() == one_c.tobytes()
-            assert simon._periods(c) == simon._periods(one_c)
-            assert np.array_equal(w, brute_law(table, n))
-        cuts = np.arange(chunk, total, chunk)
-        spans_rows = any(end % chunk for end in ends[:-1])
-        splits_row = any(((cuts > a) & (cuts < b)).any() for a, b in zip(starts, ends))
-        ragged += spans_rows and splits_row and total % chunk != 0
-    assert ragged
+        for compared in (True, False):
+            monkeypatch.setattr(simon, "_COMPARE_CELLS", 4**n if compared else 0)
+            monkeypatch.setattr(simon, "_PAIR_CELLS", chunk * 4**n if compared else chunk)
+            chunks.clear()
+            weights, collisions = simon.distributions(tables, n)
+            assert weights.shape == collisions.shape == tables.shape
+            assert not weights.flags.writeable and not collisions.flags.writeable
+            for table, w, c, (one_w, one_c) in zip(tables, weights, collisions, alone):
+                assert w.tobytes() == one_w.tobytes()
+                assert c.tobytes() == one_c.tobytes()
+                assert simon._periods(c) == simon._periods(one_c)
+                assert np.array_equal(w, brute_law(table, n))
+            if compared:
+                assert not chunks
+                ragged_rows += chunk > 1 and len(tables) % chunk != 0
+                continue
+            rows = [set((first >> n).tolist()) for first in chunks]
+            spans_rows = any(len(r) > 1 for r in rows)
+            splits_row = any(a & b for i, a in enumerate(rows) for b in rows[i + 1:])
+            short = any(len(first) < chunk for first in chunks)
+            ragged_pairs += spans_rows and splits_row and short
+    assert ragged_rows
+    # at n = 1 every class of two members is one of the transformed ones
+    assert bool(ragged_pairs) == (n > 1)
+
+
+def _indicator_law(tables, n):
+    """Each row's law summed from one class-indicator transform per class
+    (``_squared_spectra``), as the screen summed it before it counted
+    pairs, and its collisions."""
+    size = 1 << n
+    weights = np.zeros(tables.shape)
+    for row, table in zip(weights, tables):
+        codes = np.unique(table, return_inverse=True)[1].reshape(size)
+        classes = int(codes.max()) + 1
+        step = max(1, (1 << 22) // size)
+        for start in range(0, classes, step):
+            stop = min(classes, start + step)
+            row += simon._squared_spectra(codes, start, stop, size).sum(axis=0)
+    weights /= float(size * size)
+    return weights, gf2.fwht(weights)
+
+
+def _screen_rows(n, rng):
+    """Rows of width n for the pair count: constant, l < n, periodic,
+    a permutation, and one class of more than 2^(n/2) members (transformed)
+    among classes of two and one (enumerated), in shuffled order."""
+    size = 1 << n
+    rows = [np.full(size, 5), rng.integers(0, 1 << (n // 2), size=size), rng.permutation(size)]
+    if n:
+        period = int(rng.integers(1, size))
+        rows.append(simon.random_periodic_function(n, n, period, rng))
+    big = min(size, math.isqrt(size) + 1)
+    rows.append(rng.permutation(np.r_[np.zeros(big, np.int64), 1 + np.arange(size - big) // 2]))
+    return np.array(rows, dtype=np.int64)[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_pair_counts_give_the_class_indicator_law(monkeypatch, n):
+    """The law from the pair count is, bit for bit, the sum of the classes'
+    squared spectra, with the same collisions: on both forms of the count,
+    on pair chunks that straddle rows, on rows that mix enumerated and
+    transformed classes, and on values too spread to offset by row."""
+    rng = np.random.default_rng(1300 + n)
+    tables = _screen_rows(n, rng)
+    want_w, want_c = _indicator_law(tables, n)
+    # a relabelling onto values up to 2^62 apart, which the count numbers first
+    values = int(tables.max()) + 1
+    labels = rng.permutation(np.unique(rng.integers(-(1 << 62), 1 << 62, size=values + 8)))
+    labels[[tables.min(), tables.max()]] = -(1 << 62), (1 << 62) - 1
+    spread = labels[tables]
+    assert int(spread.max()) - int(spread.min()) >= (1 << 63) // len(tables)
+    chunks = _spy_pair_chunks(monkeypatch)
+    straddled = False
+    for compare, cells in ((simon._COMPARE_CELLS, simon._PAIR_CELLS), (0, 2), (0, 3), (0, 5), (0, 7)):
+        monkeypatch.setattr(simon, "_COMPARE_CELLS", compare)
+        monkeypatch.setattr(simon, "_PAIR_CELLS", cells)
+        for stack in (tables, spread):
+            chunks.clear()
+            weights, collisions = simon.distributions(stack, n)
+            assert weights.tobytes() == want_w.tobytes()
+            assert collisions.tobytes() == want_c.tobytes()
+            straddled |= any(len(set((first >> n).tolist())) > 1 for first in chunks)
+    assert straddled == (n > 2)
+    if n > 2:  # the mixed row transforms its large class and counts the rest
+        pairs, spectra = simon._pair_counts(tables, n)
+        assert (spectra.any(axis=1) & pairs[:, 1:].any(axis=1)).any()
+
+
+def test_a_constant_row_is_transformed_not_paired(monkeypatch):
+    """A constant row of 2^12 inputs (2^24 ordered pairs) takes its class's
+    one transform; no pair of it is enumerated."""
+    n = 12
+    chunks = _spy_pair_chunks(monkeypatch)
+    weights, collisions = simon.distribution(np.full(1 << n, 9), n)
+    assert sum(len(first) for first in chunks) == 0
+    assert weights[0] == 1.0 and not weights[1:].any()
+    assert (collisions == 1.0).all()
+
+
+@pytest.mark.parametrize("n", [0, 3, 7])
+def test_distributions_of_an_empty_stack(n):
+    """No rows give two empty read-only (0, 2^n) stacks, on either form of
+    the pair count."""
+    weights, collisions = simon.distributions(np.zeros((0, 1 << n), np.int64), n)
+    for stack in (weights, collisions):
+        assert stack.shape == (0, 1 << n) and stack.dtype == np.float64
+        assert not stack.flags.writeable
 
 
 def test_distributions_number_widely_spread_values():
@@ -570,9 +687,9 @@ def test_misses_rank_with_nothing_to_draw(shape):
 
 
 def test_p_bad_estimate_transforms_its_table_once(monkeypatch):
-    """One block of class indicators and one Walsh transform of the law:
-    the periodicity check, the Monte Carlo law, eps and the union bound
-    all come from the same law."""
+    """One Walsh transform of the pair count and one of the law: the
+    periodicity check, the Monte Carlo law, eps and the union bound all
+    come from the same law."""
     rng = np.random.default_rng(2024)
     n = 6
     table = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
@@ -597,7 +714,7 @@ def test_p_bad_estimate_transforms_its_table_once(monkeypatch):
                 monkeypatch.setattr(module, name, watch)
     monkeypatch.setattr(gf2, "fwht", spy)
     simon.p_bad_estimate(table, 3, 100, rng, n)
-    assert shapes == [(len(np.unique(table)), 1 << n), (1, 1 << n)]
+    assert shapes == [(1, 1 << n), (1, 1 << n)]
 
 
 def _choice_p_bad_mc(weights, count, trials, rng):
