@@ -393,6 +393,8 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise CliError(f"--{flag} must be at least 1, got {value}")
+        if getattr(args, "seed", 0) < 0:
+            raise CliError(f"--seed must be at least 0, got {args.seed}")
         _check_out(args.out)
         return args.run(args)
     except (CliError, ValueError, OSError) as exc:

@@ -285,21 +285,30 @@ def load_function_table(path: str | Path) -> tuple[int, int, np.ndarray]:
     return n, l, np.array(values, dtype=np.int64)
 
 
+def _parse_int(path: str | Path, token: str, base: int, what: str) -> int:
+    """int(token, base); a ValueError naming the file, `what` and the token
+    if the token is not one."""
+    try:
+        return int(token, base)
+    except ValueError:
+        raise ValueError(f"{path}: {what} {token!r} is not a base-{base} integer") from None
+
+
 def _load_table_file(path: str | Path, expect_l: bool) -> tuple[int, int | None, list[int]]:
     tokens = Path(path).read_text().split()
     if not tokens or not tokens[0].startswith("n="):
         raise ValueError(f"{path}: expected 'n=<width>' header")
-    n = int(tokens[0][2:])
+    n = _parse_int(path, tokens[0][2:], 10, "'n=' width")
     _check_width(n)
     rest = tokens[1:]
     l = None
     if expect_l:
         if not rest or not rest[0].startswith("l="):
             raise ValueError(f"{path}: expected 'l=<width>' header")
-        l = int(rest[0][2:])
+        l = _parse_int(path, rest[0][2:], 10, "'l=' width")
         _check_width(l, "output width")
         rest = rest[1:]
-    values = [int(t, 16) for t in rest]
+    values = [_parse_int(path, t, 16, "value") for t in rest]
     if len(values) != 1 << n:
         raise ValueError(f"{path}: expected {1 << n} values, got {len(values)}")
     limit = 1 << (l if l is not None else n)
@@ -366,9 +375,10 @@ def _integer_field(doc: dict, name: str) -> int:
 def instance_from_json(text: str):
     """Rebuild an instance from its descriptor (deterministic in the seed).
     Each size field (a width or a round count) must be an integer of at
-    least 1, as the CLI's size flags must, the seed an integer, and each key
-    a hex string in [0, 2^w) for w its width field; a descriptor that is not
-    a JSON object, or lacks a field, is refused by name too (ValueError)."""
+    least 1, as the CLI's size flags must, the seed one of at least 0, and
+    each key a hex string in [0, 2^w) for w its width field; a descriptor
+    that is not a JSON object, or lacks a field, is refused by name too
+    (ValueError)."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"a descriptor must be a JSON object, got {type(doc).__name__}")
@@ -380,6 +390,9 @@ def instance_from_json(text: str):
     for f, value in values.items():
         if value < 1:
             raise ValueError(f"{f} = {value} must be at least 1")
+    seed = _integer_field(doc, "seed")
+    if seed < 0:
+        raise ValueError(f"seed = {seed} must be at least 0")
     hexes = _field(doc, "keys")
     if not isinstance(hexes, dict):
         raise ValueError("keys must be a JSON object")
@@ -392,7 +405,7 @@ def instance_from_json(text: str):
         if not 0 <= values[k] < 1 << values[width]:
             raise ValueError(f"key {k} = {key} outside [0, 2^{width}) "
                              f"with {width} = {values[width]}")
-    rng = np.random.default_rng(_integer_field(doc, "seed"))
+    rng = np.random.default_rng(seed)
     names = [f.name for f in fields(cls) if f.init]
     if "perm" in names:
         width = values["n"] if "n" in values else values["rate"] + values["capacity"]

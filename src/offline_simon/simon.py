@@ -37,8 +37,8 @@ MAX_N = 20
 # 32 MiB of float64 whatever the number of output classes (the transform's
 # temporaries take a few times that).
 _CHUNK_CELLS = 1 << 22
-# Cells of one chunk of the pair count in `distributions`: equal-value pairs
-# enumerated, or (x, x ^ t) cells compared (2 MiB per int64 temporary).
+# (x, x ^ t) cells of one row step of the pair count's compare form in
+# `distributions` (2 MiB per int64 temporary).
 _PAIR_CELLS = 1 << 18
 # A row of at most this many (x, x ^ t) cells, 4^n (n <= 5), counts its
 # pairs by comparing them all: that costs less than sorting its values.
@@ -84,20 +84,14 @@ def _squared_spectra(codes: np.ndarray, start: int, stop: int, size: int) -> np.
     return block
 
 
-def _pair_chunks(after: np.ndarray):
-    """The pairs (p, q) with p < q <= p + after[p], as two int64 arrays in
-    order of p, _PAIR_CELLS pairs at a time or fewer (more only when one p
-    starts more); a p with after[p] <= 0 starts none."""
-    live = np.flatnonzero(after > 0)
-    ahead = after[live].cumsum()
-    begin = 0
-    while begin < len(live):
-        done = int(ahead[begin - 1]) if begin else 0
-        end = max(begin + 1, int(ahead.searchsorted(done + _PAIR_CELLS, side="right")))
-        runs = after[live[begin:end]]
-        first = np.repeat(live[begin:end], runs)
-        yield first, first + np.arange(1, len(first) + 1) - np.repeat(runs.cumsum() - runs, runs)
-        begin = end
+def _pair_passes(after: np.ndarray):
+    """The pairs (p, p + d) with d <= after[p], as two int64 arrays in order
+    of p: one pass per offset d = 1, 2, ... while some p pairs that far on."""
+    first, step = np.flatnonzero(after > 0), 1
+    while len(first):
+        yield first, first + step
+        step += 1
+        first = first[after[first] >= step]
 
 
 def _pair_counts(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -112,11 +106,10 @@ def _pair_counts(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | N
 
     A row of at most _COMPARE_CELLS (x, x ^ t) cells compares them all, so
     counts the pairs of every class, and the second array is None.
-    Wider rows sort their values, offset by row, once: each class is then a
-    run of the sorted inputs, the row's 2^n pairs (x, x) go to t = 0
-    without being enumerated, and each class's other pairs are enumerated
-    _PAIR_CELLS at a time (``_pair_chunks``) and counted with one
-    ``np.bincount`` at row * 2^n + (x ^ x').
+    Wider rows are sorted one by one: a class is then a run of its row's
+    sorted inputs, the row's 2^n pairs (x, x) go to t = 0 unenumerated, and
+    a run of k members pairs in k - 1 passes, one per offset within the run
+    (``_pair_passes``), each counted by ``np.bincount`` at row * 2^n + (x ^ x').
     """
     count, size = tables.shape
     pairs = np.zeros((count, size))
@@ -130,42 +123,33 @@ def _pair_counts(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | N
             same = (rows[:, partner] == rows[:, None, :]).astype(np.float64)
             np.matmul(same, ones, out=pairs[r0:r0 + step])
         return pairs, None
-    if not count:  # no value to offset by
-        return pairs, None
-    low = int(tables.min())
-    span = int(tables.max()) - low + 1
-    if span * count >= 1 << 63:
-        # values too spread to offset row by row: number them first
-        _, ranks = np.unique(tables, return_inverse=True)
-        tables, low, span = ranks.reshape(count, size), 0, int(ranks.max()) + 1
-    keys = (tables - low + np.arange(count, dtype=np.int64)[:, None] * span).reshape(-1)
-    # row p >> n holds sorted input p; the order within a class is free
-    order = np.argsort(keys)
-    ordered = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    order = np.argsort(tables, axis=1)  # in any order within a class
+    xs = order.reshape(-1)  # sorted input p is input xs[p] of row p >> n
+    ordered = np.take_along_axis(tables, order, axis=1)
+    new = np.ones((count, size), dtype=bool)  # every row starts a class
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+    del ordered  # the passes' peak need not hold it
     starts = np.flatnonzero(new)
-    members = np.diff(starts, append=len(keys))
+    members = np.diff(starts, append=new.size)
     # at n = 8-14 this picks the faster form at every power-of-two class size
     dense = members * members > size
-    xs = order & (size - 1)
     # the later members of its class each sorted input pairs with (none in
     # a dense class)
-    after = np.repeat(np.where(dense, 0, starts + members), members) - 1 - np.arange(len(keys))
+    after = np.repeat(np.where(dense, 0, starts + members), members) - 1 - np.arange(new.size)
     flat = pairs.reshape(-1)
-    for first, second in _pair_chunks(after):
-        lo = first[0] >> n << n
-        cells = np.bincount((first >> n << n | xs[first] ^ xs[second]) - lo,
-                            minlength=(first[-1] >> n << n) + size - lo)
-        flat[lo:lo + len(cells)] += 2 * cells  # (x, x') and (x', x)
+    for first, second in _pair_passes(after):
+        lo = first[0] & -size  # the start of the first row the pass reaches
+        cells = np.bincount((first & -size | xs[first] ^ xs[second]) - lo,
+                            minlength=(first[-1] & -size) + size - lo)
+        flat[lo:lo + len(cells)] += cells
+    pairs *= 2  # (x, x') and (x', x)
     # every input pairs with itself, in its own class
     pairs[:, 0] = size - np.bincount(starts[dense] >> n, members[dense], minlength=count)
     if not dense.any():
         return pairs, None
-    codes = np.full(len(keys), -1, dtype=np.int64)
-    codes[order] = np.repeat(np.where(dense, np.cumsum(dense) - 1, -1), members)
-    codes = codes.reshape(count, size)
+    codes = np.empty_like(order)
+    labels = np.repeat(np.where(dense, np.cumsum(dense) - 1, -1), members)
+    np.put_along_axis(codes, order, labels.reshape(count, size), axis=1)
     owner = starts[dense] >> n  # the row of each dense class, nondecreasing
     spectra = np.zeros((count, size))
     chunk = max(1, _CHUNK_CELLS // size)

@@ -433,6 +433,19 @@ def test_size_flags_below_one_are_rejected(tmp_path, capsys, monkeypatch, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["attack", "em-q1"],
+    ["gen", "em"],
+    ["verify-bounds"],
+], ids=lambda argv: "_".join(argv))
+def test_a_negative_seed_is_rejected_by_name(tmp_path, capsys, argv):
+    # numpy refused it as "expected non-negative integer", naming no flag
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "error: --seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # SHA-256 of `gen <kind> --seed 5 [sizes]` output, recorded before `gen`
 # drew its instances through `attacks.TARGETS`. Only `gen fx` with no size
 # flags was re-recorded then: it takes fx-q2's default n=4 (it was n=6;

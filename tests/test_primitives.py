@@ -323,6 +323,22 @@ def test_function_table_rejects_truncated(tmp_path):
         load_function_table(path)
 
 
+@pytest.mark.parametrize("load, text, message", [
+    (load_permutation, "n=2\n0 1 g 3\n", "value 'g' is not a base-16 integer"),
+    (load_permutation, "n=abc\n0 1 2 3\n", "'n=' width 'abc' is not a base-10 integer"),
+    (load_permutation, "n=\n0\n", "'n=' width '' is not a base-10 integer"),
+    (load_function_table, "n=2\nl=2\n0 1 2 zz\n", "value 'zz' is not a base-16 integer"),
+    (load_function_table, "n=x\nl=2\n0 1 2 3\n", "'n=' width 'x' is not a base-10 integer"),
+    (load_function_table, "n=2\nl=x\n0 1 2 3\n", "'l=' width 'x' is not a base-10 integer"),
+], ids=["perm-value", "perm-n", "perm-empty-n", "table-value", "table-n", "table-l"])
+def test_table_files_name_their_bad_token(tmp_path, load, text, message):
+    # each was int()'s message, without the file's path
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load(path)
+
+
 @pytest.mark.parametrize("kind", ["even-mansour", "fx", "iterated-fx",
                                   "chaskey-toy", "beetle-toy", "related-key"])
 def test_instance_json_roundtrip(kind):
@@ -453,6 +469,7 @@ def _malformed(**changes):
     (_malformed(n=4.5), "n = 4.5 must be an integer"),
     (_malformed(rounds=True), "rounds = True must be an integer"),
     (_malformed(seed=1.5), "seed = 1.5 must be an integer"),
+    (_malformed(seed=-1), "seed = -1 must be at least 0"),
     (_malformed(kind=["fx"]), "unknown instance kind"),
     (_malformed(keys=["0x1", "0x2"]), "keys must be a JSON object"),
     (_malformed(keys={"k1": "zz", "k2": "0x2"}), "key k1 = 'zz' is not a hex string"),
@@ -461,7 +478,7 @@ def _malformed(**changes):
     (json.dumps([{"kind": "fx"}]), "must be a JSON object, got list"),
     (json.dumps("fx"), "must be a JSON object, got str"),
 ], ids=["no-keys", "no-kind", "no-seed", "no-size", "no-key", "string-size", "float-size",
-        "bool-size", "float-seed", "list-kind", "list-keys", "non-hex-key", "int-key",
+        "bool-size", "float-seed", "negative-seed", "list-kind", "list-keys", "non-hex-key", "int-key",
         "null-key", "list-document", "string-document"])
 def test_instance_from_json_refuses_malformed_descriptors_by_field(text, message):
     # each was a KeyError or TypeError, or (a bool size) read as 1

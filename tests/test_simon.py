@@ -285,54 +285,65 @@ def brute_law(table, n):
     return total / float(1 << (2 * n))
 
 
-def _spy_pair_chunks(monkeypatch):
-    """Record the first members of every chunk of pairs ``_pair_counts``
+def _spy_pair_passes(monkeypatch):
+    """Record the first members of every pass of pairs ``_pair_counts``
     enumerates, as a list the caller reads after the call."""
-    chunks, pair_chunks = [], simon._pair_chunks
+    passes, pair_passes = [], simon._pair_passes
 
     def spy(after):
-        for first, second in pair_chunks(after):
-            chunks.append(first)
+        for first, second in pair_passes(after):
+            passes.append(first)
             yield first, second
 
-    monkeypatch.setattr(simon, "_pair_chunks", spy)
-    return chunks
+    monkeypatch.setattr(simon, "_pair_passes", spy)
+    return passes
+
+
+def _largest_paired_run(tables, n):
+    """The most members of a class that is paired, not transformed (k^2 <=
+    2^n), over every row of a stack; 1 when there is none."""
+    counts = [np.unique(row, return_counts=True)[1] for row in np.atleast_2d(tables)]
+    return max((int(k) for row in counts for k in row if k * k <= 1 << n), default=1)
+
+
+def _assert_passes_shrink(passes, tables, n):
+    """The sorted form took one pass per offset up to its largest paired
+    run, each no longer than the one before."""
+    sizes = [len(first) for first in passes]
+    assert len(sizes) == _largest_paired_run(tables, n) - 1
+    assert sizes == sorted(sizes, reverse=True)
 
 
 def test_law_and_collisions_exact_across_ragged_chunks(monkeypatch):
-    """Sorted-pair counts cut into chunks that end short of their cap give
-    the exact law and collision spectrum at every width (the comparison of
-    all (x, x ^ t) cells is off, so every row enumerates its pairs)."""
+    """Sorted pairs enumerated in passes that shrink, one per offset within
+    a class, give the exact law and collision spectrum at every width (the
+    comparison of all (x, x ^ t) cells is off, so every row enumerates its
+    pairs)."""
     rng = np.random.default_rng(77)
     tables = []
-    # n = 7 too: many narrower tables have too few sorted pairs to cut a
-    # chunk short (an l = 1 table has none: both its classes are transformed)
+    # n = 7 too: many narrower tables have too few sorted pairs to take a
+    # shorter second pass (an l = 1 table has none: both its classes are
+    # transformed)
     for n in range(2, 8):
         for l in range(1, n + 1):
             tables.append((n, rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)))
         period = int(rng.integers(1, 1 << n))
         tables.append((n, simon.random_periodic_function(n, n, period, rng)))
     monkeypatch.setattr(simon, "_COMPARE_CELLS", 0)
-    chunks = _spy_pair_chunks(monkeypatch)
-    spanned = 0
+    passes = _spy_pair_passes(monkeypatch)
+    shrunk = 0
     for n, table in tables:
-        for chunk in range(2, 8):
-            monkeypatch.setattr(simon, "_PAIR_CELLS", chunk)
-            chunks.clear()
-            weights, collisions = simon.distribution(table, n)
-            sizes = [len(first) for first in chunks]
-            if len(sizes) > 1 and min(sizes) < chunk:
-                break
-        else:
-            continue
-        spanned += 1
+        passes.clear()
+        weights, collisions = simon.distribution(table, n)
+        _assert_passes_shrink(passes, table, n)
+        shrunk += len(passes) > 1 and len(passes[-1]) < len(passes[0])
         assert np.array_equal(weights, brute_law(table, n))
         counts = [brute_collision_prob(table, n, t) for t in range(1 << n)]
         assert np.array_equal(collisions, counts)
         assert np.array_equal(analysis.collision_probabilities(table, n), counts)
         expect = [t for t in range(1, 1 << n) if counts[t] == 1.0]
         assert analysis.find_periods(table, n) == expect
-    assert spanned >= 15
+    assert shrunk >= 15
 
 
 def _mixed_rows(n, rng):
@@ -349,40 +360,38 @@ def _mixed_rows(n, rng):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_distributions_match_each_row_bit_for_bit(monkeypatch, n):
     """One pass over a stack of tables gives every row the law, collision
-    spectrum and periods that the row gets alone, also when the pair count's
-    chunks span rows, split a row, and end short of their cap, on both of
-    its forms (all (x, x ^ t) cells of a row compared, a chunk of rows at a
-    time, or the sorted pairs enumerated); both stacks are read-only."""
+    spectrum and periods that the row gets alone, on both forms of the pair
+    count: all (x, x ^ t) cells of a row compared, a step of rows at a time
+    that may end short, or each row sorted and its pairs enumerated in
+    passes that span rows; both stacks are read-only."""
     rng = np.random.default_rng(100 + n)
     tables = _mixed_rows(n, rng)
     alone = [simon.distribution(table, n) for table in tables]
-    chunks = _spy_pair_chunks(monkeypatch)
-    ragged_rows = ragged_pairs = 0
-    for chunk in range(1, 8):
-        for compared in (True, False):
-            monkeypatch.setattr(simon, "_COMPARE_CELLS", 4**n if compared else 0)
-            monkeypatch.setattr(simon, "_PAIR_CELLS", chunk * 4**n if compared else chunk)
-            chunks.clear()
-            weights, collisions = simon.distributions(tables, n)
-            assert weights.shape == collisions.shape == tables.shape
-            assert not weights.flags.writeable and not collisions.flags.writeable
-            for table, w, c, (one_w, one_c) in zip(tables, weights, collisions, alone):
-                assert w.tobytes() == one_w.tobytes()
-                assert c.tobytes() == one_c.tobytes()
-                assert simon._periods(c) == simon._periods(one_c)
-                assert np.array_equal(w, brute_law(table, n))
-            if compared:
-                assert not chunks
-                ragged_rows += chunk > 1 and len(tables) % chunk != 0
-                continue
-            rows = [set((first >> n).tolist()) for first in chunks]
-            spans_rows = any(len(r) > 1 for r in rows)
-            splits_row = any(a & b for i, a in enumerate(rows) for b in rows[i + 1:])
-            short = any(len(first) < chunk for first in chunks)
-            ragged_pairs += spans_rows and splits_row and short
+    passes = _spy_pair_passes(monkeypatch)
+    ragged_rows = 0
+    # a row step of 1-7 rows on the compare form, then the sorted form
+    for chunk in (*range(1, 8), None):
+        compared = chunk is not None
+        monkeypatch.setattr(simon, "_COMPARE_CELLS", 4**n if compared else 0)
+        if compared:
+            monkeypatch.setattr(simon, "_PAIR_CELLS", chunk * 4**n)
+        passes.clear()
+        weights, collisions = simon.distributions(tables, n)
+        assert weights.shape == collisions.shape == tables.shape
+        assert not weights.flags.writeable and not collisions.flags.writeable
+        for table, w, c, (one_w, one_c) in zip(tables, weights, collisions, alone):
+            assert w.tobytes() == one_w.tobytes()
+            assert c.tobytes() == one_c.tobytes()
+            assert simon._periods(c) == simon._periods(one_c)
+            assert np.array_equal(w, brute_law(table, n))
+        if compared:
+            assert not passes
+            ragged_rows += chunk > 1 and len(tables) % chunk != 0
     assert ragged_rows
+    _assert_passes_shrink(passes, tables, n)
     # at n = 1 every class of two members is one of the transformed ones
-    assert bool(ragged_pairs) == (n > 1)
+    spans_rows = any(len(set((first >> n).tolist())) > 1 for first in passes)
+    assert spans_rows == (n > 1)
 
 
 def _indicator_law(tables, n):
@@ -420,28 +429,30 @@ def _screen_rows(n, rng):
 def test_pair_counts_give_the_class_indicator_law(monkeypatch, n):
     """The law from the pair count is, bit for bit, the sum of the classes'
     squared spectra, with the same collisions: on both forms of the count,
-    on pair chunks that straddle rows, on rows that mix enumerated and
-    transformed classes, and on values too spread to offset by row."""
+    on pair passes that straddle rows, on rows that mix enumerated and
+    transformed classes, and on values up to 2^62 apart."""
     rng = np.random.default_rng(1300 + n)
     tables = _screen_rows(n, rng)
     want_w, want_c = _indicator_law(tables, n)
-    # a relabelling onto values up to 2^62 apart, which the count numbers first
+    # a relabelling onto values up to 2^62 apart: the sort compares values,
+    # never offsets them
     values = int(tables.max()) + 1
     labels = rng.permutation(np.unique(rng.integers(-(1 << 62), 1 << 62, size=values + 8)))
     labels[[tables.min(), tables.max()]] = -(1 << 62), (1 << 62) - 1
     spread = labels[tables]
     assert int(spread.max()) - int(spread.min()) >= (1 << 63) // len(tables)
-    chunks = _spy_pair_chunks(monkeypatch)
+    passes = _spy_pair_passes(monkeypatch)
     straddled = False
-    for compare, cells in ((simon._COMPARE_CELLS, simon._PAIR_CELLS), (0, 2), (0, 3), (0, 5), (0, 7)):
+    for compare in (simon._COMPARE_CELLS, 0):
         monkeypatch.setattr(simon, "_COMPARE_CELLS", compare)
-        monkeypatch.setattr(simon, "_PAIR_CELLS", cells)
         for stack in (tables, spread):
-            chunks.clear()
+            passes.clear()
             weights, collisions = simon.distributions(stack, n)
             assert weights.tobytes() == want_w.tobytes()
             assert collisions.tobytes() == want_c.tobytes()
-            straddled |= any(len(set((first >> n).tolist())) > 1 for first in chunks)
+            if 4**n > compare:
+                _assert_passes_shrink(passes, stack, n)
+            straddled |= any(len(set((first >> n).tolist())) > 1 for first in passes)
     assert straddled == (n > 2)
     if n > 2:  # the mixed row transforms its large class and counts the rest
         pairs, spectra = simon._pair_counts(tables, n)
@@ -452,9 +463,9 @@ def test_a_constant_row_is_transformed_not_paired(monkeypatch):
     """A constant row of 2^12 inputs (2^24 ordered pairs) takes its class's
     one transform; no pair of it is enumerated."""
     n = 12
-    chunks = _spy_pair_chunks(monkeypatch)
+    passes = _spy_pair_passes(monkeypatch)
     weights, collisions = simon.distribution(np.full(1 << n, 9), n)
-    assert sum(len(first) for first in chunks) == 0
+    assert not passes
     assert weights[0] == 1.0 and not weights[1:].any()
     assert (collisions == 1.0).all()
 
