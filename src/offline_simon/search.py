@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -194,8 +194,15 @@ class Report:
     solution: gf2.PeriodSolution | None = None
 
     def as_dict(self) -> dict:
-        doc = asdict(self)
-        del doc["solution"]
+        """The report as a JSON-ready row, in field order and without
+        `solution`: ``asdict`` minus that field, built without its deep
+        copies, with fresh counters, flags and recovered, so a row stays
+        independent of its report."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "solution"}
+        doc["counters"] = dict(vars(self.counters))
+        doc["flags"] = list(self.flags)
+        if self.recovered is not None:
+            doc["recovered"] = dict(self.recovered)
         return doc
 
 

@@ -11,8 +11,10 @@ of the law is t -> Pr_x[h(x ^ t) = h(x)] (the orthogonality lemma
 Pr[u . t = 0] = (1 + Pr_x[h(x ^ t) = h(x)]) / 2 of Kaplan et al., CRYPTO
 2016), so the periods, the condition value eps and the union bound come
 with the law. And the collision spectrum is a count of equal-value pairs
-(x, x ^ t), so the law is one transform of that count per table, not one
-per output class: a table costs its pair count, each class at most 2^n.
+(x, x ^ t) over 2^n, so the law is one transform of that count per table,
+not one per output class, and the collisions need no transform at all. A
+small stack counts by comparing all its (x, x ^ t) cells; a larger one
+sorts each row, and a table costs its pair count, each class at most 2^n.
 ``distributions`` makes that pass over a whole stack of tables at once
 (every branch of a search instance), into one read-only stack of laws and
 one of collision spectra; ``distribution`` is its one-table case and
@@ -40,9 +42,16 @@ _CHUNK_CELLS = 1 << 22
 # (x, x ^ t) cells of one row step of the pair count's compare form in
 # `distributions` (2 MiB per int64 temporary).
 _PAIR_CELLS = 1 << 18
-# A row of at most this many (x, x ^ t) cells, 4^n (n <= 5), counts its
-# pairs by comparing them all: that costs less than sorting its values.
+# The pair count compares all (x, x ^ t) cells of a stack whose rows have at
+# most _COMPARE_CELLS of them each, 4^n (n <= 5), or that has at most
+# _COMPARE_STACK_CELLS in all (one row of n <= 7, four of n = 6): there
+# comparing costs less than a sort's twenty-odd fixed numpy calls. Both are
+# the measured crossover: stacks of 2^15 cells of n = 6 or 7 compare and sort
+# in about the same time, a row of n = 8 compares 5x slower than it sorts,
+# and rows of n <= 5 compare about as fast or faster in every stack measured,
+# up to (1024, 2^3).
 _COMPARE_CELLS = 1 << 10
+_COMPARE_STACK_CELLS = 1 << 14
 
 
 def _as_table(h, n: int, ndim: int = 1) -> np.ndarray:
@@ -104,23 +113,25 @@ def _pair_counts(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | N
     and the second array sums those transforms per row (None when no class
     is that large). So a row costs sum_a min(|C_a|^2, 2^n), at most 2^(3n/2).
 
-    A row of at most _COMPARE_CELLS (x, x ^ t) cells compares them all, so
-    counts the pairs of every class, and the second array is None.
-    Wider rows are sorted one by one: a class is then a run of its row's
+    A stack of rows of at most _COMPARE_CELLS (x, x ^ t) cells each, or of
+    at most _COMPARE_STACK_CELLS in all, compares them all, so counts the
+    pairs of every class, and the second array is None.
+    Other stacks are sorted row by row: a class is then a run of its row's
     sorted inputs, the row's 2^n pairs (x, x) go to t = 0 unenumerated, and
     a run of k members pairs in k - 1 passes, one per offset within the run
     (``_pair_passes``), each counted by ``np.bincount`` at row * 2^n + (x ^ x').
     """
     count, size = tables.shape
     pairs = np.zeros((count, size))
-    if size * size <= _COMPARE_CELLS:
+    if size * size <= _COMPARE_CELLS or count * size * size <= _COMPARE_STACK_CELLS:
         partner = np.arange(size) ^ np.arange(size)[:, None]  # [t, x] = x ^ t
         ones = np.ones(size)
         step = max(1, _PAIR_CELLS // (size * size))
         for r0 in range(0, count, step):
             rows = tables[r0:r0 + step]
-            # a float product sums the matches faster than a bool sum does
-            same = (rows[:, partner] == rows[:, None, :]).astype(np.float64)
+            # np.take gathers the cells 1.4-2.5x faster than rows[:, partner],
+            # and a float product sums the matches faster than a bool sum does
+            same = (np.take(rows, partner, axis=1) == rows[:, None, :]).astype(np.float64)
             np.matmul(same, ones, out=pairs[r0:r0 + step])
         return pairs, None
     order = np.argsort(tables, axis=1)  # in any order within a class
@@ -174,15 +185,23 @@ def distributions(tables, n: int) -> tuple[np.ndarray, np.ndarray]:
     spectrum is an integer of at most 4^n, exact in float64 in any order:
     each row's law is bit for bit the one a table alone would get, and the
     sum of its classes' squared spectra.
+
+    The collision spectrum is the count itself, P(t) / 2^n, read before the
+    transform; only a stack with a class too large to pair transforms its
+    laws back instead (``fwht(weights)``, 2^n P(t) / 4^n). The two agree
+    bit for bit: every weight is an integer over 4^n, and the integers sum
+    to 4^n <= 2^40, so each partial sum of the transform is exact.
     """
     tables = _as_table(tables, n, ndim=2)
     size = tables.shape[1]
     weights, spectra = _pair_counts(tables, n)
+    collisions = weights / float(size) if spectra is None else None
     fwht_inplace(weights, size)
     if spectra is not None:
         weights += spectra
     weights /= float(size * size)
-    collisions = fwht(weights)
+    if collisions is None:
+        collisions = fwht(weights)
     weights.flags.writeable = collisions.flags.writeable = False
     return weights, collisions
 
@@ -228,6 +247,8 @@ def sample(h, count: int, rng: np.random.Generator, n: int) -> np.ndarray:
 def recover(h, count: int, rng: np.random.Generator, n: int) -> PeriodSolution:
     """Draw count samples of u and solve u.s = 0 for the period."""
     table = _as_table(h, n)
+    if n < 1:  # no period to find, and no rank to test
+        raise ValueError("n must be at least 1")
     if count < 1:
         raise ValueError("count must be at least 1")
     return solve_period(sample(table, count, rng, n).tolist(), n)
@@ -356,6 +377,8 @@ class PBadEstimate:
 def p_bad_estimate(h, c: int, trials: int, rng: np.random.Generator, n: int) -> PBadEstimate:
     """Rate at which c*n samples from an aperiodic h miss full rank."""
     table = _as_table(h, n)
+    if n < 1:  # no period to find, and no rank to test
+        raise ValueError("n must be at least 1")
     if c < 1:
         raise ValueError("c must be at least 1")
     if trials < 1:

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -198,6 +199,26 @@ def test_report_json_schema_and_fields():
     if doc["recovered"] is not None:
         for v in doc["recovered"].values():
             assert v.startswith("0x")
+
+
+@pytest.mark.parametrize("backend", search.BACKENDS)
+def test_report_row_is_asdict_without_solution(backend):
+    """A report's row is ``asdict`` of the report minus `solution`, key for
+    key and in the same order, and owns its counters, flags and recovered:
+    writing into them leaves the report as it was."""
+    _, rep = search.alg_poly_q2(tiny_instance(), copies=2, backend=backend,
+                                rng=np.random.default_rng(3), shots=2)
+    want = asdict(rep)
+    del want["solution"]
+    row = rep.as_dict()
+    assert row == want and list(row) == list(want)
+    assert rep.recovered is not None
+    row["counters"]["f_queries"] += 1
+    row["flags"].append("edited")
+    row["recovered"]["index"] = "edited"
+    again = asdict(rep)
+    del again["solution"]
+    assert again == want
 
 
 def test_report_deterministic():

@@ -1,12 +1,13 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from offline_simon import analysis, gf2, qsim, search, simon
+from offline_simon import analysis, attacks, gf2, qsim, search, simon
 
 from reference import brute_collision_prob, per_class_sample
 from test_gf2 import first_word_batch_rank
@@ -257,6 +258,18 @@ def test_width_cap():
             call()
 
 
+def test_zero_width_refused_before_any_draw():
+    """At n = 0 there is no period and no rank to test: recover and the
+    p_bad estimator refuse the width by name, before they draw."""
+    table = np.zeros(1, dtype=np.int64)
+    for call in (lambda rng: simon.recover(table, 5, rng, 0),
+                 lambda rng: simon.p_bad_estimate(table, 3, 10, rng, 0)):
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError, match=r"^n must be at least 1$"):
+            call(rng)
+        assert rng.random() == np.random.default_rng(8).random()
+
+
 def test_p_bad_estimate_pinned():
     # recorded with the per-row Gf2Basis loop; the batched rank must agree
     rng = np.random.default_rng(2024)
@@ -299,6 +312,28 @@ def _spy_pair_passes(monkeypatch):
     return passes
 
 
+def _spy_sorted_stacks(monkeypatch):
+    """Record the cells, rows * 2^n, of every stack ``_pair_counts`` sorts
+    (each sorted stack enumerates its pairs, in no pass or more), as a list
+    the caller reads after the call."""
+    cells, pair_passes = [], simon._pair_passes
+
+    def spy(after):
+        cells.append(len(after))
+        yield from pair_passes(after)
+
+    monkeypatch.setattr(simon, "_pair_passes", spy)
+    return cells
+
+
+def _set_compare_limits(monkeypatch, cells):
+    """Set both limits of the pair count's compare form, per row and per
+    stack, to `cells`: 4^n compares every stack of width n, 0 sorts every
+    stack."""
+    monkeypatch.setattr(simon, "_COMPARE_CELLS", cells)
+    monkeypatch.setattr(simon, "_COMPARE_STACK_CELLS", cells)
+
+
 def _largest_paired_run(tables, n):
     """The most members of a class that is paired, not transformed (k^2 <=
     2^n), over every row of a stack; 1 when there is none."""
@@ -329,7 +364,7 @@ def test_law_and_collisions_exact_across_ragged_chunks(monkeypatch):
             tables.append((n, rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)))
         period = int(rng.integers(1, 1 << n))
         tables.append((n, simon.random_periodic_function(n, n, period, rng)))
-    monkeypatch.setattr(simon, "_COMPARE_CELLS", 0)
+    _set_compare_limits(monkeypatch, 0)
     passes = _spy_pair_passes(monkeypatch)
     shrunk = 0
     for n, table in tables:
@@ -344,6 +379,44 @@ def test_law_and_collisions_exact_across_ragged_chunks(monkeypatch):
         expect = [t for t in range(1, 1 << n) if counts[t] == 1.0]
         assert analysis.find_periods(table, n) == expect
     assert shrunk >= 15
+
+
+def _cli_default_screen(kind):
+    """The branch stack the screen of `kind`'s carve takes at the CLI
+    defaults."""
+    target = attacks.TARGETS[kind]
+    flags = dict.fromkeys(("n", "m", "u", "rate", "capacity", "rounds"))
+    inst, *rest = target.draw(target.defaults(SimpleNamespace(**flags)),
+                              np.random.default_rng(1))
+    carve = target.carve(inst, rest[0] if rest else None, 0)
+    return carve.family ^ carve.g, carve.n
+
+
+def test_pair_count_form_follows_the_cells(monkeypatch):
+    """A stack compares all its (x, x ^ t) cells when each row has at most
+    _COMPARE_CELLS of them (n <= 5) or the stack at most
+    _COMPARE_STACK_CELLS in all; any other stack sorts. Each case has pairs
+    to enumerate, so only the form tells them apart."""
+    rng = np.random.default_rng(19)
+    beetle, beetle_n = _cli_default_screen("beetle")
+    slide, slide_n = _cli_default_screen("slide-ifx")
+    assert (beetle.shape, slide.shape) == ((1 << 7, 1 << 3), (8, 1 << 7))
+    cases = [
+        (rng.integers(0, 1 << 5, size=(1, 1 << 6)), 6, False),  # one law, as pbad-mc's
+        (rng.integers(0, 1 << 6, size=(1, 1 << 7)), 7, False),
+        (rng.integers(0, 1 << 5, size=(4, 1 << 6)), 6, False),
+        (beetle, beetle_n, False),
+        (rng.integers(0, 1 << 4, size=(32, 1 << 5)), 5, False),
+        (rng.integers(0, 1 << 5, size=(5, 1 << 6)), 6, True),
+        (slide, slide_n, True),
+        (rng.integers(0, 1 << 7, size=(1, 1 << 8)), 8, True),
+    ]
+    sorts = _spy_sorted_stacks(monkeypatch)
+    for tables, n, sorted_form in cases:
+        sorts.clear()
+        pairs, _ = simon._pair_counts(tables, n)
+        assert pairs[:, 1:].any()
+        assert sorts == ([tables.size] if sorted_form else []), tables.shape
 
 
 def _mixed_rows(n, rng):
@@ -372,7 +445,7 @@ def test_distributions_match_each_row_bit_for_bit(monkeypatch, n):
     # a row step of 1-7 rows on the compare form, then the sorted form
     for chunk in (*range(1, 8), None):
         compared = chunk is not None
-        monkeypatch.setattr(simon, "_COMPARE_CELLS", 4**n if compared else 0)
+        _set_compare_limits(monkeypatch, 4**n if compared else 0)
         if compared:
             monkeypatch.setattr(simon, "_PAIR_CELLS", chunk * 4**n)
         passes.clear()
@@ -442,15 +515,20 @@ def test_pair_counts_give_the_class_indicator_law(monkeypatch, n):
     spread = labels[tables]
     assert int(spread.max()) - int(spread.min()) >= (1 << 63) // len(tables)
     passes = _spy_pair_passes(monkeypatch)
+    sorts = _spy_sorted_stacks(monkeypatch)
     straddled = False
-    for compare in (simon._COMPARE_CELLS, 0):
-        monkeypatch.setattr(simon, "_COMPARE_CELLS", compare)
+    # the form the limits pick, then the sorted form
+    for forced in (False, True):
+        if forced:
+            _set_compare_limits(monkeypatch, 0)
         for stack in (tables, spread):
             passes.clear()
+            sorts.clear()
             weights, collisions = simon.distributions(stack, n)
             assert weights.tobytes() == want_w.tobytes()
             assert collisions.tobytes() == want_c.tobytes()
-            if 4**n > compare:
+            assert bool(sorts) == (forced or n > 5)
+            if sorts:
                 _assert_passes_shrink(passes, stack, n)
             straddled |= any(len(set((first >> n).tolist())) > 1 for first in passes)
     assert straddled == (n > 2)
@@ -471,13 +549,15 @@ def test_a_constant_row_is_transformed_not_paired(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [0, 3, 7])
-def test_distributions_of_an_empty_stack(n):
-    """No rows give two empty read-only (0, 2^n) stacks, on either form of
-    the pair count."""
+def test_distributions_of_an_empty_stack(monkeypatch, n):
+    """No rows give two empty read-only (0, 2^n) stacks; a stack of no
+    cells is under both limits, so it compares at every width."""
+    sorts = _spy_sorted_stacks(monkeypatch)
     weights, collisions = simon.distributions(np.zeros((0, 1 << n), np.int64), n)
     for stack in (weights, collisions):
         assert stack.shape == (0, 1 << n) and stack.dtype == np.float64
         assert not stack.flags.writeable
+    assert not sorts
 
 
 def test_distributions_number_widely_spread_values():
@@ -488,6 +568,57 @@ def test_distributions_number_widely_spread_values():
     (weights, collisions), want = simon.distributions(big, 2), simon.distributions(small, 2)
     assert weights.tobytes() == want[0].tobytes()
     assert [simon._periods(c) for c in collisions] == [simon._periods(c) for c in want[1]]
+
+
+def _collision_rows(n, rng, transformed):
+    """Rows of width n whose classes all pair: injective, and classes of
+    2^(n // 2); plus (when `transformed`) a random row and one holding a
+    class of more than 2^(n/2) members, too large to pair."""
+    size = 1 << n
+    rows = [rng.permutation(size), rng.permutation(size) >> (n // 2)]
+    if transformed:
+        big = math.isqrt(size) + 1
+        rows += [rng.integers(0, size, size=size),
+                 rng.permutation(np.r_[np.zeros(big, np.int64), 1 + np.arange(size - big)])]
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_collisions_off_the_count_are_the_transformed_law(monkeypatch, n):
+    """The collision spectrum read off the pair count is, bit for bit,
+    ``gf2.fwht(weights)``, the transform of the law it replaces: on random
+    stacks, on both forms of the count (the compare form up to n = 8, a
+    row of 2^16 cells), with and without a class too large to pair."""
+    rng = np.random.default_rng(1400 + n)
+    for transformed in (False, True):
+        if transformed and n < 1:  # a lone input is a class of one, k^2 = 2^n
+            continue
+        tables = _collision_rows(n, rng, transformed)
+        for cells in ((4**n, 0) if n <= 8 else (0,)):
+            _set_compare_limits(monkeypatch, cells)
+            _, spectra = simon._pair_counts(tables, n)
+            assert (spectra is not None) == (transformed and not cells)
+            weights, collisions = simon.distributions(tables, n)
+            assert collisions.tobytes() == gf2.fwht(weights).tobytes()
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_wide_collisions_are_the_pair_count(n):
+    """At the widest laws, where a row's weights are integers over 4^n that
+    sum to 4^n <= 2^40, the collisions of a row with a class too large to
+    pair (transformed back from its law) are its whole pair count over
+    2^n, bit for bit: the count the other rows read off directly."""
+    rng = np.random.default_rng(n)
+    size = 1 << n
+    big = math.isqrt(size) + 1
+    row = rng.permutation(np.r_[np.zeros(big, np.int64), 1 + np.arange(size - big) // 2])
+    pairs, spectra = simon._pair_counts(row[None], n)
+    assert spectra is not None
+    members = np.flatnonzero(row == 0)
+    pairs[0] += np.bincount((members[:, None] ^ members).reshape(-1), minlength=size)
+    weights, collisions = simon.distributions(row[None], n)
+    assert collisions.tobytes() == (pairs / size).tobytes()
+    assert collisions.tobytes() == gf2.fwht(weights).tobytes()
 
 
 class _Feed:
@@ -698,9 +829,9 @@ def test_misses_rank_with_nothing_to_draw(shape):
 
 
 def test_p_bad_estimate_transforms_its_table_once(monkeypatch):
-    """One Walsh transform of the pair count and one of the law: the
-    periodicity check, the Monte Carlo law, eps and the union bound all
-    come from the same law."""
+    """One Walsh transform, of the pair count: the periodicity check, the
+    Monte Carlo law, eps and the union bound all come from the same law,
+    and the collision spectrum is the count itself."""
     rng = np.random.default_rng(2024)
     n = 6
     table = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
@@ -725,7 +856,7 @@ def test_p_bad_estimate_transforms_its_table_once(monkeypatch):
                 monkeypatch.setattr(module, name, watch)
     monkeypatch.setattr(gf2, "fwht", spy)
     simon.p_bad_estimate(table, 3, 100, rng, n)
-    assert shapes == [(1, 1 << n), (1, 1 << n)]
+    assert shapes == [(1, 1 << n)]
 
 
 def _choice_p_bad_mc(weights, count, trials, rng):
