@@ -273,12 +273,15 @@ def qubit_cap() -> int:
 
 
 def check_capacity(n: int, m: int, l: int, copies: int, backend: str) -> None:
-    """Raise ValueError unless a search over 2^m branches of n-bit domain
-    and l-bit output, with `copies` samples per database, fits the lab's
-    limits: the simulable width, the branch family's table cap, and the
-    backend's own (a sampled shot's cells, an exact run's qubits). The qubit
-    cap counts the whole circuit, output bit and y registers included,
-    though the run holds only its label blocks (see ``qubit_footprint``)."""
+    """Raise ValueError unless `backend` is one of BACKENDS and a search over
+    2^m branches of n-bit domain and l-bit output, with `copies` samples per
+    database, fits the lab's limits: the simulable width, the branch
+    family's table cap, and the backend's own (a sampled shot's cells, an
+    exact run's qubits). The qubit cap counts the whole circuit, output bit
+    and y registers included, though the run holds only its label blocks
+    (see ``qubit_footprint``)."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     if n < 1:
         raise ValueError(f"search dimension {n} must be at least 1")
     if n > simon.MAX_N:
@@ -469,8 +472,6 @@ def _sampled_index_shot(instance: SearchInstance, copies: int, r: int,
 def _run_offline(instance: SearchInstance, copies: int, backend: str,
                  rng: np.random.Generator, acquisition: str, shots: int,
                  online_counts: tuple[int, int] | None = None) -> tuple[int | None, Report]:
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
     if copies < 1:
         raise ValueError("copies must be at least 1")
     check_capacity(instance.n, instance.m, instance.l, copies, backend)

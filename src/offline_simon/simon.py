@@ -13,8 +13,9 @@ Pr[u . t = 0] = (1 + Pr_x[h(x ^ t) = h(x)]) / 2 of Kaplan et al., CRYPTO
 with the law. And the collision spectrum is a count of equal-value pairs
 (x, x ^ t) over 2^n, so the law is one transform of that count per table,
 not one per output class, and the collisions need no transform at all. A
-small stack counts by comparing all its (x, x ^ t) cells; a larger one
-sorts each row, and a table costs its pair count, each class at most 2^n.
+stack of at most 2^14 (x, x ^ t) cells in all counts by comparing them; any
+other sorts each row, and a table costs its pair count, each class at most
+2^n.
 ``distributions`` makes that pass over a whole stack of tables at once
 (every branch of a search instance), into one read-only stack of laws and
 one of collision spectra; ``distribution`` is its one-table case and
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .gf2 import (_RANK_BLOCK_CELLS, PeriodSolution, _word_dtype, batch_rank, fwht, fwht_inplace,
+from .gf2 import (_RANK_BLOCK_CELLS, PeriodSolution, _word_dtype, batch_rank, fwht_inplace,
                   solve_period)
 
 MAX_N = 20
@@ -39,19 +40,14 @@ MAX_N = 20
 # 32 MiB of float64 whatever the number of output classes (the transform's
 # temporaries take a few times that).
 _CHUNK_CELLS = 1 << 22
-# (x, x ^ t) cells of one row step of the pair count's compare form in
-# `distributions` (2 MiB per int64 temporary).
-_PAIR_CELLS = 1 << 18
-# The pair count compares all (x, x ^ t) cells of a stack whose rows have at
-# most _COMPARE_CELLS of them each, 4^n (n <= 5), or that has at most
-# _COMPARE_STACK_CELLS in all (one row of n <= 7, four of n = 6): there
-# comparing costs less than a sort's twenty-odd fixed numpy calls. Both are
-# the measured crossover: stacks of 2^15 cells of n = 6 or 7 compare and sort
-# in about the same time, a row of n = 8 compares 5x slower than it sorts,
-# and rows of n <= 5 compare about as fast or faster in every stack measured,
-# up to (1024, 2^3).
-_COMPARE_CELLS = 1 << 10
-_COMPARE_STACK_CELLS = 1 << 14
+# The pair count compares all (x, x ^ t) cells of a stack that has at most
+# _COMPARE_CELLS of them in all (a row of n <= 7, four of n = 6, 256 of
+# n = 3): there comparing costs less than a sort's twenty-odd fixed numpy
+# calls. That is the measured crossover: stacks of 2^15 cells of n = 6 or 7
+# compare and sort in about the same time, a row of n = 8 compares 5x slower
+# than it sorts, and a (1024, 2^5) stack 4x slower; only stacks of n = 3
+# past it still compare up to 1.3x faster.
+_COMPARE_CELLS = 1 << 14
 
 
 def _as_table(h, n: int, ndim: int = 1) -> np.ndarray:
@@ -103,37 +99,33 @@ def _pair_passes(after: np.ndarray):
         first = first[after[first] >= step]
 
 
-def _pair_counts(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _pair_counts(tables: np.ndarray, n: int) -> np.ndarray:
     """The equal-value pairs of every row of a (rows, 2^n) stack of tables,
-    by offset, and the squared spectra of the classes too large to pair.
+    by offset: pairs[row, t] = #{(x, x'): h(x) = h(x'), x ^ x' = t}, exact
+    in float64.
 
-    pairs[row, t] = #{(x, x'): h(x) = h(x'), x ^ x' = t}, as float64, over the
-    classes of k members with k^2 <= 2^n; each larger class costs one
-    class-indicator transform of its 2^n cells instead (``_squared_spectra``),
-    and the second array sums those transforms per row (None when no class
-    is that large). So a row costs sum_a min(|C_a|^2, 2^n), at most 2^(3n/2).
-
-    A stack of rows of at most _COMPARE_CELLS (x, x ^ t) cells each, or of
-    at most _COMPARE_STACK_CELLS in all, compares them all, so counts the
-    pairs of every class, and the second array is None.
-    Other stacks are sorted row by row: a class is then a run of its row's
-    sorted inputs, the row's 2^n pairs (x, x) go to t = 0 unenumerated, and
-    a run of k members pairs in k - 1 passes, one per offset within the run
-    (``_pair_passes``), each counted by ``np.bincount`` at row * 2^n + (x ^ x').
+    A stack of at most _COMPARE_CELLS (x, x ^ t) cells in all compares them
+    all in one pass. Any other stack is sorted row by row: a class is then
+    a run of its row's sorted inputs, the row's 2^n pairs (x, x) go to t = 0
+    unenumerated, and a run of k members pairs in k - 1 passes, one per
+    offset within the run (``_pair_passes``), each counted by
+    ``np.bincount`` at row * 2^n + (x ^ x'). A class of k members with
+    k^2 > 2^n costs one class-indicator transform of its 2^n cells instead
+    (``_squared_spectra``): each row's sum of those squared spectra is
+    transformed back once, which gives 2^n times those classes' pairs. So a
+    row costs sum_a min(|C_a|^2, 2^n), at most 2^(3n/2). Every partial sum
+    of that transform is an integer of at most 4^n <= 2^40 (the squared
+    spectra are nonnegative, and they sum to 2^n times the classes'
+    members), so the count is exact.
     """
     count, size = tables.shape
-    pairs = np.zeros((count, size))
-    if size * size <= _COMPARE_CELLS or count * size * size <= _COMPARE_STACK_CELLS:
+    if count * size * size <= _COMPARE_CELLS:
         partner = np.arange(size) ^ np.arange(size)[:, None]  # [t, x] = x ^ t
-        ones = np.ones(size)
-        step = max(1, _PAIR_CELLS // (size * size))
-        for r0 in range(0, count, step):
-            rows = tables[r0:r0 + step]
-            # np.take gathers the cells 1.4-2.5x faster than rows[:, partner],
-            # and a float product sums the matches faster than a bool sum does
-            same = (np.take(rows, partner, axis=1) == rows[:, None, :]).astype(np.float64)
-            np.matmul(same, ones, out=pairs[r0:r0 + step])
-        return pairs, None
+        # np.take gathers the cells 1.4-2.5x faster than tables[:, partner],
+        # and a float product sums the matches faster than a bool sum does
+        same = (np.take(tables, partner, axis=1) == tables[:, None, :]).astype(np.float64)
+        return same @ np.ones(size)
+    pairs = np.zeros((count, size))
     order = np.argsort(tables, axis=1)  # in any order within a class
     xs = order.reshape(-1)  # sorted input p is input xs[p] of row p >> n
     ordered = np.take_along_axis(tables, order, axis=1)
@@ -157,7 +149,7 @@ def _pair_counts(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | N
     # every input pairs with itself, in its own class
     pairs[:, 0] = size - np.bincount(starts[dense] >> n, members[dense], minlength=count)
     if not dense.any():
-        return pairs, None
+        return pairs
     codes = np.empty_like(order)
     labels = np.repeat(np.where(dense, np.cumsum(dense) - 1, -1), members)
     np.put_along_axis(codes, order, labels.reshape(count, size), axis=1)
@@ -170,38 +162,30 @@ def _pair_counts(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | N
         own = owner[start:stop]
         runs = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
         spectra[own[runs]] += np.add.reduceat(block, runs, axis=0)
-    return pairs, spectra
+    fwht_inplace(spectra, size)
+    spectra /= float(size)
+    pairs += spectra
+    return pairs
 
 
 def distributions(tables, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The law of every row of a (rows, 2^n) stack of tables, from one pass:
     a read-only (rows, 2^n) stack of weights and one of their collisions.
 
-    A row's law is the Walsh transform of its equal-value pair count, over
-    4^n: sum_a |sum_{x in C_a} (-1)^(u.x)|^2 = sum_t P(t) (-1)^(u.t), with
-    P(t) the pairs (x, x') of one class with x ^ x' = t (see
-    ``_pair_counts``). One transform per row, plus one per class too large
-    to pair, whose squared spectrum joins the sum. Every count and squared
-    spectrum is an integer of at most 4^n, exact in float64 in any order:
-    each row's law is bit for bit the one a table alone would get, and the
-    sum of its classes' squared spectra.
-
-    The collision spectrum is the count itself, P(t) / 2^n, read before the
-    transform; only a stack with a class too large to pair transforms its
-    laws back instead (``fwht(weights)``, 2^n P(t) / 4^n). The two agree
-    bit for bit: every weight is an integer over 4^n, and the integers sum
-    to 4^n <= 2^40, so each partial sum of the transform is exact.
+    A row's collision spectrum is its equal-value pair count over 2^n,
+    P(t) / 2^n (see ``_pair_counts``), and its law is the Walsh transform
+    of that count over 4^n: sum_a |sum_{x in C_a} (-1)^(u.x)|^2 =
+    sum_t P(t) (-1)^(u.t). One transform per row. The count sums to
+    sum_a |C_a|^2 <= 4^n <= 2^40, so every partial sum of the transform is
+    an exact integer in any order: each row's law is bit for bit the one a
+    table alone would get, and the sum of its classes' squared spectra.
     """
     tables = _as_table(tables, n, ndim=2)
     size = tables.shape[1]
-    weights, spectra = _pair_counts(tables, n)
-    collisions = weights / float(size) if spectra is None else None
+    weights = _pair_counts(tables, n)
+    collisions = weights / float(size)
     fwht_inplace(weights, size)
-    if spectra is not None:
-        weights += spectra
     weights /= float(size * size)
-    if collisions is None:
-        collisions = fwht(weights)
     weights.flags.writeable = collisions.flags.writeable = False
     return weights, collisions
 
@@ -282,7 +266,7 @@ def _bin_tables(cdf: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
 def misses_rank(weights, shape, rng: np.random.Generator, n: int) -> np.ndarray:
     """Whether k words drawn from each of a stack of laws fail to span
     F_2^n: a (..., rows) bool array for a `shape` of (..., rows, k), where
-    `weights` is the (rows, 2^n) stack, or one (2^n,) law when rows is 1.
+    `weights` is the (rows, 2^n) stack.
 
     The words at [..., row, :] are those of ``rng.choice(2^n, k,
     p=weights[row])`` called in the C order of the leading axes, bit for
@@ -305,13 +289,13 @@ def misses_rank(weights, shape, rng: np.random.Generator, n: int) -> np.ndarray:
     *lead, rows, k = shape
     size = 1 << n
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (rows, size) and not (rows == 1 and weights.shape == (size,)):
+    if weights.shape != (rows, size):
         raise ValueError(f"weights must be a ({rows}, {size}) stack for a shape of "
                          f"{tuple(shape)}, got shape {weights.shape}")
     draws = rows * math.prod(lead)
     if not draws * k:  # no uniform to draw and no law to normalize
         return (batch_rank(np.zeros((draws, k), np.int64), n) < n).reshape(shape[:-1])
-    cdf = weights.reshape(rows, size).cumsum(axis=1)
+    cdf = weights.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     flat = cdf.reshape(-1)
     bins = 1 << min(2 * n, max(1, min(draws * k, _RANK_BLOCK_CELLS) // rows).bit_length() - 1)
@@ -359,7 +343,7 @@ def _p_bad_mc(weights: np.ndarray, count: int, trials: int,
     if not abs(float(weights.sum()) - 1.0) <= math.sqrt(np.finfo(np.float64).eps):
         raise ValueError("the law's weights do not sum to 1")
     n = len(weights).bit_length() - 1
-    return int(misses_rank(weights, (trials, 1, count), rng, n).sum()) / trials
+    return int(misses_rank(weights[None], (trials, 1, count), rng, n).sum()) / trials
 
 
 @dataclass(frozen=True)
@@ -389,7 +373,7 @@ def p_bad_estimate(h, c: int, trials: int, rng: np.random.Generator, n: int) -> 
     count = c * n
     est = _p_bad_mc(weights, count, trials, rng)
     half = 1.96 * math.sqrt(max(est * (1.0 - est), 1e-12) / trials)
-    eps = float(probs[1:].max()) if len(probs) > 1 else 0.0
+    eps = float(probs[1:].max())
     return PBadEstimate(
         estimate=est,
         half_width_95=half,

@@ -49,7 +49,7 @@ ALLOWED = {
 TRACER_ONLY = {
     "QState.copy", "QState.scale", "apply_h", "apply_indexed_oracle", "apply_oracle_xor",
     "apply_reflection_about_zero", "apply_x", "init_zero", "marginal", "distance",
-    "collision_probabilities",
+    "collision_probabilities", "fwht",
 }
 
 # Bare name -> {dotted name: the reference that reaches it} for every bare

@@ -769,10 +769,15 @@ GOLDEN_EXACT_DIGESTS = {
 
 # One trial at a width where the screen has 2^12-input branches (the
 # carve's (n, m) = (12, 2)), recorded before the screen counted each
-# branch's equal-value pairs, when it transformed every output class.
+# branch's equal-value pairs, when it transformed every output class; and
+# one whose screen is a (1024, 2^5) stack (the carve's (n, m) = (5, 10)),
+# recorded while that stack still compared its cells, before every stack
+# of more than 2^14 cells sorted.
 GOLDEN_WIDE_DIGESTS = {
     "em-q1 --n 14 --u 12 --trials 1 --seed 3":
         "cd11f07037ab4288159e78c805e8c0a02b358aedfc3793e7ee1cc4d773611ce5",
+    "em-q1 --n 15 --u 5 --trials 1 --seed 3":
+        "0d7f6fa016629983a51d160aaeeabda585c5e1f07e46e288022375aa9deaa15b",
 }
 
 

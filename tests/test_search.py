@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict
@@ -236,6 +237,18 @@ def test_backend_validation():
     with pytest.raises(ValueError):
         search.alg_poly_q2(inst, analysis.default_copies(inst.m, inst.n), "magic",
                            np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("backend", ["nope", "Sampled"])
+def test_an_unknown_backend_is_refused_by_name(backend):
+    """check_capacity refuses a backend outside BACKENDS, as every search
+    entry point does through it, with the same message."""
+    want = re.escape(f"unknown backend {backend!r}")
+    with pytest.raises(ValueError, match=want):
+        search.check_capacity(2, 2, 2, 2, backend)
+    inst = tiny_instance()
+    with pytest.raises(ValueError, match=want):
+        search.alg_poly_q2(inst, copies=2, backend=backend, rng=np.random.default_rng(0))
 
 
 def test_exact_backend_respects_qubit_cap(monkeypatch):

@@ -326,12 +326,25 @@ def _spy_sorted_stacks(monkeypatch):
     return cells
 
 
-def _set_compare_limits(monkeypatch, cells):
-    """Set both limits of the pair count's compare form, per row and per
-    stack, to `cells`: 4^n compares every stack of width n, 0 sorts every
+def _spy_squared_spectra(monkeypatch):
+    """Record the number of classes of every block ``_pair_counts``
+    transforms (its classes too large to pair), as a list the caller reads
+    after the call."""
+    classes, squared_spectra = [], simon._squared_spectra
+
+    def spy(codes, start, stop, size):
+        classes.append(stop - start)
+        return squared_spectra(codes, start, stop, size)
+
+    monkeypatch.setattr(simon, "_squared_spectra", spy)
+    return classes
+
+
+def _set_compare_limit(monkeypatch, cells):
+    """Set the stack cells the pair count's compare form takes to `cells`:
+    rows * 4^n compares a stack of that many rows of width n, 0 sorts every
     stack."""
     monkeypatch.setattr(simon, "_COMPARE_CELLS", cells)
-    monkeypatch.setattr(simon, "_COMPARE_STACK_CELLS", cells)
 
 
 def _largest_paired_run(tables, n):
@@ -364,7 +377,7 @@ def test_law_and_collisions_exact_across_ragged_chunks(monkeypatch):
             tables.append((n, rng.integers(0, 1 << l, size=1 << n, dtype=np.int64)))
         period = int(rng.integers(1, 1 << n))
         tables.append((n, simon.random_periodic_function(n, n, period, rng)))
-    _set_compare_limits(monkeypatch, 0)
+    _set_compare_limit(monkeypatch, 0)
     passes = _spy_pair_passes(monkeypatch)
     shrunk = 0
     for n, table in tables:
@@ -393,10 +406,10 @@ def _cli_default_screen(kind):
 
 
 def test_pair_count_form_follows_the_cells(monkeypatch):
-    """A stack compares all its (x, x ^ t) cells when each row has at most
-    _COMPARE_CELLS of them (n <= 5) or the stack at most
-    _COMPARE_STACK_CELLS in all; any other stack sorts. Each case has pairs
-    to enumerate, so only the form tells them apart."""
+    """A stack compares all its (x, x ^ t) cells when it has at most
+    _COMPARE_CELLS = 2^14 of them in all, whatever its rows' width; any
+    other stack sorts. Each case has pairs to enumerate, so only the form
+    tells them apart."""
     rng = np.random.default_rng(19)
     beetle, beetle_n = _cli_default_screen("beetle")
     slide, slide_n = _cli_default_screen("slide-ifx")
@@ -406,7 +419,10 @@ def test_pair_count_form_follows_the_cells(monkeypatch):
         (rng.integers(0, 1 << 6, size=(1, 1 << 7)), 7, False),
         (rng.integers(0, 1 << 5, size=(4, 1 << 6)), 6, False),
         (beetle, beetle_n, False),
-        (rng.integers(0, 1 << 4, size=(32, 1 << 5)), 5, False),
+        (rng.integers(0, 1 << 2, size=(256, 1 << 3)), 3, False),
+        (rng.integers(0, 1 << 4, size=(16, 1 << 5)), 5, False),
+        (rng.integers(0, 1 << 4, size=(32, 1 << 5)), 5, True),
+        (rng.integers(0, 1 << 2, size=(257, 1 << 3)), 3, True),
         (rng.integers(0, 1 << 5, size=(5, 1 << 6)), 6, True),
         (slide, slide_n, True),
         (rng.integers(0, 1 << 7, size=(1, 1 << 8)), 8, True),
@@ -414,7 +430,7 @@ def test_pair_count_form_follows_the_cells(monkeypatch):
     sorts = _spy_sorted_stacks(monkeypatch)
     for tables, n, sorted_form in cases:
         sorts.clear()
-        pairs, _ = simon._pair_counts(tables, n)
+        pairs = simon._pair_counts(tables, n)
         assert pairs[:, 1:].any()
         assert sorts == ([tables.size] if sorted_form else []), tables.shape
 
@@ -434,20 +450,16 @@ def _mixed_rows(n, rng):
 def test_distributions_match_each_row_bit_for_bit(monkeypatch, n):
     """One pass over a stack of tables gives every row the law, collision
     spectrum and periods that the row gets alone, on both forms of the pair
-    count: all (x, x ^ t) cells of a row compared, a step of rows at a time
-    that may end short, or each row sorted and its pairs enumerated in
-    passes that span rows; both stacks are read-only."""
+    count: all (x, x ^ t) cells of the stack compared at once, or each row
+    sorted and its pairs enumerated in passes that span rows; both stacks
+    are read-only."""
     rng = np.random.default_rng(100 + n)
     tables = _mixed_rows(n, rng)
     alone = [simon.distribution(table, n) for table in tables]
     passes = _spy_pair_passes(monkeypatch)
-    ragged_rows = 0
-    # a row step of 1-7 rows on the compare form, then the sorted form
-    for chunk in (*range(1, 8), None):
-        compared = chunk is not None
-        _set_compare_limits(monkeypatch, 4**n if compared else 0)
-        if compared:
-            monkeypatch.setattr(simon, "_PAIR_CELLS", chunk * 4**n)
+    # the compare form, then the sorted form
+    for compared in (True, False):
+        _set_compare_limit(monkeypatch, tables.size << n if compared else 0)
         passes.clear()
         weights, collisions = simon.distributions(tables, n)
         assert weights.shape == collisions.shape == tables.shape
@@ -459,8 +471,6 @@ def test_distributions_match_each_row_bit_for_bit(monkeypatch, n):
             assert np.array_equal(w, brute_law(table, n))
         if compared:
             assert not passes
-            ragged_rows += chunk > 1 and len(tables) % chunk != 0
-    assert ragged_rows
     _assert_passes_shrink(passes, tables, n)
     # at n = 1 every class of two members is one of the transformed ones
     spans_rows = any(len(set((first >> n).tolist())) > 1 for first in passes)
@@ -517,10 +527,10 @@ def test_pair_counts_give_the_class_indicator_law(monkeypatch, n):
     passes = _spy_pair_passes(monkeypatch)
     sorts = _spy_sorted_stacks(monkeypatch)
     straddled = False
-    # the form the limits pick, then the sorted form
+    # the form the limit picks, then the sorted form
     for forced in (False, True):
         if forced:
-            _set_compare_limits(monkeypatch, 0)
+            _set_compare_limit(monkeypatch, 0)
         for stack in (tables, spread):
             passes.clear()
             sorts.clear()
@@ -533,8 +543,13 @@ def test_pair_counts_give_the_class_indicator_law(monkeypatch, n):
             straddled |= any(len(set((first >> n).tolist())) > 1 for first in passes)
     assert straddled == (n > 2)
     if n > 2:  # the mixed row transforms its large class and counts the rest
-        pairs, spectra = simon._pair_counts(tables, n)
-        assert (spectra.any(axis=1) & pairs[:, 1:].any(axis=1)).any()
+        transformed = _spy_squared_spectra(monkeypatch)
+        passes.clear()
+        simon._pair_counts(tables, n)
+        classes = [np.unique(row, return_counts=True)[1] for row in tables]
+        dense = {row for row, k in enumerate(classes) if (k * k > 1 << n).any()}
+        assert sum(transformed) == sum(int((k * k > 1 << n).sum()) for k in classes)
+        assert dense & {int(row) for first in passes for row in first >> n}
 
 
 def test_a_constant_row_is_transformed_not_paired(monkeypatch):
@@ -551,7 +566,7 @@ def test_a_constant_row_is_transformed_not_paired(monkeypatch):
 @pytest.mark.parametrize("n", [0, 3, 7])
 def test_distributions_of_an_empty_stack(monkeypatch, n):
     """No rows give two empty read-only (0, 2^n) stacks; a stack of no
-    cells is under both limits, so it compares at every width."""
+    cells is under the limit, so it compares at every width."""
     sorts = _spy_sorted_stacks(monkeypatch)
     weights, collisions = simon.distributions(np.zeros((0, 1 << n), np.int64), n)
     for stack in (weights, collisions):
@@ -583,39 +598,99 @@ def _collision_rows(n, rng, transformed):
     return np.array(rows, dtype=np.int64)
 
 
+def _brute_pair_counts(tables, n):
+    """pairs[row, t] = #{(x, x'): h(x) = h(x'), x ^ x' = t}, one offset t at
+    a time."""
+    xs = np.arange(1 << n)
+    return np.stack([(tables == tables[:, xs ^ t]).sum(axis=1) for t in xs], axis=1)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_pair_counts_are_the_brute_force_count(monkeypatch, n):
+    """The pair count is #{(x, x'): h(x) = h(x'), x ^ x' = t} for every row
+    and offset, on both forms (the compare form up to n = 10, 5 * 2^20
+    cells) and on rows with a class too large to pair, which the sorted
+    form transforms."""
+    rng = np.random.default_rng(1500 + n)
+    tables = _screen_rows(n, rng)
+    want = _brute_pair_counts(tables, n).astype(np.float64)
+    classes = _spy_squared_spectra(monkeypatch)
+    for cells in ((tables.size << n, 0) if n <= 10 else (0,)):
+        _set_compare_limit(monkeypatch, cells)
+        classes.clear()
+        pairs = simon._pair_counts(tables, n)
+        assert pairs.shape == tables.shape and pairs.dtype == np.float64
+        assert pairs.tobytes() == want.tobytes()
+        # a lone input is a class of one, k^2 = 2^n, at n = 0
+        assert bool(classes) == (not cells and n > 0)
+
+
+def test_distributions_never_copy_a_transform(monkeypatch):
+    """A stack with a class too large to pair takes one in-place transform
+    of its laws and one of its dense classes' squared spectra, and no
+    copying ``gf2.fwht``: its collisions are the count, as every stack's."""
+    n = 8
+    rng = np.random.default_rng(16)
+    tables = _screen_rows(n, rng)
+    copied = []
+    fwht = gf2.fwht
+
+    def spy(vec):
+        copied.append(np.shape(vec))
+        return fwht(vec)
+
+    monkeypatch.setattr(gf2, "fwht", spy)
+    monkeypatch.setattr(simon, "fwht", spy, raising=False)
+    classes = _spy_squared_spectra(monkeypatch)
+    weights, collisions = simon.distributions(tables, n)
+    assert classes and not copied
+    assert collisions.tobytes() == (_brute_pair_counts(tables, n) / (1 << n)).tobytes()
+
+
 @pytest.mark.parametrize("n", range(15))
 def test_collisions_off_the_count_are_the_transformed_law(monkeypatch, n):
     """The collision spectrum read off the pair count is, bit for bit,
     ``gf2.fwht(weights)``, the transform of the law it replaces: on random
-    stacks, on both forms of the count (the compare form up to n = 8, a
-    row of 2^16 cells), with and without a class too large to pair."""
+    stacks, on both forms of the count (the compare form up to n = 8, rows
+    of 2^16 cells), with and without a class too large to pair, whose
+    pairs the sorted form counts by transforming its squared spectrum
+    back."""
     rng = np.random.default_rng(1400 + n)
+    classes = _spy_squared_spectra(monkeypatch)
     for transformed in (False, True):
         if transformed and n < 1:  # a lone input is a class of one, k^2 = 2^n
             continue
         tables = _collision_rows(n, rng, transformed)
-        for cells in ((4**n, 0) if n <= 8 else (0,)):
-            _set_compare_limits(monkeypatch, cells)
-            _, spectra = simon._pair_counts(tables, n)
-            assert (spectra is not None) == (transformed and not cells)
+        for cells in ((tables.size << n, 0) if n <= 8 else (0,)):
+            _set_compare_limit(monkeypatch, cells)
+            classes.clear()
             weights, collisions = simon.distributions(tables, n)
+            assert bool(classes) == (transformed and not cells)
             assert collisions.tobytes() == gf2.fwht(weights).tobytes()
 
 
 @pytest.mark.parametrize("n", [18, 20])
-def test_wide_collisions_are_the_pair_count(n):
+def test_wide_collisions_are_the_pair_count(monkeypatch, n):
     """At the widest laws, where a row's weights are integers over 4^n that
-    sum to 4^n <= 2^40, the collisions of a row with a class too large to
-    pair (transformed back from its law) are its whole pair count over
-    2^n, bit for bit: the count the other rows read off directly."""
+    sum to 4^n <= 2^40, the pair count of a row with a class too large to
+    pair already holds that class's pairs, transformed back from its
+    squared spectrum, bit for bit: it is the count of the same row with
+    that class split into lone inputs, plus the class's brute-force pairs.
+    The collisions are that count over 2^n, and the transform of the law."""
     rng = np.random.default_rng(n)
     size = 1 << n
     big = math.isqrt(size) + 1
     row = rng.permutation(np.r_[np.zeros(big, np.int64), 1 + np.arange(size - big) // 2])
-    pairs, spectra = simon._pair_counts(row[None], n)
-    assert spectra is not None
     members = np.flatnonzero(row == 0)
-    pairs[0] += np.bincount((members[:, None] ^ members).reshape(-1), minlength=size)
+    split = row.copy()
+    split[members] = -1 - np.arange(big)
+    classes = _spy_squared_spectra(monkeypatch)
+    pairs = simon._pair_counts(row[None], n)
+    want = simon._pair_counts(split[None], n)
+    assert classes == [1]  # the row's one dense class; the split row has none
+    want[0, 0] -= big  # the split inputs' pairs with themselves, counted below
+    want[0] += np.bincount((members[:, None] ^ members).reshape(-1), minlength=size)
+    assert pairs.tobytes() == want.tobytes()
     weights, collisions = simon.distributions(row[None], n)
     assert collisions.tobytes() == (pairs / size).tobytes()
     assert collisions.tobytes() == gf2.fwht(weights).tobytes()
@@ -776,14 +851,16 @@ def test_misses_rank_on_shot_shaped_stacks(monkeypatch, n):
     (np.full((2, 8), 1 / 8), (5, 1, 4)),  # two width-3 laws read as one of width 4
     (np.full((3, 16), 1 / 16), (5, 2, 4)),
     (np.full(16, 1 / 16), (5, 2, 4)),
+    (np.full(16, 1 / 16), (5, 1, 4)),
     (np.full((1, 1, 16), 1 / 16), (5, 1, 4)),
     (np.full(32, 1 / 32), (5, 2, 4)),
     (np.zeros(0), (5, 0, 4)),
-], ids=["two-laws-as-one", "three-for-two-rows", "one-law-for-two-rows", "three-axes",
+], ids=["two-laws-as-one", "three-for-two-rows", "one-law-for-two-rows",
+        "flat-law-for-one-row", "three-axes",
         "one-long-law-for-two-rows", "no-rows-flat"])
 def test_misses_rank_refuses_a_mis_shaped_stack(weights, shape):
-    """Only a (rows, 2^n) stack, or one (2^n,) law when rows is 1, is
-    taken; any other shape is refused with both shapes named, before
+    """Only a (rows, 2^n) stack is taken; any other shape, a flat (2^n,)
+    law for one row among them, is refused with both shapes named, before
     anything is drawn."""
     rng = np.random.default_rng(0)
     want = f"({shape[-2]}, 16)"
